@@ -17,6 +17,7 @@ Layout, all integers little-endian:
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -50,37 +51,56 @@ def save_checkpoint(path, state: dict[str, np.ndarray], precision: str = "f64"):
             f.write(arr.astype(entry_dtype).tobytes())
 
 
+class BlobReader:
+    """Cursor over a file's bytes that checks every length against what is left.
+
+    A read past the end raises DataError naming the path and the byte offset.
+    """
+
+    def __init__(self, path, blob, off=0):
+        self.path, self.blob, self.off = path, blob, off
+
+    def take(self, n):
+        left = len(self.blob) - self.off
+        if n > left:
+            raise DataError(f"{self.path}: truncated at byte {self.off} "
+                            f"({n} bytes needed, {left} left)")
+        self.off += n
+        return self.blob[self.off - n:self.off]
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def finish(self):
+        if self.off != len(self.blob):
+            raise DataError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 8)
+    r = BlobReader(path, blob, 8)
+    version, count = r.unpack("<II")
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    off = 16
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        tag, ndim = struct.unpack_from("<BB", blob, off)
-        off += 2
+        (name_len,) = r.unpack("<H")
+        name = r.take(name_len).decode("utf-8")
+        tag, ndim = r.unpack("<BB")
         if tag not in _PREC_BY_TAG:
             raise DataError(f"{path}: unknown precision tag {tag} for {name}")
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
+        shape = r.unpack(f"<{ndim}I")
         dtype = np.dtype(_PREC_BY_TAG[tag])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(blob[off:off + nbytes], dtype=dtype).reshape(shape)
-        off += nbytes
+        arr = np.frombuffer(r.take(math.prod(shape) * dtype.itemsize),
+                            dtype=dtype).reshape(shape)
         if tag == _BYTES_TAG:
             state[name] = arr.copy()
         else:
             state[name] = arr.astype(np.float64) if tag == 0 else arr.astype(np.float32)
-    if off != len(blob):
-        raise DataError(f"{path}: {len(blob) - off} trailing bytes")
+    r.finish()
     return state
 
 

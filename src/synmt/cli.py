@@ -131,27 +131,38 @@ def _trees_for(path, src_sents, parser, field):
     return [parse_sentence(toks, parser) if toks else None for toks in src_sents]
 
 
-def _decode_corpus(model, src_vocab, tgt_vocab, sents, beam_size, max_len,
-                   trees=None, encodings=None):
+def _source_units(mode, toks, tree):
+    """The source symbols a mode reads: a linearized tree, else the tokens."""
+    return linearize_tree(toks, tree) if mode == "tree-linearized" else toks
+
+
+def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
+                   trees, encodings):
     """Translate token lists back into detokenized text lines.
 
-    Empty source lines come back as empty output lines so file alignment
-    survives. trees/encodings align with sents when given.
+    One model decodes with beam_search, several with ensemble_decode over
+    the mean of their distributions. Each model gets the tree, the cached
+    encoding and the raw tokens of a sentence and reads what its mode needs.
+    trees (or None) align with sents; encodings holds one such list (or
+    None) per model. Empty source lines come back as empty output lines so
+    file alignment survives.
     """
     out = []
     for i, toks in enumerate(sents):
         if not toks:
             out.append("")
             continue
-        if model.mode == "tree-linearized":
-            units = linearize_tree(toks, trees[i])
+        tree = trees[i] if trees is not None else None
+        sources = [sv.ids(_source_units(m.mode, toks, tree))
+                   for m, sv in zip(models, src_vocabs)]
+        encs = [e[i] if e is not None else None for e in encodings]
+        if len(models) == 1:
+            hyp = beam_search(sources[0], models[0], beam_size, max_len,
+                              tree=tree, encoding=encs[0], tokens=toks)
         else:
-            units = toks
-        hyp = beam_search(
-            src_vocab.ids(units), model, beam_size, max_len,
-            tree=trees[i] if model.mode == "tree-rnn" else None,
-            encoding=encodings[i] if encodings is not None else None,
-            tokens=toks if model.mode == "sawr" and encodings is None else None)
+            hyp = ensemble_decode(models, sources, beam_size, max_len,
+                                  trees=[tree] * len(models), encodings=encs,
+                                  tokens=[toks] * len(models))
         out.append(" ".join(decode_bpe(tgt_vocab.tokens(hyp.ids))))
     return out
 
@@ -279,11 +290,8 @@ def _prepare_nmt_data(cfg, man):
             raise ConfigError("mode 'sawr' without 'parser' needs 'dev_cache' to "
                               "decode the dev set")
 
-    if mode == "tree-linearized":
-        src_units = [linearize_tree(toks, tree)
-                     for toks, tree in zip(src_sents, trees)]
-    else:
-        src_units = src_sents
+    src_units = [_source_units(mode, toks, tree)
+                 for toks, tree in zip(src_sents, trees or [None] * len(src_sents))]
     src_vocab = build_vocab(src_units, cfg.src_vocab_size)
 
     bpe = learn_bpe(Counter(tok for sent in tgt_sents for tok in sent), cfg.bpe_merges)
@@ -324,16 +332,14 @@ def _cmd_train_nmt(cfg, man):
         t0 = time.perf_counter()
         batches = filter_and_batch(
             d["pairs"], cfg.max_src_len, cfg.max_tgt_len, cfg.batch_size,
-            cfg.seed + epoch,
-            trees=d["trees"] if mode == "tree-rnn" else None,
-            encodings=d["encodings"] if mode == "sawr" else None,
-            src_tokens=d["src_sents"] if mode == "sawr-tuned" else None)
+            cfg.seed + epoch, trees=d["trees"], encodings=d["encodings"],
+            src_tokens=d["src_sents"])
         losses = [train_step(b, model, opt) for b in batches]
         train_loss = float(np.mean(losses))
 
-        hyps = _decode_corpus(model, src_vocab, tgt_vocab, d["dev_sents"], 1,
+        hyps = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
                               cfg.decode_max_len, trees=d["dev_trees"],
-                              encodings=d["dev_encodings"])
+                              encodings=[d["dev_encodings"]])
         dev_bleu = bleu(hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive).score
         seconds = round(time.perf_counter() - t0, 3)
         man.add_epoch(epoch=epoch, train_loss=train_loss, dev_bleu=dev_bleu,
@@ -348,9 +354,9 @@ def _cmd_train_nmt(cfg, man):
 
     man.note("best", {"epoch": best_epoch, "dev_bleu": best_bleu})
     best_model = TranslationModel.load(cfg.out)
-    final_hyps = _decode_corpus(best_model, src_vocab, tgt_vocab, d["dev_sents"],
+    final_hyps = _decode_corpus([best_model], [src_vocab], tgt_vocab, d["dev_sents"],
                                 cfg.beam_size, cfg.decode_max_len,
-                                trees=d["dev_trees"], encodings=d["dev_encodings"])
+                                trees=d["dev_trees"], encodings=[d["dev_encodings"]])
     final = bleu(final_hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive)
     man.note("final", {"beam_size": cfg.beam_size, "dev_bleu": final.score})
     for path in _bundle_paths(cfg.out):
@@ -360,75 +366,60 @@ def _cmd_train_nmt(cfg, man):
     print(f"saved model to {cfg.out}")
 
 
-def _translate_resources(cfg, model, src_sents):
-    """Trees and encodings a loaded model needs to decode new text."""
+def _translate_resources(cfg, models, src_sents):
+    """Trees and per-model cached encodings that loaded models need to decode.
+
+    Cached rows go only to a model that carries no parser; a model with one
+    encodes its input live.
+    """
     trees = None
-    if model.mode in ("tree-rnn", "tree-linearized"):
+    if any(m.mode in ("tree-rnn", "tree-linearized") for m in models):
         parser = ParserModel.load(cfg.parser) if cfg.parser else None
         trees = _trees_for(cfg.trees, src_sents, parser, "trees")
     encodings = None
-    if model.mode == "sawr" and model.parser is None:
+    if any(m.mode == "sawr" and m.parser is None for m in models):
         if not cfg.cache:
-            raise ConfigError("this checkpoint was trained from cached encodings "
-                              "and carries no parser; set 'cache' for the input")
+            raise ConfigError("a checkpoint trained from cached encodings carries "
+                              "no parser; set 'cache' for the input")
         encodings, _ = read_sawr_cache(cfg.cache)
         if len(encodings) != len(src_sents):
             raise DataError(f"{cfg.cache}: {len(encodings)} encodings for "
                             f"{len(src_sents)} sentences")
-    return trees, encodings
+    return trees, [encodings if m.parser is None else None for m in models]
+
+
+def _translate_with(cfg, man, paths):
+    """Decode cfg.src with the bundles at paths; returns the output lines."""
+    bundles = [_load_bundle(p) for p in paths]
+    tgt_vocab = bundles[0][2]
+    for path, (_, _, tv, _) in zip(paths[1:], bundles[1:]):
+        if tv.tokens(range(len(tv)), strip_reserved=False) != \
+                tgt_vocab.tokens(range(len(tgt_vocab)), strip_reserved=False):
+            raise DataError(f"{path}: target vocabulary differs from {paths[0]}; "
+                            f"ensemble members must share one")
+    models = [b[0] for b in bundles]
+    src_sents = read_corpus(cfg.src)
+    trees, encodings = _translate_resources(cfg, models, src_sents)
+    hyps = _decode_corpus(models, [b[1] for b in bundles], tgt_vocab, src_sents,
+                          cfg.beam_size, cfg.decode_max_len, trees=trees,
+                          encodings=encodings)
+    _write_lines(cfg.out, hyps)
+    man.add_artifact(cfg.out)
+    return hyps
 
 
 def _cmd_translate(cfg, man):
     _require(cfg, "translate", "model", "src", "out")
-    model, src_vocab, tgt_vocab, _ = _load_bundle(cfg.model)
-    src_sents = read_corpus(cfg.src)
-    trees, encodings = _translate_resources(cfg, model, src_sents)
-    hyps = _decode_corpus(model, src_vocab, tgt_vocab, src_sents, cfg.beam_size,
-                          cfg.decode_max_len, trees=trees, encodings=encodings)
-    _write_lines(cfg.out, hyps)
-    man.add_artifact(cfg.out)
+    hyps = _translate_with(cfg, man, [cfg.model])
     man.note("sentences", len(hyps))
     print(f"translated {len(hyps)} sentences with beam {cfg.beam_size} -> {cfg.out}")
 
 
 def _cmd_ensemble_translate(cfg, man):
     _require(cfg, "ensemble-translate", "models", "src", "out")
-    bundles = [_load_bundle(p) for p in cfg.models]
-    first_tgt = bundles[0][2]
-    for path, (_, _, tv, _) in zip(cfg.models[1:], bundles[1:]):
-        if tv.tokens(range(len(tv)), strip_reserved=False) != \
-                first_tgt.tokens(range(len(first_tgt)), strip_reserved=False):
-            raise DataError(f"{path}: target vocabulary differs from {cfg.models[0]}; "
-                            f"ensemble members must share one")
-    src_sents = read_corpus(cfg.src)
-    models = [b[0] for b in bundles]
-
-    trees = None
-    if any(m.mode in ("tree-rnn", "tree-linearized") for m in models):
-        parser = ParserModel.load(cfg.parser) if cfg.parser else None
-        trees = _trees_for(cfg.trees, src_sents, parser, "trees")
-
-    out = []
-    for i, toks in enumerate(src_sents):
-        if not toks:
-            out.append("")
-            continue
-        sources, per_trees, per_tokens = [], [], []
-        for model, sv, _, _ in bundles:
-            if model.mode == "tree-linearized":
-                units = linearize_tree(toks, trees[i])
-            else:
-                units = toks
-            sources.append(sv.ids(units))
-            per_trees.append(trees[i] if model.mode == "tree-rnn" else None)
-            per_tokens.append(toks if model.mode == "sawr" else None)
-        hyp = ensemble_decode(models, sources, cfg.beam_size, cfg.decode_max_len,
-                              trees=per_trees, tokens=per_tokens)
-        out.append(" ".join(decode_bpe(first_tgt.tokens(hyp.ids))))
-    _write_lines(cfg.out, out)
-    man.add_artifact(cfg.out)
-    man.note("models", len(models))
-    print(f"ensemble of {len(models)} translated {len(out)} sentences -> {cfg.out}")
+    hyps = _translate_with(cfg, man, cfg.models)
+    man.note("models", len(cfg.models))
+    print(f"ensemble of {len(cfg.models)} translated {len(hyps)} sentences -> {cfg.out}")
 
 
 def _cmd_evaluate(cfg, man):
@@ -463,13 +454,9 @@ def _cmd_align_dump(cfg, man):
     _require(cfg, "align-dump", "model", "src", "out")
     model, src_vocab, tgt_vocab, _ = _load_bundle(cfg.model)
     src_sents = read_corpus(cfg.src)
-    trees, encodings = _translate_resources(cfg, model, src_sents)
-    if model.mode == "tree-linearized":
-        sources = [linearize_tree(toks, trees[i]) if toks else []
-                   for i, toks in enumerate(src_sents)]
-        trees = None
-    else:
-        sources = src_sents
+    trees, [encodings] = _translate_resources(cfg, [model], src_sents)
+    sources = [_source_units(model.mode, toks, trees[i] if trees is not None else None)
+               if toks else [] for i, toks in enumerate(src_sents)]
     records = dump_alignments(model, sources, src_vocab, tgt_vocab,
                               max_len=cfg.decode_max_len, trees=trees,
                               encodings=encodings)

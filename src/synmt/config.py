@@ -52,7 +52,6 @@ SCHEMA = [
     Field("max_tgt_len", "int", 150, "drop pairs whose target exceeds this"),
     Field("src_vocab_size", "int", 50000, "source vocabulary cap, reserved ids included"),
     Field("bpe_merges", "int", 32000, "byte-pair merge operations on the target side"),
-    Field("workers", "int", 1, "upper bound on worker parallelism"),
     # parser training
     Field("parser_embed", "int", 64, "parser word embedding size"),
     Field("parser_hidden", "int", 100, "parser encoder size per direction"),
@@ -235,9 +234,8 @@ def _cross_check(v):
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {v['mode']!r}")
     _positive(v, "emb_dim", "hidden_dim", "sawr_dim", "learning_rate", "clip_norm",
               "batch_size", "epochs", "beam_size", "decode_max_len", "max_src_len",
-              "max_tgt_len", "workers", "parser_embed", "parser_hidden",
-              "parser_mlp", "parser_layers", "parser_epochs", "parser_lr",
-              "parser_batch")
+              "max_tgt_len", "parser_embed", "parser_hidden", "parser_mlp",
+              "parser_layers", "parser_epochs", "parser_lr", "parser_batch")
     if v["hidden_dim"] % 2:
         raise ConfigError(f"hidden_dim must be even so the two encoder directions "
                           f"split it equally; got {v['hidden_dim']}")

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from . import tensor as T
-from .seq2seq import _DecState, _run_beam, beam_search, decode_step, encode_for_decode
+from .seq2seq import _run_beam, beam_search, decode_step, encode_for_decode
 
 MAX_ORDER = 4
 
@@ -194,8 +194,7 @@ def dump_alignments(model, sources, src_vocab, tgt_vocab, max_len=100,
         hyp = beam_search(src_vocab.ids(tokens), model, 1, max_len,
                           tree=trees[i] if trees is not None else None,
                           encoding=encodings[i] if encodings is not None else None,
-                          tokens=tokens if model.mode == "sawr" and encodings is None
-                          else None)
+                          tokens=tokens)
         records.append(AlignmentRecord(
             i, tokens, tgt_vocab.tokens(hyp.ids, strip_reserved=False), hyp.alphas))
     return records
@@ -220,26 +219,15 @@ def read_alignments(path):
 # Ensemble decoding
 
 
-class _MultiState:
-    def __init__(self, parts):
-        self.parts = parts
-
-    def take(self, rows):
-        return _MultiState([p.take(rows) for p in self.parts])
-
-    def row(self, k):
-        pairs = [p.row(k) for p in self.parts]
-        return [s for s, _ in pairs], [c for _, c in pairs]
-
-
 def ensemble_decode(models, source, beam_size, max_len, trees=None,
                     encodings=None, tokens=None):
     """Beam search over the arithmetic mean of the models' distributions.
 
     source may be one id sequence shared by every model, or a per-model list
     when vocabularies differ across modes (tree-linearized inputs). trees,
-    encodings and tokens are per-model lists when given. A single model
-    delegates to beam_search unchanged.
+    encodings and tokens are per-model lists when given. The mean over a
+    single model is that model's distribution, so one member decodes exactly
+    as beam_search does.
     """
     if not models:
         raise ValueError("ensemble needs at least one model")
@@ -254,35 +242,31 @@ def ensemble_decode(models, source, beam_size, max_len, trees=None,
     trees = trees or [None] * k
     encodings = encodings or [None] * k
     tokens = tokens or [None] * k
-    if k == 1:
-        return beam_search(sources[0], models[0], beam_size, max_len,
-                           tree=trees[0], encoding=encodings[0], tokens=tokens[0])
     if beam_size < 1 or max_len < 1:
         raise ValueError("beam_size and max_len must be at least 1")
 
-    encoded = []
+    hs, states = [], []
     for m, src, tree, enc, toks in zip(models, sources, trees, encodings, tokens):
         ids = np.asarray(list(src), dtype=np.int64)
         if ids.size == 0:
             raise ValueError("empty source sentence")
         h, s0 = encode_for_decode(m, ids, tree=tree, encoding=enc, tokens=toks)
-        encoded.append((h, _DecState(s0, T.constant(np.zeros((1, m.hidden_dim))))))
+        hs.append(h)
+        states.append((s0.data, np.zeros((1, m.hidden_dim))))
 
-    def step(y_prev, state):
-        dists, alphas, new_parts = [], [], []
-        for m, (h, _), part in zip(models, encoded, state.parts):
-            dist, s, c, alpha = decode_step(y_prev, part.c, part.s, h, m)
+    def step(y_prev, states):
+        dists, alphas, new_states = [], [], []
+        for m, h, (s, c) in zip(models, hs, states):
+            dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, m)
             dists.append(dist.data)
             alphas.append(alpha.data)
-            new_parts.append(_DecState(s, c))
+            new_states.append((s.data, c.data))
         mean = sum(dists) / k
         with np.errstate(divide="ignore"):
             lp = np.log(mean)
         widths = {a.shape[1] for a in alphas}
         alpha = (sum(alphas) / k if len(widths) == 1
                  else alphas[0])  # sources differ per model; report the first
-        return lp, _MultiState(new_parts), alpha
+        return lp, new_states, alpha
 
-    vocab = models[0].tgt_vocab_size
-    state = _MultiState([st for _, st in encoded])
-    return _run_beam(step, state, beam_size, max_len, vocab)
+    return _run_beam(step, states, beam_size, max_len, models[0].tgt_vocab_size)

@@ -83,10 +83,6 @@ def _init(table: ParamTable, name: str, shape, rng, scale: float) -> Tensor:
     return table.add(name, T.init_uniform(shape, -scale, scale, rng=rng))
 
 
-def one_minus(x: Tensor) -> Tensor:
-    return T.sub(T.constant(np.ones_like(x.data)), x)
-
-
 class GruParams:
     """One GRU cell: update gate z, reset gate r, candidate h̃.
 
@@ -120,7 +116,8 @@ class GruParams:
         z = T.sigmoid(T.add(T.add(T.matmul(x, self.Wz), T.matmul(h, self.Uz)), self.bz))
         r = T.sigmoid(T.add(T.add(T.matmul(x, self.Wr), T.matmul(h, self.Ur)), self.br))
         cand = T.tanh(T.add(T.add(T.matmul(x, self.Wh), T.matmul(T.mul(r, h), self.Uh)), self.bh))
-        return T.add(T.mul(one_minus(z), h), T.mul(z, cand))
+        keep = T.sub(T.constant(np.ones_like(z.data)), z)
+        return T.add(T.mul(keep, h), T.mul(z, cand))
 
     def output(self, state: Tensor) -> Tensor:
         return state

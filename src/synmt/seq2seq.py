@@ -357,42 +357,24 @@ class Hypothesis:
         return f"Hypothesis({self.ids}, logp={self.logp:.4f}, {tag})"
 
 
-class _DecState:
-    """Row-aligned decoder state and context for a set of live hypotheses."""
+def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
+    """Shared beam loop for one model or an ensemble.
 
-    def __init__(self, s, c):
-        self.s, self.c = s, c
-
-    def take(self, rows):
-        return _DecState(T.constant(self.s.data[rows]), T.constant(self.c.data[rows]))
-
-    def row(self, k):
-        return self.s.data[k].copy(), self.c.data[k].copy()
-
-
-def _model_stepper(model, h):
-    def step(y_prev, st):
-        dist, s, c, alpha = decode_step(y_prev, st.c, st.s, h, model)
-        with np.errstate(divide="ignore"):
-            lp = np.log(dist.data)
-        return lp, _DecState(s, c), alpha.data
-    return step
-
-
-def _run_beam(step_fn, state, beam_size, max_len, vocab_size):
-    """Shared beam loop over an opaque stepper.
-
-    step_fn(y_prev ids [K], state) -> (logp [K, V], new state, alpha [K, n]);
-    the state must support .take(rows) and .row(k). Scores are raw log-prob
-    sums. Hypotheses that emit EOS enter the completed pool; the best
-    completed wins, else the best among the max_len-length partials.
+    states holds one row-aligned (s [K, H], c [K, H]) array pair per member;
+    step_fn(y_prev ids [K], states) -> (logp [K, V], new states, alpha [K, n]).
+    Scores are raw log-prob sums. Hypotheses that emit EOS enter the
+    completed pool; the best completed wins, else the best among the
+    max_len-length partials.
     """
+    def row(k):
+        return [(s[k].copy(), c[k].copy()) for s, c in states]
+
     active = [{"ids": (), "logp": 0.0, "steps": (), "alphas": ()}]
     completed = []
     for _ in range(max_len):
         y_prev = np.array([hyp["ids"][-1] if hyp["ids"] else BOS for hyp in active],
                           dtype=np.int64)
-        logp, state, alpha = step_fn(y_prev, state)
+        logp, states, alpha = step_fn(y_prev, states)
         scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
         flat = scores.ravel()
         order = np.argsort(-flat, kind="stable")[:min(beam_size, flat.size)]
@@ -405,7 +387,7 @@ def _run_beam(step_fn, state, beam_size, max_len, vocab_size):
                    "steps": parent["steps"] + (float(logp[pk, v]),),
                    "alphas": parent["alphas"] + (alpha[pk].copy(),)}
             if v == EOS:
-                completed.append((hyp, state.row(pk)))
+                completed.append((hyp, row(pk)))
             else:
                 new_active.append(hyp)
                 rows.append(pk)
@@ -413,18 +395,20 @@ def _run_beam(step_fn, state, beam_size, max_len, vocab_size):
             active = []
             break
         active = new_active
-        state = state.take(np.array(rows))
+        states = [(s[rows], c[rows]) for s, c in states]
 
     def build(hyp, snap, done):
-        s_row, c_row = snap
-        return Hypothesis(hyp["ids"], hyp["logp"], s_row, c_row,
+        s_rows, c_rows = [s for s, _ in snap], [c for _, c in snap]
+        if len(snap) == 1:  # a single model reports its own rows
+            s_rows, c_rows = s_rows[0], c_rows[0]
+        return Hypothesis(hyp["ids"], hyp["logp"], s_rows, c_rows,
                           hyp["alphas"], hyp["steps"], done)
 
     if completed:
         best, snap = max(completed, key=lambda pair: pair[0]["logp"])
         return build(best, snap, True)
     k = max(range(len(active)), key=lambda i: active[i]["logp"])
-    return build(active[k], state.row(k), False)
+    return build(active[k], row(k), False)
 
 
 def encode_for_decode(model, ids, tree=None, encoding=None, tokens=None):
@@ -455,9 +439,16 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None,
     if ids.size == 0:
         raise ValueError("empty source sentence")
     h, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding, tokens=tokens)
-    state = _DecState(s0, T.constant(np.zeros((1, model.hidden_dim))))
-    return _run_beam(_model_stepper(model, h), state, beam_size, max_len,
-                     model.tgt_vocab_size)
+
+    def step(y_prev, states):
+        [(s, c)] = states
+        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, model)
+        with np.errstate(divide="ignore"):
+            lp = np.log(dist.data)
+        return lp, [(s.data, c.data)], alpha.data
+
+    states = [(s0.data, np.zeros((1, model.hidden_dim)))]
+    return _run_beam(step, states, beam_size, max_len, model.tgt_vocab_size)
 
 
 def greedy_decode(source, model, max_len, tree=None, encoding=None, tokens=None):

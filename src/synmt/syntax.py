@@ -15,6 +15,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
+from .checkpoint import BlobReader
 from .errors import DataError, ShapeError, StateError
 
 
@@ -268,28 +269,22 @@ def read_sawr_cache(path, parser_hash=None):
         blob = f.read()
     if blob[:8] != CACHE_MAGIC:
         raise DataError(f"{path}: not a SAWR cache (bad magic)")
-    version, hash_len = struct.unpack_from("<IH", blob, 8)
+    r = BlobReader(path, blob, 8)
+    version, hash_len = r.unpack("<IH")
     if version != CACHE_VERSION:
         raise DataError(f"{path}: unsupported cache version {version}")
-    off = 14
-    stored_hash = blob[off:off + hash_len].decode("ascii")
-    off += hash_len
+    stored_hash = r.take(hash_len).decode("ascii")
     if parser_hash is not None and stored_hash != parser_hash:
         raise DataError(
             f"{path}: cache was built from parser checkpoint {stored_hash[:12]}..., "
             f"expected {parser_hash[:12]}...; re-run the extraction")
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (count,) = r.unpack("<I")
     encodings = []
     for k in range(count):
-        idx, n, dim = struct.unpack_from("<III", blob, off)
-        off += 12
+        idx, n, dim = r.unpack("<III")
         if idx != k:
             raise DataError(f"{path}: record {k} carries index {idx}")
-        nbytes = n * dim * 8
-        encodings.append(np.frombuffer(blob[off:off + nbytes], dtype="<f8")
+        encodings.append(np.frombuffer(r.take(n * dim * 8), dtype="<f8")
                          .reshape(n, dim).copy())
-        off += nbytes
-    if off != len(blob):
-        raise DataError(f"{path}: {len(blob) - off} trailing bytes")
+    r.finish()
     return encodings, stored_hash

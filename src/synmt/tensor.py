@@ -286,19 +286,6 @@ def log(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "sigmoid": sigmoid,
-                "tanh": tanh, "exp": exp}
-
-
-def elementwise(op: str, *operands: Tensor) -> Tensor:
-    """Dispatch by name over the elementwise primitive family."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}; choose from {sorted(_ELEMENTWISE)}")
-    return fn(*operands)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:

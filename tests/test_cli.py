@@ -256,12 +256,49 @@ class TestPipeline:
 
     def test_ensemble_of_identical_models_equals_single(self, pipeline, tmp_path):
         ck = str(pipeline / "base.ckpt")
-        out = tmp_path / "ens.hyp"
-        rc = main(["ensemble-translate", "--models", f"{ck},{ck}",
-                   "--src", str(pipeline / "dev.src"), "--beam_size", "2",
-                   "--out", str(out)])
+        for models in (ck, f"{ck},{ck}"):  # one member, then two
+            out = tmp_path / "ens.hyp"
+            rc = main(["ensemble-translate", "--models", models,
+                       "--src", str(pipeline / "dev.src"), "--beam_size", "2",
+                       "--out", str(out)])
+            assert rc == 0
+            assert out.read_bytes() == (pipeline / "dev.hyp").read_bytes()
+
+    def test_ensemble_feeds_cache_to_parserless_member(self, pipeline, workdir,
+                                                        tmp_path):
+        d = workdir
+        rc = main(["extract-sawr", "--parser", str(pipeline / "parser.ckpt"),
+                   "--src", str(d / "dev.src"), "--out", str(tmp_path / "dev.sawr")])
         assert rc == 0
-        assert out.read_bytes() == (pipeline / "dev.hyp").read_bytes()
+        rc = main(["train-nmt", "--mode", "sawr",
+                   "--cache", str(pipeline / "train.sawr"),
+                   "--dev_cache", str(tmp_path / "dev.sawr"), "--sawr_dim", "8",
+                   "--train_src", str(d / "train.src"),
+                   "--train_tgt", str(d / "train.tgt"),
+                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                   "--out", str(tmp_path / "cached.ckpt")] + SMALL[:-2] + ["--epochs", "1"])
+        assert rc == 0
+        out = tmp_path / "ens.hyp"
+        rc = main(["ensemble-translate", "--models",
+                   f"{tmp_path / 'cached.ckpt'},{pipeline / 'base.ckpt'}",
+                   "--src", str(d / "dev.src"), "--cache", str(tmp_path / "dev.sawr"),
+                   "--beam_size", "2", "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 10
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        for suffix in (".src.vocab", ".tgt.vocab", ".bpe"):
+            (tmp_path / ("cut.ckpt" + suffix)).write_bytes(
+                (pipeline / ("base.ckpt" + suffix)).read_bytes())
+        blob = (pipeline / "base.ckpt").read_bytes()
+        (tmp_path / "cut.ckpt").write_bytes(blob[:-100])
+        capsys.readouterr()
+        rc = main(["translate", "--model", str(tmp_path / "cut.ckpt"),
+                   "--src", str(pipeline / "dev.src"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "truncated" in err
+        assert len(err.splitlines()) == 1
 
     def test_align_dump_rows_are_distributions(self, pipeline, tmp_path):
         out = tmp_path / "align.jsonl"

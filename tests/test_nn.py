@@ -1,5 +1,7 @@
 """Layers and optimization: GRU/LSTM cells, Bi-RNN, dropout, clipping, Adam."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,17 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_every_proper_prefix_is_a_data_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3),
+                               "meta": np.frombuffer(b"{}", dtype=np.uint8)})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError, match=re.escape(str(cut))):
+                load_checkpoint(cut)
 
     def test_hash_changes_with_content(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -1,5 +1,7 @@
 """Syntax integration: SAWR projection, parser freezing, Tree-GRU, caching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,16 @@ class TestSawrCache:
             f.write(b"NOTACACHE" + b"\0" * 30)
         with pytest.raises(DataError, match="magic"):
             syntax.read_sawr_cache(path)
+
+    def test_every_proper_prefix_is_a_data_error(self, tmp_path):
+        path = str(tmp_path / "c.sawr")
+        syntax.write_sawr_cache(path, [np.ones((2, 3)), np.zeros((1, 3))], "e" * 64)
+        blob = open(path, "rb").read()
+        for n in range(len(blob)):
+            with open(path, "wb") as f:
+                f.write(blob[:n])
+            with pytest.raises(DataError, match=re.escape(path)):
+                syntax.read_sawr_cache(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = str(tmp_path / "c.sawr")

@@ -58,12 +58,6 @@ class TestElementwise:
         out = T.add(T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
 
-    def test_dispatcher(self):
-        out = T.elementwise("mul", T.Tensor([2.0, 3.0]), T.Tensor([4.0, 5.0]))
-        assert np.array_equal(out.data, [8.0, 15.0])
-        with pytest.raises(ValueError):
-            T.elementwise("pow", T.Tensor([1.0]), T.Tensor([2.0]))
-
     def test_bias_row_broadcast(self):
         x = T.Tensor(np.ones((3, 2)))
         b = leaf(np.array([[1.0, 2.0]]))
