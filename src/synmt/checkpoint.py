@@ -17,6 +17,7 @@ Layout, all integers little-endian:
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
 
@@ -71,6 +72,14 @@ class BlobReader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n, encoding="utf-8"):
+        start = self.off
+        try:
+            return self.take(n).decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: invalid {encoding} text at byte "
+                            f"{start + exc.start}") from None
+
     def finish(self):
         if self.off != len(self.blob):
             raise DataError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
@@ -88,7 +97,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len)
         tag, ndim = r.unpack("<BB")
         if tag not in _PREC_BY_TAG:
             raise DataError(f"{path}: unknown precision tag {tag} for {name}")
@@ -102,6 +111,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             state[name] = arr.astype(np.float64) if tag == 0 else arr.astype(np.float32)
     r.finish()
     return state
+
+
+def pop_meta(state, path) -> dict:
+    """Remove and parse the JSON object a model stores under "__meta__"."""
+    if "__meta__" not in state:
+        raise DataError(f"{path}: no __meta__ entry; not a model checkpoint")
+    try:
+        meta = json.loads(bytes(state.pop("__meta__")).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DataError(f"{path}: unreadable __meta__ entry ({exc})") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: __meta__ is not a JSON object")
+    return meta
 
 
 def file_sha256(path) -> str:

@@ -146,8 +146,13 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     trees (or None) align with sents; encodings holds one such list (or
     None) per model. Empty source lines come back as empty output lines so
     file alignment survives.
+
+    Returns (lines, stats); stats counts the decoded sentences, the decoder
+    steps they took and how many searches stopped before max_len with
+    hypotheses still live.
     """
     out = []
+    stats = {"sentences": 0, "decoder_steps": 0, "stopped_early": 0}
     for i, toks in enumerate(sents):
         if not toks:
             out.append("")
@@ -164,7 +169,10 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
                                   trees=[tree] * len(models), encodings=encs,
                                   tokens=[toks] * len(models))
         out.append(" ".join(decode_bpe(tgt_vocab.tokens(hyp.ids))))
-    return out
+        stats["sentences"] += 1
+        stats["decoder_steps"] += hyp.steps
+        stats["stopped_early"] += hyp.stopped_early
+    return out, stats
 
 
 def _bundle_paths(path):
@@ -337,9 +345,9 @@ def _cmd_train_nmt(cfg, man):
         losses = [train_step(b, model, opt) for b in batches]
         train_loss = float(np.mean(losses))
 
-        hyps = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
-                              cfg.decode_max_len, trees=d["dev_trees"],
-                              encodings=[d["dev_encodings"]])
+        hyps, _ = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
+                                 cfg.decode_max_len, trees=d["dev_trees"],
+                                 encodings=[d["dev_encodings"]])
         dev_bleu = bleu(hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive).score
         seconds = round(time.perf_counter() - t0, 3)
         man.add_epoch(epoch=epoch, train_loss=train_loss, dev_bleu=dev_bleu,
@@ -354,11 +362,12 @@ def _cmd_train_nmt(cfg, man):
 
     man.note("best", {"epoch": best_epoch, "dev_bleu": best_bleu})
     best_model = TranslationModel.load(cfg.out)
-    final_hyps = _decode_corpus([best_model], [src_vocab], tgt_vocab, d["dev_sents"],
-                                cfg.beam_size, cfg.decode_max_len,
-                                trees=d["dev_trees"], encodings=[d["dev_encodings"]])
+    final_hyps, decode = _decode_corpus(
+        [best_model], [src_vocab], tgt_vocab, d["dev_sents"], cfg.beam_size,
+        cfg.decode_max_len, trees=d["dev_trees"], encodings=[d["dev_encodings"]])
     final = bleu(final_hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive)
-    man.note("final", {"beam_size": cfg.beam_size, "dev_bleu": final.score})
+    man.note("final", {"beam_size": cfg.beam_size, "dev_bleu": final.score,
+                       "decode": decode})
     for path in _bundle_paths(cfg.out):
         man.add_artifact(path)
     print(f"best epoch {best_epoch} (greedy dev BLEU {best_bleu:.2f}); "
@@ -400,11 +409,12 @@ def _translate_with(cfg, man, paths):
     models = [b[0] for b in bundles]
     src_sents = read_corpus(cfg.src)
     trees, encodings = _translate_resources(cfg, models, src_sents)
-    hyps = _decode_corpus(models, [b[1] for b in bundles], tgt_vocab, src_sents,
-                          cfg.beam_size, cfg.decode_max_len, trees=trees,
-                          encodings=encodings)
+    hyps, decode = _decode_corpus(models, [b[1] for b in bundles], tgt_vocab,
+                                  src_sents, cfg.beam_size, cfg.decode_max_len,
+                                  trees=trees, encodings=encodings)
     _write_lines(cfg.out, hyps)
     man.add_artifact(cfg.out)
+    man.note("decode", decode)
     return hyps
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, pop_meta, save_checkpoint
 from .errors import DataError, ShapeError
 
 
@@ -368,9 +368,7 @@ class ParserModel:
     @classmethod
     def load(cls, path):
         state = load_checkpoint(path)
-        if "__meta__" not in state:
-            raise DataError(f"{path}: not a parser checkpoint (missing metadata)")
-        meta = json.loads(bytes(state.pop("__meta__")).decode("utf-8"))
+        meta = pop_meta(state, path)
         model = cls(meta["vocab"], meta["labels"], embed_dim=meta["embed_dim"],
                     hidden_dim=meta["hidden_dim"], mlp_dim=meta["mlp_dim"],
                     layers=meta["layers"])

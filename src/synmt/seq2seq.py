@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from . import syntax
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, pop_meta, save_checkpoint
 from .data import BOS, EOS
 from .errors import ShapeError, StateError
 
@@ -153,8 +153,8 @@ class TranslationModel:
 
     @classmethod
     def load(cls, path):
-        arrays = dict(load_checkpoint(path))
-        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+        arrays = load_checkpoint(path)
+        meta = pop_meta(arrays, path)
         parser = None
         trainable = False
         pm = meta.pop("parser", None)
@@ -341,9 +341,14 @@ def train_step(batch, model, optimizer):
 
 
 class Hypothesis:
-    """A (partial) translation: ids, score, final decoder snapshot, attention."""
+    """A (partial) translation: ids, score, final decoder snapshot, attention.
 
-    def __init__(self, ids, logp, state, context, alphas, step_logps, completed):
+    steps counts the decoder steps the search ran; stopped_early is True when
+    it ended before max_len while hypotheses were still live.
+    """
+
+    def __init__(self, ids, logp, state, context, alphas, step_logps, completed,
+                 steps=0, stopped_early=False):
         self.ids = list(ids)
         self.logp = float(logp)
         self.state = state
@@ -351,6 +356,8 @@ class Hypothesis:
         self.alphas = list(alphas)
         self.step_logps = list(step_logps)
         self.completed = completed
+        self.steps = steps
+        self.stopped_early = stopped_early
 
     def __repr__(self):
         tag = "completed" if self.completed else "partial"
@@ -365,16 +372,24 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
     Scores are raw log-prob sums. Hypotheses that emit EOS enter the
     completed pool; the best completed wins, else the best among the
     max_len-length partials.
+
+    Every step adds log p <= 0, so a score never rises. Once the best
+    completed score is at least the best live one, no later completion can
+    beat it (a tie keeps the earlier one), and the search stops with the
+    result a run to max_len would return.
     """
     def row(k):
         return [(s[k].copy(), c[k].copy()) for s, c in states]
 
-    active = [{"ids": (), "logp": 0.0, "steps": (), "alphas": ()}]
+    active = [{"ids": (), "logp": 0.0, "step_logps": (), "alphas": ()}]
     completed = []
-    for _ in range(max_len):
+    best_done = -np.inf
+    steps, early = 0, False
+    while steps < max_len:
         y_prev = np.array([hyp["ids"][-1] if hyp["ids"] else BOS for hyp in active],
                           dtype=np.int64)
         logp, states, alpha = step_fn(y_prev, states)
+        steps += 1
         scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
         flat = scores.ravel()
         order = np.argsort(-flat, kind="stable")[:min(beam_size, flat.size)]
@@ -384,10 +399,11 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
             parent = active[pk]
             hyp = {"ids": parent["ids"] + (int(v),),
                    "logp": float(flat[fi]),
-                   "steps": parent["steps"] + (float(logp[pk, v]),),
+                   "step_logps": parent["step_logps"] + (float(logp[pk, v]),),
                    "alphas": parent["alphas"] + (alpha[pk].copy(),)}
             if v == EOS:
                 completed.append((hyp, row(pk)))
+                best_done = max(best_done, hyp["logp"])
             else:
                 new_active.append(hyp)
                 rows.append(pk)
@@ -396,13 +412,16 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
             break
         active = new_active
         states = [(s[rows], c[rows]) for s, c in states]
+        if completed and best_done >= active[0]["logp"]:  # live scores descend
+            early = steps < max_len
+            break
 
     def build(hyp, snap, done):
         s_rows, c_rows = [s for s, _ in snap], [c for _, c in snap]
         if len(snap) == 1:  # a single model reports its own rows
             s_rows, c_rows = s_rows[0], c_rows[0]
         return Hypothesis(hyp["ids"], hyp["logp"], s_rows, c_rows,
-                          hyp["alphas"], hyp["steps"], done)
+                          hyp["alphas"], hyp["step_logps"], done, steps, early)
 
     if completed:
         best, snap = max(completed, key=lambda pair: pair[0]["logp"])

@@ -273,7 +273,7 @@ def read_sawr_cache(path, parser_hash=None):
     version, hash_len = r.unpack("<IH")
     if version != CACHE_VERSION:
         raise DataError(f"{path}: unsupported cache version {version}")
-    stored_hash = r.take(hash_len).decode("ascii")
+    stored_hash = r.text(hash_len, "ascii")
     if parser_hash is not None and stored_hash != parser_hash:
         raise DataError(
             f"{path}: cache was built from parser checkpoint {stored_hash[:12]}..., "

@@ -4,7 +4,9 @@ Everything here is deliberately independent of the package's decoder so tests
 compare two implementations, not one implementation with itself.
 """
 
+from contextlib import contextmanager
 from itertools import product
+from unittest import mock
 
 import numpy as np
 
@@ -124,6 +126,81 @@ def enumerate_best(model, src, max_len):
 
     walk([], 0.0, s0, c0)
     return best
+
+
+def rewrite_meta(path, meta):
+    """Replace a checkpoint's __meta__ entry with raw bytes, or drop it (None)."""
+    from synmt.checkpoint import load_checkpoint, save_checkpoint
+
+    state = load_checkpoint(path)
+    del state["__meta__"]
+    if meta is not None:
+        state["__meta__"] = np.frombuffer(meta, dtype=np.uint8).copy()
+    save_checkpoint(path, state)
+
+
+BAD_METAS = [b"{bad", b"\xff{}", b"[1, 2]", None]
+
+
+def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
+    """The beam loop without early stop: it runs to max_len, or until no
+    hypothesis is live. Same contract as seq2seq._run_beam, kept as the
+    reference that the stopping rule must reproduce exactly.
+    """
+    from synmt.data import BOS, EOS
+    from synmt.seq2seq import Hypothesis
+
+    def row(k):
+        return [(s[k].copy(), c[k].copy()) for s, c in states]
+
+    active = [{"ids": (), "logp": 0.0, "step_logps": (), "alphas": ()}]
+    completed = []
+    for _ in range(max_len):
+        y_prev = np.array([hyp["ids"][-1] if hyp["ids"] else BOS for hyp in active],
+                          dtype=np.int64)
+        logp, states, alpha = step_fn(y_prev, states)
+        scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
+        flat = scores.ravel()
+        order = np.argsort(-flat, kind="stable")[:min(beam_size, flat.size)]
+        new_active, rows = [], []
+        for fi in order:
+            pk, v = divmod(int(fi), vocab_size)
+            parent = active[pk]
+            hyp = {"ids": parent["ids"] + (int(v),),
+                   "logp": float(flat[fi]),
+                   "step_logps": parent["step_logps"] + (float(logp[pk, v]),),
+                   "alphas": parent["alphas"] + (alpha[pk].copy(),)}
+            if v == EOS:
+                completed.append((hyp, row(pk)))
+            else:
+                new_active.append(hyp)
+                rows.append(pk)
+        if not new_active:
+            active = []
+            break
+        active = new_active
+        states = [(s[rows], c[rows]) for s, c in states]
+
+    def build(hyp, snap, done):
+        s_rows, c_rows = [s for s, _ in snap], [c for _, c in snap]
+        if len(snap) == 1:
+            s_rows, c_rows = s_rows[0], c_rows[0]
+        return Hypothesis(hyp["ids"], hyp["logp"], s_rows, c_rows,
+                          hyp["alphas"], hyp["step_logps"], done)
+
+    if completed:
+        best, snap = max(completed, key=lambda pair: pair[0]["logp"])
+        return build(best, snap, True)
+    k = max(range(len(active)), key=lambda i: active[i]["logp"])
+    return build(active[k], row(k), False)
+
+
+@contextmanager
+def full_length_beam():
+    """Run beam_search and ensemble_decode on the full-length reference loop."""
+    with mock.patch("synmt.seq2seq._run_beam", full_length_run_beam), \
+            mock.patch("synmt.evaluate._run_beam", full_length_run_beam):
+        yield
 
 
 def toy_grammar_sentences(count, seed, vocab_per_pos=8):

@@ -9,8 +9,12 @@ doubles as the sign-off report. Oracles stay independent of the code under
 test: exhaustive enumeration for both decoders, hand-worked n-gram counts
 plus a separate reference implementation for BLEU, naive recursion for the
 batched Tree-GRU, and numeric differentiation for every gradient.
+
+Two unnumbered checks after criterion 10 reuse its trained models to pin the
+decoder's cost: counters, not timings, so they hold on any machine.
 """
 
+import json
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -19,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synmt import nn, syntax
+from synmt import nn, seq2seq, syntax
 from synmt import tensor as T
 from synmt.cli import main
-from synmt.data import (apply_bpe, decode_bpe, delinearize_tree,
+from synmt.data import (Vocabulary, apply_bpe, decode_bpe, delinearize_tree,
                         filter_and_batch, learn_bpe, linearize_tree,
                         read_corpus)
 from synmt.depparse import (ParserModel, decode_projective, evaluate_las,
@@ -522,6 +526,45 @@ def test_criterion_10_ensemble_reduction_and_hybrid(capsys, overfit, tmp_path):
         notes["detail"] = ("3x same model == single model byte-for-byte; "
                            f"hybrid 3-mode ensemble decoded 200/200 "
                            f"(BLEU {score:.2f})")
+
+
+def test_manifests_count_decoder_steps(overfit):
+    d = overfit["dir"]
+    n_dev = len(read_corpus(FX / "copy.dev.src"))
+    for mode in EPOCH_BUDGET:
+        with open(d / f"{mode}.hyp.manifest.json", encoding="utf-8") as f:
+            man = json.load(f)
+        dec = man["decode"]
+        assert dec["sentences"] == 200, mode
+        assert 0 < dec["decoder_steps"] < 200 * man["config"]["decode_max_len"], mode
+        assert 0 < dec["stopped_early"] <= dec["sentences"], mode
+        with open(d / f"{mode}.ckpt.manifest.json", encoding="utf-8") as f:
+            final = json.load(f)["final"]["decode"]
+        assert final["sentences"] == n_dev, mode
+        assert set(final) == {"sentences", "decoder_steps", "stopped_early"}
+
+
+def test_beam_steps_follow_output_length(overfit, monkeypatch):
+    """Beam 5 on a trained copy model runs about one decoder step per emitted
+    token, because the search stops once no live hypothesis can win."""
+    ck = str(overfit["dir"] / "baseline.ckpt")
+    model = TranslationModel.load(ck)
+    src_vocab = Vocabulary.load(ck + ".src.vocab")
+    calls = [0]
+    real_step = seq2seq.decode_step
+
+    def counting_step(*args, **kwargs):
+        calls[0] += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(seq2seq, "decode_step", counting_step)
+    for toks in read_corpus(FX / "copy.dev.src"):
+        before = calls[0]
+        hyp = beam_search(src_vocab.ids(toks), model, 5, 150)
+        steps = calls[0] - before
+        assert hyp.completed
+        assert steps == hyp.steps
+        assert steps < len(hyp.ids) + 2, (toks, hyp.ids, steps)
 
 
 def test_criterion_11_significance_sanity(capsys):

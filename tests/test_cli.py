@@ -18,6 +18,8 @@ from synmt.depparse import read_treebank, write_treebank
 from synmt.evaluate import bleu, read_alignments
 from synmt.syntax import read_sawr_cache
 
+from helpers import rewrite_meta
+
 FX = Path(__file__).parent / "fixtures"
 
 SMALL = ["--emb_dim", "16", "--hidden_dim", "32", "--dropout", "0.0",
@@ -263,6 +265,7 @@ class TestPipeline:
                        "--out", str(out)])
             assert rc == 0
             assert out.read_bytes() == (pipeline / "dev.hyp").read_bytes()
+            assert _manifest(out)["decode"] == _manifest(pipeline / "dev.hyp")["decode"]
 
     def test_ensemble_feeds_cache_to_parserless_member(self, pipeline, workdir,
                                                         tmp_path):
@@ -286,19 +289,32 @@ class TestPipeline:
         assert rc == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 10
 
-    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
-        for suffix in (".src.vocab", ".tgt.vocab", ".bpe"):
-            (tmp_path / ("cut.ckpt" + suffix)).write_bytes(
+    def _bundle_copy(self, pipeline, dst):
+        for suffix in ("", ".src.vocab", ".tgt.vocab", ".bpe"):
+            (dst.parent / (dst.name + suffix)).write_bytes(
                 (pipeline / ("base.ckpt" + suffix)).read_bytes())
-        blob = (pipeline / "base.ckpt").read_bytes()
-        (tmp_path / "cut.ckpt").write_bytes(blob[:-100])
+
+    def _translate_error(self, pipeline, model, capsys):
         capsys.readouterr()
-        rc = main(["translate", "--model", str(tmp_path / "cut.ckpt"),
-                   "--src", str(pipeline / "dev.src"), "--out", str(tmp_path / "o")])
+        rc = main(["translate", "--model", str(model),
+                   "--src", str(pipeline / "dev.src"),
+                   "--out", str(model.parent / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "truncated" in err
-        assert len(err.splitlines()) == 1
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        return err
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        self._bundle_copy(pipeline, cut)
+        cut.write_bytes(cut.read_bytes()[:-100])
+        assert "truncated" in self._translate_error(pipeline, cut, capsys)
+
+    def test_malformed_metadata_exits_2(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        self._bundle_copy(pipeline, bad)
+        rewrite_meta(bad, b"{bad")
+        assert "__meta__" in self._translate_error(pipeline, bad, capsys)
 
     def test_align_dump_rows_are_distributions(self, pipeline, tmp_path):
         out = tmp_path / "align.jsonl"

@@ -10,8 +10,8 @@ from synmt.depparse import (ArcScores, DependencyTree, ParserModel, decode_proje
                             score_arcs, train_parser, tree_log_loss, write_treebank)
 from synmt.errors import DataError
 
-from helpers import (all_projective_head_vectors, brute_force_decode,
-                     random_projective_tree, toy_grammar_sentences)
+from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
+                     random_projective_tree, rewrite_meta, toy_grammar_sentences)
 
 
 class TestTreeInvariants:
@@ -248,6 +248,15 @@ class TestParserModel:
                  "enc.l0.fwd.input.W", "enc.l1.bwd.cell.U"]
         for name in names:
             assert T.grad_check(loss, model.table[name]) < 1e-4, name
+
+    @pytest.mark.parametrize("meta", BAD_METAS)
+    def test_bad_metadata_is_a_data_error(self, tmp_path, meta):
+        path = tmp_path / "parser.ckpt"
+        ParserModel({"<unk>": 0, "a": 1}, ["x"], embed_dim=3, hidden_dim=3,
+                    mlp_dim=2, layers=1).save(path)
+        rewrite_meta(path, meta)
+        with pytest.raises(DataError, match="__meta__"):
+            ParserModel.load(path)
 
     def test_save_load_round_trip(self, tmp_path):
         model, _ = tiny_parser(toy_grammar_sentences(8, seed=12), epochs=2)

@@ -322,6 +322,16 @@ class TestCheckpoint:
             with pytest.raises(DataError, match=re.escape(str(cut))):
                 load_checkpoint(cut)
 
+    def test_undecodable_name_is_a_data_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.zeros(3)})
+        blob = bytearray(path.read_bytes())
+        blob[18] = 0xFF  # first byte of the entry name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=re.escape(f"{path}: invalid utf-8 "
+                                                      f"text at byte 18")):
+            load_checkpoint(path)
+
     def test_hash_changes_with_content(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(p1, {"w": np.zeros(3)})

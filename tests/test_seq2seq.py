@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synmt import nn
 from synmt import tensor as T
 from synmt.data import BOS, EOS, Batch, filter_and_batch
-from synmt.errors import ShapeError
+from synmt.errors import DataError, ShapeError
+from synmt.evaluate import ensemble_decode
 from synmt.seq2seq import (Hypothesis, TranslationModel, attend, beam_search,
                            decode_step, encode_for_decode, encode_source,
                            greedy_decode, sequence_loss, train_step)
 
 from helpers import enumerate_best  # shared with the acceptance suite
+from helpers import BAD_METAS, full_length_beam, rewrite_meta
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -324,6 +328,65 @@ class TestBeamSearch:
         assert hyp.context.shape == (8,)
 
 
+def _arrays_equal(a, b):
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+    return np.array_equal(a, b)
+
+
+class TestEarlyStop:
+    """Stopping once no live hypothesis can win returns, bit for bit, what a
+    search run to max_len returns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 40), tgt=st.integers(4, 8), beam=st.integers(1, 8),
+           max_len=st.integers(1, 12), gain=st.floats(1.0, 40.0),
+           eos_bias=st.floats(-3.0, 3.0), members=st.sampled_from([1, 2]))
+    def test_matches_full_length_search(self, seed, tgt, beam, max_len, gain,
+                                        eos_bias, members):
+        # Untrained models. Scaling every weight sharpens the distributions
+        # and ties them to the decoded prefix, so a later completion can beat
+        # an earlier one; the EOS bias varies how soon hypotheses finish.
+        models = [tiny_model(seed=seed + k, tgt=tgt) for k in range(members)]
+        for m in models:
+            for _, param in m.table.items():
+                param.data *= gain
+            m.table["out.logits.b"].data[0, EOS] += eos_bias
+
+        def search():
+            if members == 1:
+                return beam_search([4, 5, 6], models[0], beam, max_len)
+            return ensemble_decode(models, [4, 5, 6], beam, max_len)
+
+        hyp = search()
+        with full_length_beam():
+            ref = search()
+        assert hyp.ids == ref.ids
+        assert hyp.logp == ref.logp
+        assert hyp.completed == ref.completed
+        assert hyp.step_logps == ref.step_logps
+        assert all(lp <= 0.0 for lp in hyp.step_logps)
+        assert len(hyp.alphas) == len(ref.alphas)
+        assert all(map(np.array_equal, hyp.alphas, ref.alphas))
+        assert _arrays_equal(hyp.state, ref.state)
+        assert _arrays_equal(hyp.context, ref.context)
+        assert len(hyp.ids) <= hyp.steps <= max_len
+        if hyp.stopped_early:
+            assert hyp.completed and hyp.steps < max_len
+
+    def test_unreachable_eos_runs_to_max_len(self):
+        m = tiny_model(seed=1)
+        m.table["out.logits.b"].data[0, EOS] = -1e9
+        hyp = beam_search([4, 5, 6], m, 3, 7)
+        assert hyp.steps == 7 and not hyp.stopped_early
+
+    def test_greedy_stops_at_eos_without_an_early_stop(self):
+        for seed in range(6):
+            hyp = beam_search([4, 5, 6], tiny_model(seed=seed), 1, 12)
+            assert hyp.steps == len(hyp.ids)
+            assert not hyp.stopped_early
+
+
 class TestSyntaxModeBatches:
     def test_sawr_without_inputs_raises(self):
         from synmt.errors import StateError
@@ -359,3 +422,11 @@ class TestCheckpointRoundTrip:
         assert before.ids == after.ids
         assert before.logp == after.logp
         assert m2.mode == "none" and m2.hidden_dim == 8
+
+    @pytest.mark.parametrize("meta", BAD_METAS)
+    def test_bad_metadata_is_a_data_error(self, tmp_path, meta):
+        path = tmp_path / "model.ckpt"
+        tiny_model().save(path)
+        rewrite_meta(path, meta)
+        with pytest.raises(DataError, match="__meta__"):
+            TranslationModel.load(path)

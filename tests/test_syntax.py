@@ -315,6 +315,17 @@ class TestSawrCache:
             with pytest.raises(DataError, match=re.escape(path)):
                 syntax.read_sawr_cache(path)
 
+    def test_undecodable_parser_hash_is_a_data_error(self, tmp_path):
+        path = str(tmp_path / "c.sawr")
+        syntax.write_sawr_cache(path, [np.ones((2, 3))], "e" * 64)
+        blob = bytearray(open(path, "rb").read())
+        blob[14] = 0xFF  # first byte of the parser hash
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(DataError, match=re.escape(f"{path}: invalid ascii "
+                                                      f"text at byte 14")):
+            syntax.read_sawr_cache(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         path = str(tmp_path / "c.sawr")
         syntax.write_sawr_cache(path, [np.ones((4, 3))], "d" * 64)
