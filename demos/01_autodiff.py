@@ -27,11 +27,12 @@ with T.Tape() as tape:
     y = T.tanh(x @ w)  # infix operators delegate to the functional API
     loss = T.sum_all(T.mul(y, y))
     T.backward(loss)
+    recorded = len(tape)  # leaving the block frees the graph and empties the tape
 
 print("loss        ", round(loss.item(), 6))
 print("dloss/dw")
 print(w.grad)
-print("ops recorded", len(tape))
+print("ops recorded", recorded)
 
 # Outside a tape the exact same ops run forward-only. No graph, no buffers.
 # Frozen submodules rely on this: evaluation costs nothing extra.

@@ -23,8 +23,8 @@ from .checkpoint import file_sha256, open_new
 from .config import SCHEMA, read_config, validate_config
 from .data import (EOS, BpeModel, Vocabulary, apply_bpe, build_vocab, decode_bpe,
                    filter_and_batch, learn_bpe, linearize_tree, read_corpus)
-from .depparse import (ParserModel, evaluate_las, normalize_root, parse_sentence,
-                       projectivize, read_treebank, train_parser)
+from .depparse import (ParserModel, corpus_states, evaluate_las, normalize_root,
+                       parse_sentence, projectivize, read_treebank, train_parser)
 from .errors import ConfigError, DataError
 from .evaluate import (bleu, bleu_by_length, bootstrap_significance,
                        dump_alignments, ensemble_decode, write_alignments)
@@ -128,7 +128,17 @@ def _trees_for(path, src_sents, parser, field):
     if parser is None:
         raise ConfigError(f"tree-structured inputs need '{field}' (an aligned "
                           f"treebank) or 'parser' (a checkpoint to parse with)")
-    return [parse_sentence(toks, parser) if toks else None for toks in src_sents]
+    present = [i for i, toks in enumerate(src_sents) if toks]
+    trees = [None] * len(src_sents)
+    for i, tree in zip(present, _parse_corpus([src_sents[i] for i in present], parser)):
+        trees[i] = tree
+    return trees
+
+
+def _parse_corpus(sents, parser):
+    """Trees for non-empty token lists, encoded in padded length-sorted batches."""
+    states = corpus_states(sents, parser)
+    return [parse_sentence(toks, parser, enc) for toks, enc in zip(sents, states)]
 
 
 def _source_units(mode, toks, tree):
@@ -227,7 +237,7 @@ def _cmd_train_parser(cfg, man):
 
     if dev:
         gold = [normalize_root(tree) for _, tree in dev]
-        pred = [parse_sentence(toks, model) for toks, _ in dev]
+        pred = _parse_corpus([toks for toks, _ in dev], model)
         uas, las = evaluate_las(pred, gold)
         man.note("dev", {"uas": uas, "las": las})
         print(f"dev UAS {uas:.4f}, LAS {las:.4f}")

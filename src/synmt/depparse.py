@@ -342,17 +342,18 @@ class ParserModel:
         unk = self.vocab["<unk>"]
         return [self.vocab.get(tok, unk) for tok in tokens]
 
-    def encode_positions(self, id_matrix):
+    def encode_positions(self, id_matrix, mask=None):
         """Run the stacked encoder over a [B, n] id matrix.
 
-        Returns a list of n tensors [B, 2*hidden]. All sentences in the batch
-        must share the same true length (no padding).
+        Returns a list of n tensors [B, 2*hidden]. mask, when given, is the
+        [B, n] 0/1 array of real tokens in a right-padded batch: every layer
+        carries each direction's state across padded steps, so each sentence
+        encodes as if alone, and padded rows hold that carried state.
         """
-        B, n = id_matrix.shape
         emb = self.table["emb"]
-        seq = [T.take_rows(emb, id_matrix[:, i]) for i in range(n)]
+        seq = [T.take_rows(emb, id_matrix[:, i]) for i in range(id_matrix.shape[1])]
         for fwd, bwd in self.cells:
-            seq = nn.birnn_encode(seq, fwd, bwd)
+            seq = nn.birnn_encode(seq, fwd, bwd, mask=mask)
         return seq
 
     def save(self, path):
@@ -376,13 +377,48 @@ class ParserModel:
         return model
 
 
-def parser_encode(tokens, model):
-    """Encode one sentence; returns the [n, out_dim] top-layer state matrix."""
-    if len(tokens) == 0:
+# Sentences per padded batch when a whole corpus is encoded.
+ENCODE_CHUNK = 32
+
+
+def parser_encode(sentences, model):
+    """Encode a batch of token lists in one right-padded, masked pass.
+
+    Returns the top layer as a list over positions of [B, out_dim] tensors:
+    row b of entry i is token i of sentence b. Rows past a sentence's end
+    are padding; sentence_states drops them and the translator masks them.
+    """
+    lens = [len(toks) for toks in sentences]
+    if not lens or min(lens) == 0:
         raise ValueError("cannot encode an empty sentence")
-    ids = np.asarray([model.word_ids(tokens)])  # [1, n]
-    seq = model.encode_positions(ids)
-    return T.concat(seq, axis=0)  # row i = token i
+    width = max(lens)
+    ids = np.zeros((len(lens), width), dtype=np.int64)
+    for b, toks in enumerate(sentences):
+        ids[b, :lens[b]] = model.word_ids(toks)
+    return model.encode_positions(ids, nn.length_mask(lens, width))
+
+
+def sentence_states(positions, lens):
+    """Per-sentence [n_b, out_dim] tensors from parser_encode's position list."""
+    stacked = T.concat(positions, axis=0)  # row i*B + b is token i of sentence b
+    return [T.take_rows(stacked, np.arange(n) * len(lens) + b) for b, n in enumerate(lens)]
+
+
+def corpus_states(sentences, model):
+    """Forward [n_i, out_dim] parser states for a corpus, in corpus order.
+
+    Sentences are sorted by length and encoded ENCODE_CHUNK at a time, so
+    each padded batch pads little.
+    """
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+    out = [None] * len(sentences)
+    for k in range(0, len(order), ENCODE_CHUNK):
+        chunk = order[k:k + ENCODE_CHUNK]
+        batch = [sentences[i] for i in chunk]
+        states = sentence_states(parser_encode(batch, model), [len(t) for t in batch])
+        for i, enc in zip(chunk, states):
+            out[i] = enc
+    return out
 
 
 def _append_ones(x):
@@ -392,7 +428,7 @@ def _append_ones(x):
 def score_arcs(enc, model):
     """Biaffine arc scores over an encoded sentence.
 
-    enc: [n, out_dim] tensor from parser_encode. Returns ArcScores whose label
+    enc: one [n, out_dim] tensor from sentence_states. Returns ArcScores whose label
     scorer evaluates one bilinear form per dependency label on chosen arcs.
     """
     n = enc.shape[0]
@@ -501,20 +537,17 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
     opt = nn.Adam(model.table, lr=lr, clip=clip)
     rng = T.make_rng(seed + 1)
     lengths = [len(tokens) for tokens, _ in prepared]
-    ids = [np.asarray(model.word_ids(tokens)) for tokens, _ in prepared]
 
     history = []
     for epoch in range(epochs):
         total_nll, total_tokens = 0.0, 0
         for batch in _length_batches(list(range(len(prepared))), lengths, batch_size, rng):
-            id_matrix = np.stack([ids[i] for i in batch])
             with T.Tape():
-                positions = model.encode_positions(id_matrix)
-                losses = []
-                for row, i in enumerate(batch):
-                    enc = T.concat([T.take_rows(p, [row]) for p in positions], axis=0)
-                    scores = score_arcs(enc, model)
-                    losses.append(tree_log_loss(scores, prepared[i][1], model))
+                # one length per batch, so the encoder runs unmasked
+                positions = parser_encode([prepared[i][0] for i in batch], model)
+                states = sentence_states(positions, [lengths[i] for i in batch])
+                losses = [tree_log_loss(score_arcs(enc, model), prepared[i][1], model)
+                          for enc, i in zip(states, batch)]
                 n_tokens = sum(lengths[i] for i in batch)
                 loss = T.scale(T.add_many(losses) if len(losses) > 1 else losses[0],
                                1.0 / n_tokens)
@@ -528,8 +561,14 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
     return model, history
 
 
-def parse_sentence(tokens, model):
-    enc = parser_encode(tokens, model)
+def parse_sentence(tokens, model, enc=None):
+    """Projective tree for one sentence.
+
+    enc, when given, is the sentence's [n, out_dim] states from a batched
+    encode (corpus_states); otherwise the sentence is encoded alone.
+    """
+    if enc is None:
+        [enc] = sentence_states(parser_encode([tokens], model), [len(tokens)])
     return decode_projective(score_arcs(enc, model))
 
 

@@ -111,7 +111,7 @@ class GruParams:
 
     def step(self, x: Tensor, h: Tensor):
         if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(f"gru_step: x {x.shape}, h {h.shape} do not match "
+            raise ShapeError(f"GRU step: x {x.shape}, h {h.shape} do not match "
                              f"dims ({self.input_dim}, {self.hidden_dim})")
         z = T.sigmoid(T.add(T.add(T.matmul(x, self.Wz), T.matmul(h, self.Uz)), self.bz))
         r = T.sigmoid(T.add(T.add(T.matmul(x, self.Wr), T.matmul(h, self.Ur)), self.br))
@@ -150,7 +150,7 @@ class LstmParams:
     def step(self, x: Tensor, state):
         h, c = state
         if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(f"lstm_step: x {x.shape}, h {h.shape} do not match "
+            raise ShapeError(f"LSTM step: x {x.shape}, h {h.shape} do not match "
                              f"dims ({self.input_dim}, {self.hidden_dim})")
         i = T.sigmoid(self._gate("input", x, h))
         f = T.sigmoid(self._gate("forget", x, h))
@@ -172,12 +172,15 @@ def _masked_carry(new: Tensor, old: Tensor, keep: Tensor) -> Tensor:
     return T.add(T.scale_rows(new, keep), T.scale_rows(old, inv))
 
 
-def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    return p.step(x, h_prev)
+def length_mask(lens, width: int) -> np.ndarray | None:
+    """[B, width] 0/1 array marking each row's first lens[b] positions.
 
-
-def lstm_step(x: Tensor, state, p: LstmParams):
-    return p.step(x, state)
+    None when every row is full, so unpadded batches skip the masked carry.
+    """
+    lens = np.asarray(lens)
+    if (lens == width).all():
+        return None
+    return (np.arange(width)[None, :] < lens[:, None]).astype(float)
 
 
 def birnn_encode(inputs, fwd, bwd, mask: np.ndarray | None = None):

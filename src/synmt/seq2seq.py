@@ -216,7 +216,7 @@ def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
         raise ValueError(f"target id out of range for vocab {model.tgt_vocab_size}")
     e = T.take_rows(model.table["tgt_emb"], ids)
     x = T.concat([e, c_prev], axis=1)
-    s = nn.gru_step(x, s_prev, model.dec)
+    s = model.dec.step(x, s_prev)
     c, alpha = attend(s, h, model.table["att.W"])
     dist = T.softmax(model.output_logits(s, c, mode=mode), axis=1)
     return dist, s, c, alpha
@@ -224,13 +224,6 @@ def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
 
 # ---------------------------------------------------------------------------
 # Source-side input assembly, shared by training and decoding.
-
-
-def _source_mask(lens, width):
-    lens = np.asarray(lens)
-    if (lens == width).all():
-        return None
-    return (np.arange(width)[None, :] < lens[:, None]).astype(float)
 
 
 def _stack_rows(per_sentence, lens, i, zero):
@@ -263,9 +256,8 @@ def _parser_outputs(model, lens, width, encodings, tokens):
     for b, toks in enumerate(tokens):
         if len(toks) != lens[b]:
             raise ValueError(f"sentence {b}: {len(toks)} tokens but length {lens[b]}")
-    per_sentence = [parser_encode(toks, model.parser) for toks in tokens]
-    zero = T.constant(np.zeros((1, in_dim)))
-    return [_stack_rows(per_sentence, lens, i, zero) for i in range(width)]
+    # one padded pass; rows past a sentence's end are masked out downstream
+    return parser_encode(tokens, model.parser)
 
 
 def _input_positions(model, src, lens, trees=None, encodings=None, tokens=None):
@@ -287,7 +279,7 @@ def _input_positions(model, src, lens, trees=None, encodings=None, tokens=None):
         enc = syntax.tree_gru_encode_batch(embs, trees, model.tree)
         zero = T.constant(np.zeros((1, model.tree.out_dim)))
         xs = [_stack_rows(enc, lens, i, zero) for i in range(n)]
-    return xs, _source_mask(lens, n)
+    return xs, nn.length_mask(lens, n)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def sequence_loss(batch, model, mode="train"):
     for j in range(m):
         y_prev = np.full(B, BOS, dtype=np.int64) if j == 0 else batch.tgt[:, j - 1]
         x = T.concat([T.take_rows(emb, y_prev), c], axis=1)
-        s = nn.gru_step(x, s, model.dec)
+        s = model.dec.step(x, s)
         c, _ = _attend_positions(s, h_list, Wa, extra)
         lp = T.log_softmax(model.output_logits(s, c, mode=mode), axis=1)
         picked = T.pick(lp, batch.tgt[:, j])

@@ -121,7 +121,7 @@ def tree_gru_encode_batch(embs, trees, p):
 
     embs: per-sentence [n_i, input_dim] tensors aligned with trees. Returns
     per-sentence [n_i, 2*hidden] tensors (bottom-up state + top-down state).
-    One gru_step runs per level, not per node; child states are summed through
+    One GRU step runs per level, not per node; child states are summed through
     a constant 0/1 aggregation matrix.
     """
     if len(embs) != len(trees):
@@ -141,7 +141,7 @@ def tree_gru_encode_batch(embs, trees, p):
             ids = [offsets[ti] + v - 1 for ti, v in level]
             x = T.take_rows(all_emb, np.asarray(ids))
             h_prev = recurrent_rows(level, row_of, chunks)
-            new = nn.gru_step(x, h_prev, cell)
+            new = cell.step(x, h_prev)
             base = len(row_of)
             for k, node in enumerate(level):
                 row_of[node] = base + k
@@ -189,7 +189,7 @@ def tree_gru_encode(emb, tree, p):
 
 
 def tree_gru_encode_naive(emb, tree, p):
-    """Plain per-node recursion, one gru_step per node. Reference path.
+    """Plain per-node recursion, one GRU step per node. Reference path.
 
     Kept deliberately independent of the batched code so the two can be
     compared against each other.
@@ -211,7 +211,7 @@ def tree_gru_encode_naive(emb, tree, p):
                     h = T.add(h, up(k))
             else:
                 h = p.up.zero_state(1)
-            up_state[v] = nn.gru_step(row(v), h, p.up)
+            up_state[v] = p.up.step(row(v), h)
         return up_state[v]
 
     down_state = {}
@@ -220,7 +220,7 @@ def tree_gru_encode_naive(emb, tree, p):
         if v not in down_state:
             h = tree.heads[v - 1]
             prev = p.root if h == 0 else down(h)
-            down_state[v] = nn.gru_step(row(v), prev, p.down)
+            down_state[v] = p.down.step(row(v), prev)
         return down_state[v]
 
     rows = [T.concat([up(v), down(v)], axis=1) for v in range(1, tree.n + 1)]
@@ -240,12 +240,13 @@ CACHE_VERSION = 1
 
 
 def extract_sawr(parser, corpus):
-    """Parser encoder outputs for every sentence, forward-only numpy arrays."""
-    from .depparse import parser_encode  # local import keeps module load light
-    out = []
-    for tokens in corpus:
-        out.append(parser_encode(tokens, parser).data.copy())
-    return out
+    """Parser encoder outputs for every sentence, forward-only numpy arrays.
+
+    The corpus is encoded in padded, length-sorted batches, so a row equals a
+    one-sentence encode up to float reassociation, not bit for bit.
+    """
+    from .depparse import corpus_states  # local import keeps module load light
+    return [enc.data for enc in corpus_states(corpus, parser)]
 
 
 def write_sawr_cache(path, encodings, parser_hash):

@@ -3,7 +3,8 @@
 Forward ops are recorded onto the innermost active ``Tape`` whenever some
 input requires a gradient; with no active tape, ops run forward-only (the
 decoding paths rely on this to stay allocation-free).  Training code opens a
-fresh tape per step::
+fresh tape per step and calls ``backward`` inside the block; leaving the block
+drops the recorded graph at once::
 
     with Tape() as tape:
         loss = ...
@@ -32,12 +33,18 @@ class Tape:
 
     Every record's inputs were produced by earlier records or are leaves, so
     a single reverse sweep propagates gradients correctly.
+
+    Records point at their output tensors and each output points back at its
+    tape, a reference cycle. Leaving the block clears the records, so the
+    graph is freed by reference counting rather than by a later cyclic
+    collection, and the tape is closed to further ``backward`` calls.
     """
 
     _stack: list["Tape"] = []
 
     def __init__(self):
         self.records = []  # (out, inputs, backward_fn)
+        self.closed = False
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -45,6 +52,8 @@ class Tape:
 
     def __exit__(self, *exc):
         Tape._stack.pop()
+        self.records.clear()
+        self.closed = True
         return False
 
     @staticmethod
@@ -58,7 +67,7 @@ class Tape:
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
@@ -146,6 +155,9 @@ def backward(loss: Tensor):
     tape = loss.tape
     if tape is None:
         raise ValueError("loss was not recorded on any tape; wrap the forward pass in `with Tape():`")
+    if tape.closed:
+        raise ValueError("the loss's tape was closed when its `with Tape():` block ended; "
+                         "call backward inside the block")
     grads = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
     for out, inputs, backward_fn in reversed(tape.records):

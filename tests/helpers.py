@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 
-from synmt.depparse import DependencyTree
+from synmt.depparse import DependencyTree, parser_encode, sentence_states
 
 
 def random_projective_tree(n, rng, labels=("det", "amod", "nsubj", "obj", "root")):
@@ -260,3 +260,9 @@ def toy_grammar_sentences(count, seed, vocab_per_pos=8):
             labels.append("advmod")
         sents.append((tokens, DependencyTree(heads, labels)))
     return sents
+
+
+def encode_one(tokens, model):
+    """One sentence through the batched parser encoder: its [n, out_dim] states."""
+    [enc] = sentence_states(parser_encode([tokens], model), [len(tokens)])
+    return enc

@@ -30,15 +30,14 @@ from synmt.data import (Vocabulary, apply_bpe, decode_bpe, delinearize_tree,
                         filter_and_batch, learn_bpe, linearize_tree,
                         read_corpus)
 from synmt.depparse import (ParserModel, decode_projective, evaluate_las,
-                            normalize_root, parse_sentence, parser_encode,
-                            read_treebank, score_arcs, train_parser,
-                            tree_log_loss)
+                            normalize_root, parse_sentence, read_treebank,
+                            score_arcs, train_parser, tree_log_loss)
 from synmt.evaluate import bleu, bootstrap_significance
 from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
                            encode_for_decode, greedy_decode, sequence_loss,
                            train_step)
 
-from helpers import (brute_force_decode, enumerate_best,
+from helpers import (brute_force_decode, encode_one, enumerate_best,
                      random_projective_tree)
 
 FX = Path(__file__).parent / "fixtures"
@@ -72,7 +71,7 @@ def _grad_gru(i):
     h = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
 
     def loss(_):
-        return T.sum_all(T.tanh(nn.gru_step(x, h, cell)))
+        return T.sum_all(T.tanh(cell.step(x, h)))
 
     targets = [x, h] + [t for _, t in table.items()]
     return T.grad_check(loss, targets[i % len(targets)])
@@ -87,7 +86,7 @@ def _grad_lstm(i):
     c0 = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
 
     def loss(_):
-        h, c = nn.lstm_step(x, (h0, c0), cell)
+        h, c = cell.step(x, (h0, c0))
         return T.add(T.sum_all(T.mul(h, h)), T.sum_all(T.tanh(c)))
 
     targets = [x, h0, c0] + [t for _, t in table.items()]
@@ -181,7 +180,7 @@ def _grad_biaffine(i):
     toks = [("a", "b")[int(rng.integers(0, 2))] for _ in range(n)]
 
     def loss(_):
-        enc = parser_encode(toks, model)
+        enc = encode_one(toks, model)
         return T.scale(tree_log_loss(score_arcs(enc, model), gold, model),
                        1.0 / n)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from synmt import depparse
 from synmt import tensor as T
 from synmt.depparse import (ArcScores, DependencyTree, ParserModel, decode_projective,
                             evaluate_las, has_crossing_arcs, normalize_root,
@@ -11,7 +12,8 @@ from synmt.depparse import (ArcScores, DependencyTree, ParserModel, decode_proje
 from synmt.errors import DataError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
-                     random_projective_tree, rewrite_meta, toy_grammar_sentences)
+                     encode_one, random_projective_tree, rewrite_meta,
+                     toy_grammar_sentences)
 
 
 class TestTreeInvariants:
@@ -202,24 +204,25 @@ def tiny_parser(sents, **kw):
 class TestParserModel:
     def test_encode_length_and_dim(self):
         model, _ = tiny_parser(toy_grammar_sentences(6, seed=11))
-        enc = parser_encode(["d0", "n1", "v2", "d1", "n0", "zzz"], model)
+        enc = encode_one(["d0", "n1", "v2", "d1", "n0", "zzz"], model)
         assert enc.shape == (6, model.out_dim)
 
     def test_encode_deterministic_and_unk(self):
         model, _ = tiny_parser(toy_grammar_sentences(6, seed=11))
-        a = parser_encode(["totally", "unseen", "words"], model)
-        b = parser_encode(["totally", "unseen", "words"], model)
+        a = encode_one(["totally", "unseen", "words"], model)
+        b = encode_one(["totally", "unseen", "words"], model)
         assert np.array_equal(a.data, b.data)
         assert np.all(np.isfinite(a.data))
 
     def test_empty_sentence_rejected(self):
         model, _ = tiny_parser(toy_grammar_sentences(6, seed=11))
-        with pytest.raises(ValueError):
-            parser_encode([], model)
+        for batch in ([[]], [["d0"], []], []):
+            with pytest.raises(ValueError):
+                parser_encode(batch, model)
 
     def test_score_shape_and_finite(self):
         model, _ = tiny_parser(toy_grammar_sentences(6, seed=11))
-        enc = parser_encode(["d0", "a1", "n1", "v0", "d1", "n2"], model)
+        enc = encode_one(["d0", "a1", "n1", "v0", "d1", "n2"], model)
         scores = score_arcs(enc, model)
         assert scores.matrix.shape == (7, 6)
         off_diag = [scores.matrix[h, d] for h in range(7) for d in range(6) if h != d + 1]
@@ -231,7 +234,7 @@ class TestParserModel:
                             hidden_dim=6, mlp_dim=5, seed=0)
         for _, t in model.table.items():
             t.data[:] = 0.0
-        tree = decode_projective(score_arcs(parser_encode(["w"] * 5, model), model))
+        tree = decode_projective(score_arcs(encode_one(["w"] * 5, model), model))
         tree.validate()
         assert tree.is_projective()
 
@@ -241,13 +244,24 @@ class TestParserModel:
         gold = DependencyTree([2, 0, 2], ["x", "y", "x"])
 
         def loss(_):
-            enc = parser_encode(["a", "b", "a"], model)
+            enc = encode_one(["a", "b", "a"], model)
             return T.scale(tree_log_loss(score_arcs(enc, model), gold, model), 1 / 3)
 
         names = ["emb", "arc.U", "lab.U.0", "arc.head.W", "lab.dep.b", "root",
                  "enc.l0.fwd.input.W", "enc.l1.bwd.cell.U"]
         for name in names:
             assert T.grad_check(loss, model.table[name]) < 1e-4, name
+
+    def test_corpus_states_follow_corpus_order_across_chunks(self, monkeypatch):
+        model = ParserModel({"<unk>": 0, "a": 1, "b": 2}, ["x", "y"], embed_dim=4,
+                            hidden_dim=3, mlp_dim=3, layers=2, seed=5)
+        rng = T.make_rng(6)
+        sents = [[("a", "b", "zzz")[int(k)] for k in rng.integers(0, 3, size=n)]
+                 for n in (4, 1, 6, 2, 4, 3, 1)]
+        monkeypatch.setattr(depparse, "ENCODE_CHUNK", 3)
+        for toks, enc in zip(sents, depparse.corpus_states(sents, model)):
+            assert np.abs(enc.data - encode_one(toks, model).data).max() <= 1e-12
+            assert parse_sentence(toks, model, enc) == parse_sentence(toks, model)
 
     @pytest.mark.parametrize("meta", BAD_METAS)
     def test_bad_metadata_is_a_data_error(self, tmp_path, meta):
@@ -265,8 +279,8 @@ class TestParserModel:
         loaded = ParserModel.load(path)
         sent = ["d0", "n1", "v2"]
         assert parse_sentence(sent, model) == parse_sentence(sent, loaded)
-        a = parser_encode(sent, model).data
-        b = parser_encode(sent, loaded).data
+        a = encode_one(sent, model).data
+        b = encode_one(sent, loaded).data
         assert np.array_equal(a, b)
 
 

@@ -38,20 +38,20 @@ class TestGruStep:
         table, cell = make_gru(3, 4)
         zero_params(table)
         h_prev = T.Tensor(np.arange(1.0, 5.0).reshape(1, 4))
-        out = nn.gru_step(T.Tensor(np.ones((1, 3))), h_prev, cell)
+        out = cell.step(T.Tensor(np.ones((1, 3))), h_prev)
         # z = r = 0.5, candidate = 0, so the new state is half the old one
         assert np.allclose(out.data, 0.5 * h_prev.data)
 
     def test_all_zero_inputs(self):
         table, cell = make_gru(2, 2)
         zero_params(table)
-        out = nn.gru_step(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 2))), cell)
+        out = cell.step(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 2))))
         assert np.all(out.data == 0.0)
 
     def test_dim_mismatch(self):
         _, cell = make_gru(3, 4)
         with pytest.raises(ShapeError):
-            nn.gru_step(T.Tensor(np.zeros((1, 5))), T.Tensor(np.zeros((1, 4))), cell)
+            cell.step(T.Tensor(np.zeros((1, 5))), T.Tensor(np.zeros((1, 4))))
 
     def test_gradients(self):
         rng = T.make_rng(5)
@@ -60,7 +60,7 @@ class TestGruStep:
         h = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
 
         def loss(_):
-            return T.sum_all(T.tanh(nn.gru_step(x, h, cell)))
+            return T.sum_all(T.tanh(cell.step(x, h)))
 
         for target in [x, h] + [t for _, t in table.items()]:
             assert T.grad_check(loss, target) < 1e-4
@@ -70,7 +70,7 @@ class TestLstmStep:
     def test_zero_params(self):
         table, cell = make_lstm(2, 3)
         zero_params(table)
-        h, c = nn.lstm_step(T.Tensor(np.ones((1, 2))), cell.zero_state(1), cell)
+        h, c = cell.step(T.Tensor(np.ones((1, 2))), cell.zero_state(1))
         assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
     def test_gradients(self):
@@ -79,7 +79,7 @@ class TestLstmStep:
         x = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
 
         def loss(_):
-            h, _c = nn.lstm_step(x, cell.zero_state(1), cell)
+            h, _c = cell.step(x, cell.zero_state(1))
             return T.sum_all(T.mul(h, h))
 
         for target in [x] + [t for _, t in table.items()]:
@@ -98,8 +98,8 @@ class TestBirnn:
         _, bwd = make_gru(2, 3, seed=2)
         x = T.Tensor(T.make_rng(3).normal(size=(1, 2)))
         (out,) = nn.birnn_encode([x], fwd, bwd)
-        f = nn.gru_step(x, fwd.zero_state(1), fwd)
-        b = nn.gru_step(x, bwd.zero_state(1), bwd)
+        f = fwd.step(x, fwd.zero_state(1))
+        b = bwd.step(x, bwd.zero_state(1))
         assert np.allclose(out.data, np.concatenate([f.data, b.data], axis=1))
 
     def test_length_preserved_and_dim(self):

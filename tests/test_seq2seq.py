@@ -83,11 +83,11 @@ class TestEncodeSource:
         hs = encode_source(xs, m)
         f = m.enc_fwd.zero_state(1)
         for i, x in enumerate(xs):
-            f = nn.gru_step(x, f, m.enc_fwd)
+            f = m.enc_fwd.step(x, f)
             assert np.allclose(hs[i].data[:, :4], f.data)
         b = m.enc_bwd.zero_state(1)
         for i in reversed(range(3)):
-            b = nn.gru_step(xs[i], b, m.enc_bwd)
+            b = m.enc_bwd.step(xs[i], b)
             assert np.allclose(hs[i].data[:, 4:], b.data)
 
 

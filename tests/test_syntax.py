@@ -8,11 +8,11 @@ import pytest
 from synmt import nn, syntax
 from synmt import tensor as T
 from synmt.data import Batch, filter_and_batch
-from synmt.depparse import DependencyTree, ParserModel, parser_encode
+from synmt.depparse import DependencyTree, ParserModel, parser_encode, sentence_states
 from synmt.errors import DataError, ShapeError, StateError
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import random_projective_tree
+from helpers import encode_one, random_projective_tree
 
 
 def projection(in_dim, out_dim, seed=0):
@@ -158,13 +158,66 @@ class TestParserFreezing:
             assert T.grad_check(loss, m.table[name]) < 1e-4, name
 
 
+class TestLiveParserBatch:
+    """Live SAWR encodes a padded batch in one pass through a 2-layer parser.
+
+    TOKENS has lengths 3, 2 and 3, so the second sentence is padded, and the
+    second layer reads the first layer's padded rows.
+    """
+
+    @staticmethod
+    def batch():
+        return Batch([s for s, _ in PAIRS], [t for _, t in PAIRS], src_tokens=TOKENS)
+
+    @staticmethod
+    def model():
+        parser = ParserModel({"<unk>": 0, "a": 1, "b": 2, "c": 3, "d": 4},
+                             ["det", "root", "obj"], embed_dim=3, hidden_dim=2,
+                             mlp_dim=2, layers=2, seed=4)
+        return sawr_model(parser=parser, trainable=True)
+
+    def test_rows_match_one_sentence_encodes(self):
+        parser = self.model().parser
+        states = sentence_states(parser_encode(TOKENS, parser), [len(t) for t in TOKENS])
+        for toks, enc in zip(TOKENS, states):
+            one = encode_one(toks, parser)
+            assert enc.shape == one.shape
+            assert np.abs(enc.data - one.data).max() <= 1e-12
+
+    def test_gradients_through_padded_sawr_tuned_loss(self):
+        m, batch = self.model(), self.batch()
+        assert batch.src_lens.min() < batch.src.shape[1]
+
+        def loss(_):
+            return sequence_loss(batch, m, mode="eval")
+
+        for name in ("parser.emb", "parser.enc.l1.fwd.input.W"):
+            assert T.grad_check(loss, m.table[name]) < 1e-4, name
+
+    def test_one_lstm_step_per_position_and_direction(self, monkeypatch):
+        calls = []
+        step = nn.LstmParams.step
+
+        def counted(cell, x, state):
+            calls.append(x.shape[0])
+            return step(cell, x, state)
+
+        monkeypatch.setattr(nn.LstmParams, "step", counted)
+        m, batch = self.model(), self.batch()
+        with T.Tape():
+            T.backward(sequence_loss(batch, m))
+        width = batch.src.shape[1]
+        assert len(calls) == m.parser.layers * 2 * width  # 12, not 2 * 2 * 8
+        assert set(calls) == {batch.size}
+
+
 class TestTreeGru:
     def test_single_node_uses_zero_and_root_states(self):
         p = tree_params(4, 3)
         e = T.constant(T.make_rng(1).normal(size=(1, 4)))
         out = syntax.tree_gru_encode(e, DependencyTree([0], ["root"]), p)
-        up = nn.gru_step(e, p.up.zero_state(1), p.up)
-        down = nn.gru_step(e, p.root, p.down)
+        up = p.up.step(e, p.up.zero_state(1))
+        down = p.down.step(e, p.root)
         assert np.allclose(out.data[:, :3], up.data)
         assert np.allclose(out.data[:, 3:], down.data)
 
@@ -181,10 +234,9 @@ class TestTreeGru:
         tree = DependencyTree([0, 1, 1, 1, 1, 1])
         e = T.constant(T.make_rng(3).normal(size=(6, 3)))
         out = syntax.tree_gru_encode(e, tree, p)
-        head_down = nn.gru_step(T.slice_axis(e, 0, 0, 1), p.root, p.down)
+        head_down = p.down.step(T.slice_axis(e, 0, 0, 1), p.root)
         for child in range(1, 6):
-            expect = nn.gru_step(T.slice_axis(e, 0, child, child + 1),
-                                 head_down, p.down)
+            expect = p.down.step(T.slice_axis(e, 0, child, child + 1), head_down)
             assert np.allclose(out.data[child, 4:], expect.data[0])
 
     def test_random_trees_match_naive(self):
@@ -269,11 +321,15 @@ class TestBatchByLevel:
 
 class TestSawrCache:
     def test_extract_matches_parser_encode(self):
+        # extraction runs one padded batch; batched BLAS rows may differ from
+        # one-sentence rows in the last bit, never by more than reassociation
         parser = small_parser()
         encs = syntax.extract_sawr(parser, TOKENS)
-        for toks, enc in zip(TOKENS, encs):
+        batched = sentence_states(parser_encode(TOKENS, parser), [len(t) for t in TOKENS])
+        for toks, enc, same in zip(TOKENS, encs, batched):
             assert enc.shape == (len(toks), parser.out_dim)
-            assert np.array_equal(enc, parser_encode(toks, parser).data)
+            assert np.array_equal(enc, same.data)
+            assert np.abs(enc - encode_one(toks, parser).data).max() <= 1e-12
 
     def test_round_trip(self, tmp_path):
         parser = small_parser()

@@ -1,5 +1,8 @@
 """Tensor core: primitives, tape semantics, gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +173,32 @@ class TestBackward:
             T.backward(loss)
             T.backward(loss)
         assert np.array_equal(x.grad, 2 * np.ones(4))
+
+    def test_leaving_the_block_frees_the_graph(self):
+        # records hold their outputs and every output holds its tape; closing
+        # the tape must break that cycle without help from the cyclic collector
+        x = leaf(np.full((2, 3), 0.5))
+        gc.disable()
+        try:
+            with T.Tape() as tape:
+                hidden = T.tanh(T.mul(x, x))
+                alive = weakref.ref(hidden)
+                T.backward(T.sum_all(hidden))
+                del hidden
+                assert alive() is not None  # still on the open tape
+            assert alive() is None
+            assert len(tape) == 0
+        finally:
+            gc.enable()
+        assert np.allclose(x.grad, 2 * 0.5 * (1 - np.tanh(0.25) ** 2))
+
+    def test_backward_after_the_block_raises(self):
+        x = leaf(np.ones(3))
+        with T.Tape():
+            loss = T.sum_all(T.mul(x, x))
+        with pytest.raises(ValueError, match="closed"):
+            T.backward(loss)
+        assert x.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = leaf(np.ones(3))
