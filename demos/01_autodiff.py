@@ -18,8 +18,8 @@ from synmt import nn
 from synmt import tensor as T
 
 # A Tensor wraps a float64 numpy array. Nothing is recorded unless a Tape
-# is active, and even then only tensors with requires_grad=True accumulate
-# gradients when backward() runs.
+# is active, and even then only tensors with requires_grad=True that no op on
+# the tape produced (here w, not y) accumulate gradients when backward() runs.
 w = T.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
 x = T.constant([[2.0, 1.0]])
 

@@ -8,6 +8,11 @@ Decoding convention: the decoder consumes e(y_prev) concatenated with the
 previous context vector, its new state queries attention, and the output
 network sees [state, fresh context]. The first step feeds BOS with a zero
 context from a learned transform of the final backward encoder state.
+
+Training and decoding share one attention over a [B, n, H] memory of encoder
+states, one [n, H] slab per source. Its queries are [B*Q, H] rows grouped by
+source, rows b*Q .. b*Q+Q-1 against slab b: training has Q=1 over a padded
+batch (padding gets a -1e9 score bias), decoding B=1 and Q=beam rows.
 """
 
 import json
@@ -173,43 +178,35 @@ class TranslationModel:
         return model
 
 
-def encode_source(inputs, model, mask=None):
-    """Bidirectional GRU over per-position input vectors; h_i = fwd_i + bwd_i."""
-    return nn.birnn_encode(inputs, model.enc_fwd, model.enc_bwd, mask=mask)
-
-
-def attend(s_prev, h, Wa):
+def attend(s_prev, h, Wa, bias=None):
     """Bilinear attention: scores s_prev W^a h_l, softmax rows, weighted sum.
 
-    s_prev [K, H] against h [n, H]; returns (contexts [K, H], weights [K, n]).
+    s_prev [B*Q, H] queries grouped by source against the memory h [B, n, H]:
+    rows b*Q .. b*Q+Q-1 attend over h[b]. bias, when given, is an additive
+    [B, n] numpy array (padding positions carry -1e9 so their weight
+    underflows to zero). Returns (contexts [B*Q, H], weights [B*Q, n]).
     """
-    beta = T.matmul(T.matmul(s_prev, Wa), T.transpose(h))
-    alpha = T.softmax(beta, axis=1)
-    return T.matmul(alpha, h), alpha
-
-
-def _attend_positions(s, h_list, Wa, extra=None):
-    """attend() against a list of per-position [B, H] states (training layout).
-
-    extra, when given, is an additive [B, n] numpy bias; padding positions
-    carry -1e9 so their weight underflows to zero.
-    """
-    proj = T.matmul(s, Wa)
-    beta = T.concat([T.sum_axis(T.mul(proj, h_l), 1) for h_l in h_list], axis=1)
-    if extra is not None:
-        beta = T.add(beta, T.constant(extra))
-    alpha = T.softmax(beta, axis=1)
-    parts = [T.scale_rows(h_l, T.slice_axis(alpha, 1, l, l + 1))
-             for l, h_l in enumerate(h_list)]
-    c = T.add_many(parts) if len(parts) > 1 else parts[0]
-    return c, alpha
+    if h.data.ndim != 3:
+        raise ShapeError(f"attend: memory must be [B, n, H], got shape {h.shape}")
+    (B, n, H), rows = h.shape, s_prev.shape[0]
+    if rows % B:
+        raise ShapeError(f"attend: {rows} query rows are not grouped over {B} sources")
+    if Wa.shape != (H, H) or s_prev.shape[1:] != (H,):
+        raise ShapeError(f"attend: W^a {Wa.shape}, queries {s_prev.shape}, width {H}")
+    Q = rows // B
+    proj = T.reshape(T.matmul(s_prev, Wa), (B, Q, H))
+    beta = T.matmul(proj, T.transpose(h))
+    if bias is not None:
+        beta = T.add(beta, T.constant(np.repeat(bias[:, None, :], Q, axis=1)))
+    alpha = T.softmax(beta, axis=2)
+    return T.reshape(T.matmul(alpha, h), (rows, H)), T.reshape(alpha, (rows, n))
 
 
 def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
-    """One decoder step for a row batch of hypotheses.
+    """One decoder step for a row batch of hypotheses of one source.
 
-    y_prev: previous target id (int) or one id per row. Returns
-    (distribution [K, V], new state [K, H], new context [K, H], alpha [K, n]).
+    y_prev: previous target id (int) or one id per row; h [1, n, H] memory.
+    Returns (distribution [K, V], new state [K, H], new context [K, H], alpha [K, n]).
     """
     ids = np.atleast_1d(np.asarray(y_prev, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= model.tgt_vocab_size):
@@ -226,29 +223,17 @@ def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
 # Source-side input assembly, shared by training and decoding.
 
 
-def _stack_rows(per_sentence, lens, i, zero):
-    rows = [T.slice_axis(mat, 0, i, i + 1) if i < lens[b] else zero
-            for b, mat in enumerate(per_sentence)]
-    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-
-
 def _parser_outputs(model, lens, width, encodings, tokens):
     """Per-position [B, parser_dim] parser encodings, cached or live."""
     in_dim = model.sawr.in_dim
-    B = len(lens)
     if encodings is not None:
+        padded = np.zeros((len(lens), width, in_dim))
         for b, enc in enumerate(encodings):
             if enc.shape != (lens[b], in_dim):
                 raise ShapeError(f"cached encoding {b} has shape {enc.shape}, "
                                  f"expected ({lens[b]}, {in_dim})")
-        outs = []
-        for i in range(width):
-            rows = np.zeros((B, in_dim))
-            for b, enc in enumerate(encodings):
-                if i < lens[b]:
-                    rows[b] = enc[i]
-            outs.append(T.constant(rows))
-        return outs
+            padded[b, :lens[b]] = enc
+        return [T.constant(np.ascontiguousarray(padded[:, i])) for i in range(width)]
     if model.parser is None or tokens is None:
         raise StateError("sawr mode needs cached encodings, or an attached parser "
                          "plus the raw source tokens")
@@ -277,8 +262,11 @@ def _input_positions(model, src, lens, trees=None, encodings=None, tokens=None):
             raise StateError("tree-rnn mode needs a dependency tree per source sentence")
         embs = [T.take_rows(emb, src[b, :lens[b]]) for b in range(B)]
         enc = syntax.tree_gru_encode_batch(embs, trees, model.tree)
-        zero = T.constant(np.zeros((1, model.tree.out_dim)))
-        xs = [_stack_rows(enc, lens, i, zero) for i in range(n)]
+        # every sentence's rows, then one zero row that padding positions read
+        rows = T.concat(enc + [T.constant(np.zeros((1, model.tree.out_dim)))], axis=0)
+        starts = np.cumsum(lens) - lens
+        pad = int(lens.sum())
+        xs = [T.take_rows(rows, np.where(i < lens, starts + i, pad)) for i in range(n)]
     return xs, nn.length_mask(lens, n)
 
 
@@ -298,8 +286,9 @@ def sequence_loss(batch, model, mode="train"):
     xs, mask = _input_positions(model, batch.src, batch.src_lens,
                                 trees=batch.trees, encodings=batch.encodings,
                                 tokens=batch.src_tokens)
-    h_list = encode_source(xs, model, mask=mask)
-    extra = None if mask is None else (mask - 1.0) * 1e9
+    h_list = nn.birnn_encode(xs, model.enc_fwd, model.enc_bwd, mask=mask)
+    h = T.reshape(T.concat(h_list, axis=1), (batch.size, len(h_list), model.hidden_dim))
+    bias = None if mask is None else (mask - 1.0) * 1e9
     s = model.init_state(h_list[0])
     c = T.constant(np.zeros((batch.size, model.hidden_dim)))
     B, m = batch.tgt.shape
@@ -311,7 +300,7 @@ def sequence_loss(batch, model, mode="train"):
         y_prev = np.full(B, BOS, dtype=np.int64) if j == 0 else batch.tgt[:, j - 1]
         x = T.concat([T.take_rows(emb, y_prev), c], axis=1)
         s = model.dec.step(x, s)
-        c, _ = _attend_positions(s, h_list, Wa, extra)
+        c, _ = attend(s, h, Wa, bias)
         lp = T.log_softmax(model.output_logits(s, c, mode=mode), axis=1)
         picked = T.pick(lp, batch.tgt[:, j])
         terms.append(T.mul(picked, T.constant(tgt_mask[:, j:j + 1])))
@@ -423,14 +412,14 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
 
 
 def encode_for_decode(model, ids, tree=None, encoding=None, tokens=None):
-    """Encoder pass for one source sentence: (h [n, H], initial state [1, H])."""
+    """Encoder pass for one source sentence: (memory [1, n, H], initial state [1, H])."""
     ids = np.asarray(ids, dtype=np.int64)
     xs, _ = _input_positions(model, ids[None, :], np.array([ids.size]),
                              trees=[tree] if tree is not None else None,
                              encodings=[encoding] if encoding is not None else None,
                              tokens=[tokens] if tokens is not None else None)
-    hs = encode_source(xs, model)
-    h = T.concat(hs, axis=0) if len(hs) > 1 else hs[0]
+    hs = nn.birnn_encode(xs, model.enc_fwd, model.enc_bwd)
+    h = T.reshape(T.concat(hs, axis=1), (1, ids.size, model.hidden_dim))
     return h, model.init_state(hs[0])
 
 

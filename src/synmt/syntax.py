@@ -183,11 +183,6 @@ def tree_gru_encode_batch(embs, trees, p):
     return outs
 
 
-def tree_gru_encode(emb, tree, p):
-    """Single-sentence convenience wrapper around the batched evaluation."""
-    return tree_gru_encode_batch([emb], [tree], p)[0]
-
-
 def tree_gru_encode_naive(emb, tree, p):
     """Plain per-node recursion, one GRU step per node. Reference path.
 

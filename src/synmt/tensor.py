@@ -16,6 +16,8 @@ All randomness in the package flows through numpy's PCG64 generator via
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError
@@ -145,8 +147,10 @@ def _record(out: Tensor, inputs, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every reachable tensor's .grad.
+    """Accumulate gradients of a scalar loss into .grad of the tape's inputs.
 
+    Tensors that a record on the loss's tape produced get no .grad: each
+    intermediate's gradient is dropped once passed on to its op's inputs.
     Calling twice without zeroing grads accumulates, matching plain summation
     of the two backward passes.
     """
@@ -158,25 +162,18 @@ def backward(loss: Tensor):
     if tape.closed:
         raise ValueError("the loss's tape was closed when its `with Tape():` block ended; "
                          "call backward inside the block")
-    grads = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
+    grads = {id(loss): (loss, np.ones_like(loss.data))}  # id -> (tensor, gradient)
     for out, inputs, backward_fn in reversed(tape.records):
-        g = grads.get(id(out))
-        if g is None:
+        entry = grads.pop(id(out), None)
+        if entry is None:
             continue  # not on a path to the loss
-        for t, ig in zip(inputs, backward_fn(g)):
+        for t, ig in zip(inputs, backward_fn(entry[1])):
             if ig is None or not t.requires_grad:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + ig
-            else:
-                grads[key] = ig
-                holders[key] = t
-    for key, g in grads.items():
-        t = holders[key]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+            prev = grads.get(id(t))
+            grads[id(t)] = (t, ig if prev is None else prev[1] + ig)
+    for t, g in grads.values():  # only tensors no record on this tape produced
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +296,41 @@ def log(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; stacks [B, m, k] x [B, k, n] need equal B (no broadcasting)."""
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+    if ad.ndim != bd.ndim or ad.ndim not in (2, 3) or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: {ad.shape} x {bd.shape} do not conform")
+    if ad.ndim == 3 and ad.shape[0] != bd.shape[0]:
+        raise ShapeError(f"matmul: batch axes {ad.shape[0]} and {bd.shape[0]} differ")
     out = Tensor(ad @ bd)
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _record(out, (a, b), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.data.shape}")
-    out = Tensor(x.data.T.copy())
+    """Swap the last two axes of a matrix or of a stack of matrices."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a matrix or a stack, got {x.data.shape}")
+    out = Tensor(x.data.swapaxes(-1, -2).copy())
 
     def bwd(g):
-        return (g.T,)
+        return (g.swapaxes(-1, -2),)
+
+    return _record(out, (x,), bwd)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    """Same elements in row-major order under a new shape."""
+    shape, in_shape = tuple(shape), x.data.shape
+    if math.prod(shape) != x.data.size:
+        raise ShapeError(f"reshape: cannot view {in_shape} as {shape}")
+    out = Tensor(x.data.reshape(shape))
+
+    def bwd(g):
+        return (g.reshape(in_shape),)
 
     return _record(out, (x,), bwd)
 

@@ -111,7 +111,7 @@ def _grad_birnn(i):
 def _grad_attend(i):
     rng = T.make_rng(9300 + i)
     n, k = 1 + i % 4, 1 + i % 2
-    h = T.Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+    h = T.Tensor(rng.normal(size=(1, n, 3)), requires_grad=True)
     s = T.Tensor(rng.normal(size=(k, 3)), requires_grad=True)
     Wa = T.Tensor(0.5 * rng.normal(size=(3, 3)), requires_grad=True)
 
@@ -122,6 +122,24 @@ def _grad_attend(i):
 
     targets = (s, h, Wa)
     return T.grad_check(loss, targets[i % 3])
+
+
+def _grad_stacked(i):
+    """3-D matmul (either operand), 3-D transpose and reshape, in rotation."""
+    rng = T.make_rng(9350 + i)
+    b, m, k, n = (int(v) for v in rng.integers(1, 4, size=4))
+    a = T.Tensor(rng.normal(size=(b, m, k)), requires_grad=True)
+    c = T.Tensor(rng.normal(size=(b, k, n)), requires_grad=True)
+    w = T.constant(rng.normal(size=(b, k, m)))
+    losses = [
+        (lambda _: T.sum_all(T.tanh(T.matmul(a, c))), a),
+        (lambda _: T.sum_all(T.tanh(T.matmul(a, c))), c),
+        (lambda _: T.sum_all(T.tanh(T.mul(T.transpose(a), w))), a),
+        (lambda _: T.sum_all(T.tanh(T.matmul(T.reshape(a, (b * m, k)),
+                                             T.reshape(c, (k, b * n))))), a),
+    ]
+    loss, target = losses[i % len(losses)]
+    return T.grad_check(loss, target)
 
 
 DECODER_PARAMS = ("att.W", "tgt_emb", "dec.cand.W", "dec.update.U",
@@ -200,7 +218,7 @@ def _grad_tree_gru(i):
     table.add("emb", T.init_uniform((tree.n, 3), -0.5, 0.5, rng=rng))
 
     def loss(_):
-        return T.sum_all(T.tanh(syntax.tree_gru_encode(table["emb"], tree, p)))
+        return T.sum_all(T.tanh(syntax.tree_gru_encode_batch([table["emb"]], [tree], p)[0]))
 
     return T.grad_check(loss, table[TREE_PARAMS[i % len(TREE_PARAMS)]])
 
@@ -210,6 +228,7 @@ GRAD_FAMILIES = [
     ("lstm step", _grad_lstm),
     ("bidirectional encoder", _grad_birnn),
     ("attention", _grad_attend),
+    ("stacked matmul, transpose, reshape", _grad_stacked),
     ("decoder step + output", _grad_decoder),
     ("sawr tuned path", _grad_sawr),
     ("biaffine scorer + tree loss", _grad_biaffine),
@@ -228,7 +247,7 @@ def test_criterion_01_gradient_suite(capsys):
                 worst = max(worst, err)
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0
-        notes["detail"] = (f"8 families x 100 trials, max error {worst:.1e}, "
+        notes["detail"] = (f"{len(GRAD_FAMILIES)} families x 100 trials, max error {worst:.1e}, "
                            f"{elapsed:.0f}s")
 
 

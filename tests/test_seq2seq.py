@@ -11,7 +11,7 @@ from synmt.data import BOS, EOS, Batch, filter_and_batch
 from synmt.errors import DataError, ShapeError
 from synmt.evaluate import ensemble_decode
 from synmt.seq2seq import (Hypothesis, TranslationModel, attend, beam_search,
-                           decode_step, encode_for_decode, encode_source,
+                           decode_step, encode_for_decode,
                            greedy_decode, sequence_loss, train_step)
 
 from helpers import enumerate_best  # shared with the acceptance suite
@@ -64,8 +64,8 @@ class TestEncodeSource:
     def test_shapes_and_determinism(self):
         m = tiny_model()
         xs = [T.constant(np.ones((2, 6))) for _ in range(5)]
-        h1 = encode_source(xs, m)
-        h2 = encode_source(xs, m)
+        h1 = nn.birnn_encode(xs, m.enc_fwd, m.enc_bwd)
+        h2 = nn.birnn_encode(xs, m.enc_fwd, m.enc_bwd)
         assert len(h1) == 5
         for a, b in zip(h1, h2):
             assert a.shape == (2, 8)
@@ -73,14 +73,15 @@ class TestEncodeSource:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            encode_source([], tiny_model())
+            m = tiny_model()
+            nn.birnn_encode([], m.enc_fwd, m.enc_bwd)
 
     def test_state_is_forward_backward_concat(self):
         # each half must equal a manual unidirectional pass over the inputs
         m = tiny_model()
         rng = T.make_rng(0)
         xs = [T.constant(rng.normal(size=(1, 6))) for _ in range(3)]
-        hs = encode_source(xs, m)
+        hs = nn.birnn_encode(xs, m.enc_fwd, m.enc_bwd)
         f = m.enc_fwd.zero_state(1)
         for i, x in enumerate(xs):
             f = m.enc_fwd.step(x, f)
@@ -94,32 +95,32 @@ class TestEncodeSource:
 class TestAttend:
     def test_zero_weight_matrix_gives_uniform_mean(self):
         rng = T.make_rng(3)
-        h = T.constant(rng.normal(size=(5, 4)))
+        h = T.constant(rng.normal(size=(1, 5, 4)))
         s = T.constant(rng.normal(size=(2, 4)))
         c, a = attend(s, h, T.zeros((4, 4)))
         assert np.allclose(a.data, 0.2)
-        assert np.allclose(c.data, np.tile(h.data.mean(axis=0), (2, 1)))
+        assert np.allclose(c.data, np.tile(h.data[0].mean(axis=0), (2, 1)))
 
     def test_single_state_gets_all_weight(self):
-        h = T.constant([[1.0, 2.0, 3.0]])
+        h = T.constant([[[1.0, 2.0, 3.0]]])
         s = T.constant([[0.5, 0.5, 0.5]])
         c, a = attend(s, h, T.constant(np.eye(3)))
         assert np.allclose(a.data, [[1.0]])
-        assert np.allclose(c.data, h.data)
+        assert np.allclose(c.data, h.data[0])
 
     def test_hand_case_quarter_three_quarters(self):
         # scores [ln 1, ln 3] --> softmax [0.25, 0.75]
-        h = T.constant([[0.0, 2.0], [np.log(3.0), -1.0]])
+        h = T.constant([[[0.0, 2.0], [np.log(3.0), -1.0]]])
         s = T.constant([[1.0, 0.0]])
         c, a = attend(s, h, T.constant(np.eye(2)))
         assert np.allclose(a.data, [[0.25, 0.75]])
-        assert np.allclose(c.data, 0.25 * h.data[0] + 0.75 * h.data[1])
+        assert np.allclose(c.data, 0.25 * h.data[0, 0] + 0.75 * h.data[0, 1])
 
     def test_rows_are_distributions(self):
         rng = T.make_rng(11)
         for _ in range(10):
             k, n, d = rng.integers(1, 5), rng.integers(1, 7), rng.integers(1, 6)
-            h = T.constant(rng.normal(size=(n, d)))
+            h = T.constant(rng.normal(size=(1, n, d)))
             s = T.constant(rng.normal(size=(k, d)))
             _, a = attend(s, h, T.constant(rng.normal(size=(d, d))))
             assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-6)
@@ -127,7 +128,52 @@ class TestAttend:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            attend(T.zeros((1, 3)), T.zeros((4, 2)), T.zeros((3, 3)))
+            attend(T.zeros((1, 3)), T.zeros((1, 4, 2)), T.zeros((3, 3)))
+
+    def test_memory_must_be_three_dimensional(self):
+        with pytest.raises(ShapeError, match="memory"):
+            attend(T.zeros((1, 3)), T.zeros((4, 3)), T.zeros((3, 3)))
+
+    def test_query_rows_must_group_over_the_sources(self):
+        with pytest.raises(ShapeError, match="grouped"):
+            attend(T.zeros((3, 3)), T.zeros((2, 4, 3)), T.zeros((3, 3)))
+
+    def test_weight_matrix_must_match_the_memory_width(self):
+        with pytest.raises(ShapeError, match="W\\^a"):
+            attend(T.zeros((2, 3)), T.zeros((2, 4, 3)), T.zeros((3, 2)))
+
+    def test_grouped_queries_match_one_source_at_a_time(self):
+        # rows b*Q .. b*Q+Q-1 attend over slab b only; a -1e9 bias hides
+        # padding exactly as if the memory were cut at the sentence's end
+        rng = T.make_rng(5)
+        B, Q, n, d = 3, 2, 5, 4
+        h = T.constant(rng.normal(size=(B, n, d)))
+        s = T.constant(rng.normal(size=(B * Q, d)))
+        Wa = T.constant(rng.normal(size=(d, d)))
+        lens = np.array([5, 2, 4])
+        mask = nn.length_mask(lens, n)
+        c, a = attend(s, h, Wa, (mask - 1.0) * 1e9)
+        for b in range(B):
+            rows = slice(b * Q, (b + 1) * Q)
+            slab = T.constant(h.data[b:b + 1, :lens[b]])
+            c1, a1 = attend(T.constant(s.data[rows]), slab, Wa)
+            assert np.allclose(c.data[rows], c1.data, rtol=1e-12, atol=1e-14)
+            assert np.allclose(a.data[rows, :lens[b]], a1.data, rtol=1e-12, atol=1e-14)
+            assert (a.data[rows, lens[b]:] == 0.0).all()
+
+    def test_grouped_gradients(self):
+        rng = T.make_rng(6)
+        h = T.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        s = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        Wa = T.Tensor(0.5 * rng.normal(size=(3, 3)), requires_grad=True)
+        bias = (nn.length_mask([3, 2], 3) - 1.0) * 1e9
+
+        def loss(_):
+            c, alpha = attend(s, h, Wa, bias)
+            return T.add(T.sum_all(T.tanh(c)), T.sum_all(T.mul(alpha, alpha)))
+
+        for x in (s, h, Wa):
+            assert T.grad_check(loss, x) < 1e-6
 
 
 class TestDecodeStep:
@@ -234,7 +280,20 @@ class TestTrainStep:
                      "att.W", "dec.reset.W", "init.W", "out.hidden.b", "out.logits.W"):
             assert T.grad_check(loss, m.table[name]) < 1e-4, name
 
+    def test_tape_nodes_per_target_step_do_not_grow_with_the_source(self):
+        # attention reads the whole [B, n, H] memory in a fixed number of ops,
+        # so a longer source adds encoder nodes only, never per-step nodes
+        m = tiny_model(seed=3)
 
+        def nodes(n, tgt_len):
+            src = [4 + i % 8 for i in range(n)]
+            tgt = [4 + j % 5 for j in range(tgt_len - 1)] + [EOS]
+            batch = Batch([src, src[:-1]], [tgt, tgt])  # padded: the masked path
+            with T.Tape() as tape:
+                sequence_loss(batch, m, mode="eval")
+                return len(tape)
+
+        assert nodes(8, 3) - nodes(4, 3) == nodes(8, 6) - nodes(4, 6)
 
 
 class TestBeamSearch:

@@ -215,7 +215,7 @@ class TestTreeGru:
     def test_single_node_uses_zero_and_root_states(self):
         p = tree_params(4, 3)
         e = T.constant(T.make_rng(1).normal(size=(1, 4)))
-        out = syntax.tree_gru_encode(e, DependencyTree([0], ["root"]), p)
+        out = syntax.tree_gru_encode_batch([e], [DependencyTree([0], ["root"])], p)[0]
         up = p.up.step(e, p.up.zero_state(1))
         down = p.down.step(e, p.root)
         assert np.allclose(out.data[:, :3], up.data)
@@ -225,7 +225,7 @@ class TestTreeGru:
         p = tree_params(3, 4)
         tree = DependencyTree([0, 1, 2], ["root", "obj", "obj"])
         e = T.constant(T.make_rng(2).normal(size=(3, 3)))
-        fast = syntax.tree_gru_encode(e, tree, p)
+        fast = syntax.tree_gru_encode_batch([e], [tree], p)[0]
         slow = syntax.tree_gru_encode_naive(e, tree, p)
         assert np.abs(fast.data - slow.data).max() < 1e-5
 
@@ -233,7 +233,7 @@ class TestTreeGru:
         p = tree_params(3, 4)
         tree = DependencyTree([0, 1, 1, 1, 1, 1])
         e = T.constant(T.make_rng(3).normal(size=(6, 3)))
-        out = syntax.tree_gru_encode(e, tree, p)
+        out = syntax.tree_gru_encode_batch([e], [tree], p)[0]
         head_down = p.down.step(T.slice_axis(e, 0, 0, 1), p.root)
         for child in range(1, 6):
             expect = p.down.step(T.slice_axis(e, 0, child, child + 1), head_down)
@@ -246,7 +246,7 @@ class TestTreeGru:
             n = int(rng.integers(1, 13))
             tree = random_projective_tree(n, rng)
             e = T.constant(rng.normal(size=(n, 3)))
-            fast = syntax.tree_gru_encode(e, tree, p)
+            fast = syntax.tree_gru_encode_batch([e], [tree], p)[0]
             slow = syntax.tree_gru_encode_naive(e, tree, p)
             assert np.abs(fast.data - slow.data).max() < 1e-5
 
@@ -257,13 +257,13 @@ class TestTreeGru:
         embs = [T.constant(rng.normal(size=(t.n, 3))) for t in trees]
         together = syntax.tree_gru_encode_batch(embs, trees, p)
         for e, t, out in zip(embs, trees, together):
-            assert np.allclose(out.data, syntax.tree_gru_encode(e, t, p).data)
+            assert np.allclose(out.data, syntax.tree_gru_encode_batch([e], [t], p)[0].data)
 
     def test_length_mismatch_rejected(self):
         p = tree_params(3, 4)
         tree = DependencyTree([0, 1])
         with pytest.raises(ValueError):
-            syntax.tree_gru_encode(T.zeros((3, 3)), tree, p)
+            syntax.tree_gru_encode_batch([T.zeros((3, 3))], [tree], p)
         with pytest.raises(ValueError):
             syntax.tree_gru_encode_naive(T.zeros((3, 3)), tree, p)
         with pytest.raises(ValueError):
@@ -276,7 +276,7 @@ class TestTreeGru:
         emb = table.add("emb", T.init_uniform((3, 3), -0.5, 0.5, rng=T.make_rng(8)))
 
         def loss(_):
-            return T.sum_all(T.tanh(syntax.tree_gru_encode(emb, tree, p)))
+            return T.sum_all(T.tanh(syntax.tree_gru_encode_batch([emb], [tree], p)[0]))
 
         for name in ("emb", "tree.root", "tree.up.cand.W", "tree.down.update.U"):
             assert T.grad_check(loss, table[name]) < 1e-4, name

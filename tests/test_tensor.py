@@ -51,6 +51,33 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
 
+    def test_stacks_multiply_slab_by_slab(self):
+        rng = T.make_rng(4)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+        out = T.matmul(T.Tensor(a), T.Tensor(b))
+        for i in range(3):
+            assert np.array_equal(out.data[i], a[i] @ b[i])
+        assert np.array_equal(T.transpose(T.Tensor(a)).data[1], a[1].T)
+
+    def test_stacks_need_equal_batch_axes(self):
+        with pytest.raises(ShapeError, match="batch"):
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((1, 4, 5))))
+        with pytest.raises(ShapeError):  # no broadcasting of a matrix over a stack
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 5))))
+        with pytest.raises(ShapeError):
+            T.transpose(T.Tensor(np.zeros((2, 2, 2, 2))))
+
+
+class TestReshape:
+    def test_row_major_order(self):
+        x = T.Tensor(np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(T.reshape(x, (3, 2)).data, [[0, 1], [2, 3], [4, 5]])
+        assert T.reshape(x, (1, 2, 3)).shape == (1, 2, 3)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="reshape"):
+            T.reshape(T.Tensor(np.zeros((2, 3))), (4, 2))
+
 
 class TestElementwise:
     def test_fixed_points(self):
@@ -166,6 +193,18 @@ class TestBackward:
             T.backward(T.sum_all(T.mul(y, y)))
         assert x.grad is None
 
+    def test_only_inputs_keep_gradients(self):
+        # intermediates drop their gradient once it has been passed on; the
+        # leaf still accumulates over two backward calls
+        x = leaf(np.full((2, 3), 0.5))
+        with T.Tape():
+            hidden = T.tanh(T.mul(x, x))
+            loss = T.sum_all(hidden)
+            T.backward(loss)
+            T.backward(loss)
+            assert hidden.grad is None and loss.grad is None
+        assert np.allclose(x.grad, 2 * 2 * 0.5 * (1 - np.tanh(0.25) ** 2))
+
     def test_accumulation_without_reset(self):
         x = leaf(np.ones(4))
         with T.Tape():
@@ -262,6 +301,24 @@ def test_primitive_gradients_100_trials(name):
         assert err < 1e-4, f"{name}: {err}"
         err = T.grad_check(lambda t: T.sum_all(build(x, t)), y, eps=1e-6)
         assert err < 1e-4, f"{name} (second arg): {err}"
+
+
+def test_stacked_matrix_gradients():
+    """3-D matmul and transpose and reshape pass the same finite-difference check."""
+    rng = T.make_rng(77)
+    for _ in range(50):
+        b, m, k, n = (int(v) for v in rng.integers(1, 4, size=4))
+        x = leaf(rng.normal(size=(b, m, k)))
+        y = leaf(rng.normal(size=(b, k, n)))
+        w = T.constant(rng.normal(size=(b, k, m)))
+        assert T.grad_check(lambda t: T.sum_all(T.tanh(T.matmul(t, y))), x) < 1e-4
+        assert T.grad_check(lambda t: T.sum_all(T.tanh(T.matmul(x, t))), y) < 1e-4
+        assert T.grad_check(lambda t: T.sum_all(T.tanh(T.mul(T.transpose(t), w))), x) < 1e-4
+        z = leaf(rng.normal(size=(b * m, k)))
+        assert T.grad_check(
+            lambda t: T.sum_all(T.tanh(T.mul(T.reshape(t, (b, m, k)), x))), z) < 1e-4
+        assert T.grad_check(
+            lambda t: T.sum_all(T.tanh(T.mul(T.reshape(t, (b * m, k)), z))), x) < 1e-4
 
 
 def test_pick_and_take_rows_gradients():
