@@ -154,13 +154,23 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     the mean of their distributions. Each model gets the tree, the cached
     encoding and the raw tokens of a sentence and reads what its mode needs.
     trees (or None) align with sents; encodings holds one such list (or
-    None) per model. Empty source lines come back as empty output lines so
-    file alignment survives.
+    None) per model. A model that carries a parser and has no encodings gets
+    its sources' parser states from one batched pass per ENCODE_CHUNK
+    sentences. Empty source lines come back as empty output lines so file
+    alignment survives.
 
     Returns (lines, stats); stats counts the decoded sentences, the decoder
     steps they took and how many searches stopped before max_len with
     hypotheses still live.
     """
+    present = [i for i, toks in enumerate(sents) if toks]
+    encodings = list(encodings)
+    for m, model in enumerate(models):
+        if model.parser is not None and encodings[m] is None:
+            encodings[m] = [None] * len(sents)
+            states = corpus_states([sents[i] for i in present], model.parser)
+            for i, enc in zip(present, states):
+                encodings[m][i] = enc.data
     out = []
     stats = {"sentences": 0, "decoder_steps": 0, "stopped_early": 0}
     for i, toks in enumerate(sents):
@@ -389,7 +399,7 @@ def _translate_resources(cfg, models, src_sents):
     """Trees and per-model cached encodings that loaded models need to decode.
 
     Cached rows go only to a model that carries no parser; a model with one
-    encodes its input live.
+    has its input encoded by its own parser when it decodes.
     """
     trees = None
     if any(m.mode in ("tree-rnn", "tree-linearized") for m in models):

@@ -194,82 +194,96 @@ def write_treebank(path, sents, columns=4):
 
 
 # ---------------------------------------------------------------------------
-# Projective decoding (Eisner first-order).
+# Projective decoding: first-order Eisner, one numpy step per span width.
 #
-# Chart items carry (score, heads) where heads is the tuple of head choices for
-# the item's decided positions in surface order. On score ties the
-# lexicographically smallest heads tuple wins, which prefers lower head indices
-# at the first position where candidates differ. Merging two adjacent items
-# concatenates their tuples in position order, so the local preference is the
-# global one.
+# Four (n+1) x (n+1) score charts over positions 0..n (0 is the root):
+# complete (CR, CL) and incomplete (IR, IL) items, head at the left or the
+# right end. Each width fills all its cells and split points at once, adding
+# in the order of the scalar recursion, so scores are bit-identical to it.
+# Each item carries its head vector, an int16 row with position p's head at
+# p-1 and -1 outside the span: O(n^3) memory, 2 MB per chart at n=100. The
+# root item's vector is the tree, so there is no backtrace.
+#
+# Score ties go to the lexicographically smallest head vector (lower heads at
+# the first position that differs). All splits of a cell cover the same
+# span, so this local rule is the global one; one lexsort per width settles
+# the cells with several maximal splits.
 
 
-def _better(cand, best):
-    if best is None:
-        return True
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    return cand[1] < best[1]
+def _best_splits(left, left_heads, right, right_heads, i, width, first, shift, arc=None):
+    """Best split of each cell (i[r], j[r] = i[r] + width) of one span width.
+
+    Split k runs over i+first .. i+first+width-1 and joins left[i, k] with
+    right[k+shift, j], plus arc[r] when given. Returns the winning score and
+    the joined head vector of each cell.
+    """
+    j = i + width
+    k = i[:, None] + first + np.arange(width)
+    cand = left[i[:, None], k] + right[k + shift, j[:, None]]
+    if arc is not None:
+        cand = cand + arc[:, None]
+    best = cand.max(axis=1)
+    win = cand.argmax(axis=1)
+
+    def heads(r, c):
+        kk = i[r] + first + c
+        return np.maximum(left_heads[i[r], kk], right_heads[kk + shift, j[r]])
+
+    tied = cand == best[:, None]
+    multi = np.flatnonzero(tied.sum(axis=1) > 1)
+    if multi.size:
+        r, c = np.nonzero(tied[multi])
+        r = multi[r]
+        order = np.lexsort(np.vstack([heads(r, c).T[::-1], r]))  # by cell, then vector
+        first_of_cell = order[np.r_[True, r[order][1:] != r[order][:-1]]]
+        win[r[first_of_cell]] = c[first_of_cell]
+    return best, heads(np.arange(i.size), win)
 
 
 def decode_projective(scores):
-    """Maximum projective tree for an ArcScores or a raw (n+1) x n matrix."""
+    """Maximum projective tree for an ArcScores or a raw (n+1) x n matrix.
+
+    Scores may hold -inf (self-arcs, masks); NaN or +inf raise ValueError.
+    """
     matrix = scores.matrix if isinstance(scores, ArcScores) else np.asarray(scores, dtype=float)
     n = matrix.shape[1]
     if n == 0:
         raise ValueError("cannot decode an empty sentence")
     if matrix.shape[0] != n + 1:
         raise ShapeError(f"score matrix must be (n+1) x n, got {matrix.shape}")
+    bad = np.isnan(matrix) | (matrix == np.inf)
+    if bad.any():
+        h, d = np.argwhere(bad)[0]
+        raise ValueError(f"arc score {matrix[h, d]} for head {h}, dependent {d + 1}: "
+                         f"scores must be finite or -inf")
 
-    def s(h, d):
-        return matrix[h, d - 1]
-
-    empty = (0.0, ())
-    CR = {(i, i): empty for i in range(n + 1)}  # complete, head at left end
-    CL = {(i, i): empty for i in range(n + 1)}  # complete, head at right end
-    IR, IL = {}, {}  # incomplete: arc left->right / right->left
+    arc = np.zeros((n + 1, n + 1))  # arc[h, d], d = 1..n
+    arc[:, 1:] = matrix
+    CR, CL, IR, IL = (np.full((n + 1, n + 1), -np.inf) for _ in range(4))
+    HCR, HCL, HIR, HIL = (np.full((n + 1, n + 1, n), -1, dtype=np.int16) for _ in range(4))
+    CR[np.diag_indices(n + 1)] = CL[np.diag_indices(n + 1)] = 0.0
 
     for width in range(1, n + 1):
-        for i in range(0, n + 1 - width):
-            j = i + width
-            # incomplete items attach the arc between the endpoints
-            if i >= 1:
-                best_r, best_l = None, None
-                for k in range(i, j):
-                    left, right = CR[i, k], CL[k + 1, j]
-                    inner = left[1] + right[1]
-                    base = left[0] + right[0]
-                    cand_r = (base + s(i, j), inner + (i,))
-                    if _better(cand_r, best_r):
-                        best_r = cand_r
-                    cand_l = (base + s(j, i), (j,) + inner)
-                    if _better(cand_l, best_l):
-                        best_l = cand_l
-                IR[i, j], IL[i, j] = best_r, best_l
-            else:
-                # single-root constraint: the root arc closes over 1..j whole
-                left = CL[1, j]
-                IR[0, j] = (left[0] + s(0, j), left[1] + (0,))
-            # complete items extend past the inner head
-            best_cr = None
-            for k in range(i + 1, j + 1):
-                a, b = IR[i, k], CR[k, j]
-                cand = (a[0] + b[0], a[1] + b[1])
-                if _better(cand, best_cr):
-                    best_cr = cand
-            CR[i, j] = best_cr
-            if i >= 1:
-                best_cl = None
-                for k in range(i, j):
-                    a, b = CL[i, k], IL[k, j]
-                    cand = (a[0] + b[0], a[1] + b[1])
-                    if _better(cand, best_cl):
-                        best_cl = cand
-                CL[i, j] = best_cl
+        # incomplete items attach the arc between the endpoints; i >= 1
+        i = np.arange(1, n + 1 - width)
+        j = i + width
+        for chart, vecs, arc_ij, dep, head in ((IR, HIR, arc[i, j], j, i),
+                                               (IL, HIL, arc[j, i], i, j)):
+            chart[i, j], vec = _best_splits(CR, HCR, CL, HCL, i, width, 0, 1, arc_ij)
+            vec[np.arange(i.size), dep - 1] = head
+            vecs[i, j] = vec
+        # single-root constraint: the root arc closes over 1..width whole
+        IR[0, width] = CL[1, width] + arc[0, width]
+        HIR[0, width] = HCL[1, width]
+        HIR[0, width, width - 1] = 0
+        # complete items extend past the inner head
+        i0 = np.arange(n + 1 - width)
+        CR[i0, i0 + width], HCR[i0, i0 + width] = _best_splits(
+            IR, HIR, CR, HCR, i0, width, 1, 0)
+        CL[i, j], HCL[i, j] = _best_splits(CL, HCL, IL, HIL, i, width, 0, 0)
 
-    # the winning tuple lists, for positions 1..n in order, each one's head
-    _, heads = CR[0, n]
-    tree = DependencyTree(list(heads))
+    heads = [int(h) for h in HCR[0, n]]
+    tree = DependencyTree(heads)
     if isinstance(scores, ArcScores) and scores.label_names is not None:
         tree.labels = scores.best_labels(heads)
     return tree

@@ -345,6 +345,17 @@ class Hypothesis:
         return f"Hypothesis({self.ids}, logp={self.logp:.4f}, {tag})"
 
 
+def _top_k(flat, k):
+    """Indices of the k largest scores, best first, ties to the lower index.
+
+    The same indices as np.argsort(-flat, kind="stable")[:k], but only the
+    scores at or above the k-th largest are sorted.
+    """
+    neg = -flat
+    top = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return top[np.argsort(neg[top], kind="stable")[:k]]
+
+
 def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
     """Shared beam loop for one model or an ensemble.
 
@@ -373,7 +384,7 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
         steps += 1
         scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
         flat = scores.ravel()
-        order = np.argsort(-flat, kind="stable")[:min(beam_size, flat.size)]
+        order = _top_k(flat, min(beam_size, flat.size))
         new_active, rows = [], []
         for fi in order:
             pk, v = divmod(int(fi), vocab_size)

@@ -183,45 +183,6 @@ def tree_gru_encode_batch(embs, trees, p):
     return outs
 
 
-def tree_gru_encode_naive(emb, tree, p):
-    """Plain per-node recursion, one GRU step per node. Reference path.
-
-    Kept deliberately independent of the batched code so the two can be
-    compared against each other.
-    """
-    if emb.shape[0] != tree.n:
-        raise ValueError(f"{emb.shape[0]} embedding rows for a {tree.n}-node tree")
-
-    def row(v):
-        return T.slice_axis(emb, 0, v - 1, v)
-
-    up_state = {}
-
-    def up(v):
-        if v not in up_state:
-            kids = tree.children(v)
-            if kids:
-                h = up(kids[0])
-                for k in kids[1:]:
-                    h = T.add(h, up(k))
-            else:
-                h = p.up.zero_state(1)
-            up_state[v] = p.up.step(row(v), h)
-        return up_state[v]
-
-    down_state = {}
-
-    def down(v):
-        if v not in down_state:
-            h = tree.heads[v - 1]
-            prev = p.root if h == 0 else down(h)
-            down_state[v] = p.down.step(row(v), prev)
-        return down_state[v]
-
-    rows = [T.concat([up(v), down(v)], axis=1) for v in range(1, tree.n + 1)]
-    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-
-
 # ---------------------------------------------------------------------------
 # SAWR cache: parser encoder outputs computed once, bound to the producing
 # checkpoint so stale caches cannot be loaded silently.

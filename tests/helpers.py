@@ -1,7 +1,9 @@
-"""Shared test utilities: tree generators and an exhaustive projective oracle.
+"""Shared test utilities: tree generators and reference implementations.
 
-Everything here is deliberately independent of the package's decoder so tests
-compare two implementations, not one implementation with itself.
+The references (exhaustive projective enumeration, the loop-per-split Eisner
+chart, the per-node Tree-GRU recursion, the full-length beam loop) are
+deliberately independent of the package's code, so tests compare two
+implementations, not one implementation with itself.
 """
 
 from contextlib import contextmanager
@@ -10,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 
+from synmt import tensor as T
 from synmt.depparse import DependencyTree, parser_encode, sentence_states
 
 
@@ -102,11 +105,113 @@ def brute_force_decode(matrix):
     return best, list(winner)
 
 
+def _better(cand, best):
+    if best is None:
+        return True
+    if cand[0] != best[0]:
+        return cand[0] > best[0]
+    return cand[1] < best[1]
+
+
+def tuple_chart_decode(matrix):
+    """First-order Eisner over dict charts of (score, head tuple) items.
+
+    The loop-per-split reference for depparse.decode_projective: each item's
+    tuple holds the heads of its decided positions in surface order, and on
+    score ties the lexicographically smallest tuple wins. Returns the heads of
+    positions 1..n.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[1]
+
+    def s(h, d):
+        return matrix[h, d - 1]
+
+    empty = (0.0, ())
+    CR = {(i, i): empty for i in range(n + 1)}  # complete, head at left end
+    CL = {(i, i): empty for i in range(n + 1)}  # complete, head at right end
+    IR, IL = {}, {}  # incomplete: arc left->right / right->left
+
+    for width in range(1, n + 1):
+        for i in range(0, n + 1 - width):
+            j = i + width
+            if i >= 1:
+                best_r, best_l = None, None
+                for k in range(i, j):
+                    left, right = CR[i, k], CL[k + 1, j]
+                    inner = left[1] + right[1]
+                    base = left[0] + right[0]
+                    cand_r = (base + s(i, j), inner + (i,))
+                    if _better(cand_r, best_r):
+                        best_r = cand_r
+                    cand_l = (base + s(j, i), (j,) + inner)
+                    if _better(cand_l, best_l):
+                        best_l = cand_l
+                IR[i, j], IL[i, j] = best_r, best_l
+            else:
+                left = CL[1, j]
+                IR[0, j] = (left[0] + s(0, j), left[1] + (0,))
+            best_cr = None
+            for k in range(i + 1, j + 1):
+                a, b = IR[i, k], CR[k, j]
+                cand = (a[0] + b[0], a[1] + b[1])
+                if _better(cand, best_cr):
+                    best_cr = cand
+            CR[i, j] = best_cr
+            if i >= 1:
+                best_cl = None
+                for k in range(i, j):
+                    a, b = CL[i, k], IL[k, j]
+                    cand = (a[0] + b[0], a[1] + b[1])
+                    if _better(cand, best_cl):
+                        best_cl = cand
+                CL[i, j] = best_cl
+    return list(CR[0, n][1])
+
+
+def tree_gru_encode_naive(emb, tree, p):
+    """Plain per-node recursion, one GRU step per node.
+
+    The reference for syntax.tree_gru_encode_batch: kept independent of the
+    level-batched code so the two can be compared against each other.
+    """
+    if emb.shape[0] != tree.n:
+        raise ValueError(f"{emb.shape[0]} embedding rows for a {tree.n}-node tree")
+
+    def row(v):
+        return T.slice_axis(emb, 0, v - 1, v)
+
+    up_state = {}
+
+    def up(v):
+        if v not in up_state:
+            kids = tree.children(v)
+            if kids:
+                h = up(kids[0])
+                for k in kids[1:]:
+                    h = T.add(h, up(k))
+            else:
+                h = p.up.zero_state(1)
+            up_state[v] = p.up.step(row(v), h)
+        return up_state[v]
+
+    down_state = {}
+
+    def down(v):
+        if v not in down_state:
+            h = tree.heads[v - 1]
+            prev = p.root if h == 0 else down(h)
+            down_state[v] = p.down.step(row(v), prev)
+        return down_state[v]
+
+    rows = [T.concat([up(v), down(v)], axis=1) for v in range(1, tree.n + 1)]
+    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+
+
 def enumerate_best(model, src, max_len):
     """Exhaustive search over all EOS-terminated sequences of length <= max_len."""
     from synmt.data import BOS, EOS
     from synmt.seq2seq import decode_step, encode_for_decode
-    from synmt import tensor as T
 
     h, s0 = encode_for_decode(model, src)
     c0 = T.zeros((1, model.hidden_dim))

@@ -38,7 +38,7 @@ from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
                            train_step)
 
 from helpers import (brute_force_decode, encode_one, enumerate_best,
-                     random_projective_tree)
+                     random_projective_tree, tree_gru_encode_naive)
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -409,7 +409,7 @@ def test_criterion_07_tree_gru_batching(capsys):
             embs = [T.constant(rng.normal(size=(t.n, 3))) for t in trees]
             batched = syntax.tree_gru_encode_batch(embs, trees, p)
             for e, t, out in zip(embs, trees, batched):
-                naive = syntax.tree_gru_encode_naive(e, t, p)
+                naive = tree_gru_encode_naive(e, t, p)
                 gap = np.abs(out.data - naive.data).max()
                 assert gap <= 1e-5
                 worst = max(worst, gap)

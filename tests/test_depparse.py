@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synmt import depparse
 from synmt import tensor as T
@@ -13,7 +15,23 @@ from synmt.errors import DataError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
                      encode_one, random_projective_tree, rewrite_meta,
-                     toy_grammar_sentences)
+                     toy_grammar_sentences, tuple_chart_decode)
+
+
+def score_matrix(kind, n, rng, self_arcs):
+    """An (n+1) x n arc matrix of one family; self_arcs=False puts -inf there."""
+    if kind == "normal":
+        m = rng.normal(size=(n + 1, n))
+    elif kind == "ties":
+        m = rng.integers(0, 3, size=(n + 1, n)).astype(float)
+    elif kind == "equal":
+        m = np.full((n + 1, n), float(rng.integers(-2, 3)))
+    else:  # "masked": integer ties with about half the arcs at -inf
+        m = rng.integers(0, 3, size=(n + 1, n)).astype(float)
+        m[rng.random((n + 1, n)) < 0.5] = -np.inf
+    if not self_arcs:
+        m[np.arange(1, n + 1), np.arange(n)] = -np.inf
+    return m
 
 
 class TestTreeInvariants:
@@ -186,6 +204,33 @@ class TestDecodeProjective:
     def test_all_equal_scores_canonical_tree(self):
         tree = decode_projective(np.zeros((6, 5)))
         assert tree.heads == [0, 1, 1, 1, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["normal", "ties", "equal", "masked"]),
+           n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), self_arcs=st.booleans())
+    def test_matches_the_tuple_chart(self, kind, n, seed, self_arcs):
+        """Same heads as the loop-per-split chart, ties and -inf included."""
+        matrix = score_matrix(kind, n, T.make_rng(seed), self_arcs)
+        assert decode_projective(matrix).heads == tuple_chart_decode(matrix)
+
+    def test_matches_the_tuple_chart_on_long_sentences(self):
+        rng = T.make_rng(8)
+        for n in (40, 47, 60):
+            matrix = score_matrix("normal", n, rng, self_arcs=False)
+            assert decode_projective(matrix).heads == tuple_chart_decode(matrix)
+
+    def test_heads_are_python_ints(self):
+        tree = decode_projective(np.zeros((4, 3)))
+        assert all(type(h) is int for h in tree.heads)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        matrix = np.zeros((4, 3))
+        matrix[0, 0] = -np.inf  # legal: masks and self-arcs use it
+        matrix[2, 1] = bad
+        matrix[3, 0] = bad
+        with pytest.raises(ValueError, match="head 2, dependent 2"):
+            decode_projective(matrix)
 
     def test_enumeration_cache_is_plausible(self):
         # sanity on the oracle itself: known projective tree counts

@@ -10,7 +10,7 @@ from synmt import tensor as T
 from synmt.data import BOS, EOS, Batch, filter_and_batch
 from synmt.errors import DataError, ShapeError
 from synmt.evaluate import ensemble_decode
-from synmt.seq2seq import (Hypothesis, TranslationModel, attend, beam_search,
+from synmt.seq2seq import (Hypothesis, TranslationModel, _top_k, attend, beam_search,
                            decode_step, encode_for_decode,
                            greedy_decode, sequence_loss, train_step)
 
@@ -391,6 +391,25 @@ def _arrays_equal(a, b):
     if isinstance(a, list):
         return len(a) == len(b) and all(map(np.array_equal, a, b))
     return np.array_equal(a, b)
+
+
+class TestTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.sampled_from([-np.inf, -3.0, -2.5, -1.0, -0.5, 0.0]),
+                           min_size=1, max_size=40),
+           k=st.integers(1, 40))
+    def test_matches_stable_argsort(self, scores, k):
+        """Ties go to the lower index, -inf scores included."""
+        flat = np.array(scores)
+        k = min(k, flat.size)
+        assert list(_top_k(flat, k)) == list(np.argsort(-flat, kind="stable")[:k])
+
+    def test_matches_stable_argsort_on_a_wide_vocabulary(self):
+        rng = T.make_rng(3)
+        flat = np.round(rng.normal(size=5 * 4100), 1)  # many exact ties
+        flat[rng.random(flat.size) < 0.1] = -np.inf
+        for k in (1, 5, 100):
+            assert list(_top_k(flat, k)) == list(np.argsort(-flat, kind="stable")[:k])
 
 
 class TestEarlyStop:

@@ -5,14 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from synmt import nn, syntax
+from synmt import cli, depparse, nn, syntax
 from synmt import tensor as T
-from synmt.data import Batch, filter_and_batch
+from synmt.data import Batch, Vocabulary, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel, parser_encode, sentence_states
 from synmt.errors import DataError, ShapeError, StateError
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import encode_one, random_projective_tree
+from helpers import encode_one, random_projective_tree, tree_gru_encode_naive
 
 
 def projection(in_dim, out_dim, seed=0):
@@ -210,6 +210,23 @@ class TestLiveParserBatch:
         assert len(calls) == m.parser.layers * 2 * width  # 12, not 2 * 2 * 8
         assert set(calls) == {batch.size}
 
+    def test_dev_decode_encodes_the_corpus_in_one_parser_pass(self, monkeypatch):
+        calls = []
+        encode = depparse.parser_encode
+
+        def counted(sentences, parser):
+            calls.append(len(sentences))
+            return encode(sentences, parser)
+
+        monkeypatch.setattr(depparse, "parser_encode", counted)
+        sents = TOKENS + [[]] + TOKENS
+        assert len(sents) <= depparse.ENCODE_CHUNK
+        lines, stats = cli._decode_corpus(
+            [self.model()], [Vocabulary(list("abcdefg"))], Vocabulary(list("vwxyz")),
+            sents, 2, 5, trees=None, encodings=[None])
+        assert calls == [6]  # one batch-1 pass per sentence would be [1] * 6
+        assert stats["sentences"] == 6 and lines[3] == ""
+
 
 class TestTreeGru:
     def test_single_node_uses_zero_and_root_states(self):
@@ -226,7 +243,7 @@ class TestTreeGru:
         tree = DependencyTree([0, 1, 2], ["root", "obj", "obj"])
         e = T.constant(T.make_rng(2).normal(size=(3, 3)))
         fast = syntax.tree_gru_encode_batch([e], [tree], p)[0]
-        slow = syntax.tree_gru_encode_naive(e, tree, p)
+        slow = tree_gru_encode_naive(e, tree, p)
         assert np.abs(fast.data - slow.data).max() < 1e-5
 
     def test_star_children_share_the_head_state(self):
@@ -247,7 +264,7 @@ class TestTreeGru:
             tree = random_projective_tree(n, rng)
             e = T.constant(rng.normal(size=(n, 3)))
             fast = syntax.tree_gru_encode_batch([e], [tree], p)[0]
-            slow = syntax.tree_gru_encode_naive(e, tree, p)
+            slow = tree_gru_encode_naive(e, tree, p)
             assert np.abs(fast.data - slow.data).max() < 1e-5
 
     def test_batched_sentences_match_one_by_one(self):
@@ -265,7 +282,7 @@ class TestTreeGru:
         with pytest.raises(ValueError):
             syntax.tree_gru_encode_batch([T.zeros((3, 3))], [tree], p)
         with pytest.raises(ValueError):
-            syntax.tree_gru_encode_naive(T.zeros((3, 3)), tree, p)
+            tree_gru_encode_naive(T.zeros((3, 3)), tree, p)
         with pytest.raises(ValueError):
             syntax.tree_gru_encode_batch([T.zeros((2, 3))], [tree, tree], p)
 
