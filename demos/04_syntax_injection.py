@@ -27,7 +27,7 @@ from synmt.errors import DataError
 from synmt.seq2seq import TranslationModel, train_step
 from synmt.syntax import (TreeGruParams, extract_sawr, read_sawr_cache,
                           set_parser_trainable, tree_gru_encode_batch,
-                          tree_gru_encode_naive, write_sawr_cache)
+                          write_sawr_cache)
 
 # ---------------------------------------------------------------------------
 # A parser to steal syntax from. Same toy grammar idea as the parsing demo,
@@ -104,8 +104,8 @@ print("after unfreezing, parser moved:   ",
 # ---------------------------------------------------------------------------
 # Flavor 2: the bidirectional Tree-GRU. States flow bottom-up from the
 # leaves and top-down from the root, so every token sees its whole tree.
-# The batched level-by-level implementation must agree with the naive
-# one-node-at-a-time recursion.
+# The encoder runs level by level over a whole batch of trees at once, and
+# each sentence must come out as if it had been encoded alone.
 
 table = nn.ParamTable()
 tree_params = TreeGruParams(table, "tree", input_dim=6, hidden_dim=5,
@@ -117,9 +117,9 @@ embs = [T.constant(T.make_rng(30 + i).normal(size=(t.n, 6)))
         for i, t in enumerate(trees)]
 
 batched = tree_gru_encode_batch(embs, trees, tree_params)
-gap = max(float(np.abs(b.data - tree_gru_encode_naive(e, t, tree_params).data).max())
+gap = max(float(np.abs(b.data - tree_gru_encode_batch([e], [t], tree_params)[0].data).max())
           for b, e, t in zip(batched, embs, trees))
-print(f"\ntree-GRU batch vs naive recursion, worst gap: {gap:.2e}")
+print(f"\ntree-GRU batch vs one tree at a time, worst gap: {gap:.2e}")
 print("per-token tree state size:", tree_params.out_dim,
       "(hidden from each direction)")
 

@@ -146,6 +146,18 @@ def _source_units(mode, toks, tree):
     return linearize_tree(toks, tree) if mode == "tree-linearized" else toks
 
 
+def _parser_encodings(models, sents, encodings):
+    """encodings (one list or None per model), a parser model's None replaced
+    by its parser's states from one batched pass per ENCODE_CHUNK sentences."""
+    present = [toks for toks in sents if toks]
+    encodings = list(encodings)
+    for m, model in enumerate(models):
+        if model.parser is not None and encodings[m] is None:
+            states = iter(corpus_states(present, model.parser))
+            encodings[m] = [next(states).data if toks else None for toks in sents]
+    return encodings
+
+
 def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
                    trees, encodings):
     """Translate token lists back into detokenized text lines.
@@ -154,23 +166,14 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     the mean of their distributions. Each model gets the tree, the cached
     encoding and the raw tokens of a sentence and reads what its mode needs.
     trees (or None) align with sents; encodings holds one such list (or
-    None) per model. A model that carries a parser and has no encodings gets
-    its sources' parser states from one batched pass per ENCODE_CHUNK
-    sentences. Empty source lines come back as empty output lines so file
-    alignment survives.
+    None) per model, completed by _parser_encodings. Empty source lines come
+    back as empty output lines so file alignment survives.
 
     Returns (lines, stats); stats counts the decoded sentences, the decoder
     steps they took and how many searches stopped before max_len with
     hypotheses still live.
     """
-    present = [i for i, toks in enumerate(sents) if toks]
-    encodings = list(encodings)
-    for m, model in enumerate(models):
-        if model.parser is not None and encodings[m] is None:
-            encodings[m] = [None] * len(sents)
-            states = corpus_states([sents[i] for i in present], model.parser)
-            for i, enc in zip(present, states):
-                encodings[m][i] = enc.data
+    encodings = _parser_encodings(models, sents, encodings)
     out = []
     stats = {"sentences": 0, "decoder_steps": 0, "stopped_early": 0}
     for i, toks in enumerate(sents):
@@ -399,7 +402,7 @@ def _translate_resources(cfg, models, src_sents):
     """Trees and per-model cached encodings that loaded models need to decode.
 
     Cached rows go only to a model that carries no parser; a model with one
-    has its input encoded by its own parser when it decodes.
+    gets its own parser's states from _parser_encodings.
     """
     trees = None
     if any(m.mode in ("tree-rnn", "tree-linearized") for m in models):
@@ -484,7 +487,8 @@ def _cmd_align_dump(cfg, man):
     _require(cfg, "align-dump", "model", "src", "out")
     model, src_vocab, tgt_vocab, _ = _load_bundle(cfg.model)
     src_sents = read_corpus(cfg.src)
-    trees, [encodings] = _translate_resources(cfg, [model], src_sents)
+    trees, encodings = _translate_resources(cfg, [model], src_sents)
+    [encodings] = _parser_encodings([model], src_sents, encodings)
     sources = [_source_units(model.mode, toks, trees[i] if trees is not None else None)
                if toks else [] for i, toks in enumerate(src_sents)]
     records = dump_alignments(model, sources, src_vocab, tgt_vocab,

@@ -194,50 +194,38 @@ def write_treebank(path, sents, columns=4):
 
 
 # ---------------------------------------------------------------------------
-# Projective decoding: first-order Eisner, one numpy step per span width.
+# Projective decoding: first-order Eisner, two numpy steps per span width.
 #
-# Four (n+1) x (n+1) score charts over positions 0..n (0 is the root):
-# complete (CR, CL) and incomplete (IR, IL) items, head at the left or the
-# right end. Each width fills all its cells and split points at once, adding
-# in the order of the scalar recursion, so scores are bit-identical to it.
-# Each item carries its head vector, an int16 row with position p's head at
-# p-1 and -1 outside the span: O(n^3) memory, 2 MB per chart at n=100. The
-# root item's vector is the tree, so there is no backtrace.
-#
-# Score ties go to the lexicographically smallest head vector (lower heads at
-# the first position that differs). All splits of a cell cover the same
-# span, so this local rule is the global one; one lexsort per width settles
-# the cells with several maximal splits.
+# Four (n+1) x (n+1) charts over positions 0..n (0 is the root), complete
+# (CR, CL) and incomplete (IR, IL), head at the left or right end, share one
+# flat array: chart c's cell (a, b) sits at c*(n+1)^2 + a*(n+1) + b, so each
+# gather is one fancy index. A width fills its incomplete cells, then its
+# complete ones, scoring all split points at once in the scalar recursion's
+# addition order, so scores are bit-identical to it. Each item carries an
+# int16 head vector (position p's head at p-1, -1 outside the span; O(n^3)
+# memory, 2 MB per chart at n=100), so the root item's vector is the tree.
+# Score ties go to the lexicographically smallest head vector; all splits of
+# a cell cover the same span, so this local rule is the global one.
+
+CR, CL, IR, IL = range(4)
 
 
-def _best_splits(left, left_heads, right, right_heads, i, width, first, shift, arc=None):
-    """Best split of each cell (i[r], j[r] = i[r] + width) of one span width.
-
-    Split k runs over i+first .. i+first+width-1 and joins left[i, k] with
-    right[k+shift, j], plus arc[r] when given. Returns the winning score and
-    the joined head vector of each cell.
-    """
-    j = i + width
-    k = i[:, None] + first + np.arange(width)
-    cand = left[i[:, None], k] + right[k + shift, j[:, None]]
-    if arc is not None:
-        cand = cand + arc[:, None]
-    best = cand.max(axis=1)
+def _best_splits(cand, left, right, heads):
+    """Best split per row of cand [cells, splits] and its head vector: split
+    c of cell r joins the items at flat indices left[r, c] and right[r, c]."""
+    rows = np.arange(cand.shape[0])
     win = cand.argmax(axis=1)
-
-    def heads(r, c):
-        kk = i[r] + first + c
-        return np.maximum(left_heads[i[r], kk], right_heads[kk + shift, j[r]])
-
+    best = cand[rows, win]
     tied = cand == best[:, None]
-    multi = np.flatnonzero(tied.sum(axis=1) > 1)
-    if multi.size:
+    if np.count_nonzero(tied) > rows.size:
+        multi = np.flatnonzero(tied.sum(axis=1) > 1)
         r, c = np.nonzero(tied[multi])
         r = multi[r]
-        order = np.lexsort(np.vstack([heads(r, c).T[::-1], r]))  # by cell, then vector
+        joined = np.maximum(heads[left[r, c]], heads[right[r, c]])
+        order = np.lexsort(np.vstack([joined.T[::-1], r]))  # by cell, then vector
         first_of_cell = order[np.r_[True, r[order][1:] != r[order][:-1]]]
         win[r[first_of_cell]] = c[first_of_cell]
-    return best, heads(np.arange(i.size), win)
+    return best, np.maximum(heads[left[rows, win]], heads[right[rows, win]])
 
 
 def decode_projective(scores):
@@ -257,35 +245,45 @@ def decode_projective(scores):
         raise ValueError(f"arc score {matrix[h, d]} for head {h}, dependent {d + 1}: "
                          f"scores must be finite or -inf")
 
-    arc = np.zeros((n + 1, n + 1))  # arc[h, d], d = 1..n
-    arc[:, 1:] = matrix
-    CR, CL, IR, IL = (np.full((n + 1, n + 1), -np.inf) for _ in range(4))
-    HCR, HCL, HIR, HIL = (np.full((n + 1, n + 1, n), -1, dtype=np.int16) for _ in range(4))
-    CR[np.diag_indices(n + 1)] = CL[np.diag_indices(n + 1)] = 0.0
+    N, NN = n + 1, (n + 1) ** 2
+    arc = np.hstack([np.zeros((N, 1)), matrix]).ravel()  # arc[h*N + d], d = 1..n
+    score = np.full(4 * NN, -np.inf)
+    heads = np.full((4 * NN, n), -1, dtype=np.int16)
+    diag = np.arange(N) * (N + 1)  # (a, a) within a chart
+    score[CR * NN + diag] = score[CL * NN + diag] = 0.0
 
-    for width in range(1, n + 1):
-        # incomplete items attach the arc between the endpoints; i >= 1
-        i = np.arange(1, n + 1 - width)
-        j = i + width
-        for chart, vecs, arc_ij, dep, head in ((IR, HIR, arc[i, j], j, i),
-                                               (IL, HIL, arc[j, i], i, j)):
-            chart[i, j], vec = _best_splits(CR, HCR, CL, HCL, i, width, 0, 1, arc_ij)
-            vec[np.arange(i.size), dep - 1] = head
-            vecs[i, j] = vec
-        # single-root constraint: the root arc closes over 1..width whole
-        IR[0, width] = CL[1, width] + arc[0, width]
-        HIR[0, width] = HCL[1, width]
-        HIR[0, width, width - 1] = 0
-        # complete items extend past the inner head
-        i0 = np.arange(n + 1 - width)
-        CR[i0, i0 + width], HCR[i0, i0 + width] = _best_splits(
-            IR, HIR, CR, HCR, i0, width, 1, 0)
-        CL[i, j], HCL[i, j] = _best_splits(CL, HCL, IL, HIL, i, width, 0, 0)
+    for w in range(1, N):
+        s = np.arange(w)
+        i = np.arange(1, N - w)  # spans i..i+w with i >= 1
+        d, d0 = diag[1:N - w], diag[:N - w]
+        # incomplete: IR[i, j] and IL[i, j] join CR[i, k] and CL[k+1, j]
+        # for k in i..j-1, then add the arc between i and j
+        left = d[:, None] + (CR * NN + s)
+        right = d[:, None] + (CL * NN + N + w + N * s)
+        joined = score[left] + score[right]
+        arcs = arc[d + np.array([[w], [w * N]])]  # arc[i, j], arc[j, i]
+        cand = (joined + arcs[:, :, None]).reshape(2 * i.size, w)
+        best, vec = _best_splits(cand, np.concatenate([left, left]),
+                                 np.concatenate([right, right]), heads)
+        vec[np.arange(2 * i.size), np.concatenate([i + w, i]) - 1] = np.concatenate([i, i + w])
+        cells = (d + np.array([[IR * NN + w], [IL * NN + w]])).ravel()
+        score[cells], heads[cells] = best, vec
+        # single-root constraint: the root arc closes over 1..w whole
+        score[IR * NN + w] = score[CL * NN + N + w] + arc[w]
+        heads[IR * NN + w] = heads[CL * NN + N + w]
+        heads[IR * NN + w, w - 1] = 0
+        # complete: CR[i, j] joins IR[i, k] and CR[k, j] for k in i+1..j
+        # (i >= 0); CL[i, j] joins CL[i, k] and IL[k, j] for k in i..j-1
+        left = np.concatenate([d0 + (IR * NN + 1), d + CL * NN])[:, None] + s
+        right = np.concatenate([d0 + (CR * NN + N + w), d + (IL * NN + w)])[:, None] + N * s
+        best, vec = _best_splits(score[left] + score[right], left, right, heads)
+        cells = np.concatenate([d0 + (CR * NN + w), d + (CL * NN + w)])
+        score[cells], heads[cells] = best, vec
 
-    heads = [int(h) for h in HCR[0, n]]
-    tree = DependencyTree(heads)
+    tree_heads = [int(h) for h in heads[CR * NN + n]]
+    tree = DependencyTree(tree_heads)
     if isinstance(scores, ArcScores) and scores.label_names is not None:
-        tree.labels = scores.best_labels(heads)
+        tree.labels = scores.best_labels(tree_heads)
     return tree
 
 

@@ -7,9 +7,10 @@ import pytest
 
 from synmt import cli, depparse, nn, syntax
 from synmt import tensor as T
-from synmt.data import Batch, Vocabulary, filter_and_batch
+from synmt.data import Batch, BpeModel, Vocabulary, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel, parser_encode, sentence_states
 from synmt.errors import DataError, ShapeError, StateError
+from synmt.evaluate import read_alignments
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
 from helpers import encode_one, random_projective_tree, tree_gru_encode_naive
@@ -226,6 +227,26 @@ class TestLiveParserBatch:
             sents, 2, 5, trees=None, encodings=[None])
         assert calls == [6]  # one batch-1 pass per sentence would be [1] * 6
         assert stats["sentences"] == 6 and lines[3] == ""
+
+    def test_align_dump_encodes_the_corpus_in_one_parser_pass(self, monkeypatch, tmp_path):
+        ckpt, src, out = (str(tmp_path / name) for name in ("m.ckpt", "src.txt", "a.jsonl"))
+        cli._save_bundle(ckpt, self.model(), Vocabulary(list("abcdefg")),
+                         Vocabulary(list("vwxyz")), BpeModel([]))
+        with open(src, "w", encoding="utf-8") as f:
+            f.write("".join(" ".join(t) + "\n" for t in TOKENS + [[]] + TOKENS))
+        calls = []
+        encode = depparse.parser_encode
+
+        def counted(sentences, parser):
+            calls.append(len(sentences))
+            return encode(sentences, parser)
+
+        monkeypatch.setattr(depparse, "parser_encode", counted)
+        with pytest.warns(UserWarning, match="sentence 3 is empty"):
+            assert cli.main(["align-dump", "--model", ckpt, "--src", src, "--out", out,
+                             "--decode_max_len", "5"]) == 0
+        assert calls == [6]  # one batch-1 pass per sentence would be [1] * 6
+        assert [r.id for r in read_alignments(out)] == [0, 1, 2, 4, 5, 6]
 
 
 class TestTreeGru:
