@@ -54,8 +54,10 @@ print(f"treebank: {len(treebank)} sentences, "
       f"{sum(len(t) for t, _ in treebank)} tokens")
 
 # Train a deliberately small model. The encoder is a stacked bidirectional
-# LSTM; head and dependent representations meet in a biaffine scorer, one
-# for arcs and one per label.
+# LSTM; head and dependent representations meet in biaffine scorers, one
+# for arcs and one bilinear form per label. Training sentences of one length
+# share a batch, and each batch is scored in one pass over all its arcs and
+# labels.
 model, history = train_parser(
     treebank, embed_dim=24, hidden_dim=24, mlp_dim=24, layers=1,
     epochs=30, lr=2e-3, batch_size=16, seed=4)
@@ -79,7 +81,8 @@ for i, tok in enumerate(tokens):
 # The decoder itself is just a function over a score matrix. Row h, column
 # d-1 holds the score of attaching token d under head h (row 0 is the root).
 # It returns the best projective tree with exactly one root, which is why
-# the second word below cannot keep its favorite head.
+# the second word below cannot keep its favorite head. It picks heads only
+# (every label is "dep"); parse_sentence then labels the chosen arcs.
 
 scores = np.array([
     [9.0, 8.0],   # root -> w1, root -> w2: both words would love the root,

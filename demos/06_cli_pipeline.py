@@ -10,7 +10,7 @@ decode, and compare the two systems. Each step is the exact command a
 shell user would type; here they run in-process through the same entry
 point so the exit codes are easy to inspect.
 
-It is the slowest demo of the set, about half a minute.
+It is the slowest demo of the set, about ten seconds.
 
     python3 demos/06_cli_pipeline.py
 """

@@ -132,6 +132,17 @@ def pop_meta(state, path) -> dict:
 
 
 @contextlib.contextmanager
+def meta_errors(path):
+    """A missing or unusable __meta__ field, met while building a model, is a DataError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: __meta__ lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid __meta__ ({exc})") from None
+
+
+@contextlib.contextmanager
 def open_new(path, mode="w"):
     """Open an output file whose whole body the with-block writes.
 

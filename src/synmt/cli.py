@@ -163,8 +163,8 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     """Translate token lists back into detokenized text lines.
 
     One model decodes with beam_search, several with ensemble_decode over
-    the mean of their distributions. Each model gets the tree, the cached
-    encoding and the raw tokens of a sentence and reads what its mode needs.
+    the mean of their distributions. Each model gets the tree and the
+    encoding of a sentence and reads what its mode needs.
     trees (or None) align with sents; encodings holds one such list (or
     None) per model, completed by _parser_encodings. Empty source lines come
     back as empty output lines so file alignment survives.
@@ -186,11 +186,10 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
         encs = [e[i] if e is not None else None for e in encodings]
         if len(models) == 1:
             hyp = beam_search(sources[0], models[0], beam_size, max_len,
-                              tree=tree, encoding=encs[0], tokens=toks)
+                              tree=tree, encoding=encs[0])
         else:
             hyp = ensemble_decode(models, sources, beam_size, max_len,
-                                  trees=[tree] * len(models), encodings=encs,
-                                  tokens=[toks] * len(models))
+                                  trees=[tree] * len(models), encodings=encs)
         out.append(" ".join(decode_bpe(tgt_vocab.tokens(hyp.ids))))
         stats["sentences"] += 1
         stats["decoder_steps"] += hyp.steps

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .checkpoint import load_checkpoint, open_new, pop_meta, save_checkpoint
+from .checkpoint import load_checkpoint, meta_errors, open_new, pop_meta, save_checkpoint
 from .errors import DataError, ShapeError
 
 
@@ -228,12 +228,14 @@ def _best_splits(cand, left, right, heads):
     return best, np.maximum(heads[left[rows, win]], heads[right[rows, win]])
 
 
-def decode_projective(scores):
-    """Maximum projective tree for an ArcScores or a raw (n+1) x n matrix.
+def decode_projective(matrix):
+    """Maximum projective tree over an (n+1) x n arc score matrix.
 
-    Scores may hold -inf (self-arcs, masks); NaN or +inf raise ValueError.
+    Row h, column d-1 scores head h (0 is the root) for dependent d; the
+    chart never reads a self-arc cell [d, d-1]. Scores may hold -inf (masks);
+    NaN or +inf raise ValueError. Every label of the returned tree is "dep".
     """
-    matrix = scores.matrix if isinstance(scores, ArcScores) else np.asarray(scores, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[1]
     if n == 0:
         raise ValueError("cannot decode an empty sentence")
@@ -280,41 +282,11 @@ def decode_projective(scores):
         cells = np.concatenate([d0 + (CR * NN + w), d + (CL * NN + w)])
         score[cells], heads[cells] = best, vec
 
-    tree_heads = [int(h) for h in heads[CR * NN + n]]
-    tree = DependencyTree(tree_heads)
-    if isinstance(scores, ArcScores) and scores.label_names is not None:
-        tree.labels = scores.best_labels(tree_heads)
-    return tree
+    return DependencyTree(heads[CR * NN + n].tolist())
 
 
 # ---------------------------------------------------------------------------
 # Model
-
-
-class ArcScores:
-    """Arc score matrix plus optional label scoring hooks.
-
-    matrix: numpy (n+1) x n, row = head (0 is root), column d-1 = dependent d.
-    Self-arcs hold -inf. tensor: same scores on the tape with a -1e9 self-arc
-    mask, used for the training loss.
-    """
-
-    def __init__(self, matrix, tensor=None, label_fn=None, label_names=None):
-        self.matrix = matrix
-        self.tensor = tensor
-        self._label_fn = label_fn
-        self.label_names = label_names
-        self.n = matrix.shape[1]
-
-    def label_scores(self, heads):
-        """Tensor of label scores, one row per token, for the given head choice."""
-        if self._label_fn is None:
-            raise ValueError("scores were built without a label scorer")
-        return self._label_fn(heads)
-
-    def best_labels(self, heads):
-        data = self.label_scores(heads).data
-        return [self.label_names[i] for i in np.argmax(data, axis=1)]
 
 
 class ParserModel:
@@ -382,10 +354,11 @@ class ParserModel:
     def load(cls, path):
         state = load_checkpoint(path)
         meta = pop_meta(state, path)
-        model = cls(meta["vocab"], meta["labels"], embed_dim=meta["embed_dim"],
-                    hidden_dim=meta["hidden_dim"], mlp_dim=meta["mlp_dim"],
-                    layers=meta["layers"])
-        model.table.load_state(state)
+        with meta_errors(path):
+            model = cls(meta["vocab"], meta["labels"], embed_dim=meta["embed_dim"],
+                        hidden_dim=meta["hidden_dim"], mlp_dim=meta["mlp_dim"],
+                        layers=meta["layers"])
+        model.table.load_state(state, path)
         return model
 
 
@@ -437,59 +410,60 @@ def _append_ones(x):
     return T.concat([x, T.constant(np.ones((x.shape[0], 1)))], axis=1)
 
 
-def score_arcs(enc, model):
-    """Biaffine arc scores over an encoded sentence.
+def score_arcs(states, model):
+    """Biaffine scores for one length bucket: B sentences of n tokens each.
 
-    enc: one [n, out_dim] tensor from sentence_states. Returns ArcScores whose label
-    scorer evaluates one bilinear form per dependency label on chosen arcs.
+    states: [B, n, out_dim] parser states. Returns (arc, lab_head, lab_dep):
+    arc [B, n+1, n] scores head h (0 is the root) for dependent d at
+    [b, h, d-1], self-arcs masked with -1e9; lab_head [B*(n+1), m+1] and
+    lab_dep [B*n, m+1] are the label MLP outputs that label_scores reads.
     """
-    n = enc.shape[0]
-    if n == 0:
-        raise ValueError("empty encoding")
-    t = model.table
-    with_root = T.concat([t["root"], enc], axis=0)  # [n+1, out_dim]
+    B, n, dim = states.shape
+    t, m = model.table, model.mlp_dim
+    deps = T.reshape(states, (B * n, dim))
+    # row b*(n+1) is the root, rows b*(n+1)+1 .. b*(n+1)+n sentence b's tokens
+    rows = np.insert(1 + np.arange(B * n).reshape(B, n), 0, 0, axis=1).ravel()
+    heads = T.take_rows(T.concat([t["root"], deps], axis=0), rows)
 
     def mlp(part, side, src):
         return T.tanh(nn.linear(src, t[f"{part}.{side}.W"], t[f"{part}.{side}.b"]))
 
-    g_head = _append_ones(mlp("arc", "head", with_root))     # [n+1, m+1]
-    g_dep = mlp("arc", "dep", enc)                           # [n, m]
-    arc = T.matmul(T.matmul(g_head, t["arc.U"]), T.transpose(g_dep))  # [n+1, n]
-
-    self_mask = np.zeros((n + 1, n))
-    for d in range(1, n + 1):
-        self_mask[d, d - 1] = -1e9
-    arc_masked = T.add(arc, T.constant(self_mask))
-
-    l_head = _append_ones(mlp("lab", "head", with_root))     # [n+1, m+1]
-    l_dep = _append_ones(mlp("lab", "dep", enc))             # [n, m+1]
-
-    def label_fn(heads):
-        rows = T.take_rows(l_head, heads)  # [n, m+1]
-        cols = []
-        for i in range(len(model.label_names)):
-            prod = T.mul(T.matmul(rows, t[f"lab.U.{i}"]), l_dep)
-            cols.append(T.sum_axis(prod, axis=1))
-        return T.concat(cols, axis=1)  # [n, L]
-
-    matrix = arc_masked.data.copy()
-    for d in range(1, n + 1):
-        matrix[d, d - 1] = -np.inf
-    return ArcScores(matrix, tensor=arc_masked, label_fn=label_fn,
-                     label_names=model.label_names)
+    g_head = T.matmul(_append_ones(mlp("arc", "head", heads)), t["arc.U"])
+    g_dep = T.reshape(mlp("arc", "dep", deps), (B, n, m))
+    arc = T.matmul(T.reshape(g_head, (B, n + 1, m)), T.transpose(g_dep))
+    self_mask = np.broadcast_to(-1e9 * np.eye(n + 1, n, k=-1), arc.shape)  # at [b, d, d-1]
+    return (T.add(arc, T.constant(self_mask)),
+            _append_ones(mlp("lab", "head", heads)), _append_ones(mlp("lab", "dep", deps)))
 
 
-def tree_log_loss(scores, tree, model):
-    """Summed head + label cross-entropy for one sentence's gold tree."""
-    gold_heads = list(tree.heads)
-    # head loss: softmax over candidate heads, one distribution per dependent
-    per_dep = T.log_softmax(T.transpose(scores.tensor), axis=1)  # [n, n+1]
-    head_nll = T.scale(T.sum_all(T.pick(per_dep, gold_heads)), -1.0)
-    # label loss on gold arcs
-    label_ids = [model.label_names.index(lab) for lab in tree.labels]
-    lab_logp = T.log_softmax(scores.label_scores(gold_heads), axis=1)
-    lab_nll = T.scale(T.sum_all(T.pick(lab_logp, label_ids)), -1.0)
-    return T.add(head_nll, lab_nll)
+def label_scores(scores, heads, model):
+    """[B*n, L] scores of every label on a [B, n] head choice.
+
+    Row b*n + i scores token i+1 of sentence b under head heads[b][i]. One
+    product covers all labels: the lab.U.{i} matrices side by side.
+    """
+    arc, lab_head, lab_dep = scores
+    B, n1, n = arc.shape
+    heads = np.asarray(heads, dtype=np.int64)
+    if heads.shape != (B, n):
+        raise ShapeError(f"label_scores: heads {heads.shape}, expected {(B, n)}")
+    L, width = len(model.label_names), lab_dep.shape[1]
+    rows = T.take_rows(lab_head, (heads + n1 * np.arange(B)[:, None]).ravel())
+    U = T.concat([model.table[f"lab.U.{i}"] for i in range(L)], axis=1)  # [m+1, L*(m+1)]
+    prod = T.reshape(T.matmul(rows, U), (B * n, L, width))
+    return T.reshape(T.matmul(prod, T.reshape(lab_dep, (B * n, width, 1))), (B * n, L))
+
+
+def tree_log_loss(scores, trees, model):
+    """Summed head + label cross-entropy of a bucket's gold trees."""
+    B, n1, n = scores[0].shape
+    heads = np.array([tree.heads for tree in trees])
+    label_ids = [model.label_names.index(lab) for tree in trees for lab in tree.labels]
+    # one softmax over candidate heads per dependent
+    per_dep = T.log_softmax(T.reshape(T.transpose(scores[0]), (B * n, n1)), axis=1)
+    head_lp = T.sum_all(T.pick(per_dep, heads.ravel()))
+    lab_lp = T.log_softmax(label_scores(scores, heads, model), axis=1)
+    return T.scale(T.add(head_lp, T.sum_all(T.pick(lab_lp, label_ids))), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +531,12 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
             with T.Tape():
                 # one length per batch, so the encoder runs unmasked
                 positions = parser_encode([prepared[i][0] for i in batch], model)
-                states = sentence_states(positions, [lengths[i] for i in batch])
-                losses = [tree_log_loss(score_arcs(enc, model), prepared[i][1], model)
-                          for enc, i in zip(states, batch)]
-                n_tokens = sum(lengths[i] for i in batch)
-                loss = T.scale(T.add_many(losses) if len(losses) > 1 else losses[0],
-                               1.0 / n_tokens)
+                B, n = len(batch), len(positions)
+                states = T.reshape(T.concat(positions, axis=1), (B, n, model.out_dim))
+                nll = tree_log_loss(score_arcs(states, model),
+                                    [prepared[i][1] for i in batch], model)
+                n_tokens = B * n
+                loss = T.scale(nll, 1.0 / n_tokens)
                 T.backward(loss)
             opt.step()
             total_nll += loss.item() * n_tokens
@@ -574,14 +548,18 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
 
 
 def parse_sentence(tokens, model, enc=None):
-    """Projective tree for one sentence.
+    """Projective tree for one sentence, each token with its best label.
 
     enc, when given, is the sentence's [n, out_dim] states from a batched
     encode (corpus_states); otherwise the sentence is encoded alone.
     """
     if enc is None:
-        [enc] = sentence_states(parser_encode([tokens], model), [len(tokens)])
-    return decode_projective(score_arcs(enc, model))
+        enc = T.concat(parser_encode([tokens], model), axis=0)
+    scores = score_arcs(T.reshape(enc, (1,) + enc.shape), model)
+    tree = decode_projective(scores[0].data[0])
+    best = label_scores(scores, [tree.heads], model).data.argmax(axis=1)
+    tree.labels = [model.label_names[i] for i in best]
+    return tree
 
 
 def evaluate_las(pred, gold):

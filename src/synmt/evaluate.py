@@ -194,8 +194,7 @@ def dump_alignments(model, sources, src_vocab, tgt_vocab, max_len=100,
             continue
         hyp = beam_search(src_vocab.ids(tokens), model, 1, max_len,
                           tree=trees[i] if trees is not None else None,
-                          encoding=encodings[i] if encodings is not None else None,
-                          tokens=tokens)
+                          encoding=encodings[i] if encodings is not None else None)
         records.append(AlignmentRecord(
             i, tokens, tgt_vocab.tokens(hyp.ids, strip_reserved=False), hyp.alphas))
     return records
@@ -220,13 +219,13 @@ def read_alignments(path):
 # Ensemble decoding
 
 
-def ensemble_decode(models, source, beam_size, max_len, trees=None,
-                    encodings=None, tokens=None):
+def ensemble_decode(models, source, beam_size, max_len, trees=None, encodings=None):
     """Beam search over the arithmetic mean of the models' distributions.
 
     source may be one id sequence shared by every model, or a per-model list
-    when vocabularies differ across modes (tree-linearized inputs). trees,
-    encodings and tokens are per-model lists when given. The mean over a
+    when vocabularies differ across modes (tree-linearized inputs). trees
+    and encodings are per-model lists when given; a sawr model reads its
+    parser's states or cached SAWR rows from encodings. The mean over a
     single model is that model's distribution, so one member decodes exactly
     as beam_search does.
     """
@@ -242,16 +241,15 @@ def ensemble_decode(models, source, beam_size, max_len, trees=None,
         raise ValueError(f"{len(sources)} source sequences for {k} models")
     trees = trees or [None] * k
     encodings = encodings or [None] * k
-    tokens = tokens or [None] * k
     if beam_size < 1 or max_len < 1:
         raise ValueError("beam_size and max_len must be at least 1")
 
     hs, states = [], []
-    for m, src, tree, enc, toks in zip(models, sources, trees, encodings, tokens):
+    for m, src, tree, enc in zip(models, sources, trees, encodings):
         ids = np.asarray(list(src), dtype=np.int64)
         if ids.size == 0:
             raise ValueError("empty source sentence")
-        h, s0 = encode_for_decode(m, ids, tree=tree, encoding=enc, tokens=toks)
+        h, s0 = encode_for_decode(m, ids, tree=tree, encoding=enc)
         hs.append(h)
         states.append((s0.data, np.zeros((1, m.hidden_dim))))
 

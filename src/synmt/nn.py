@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .tensor import Tensor
 
 
@@ -62,13 +62,20 @@ class ParamTable:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_state(self, state: dict[str, np.ndarray]):
-        for name, arr in state.items():
-            t = self._params[name]
-            if t.data.shape != arr.shape:
-                raise ShapeError(f"parameter {name}: checkpoint shape {arr.shape} "
-                                 f"!= model shape {t.data.shape}")
-            t.data = np.asarray(arr, dtype=t.data.dtype)
+    def load_state(self, state: dict[str, np.ndarray], source="checkpoint"):
+        """Take every parameter from state, which must hold exactly this
+        table's names and shapes; anything else is a DataError naming source."""
+        for name, t in self._params.items():
+            if name not in state:
+                raise DataError(f"{source}: no entry for parameter {name!r}")
+            if state[name].shape != t.data.shape:
+                raise DataError(f"{source}: parameter {name!r} has shape "
+                                f"{state[name].shape}, the model's is {t.data.shape}")
+        unknown = [name for name in state if name not in self._params]
+        if unknown:
+            raise DataError(f"{source}: unknown entry {unknown[0]!r}")
+        for name, t in self._params.items():
+            t.data = np.asarray(state[name], dtype=t.data.dtype)
 
     def bytes_of(self, prefix: str) -> bytes:
         """Raw little-endian bytes of all parameters under a prefix (freeze checks)."""

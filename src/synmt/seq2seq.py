@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from . import syntax
 from . import tensor as T
-from .checkpoint import load_checkpoint, pop_meta, save_checkpoint
+from .checkpoint import load_checkpoint, meta_errors, pop_meta, save_checkpoint
 from .data import BOS, EOS
 from .errors import ShapeError, StateError
 
@@ -162,19 +162,20 @@ class TranslationModel:
         meta = pop_meta(arrays, path)
         parser = None
         trainable = False
-        pm = meta.pop("parser", None)
-        if pm is not None:
-            from .depparse import ParserModel
-            trainable = pm["trainable"]
-            parser = ParserModel(pm["vocab"], pm["label_names"],
-                                 embed_dim=pm["embed_dim"], hidden_dim=pm["hidden_dim"],
-                                 mlp_dim=pm["mlp_dim"], layers=pm["layers"])
-        model = cls(meta["src_vocab_size"], meta["tgt_vocab_size"], mode=meta["mode"],
-                    emb_dim=meta["emb_dim"], hidden_dim=meta["hidden_dim"],
-                    sawr_dim=meta["sawr_dim"], sawr_in_dim=meta["sawr_in_dim"],
-                    tree_hidden=meta["tree_hidden"], dropout=meta["dropout"],
-                    parser=parser, parser_trainable=trainable, seed=meta["seed"])
-        model.table.load_state(arrays)
+        with meta_errors(path):
+            pm = meta.pop("parser", None)
+            if pm is not None:
+                from .depparse import ParserModel
+                trainable = pm["trainable"]
+                parser = ParserModel(pm["vocab"], pm["label_names"],
+                                     embed_dim=pm["embed_dim"], hidden_dim=pm["hidden_dim"],
+                                     mlp_dim=pm["mlp_dim"], layers=pm["layers"])
+            model = cls(meta["src_vocab_size"], meta["tgt_vocab_size"], mode=meta["mode"],
+                        emb_dim=meta["emb_dim"], hidden_dim=meta["hidden_dim"],
+                        sawr_dim=meta["sawr_dim"], sawr_in_dim=meta["sawr_in_dim"],
+                        tree_hidden=meta["tree_hidden"], dropout=meta["dropout"],
+                        parser=parser, parser_trainable=trainable, seed=meta["seed"])
+        model.table.load_state(arrays, path)
         return model
 
 
@@ -202,7 +203,7 @@ def attend(s_prev, h, Wa, bias=None):
     return T.reshape(T.matmul(alpha, h), (rows, H)), T.reshape(alpha, (rows, n))
 
 
-def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
+def decode_step(y_prev, c_prev, s_prev, h, model):
     """One decoder step for a row batch of hypotheses of one source.
 
     y_prev: previous target id (int) or one id per row; h [1, n, H] memory.
@@ -215,7 +216,7 @@ def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
     x = T.concat([e, c_prev], axis=1)
     s = model.dec.step(x, s_prev)
     c, alpha = attend(s, h, model.table["att.W"])
-    dist = T.softmax(model.output_logits(s, c, mode=mode), axis=1)
+    dist = T.softmax(model.output_logits(s, c, mode="eval"), axis=1)
     return dist, s, c, alpha
 
 
@@ -224,7 +225,7 @@ def decode_step(y_prev, c_prev, s_prev, h, model, mode="eval"):
 
 
 def _parser_outputs(model, lens, width, encodings, tokens):
-    """Per-position [B, parser_dim] parser encodings, cached or live."""
+    """Per-position [B, parser_dim] parser encodings, cached or (training) live."""
     in_dim = model.sawr.in_dim
     if encodings is not None:
         padded = np.zeros((len(lens), width, in_dim))
@@ -235,8 +236,8 @@ def _parser_outputs(model, lens, width, encodings, tokens):
             padded[b, :lens[b]] = enc
         return [T.constant(np.ascontiguousarray(padded[:, i])) for i in range(width)]
     if model.parser is None or tokens is None:
-        raise StateError("sawr mode needs cached encodings, or an attached parser "
-                         "plus the raw source tokens")
+        raise StateError("sawr mode needs cached encodings (a parser model's states "
+                         "when decoding), or an attached parser plus the batch's tokens")
     from .depparse import parser_encode
     for b, toks in enumerate(tokens):
         if len(toks) != lens[b]:
@@ -422,20 +423,18 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
     return build(active[k], row(k), False)
 
 
-def encode_for_decode(model, ids, tree=None, encoding=None, tokens=None):
+def encode_for_decode(model, ids, tree=None, encoding=None):
     """Encoder pass for one source sentence: (memory [1, n, H], initial state [1, H])."""
     ids = np.asarray(ids, dtype=np.int64)
     xs, _ = _input_positions(model, ids[None, :], np.array([ids.size]),
                              trees=[tree] if tree is not None else None,
-                             encodings=[encoding] if encoding is not None else None,
-                             tokens=[tokens] if tokens is not None else None)
+                             encodings=[encoding] if encoding is not None else None)
     hs = nn.birnn_encode(xs, model.enc_fwd, model.enc_bwd)
     h = T.reshape(T.concat(hs, axis=1), (1, ids.size, model.hidden_dim))
     return h, model.init_state(hs[0])
 
 
-def beam_search(source, model, beam_size, max_len, tree=None, encoding=None,
-                tokens=None):
+def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
     """Best Hypothesis under raw log-prob beam search.
 
     beam_size=1 is exactly greedy decoding. max_len counts emitted tokens
@@ -449,7 +448,7 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None,
     ids = np.asarray(list(source), dtype=np.int64)
     if ids.size == 0:
         raise ValueError("empty source sentence")
-    h, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding, tokens=tokens)
+    h, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding)
 
     def step(y_prev, states):
         [(s, c)] = states
@@ -462,6 +461,5 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None,
     return _run_beam(step, states, beam_size, max_len, model.tgt_vocab_size)
 
 
-def greedy_decode(source, model, max_len, tree=None, encoding=None, tokens=None):
-    return beam_search(source, model, 1, max_len, tree=tree, encoding=encoding,
-                       tokens=tokens)
+def greedy_decode(source, model, max_len, tree=None, encoding=None):
+    return beam_search(source, model, 1, max_len, tree=tree, encoding=encoding)

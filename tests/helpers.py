@@ -6,6 +6,7 @@ deliberately independent of the package's code, so tests compare two
 implementations, not one implementation with itself.
 """
 
+import json
 from contextlib import contextmanager
 from itertools import product
 from unittest import mock
@@ -244,6 +245,24 @@ def rewrite_meta(path, meta):
     save_checkpoint(path, state)
 
 
+def edit_entries(path, edit):
+    """Rewrite a checkpoint after edit(state) changed its entry dict in place."""
+    from synmt.checkpoint import load_checkpoint, save_checkpoint
+
+    state = load_checkpoint(path)
+    edit(state)
+    save_checkpoint(path, state)
+
+
+def edit_meta(path, edit):
+    """Rewrite a checkpoint's __meta__ after edit(meta) changed the decoded object."""
+    from synmt.checkpoint import load_checkpoint
+
+    meta = json.loads(bytes(load_checkpoint(path)["__meta__"]).decode("utf-8"))
+    edit(meta)
+    rewrite_meta(path, json.dumps(meta).encode("utf-8"))
+
+
 BAD_METAS = [b"{bad", b"\xff{}", b"[1, 2]", None]
 
 
@@ -371,3 +390,8 @@ def encode_one(tokens, model):
     """One sentence through the batched parser encoder: its [n, out_dim] states."""
     [enc] = sentence_states(parser_encode([tokens], model), [len(tokens)])
     return enc
+
+
+def one_bucket(enc):
+    """One sentence's [n, out_dim] states as a [1, n, out_dim] scoring bucket."""
+    return T.reshape(enc, (1, *enc.shape))

@@ -37,7 +37,7 @@ from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
                            encode_for_decode, greedy_decode, sequence_loss,
                            train_step)
 
-from helpers import (brute_force_decode, encode_one, enumerate_best,
+from helpers import (brute_force_decode, encode_one, enumerate_best, one_bucket,
                      random_projective_tree, tree_gru_encode_naive)
 
 FX = Path(__file__).parent / "fixtures"
@@ -199,7 +199,7 @@ def _grad_biaffine(i):
 
     def loss(_):
         enc = encode_one(toks, model)
-        return T.scale(tree_log_loss(score_arcs(enc, model), gold, model),
+        return T.scale(tree_log_loss(score_arcs(one_bucket(enc), model), [gold], model),
                        1.0 / n)
 
     return T.grad_check(loss, model.table[BIAFFINE_PARAMS[i % len(BIAFFINE_PARAMS)]])

@@ -19,7 +19,7 @@ from synmt.depparse import read_treebank, write_treebank
 from synmt.evaluate import bleu, read_alignments
 from synmt.syntax import read_sawr_cache
 
-from helpers import rewrite_meta
+from helpers import edit_entries, edit_meta, rewrite_meta
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -355,6 +355,23 @@ class TestPipeline:
         self._bundle_copy(pipeline, bad)
         rewrite_meta(bad, b"{bad")
         assert "__meta__" in self._translate_error(pipeline, bad, capsys)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda state: state.update(bogus=np.zeros(2)), "unknown entry 'bogus'"),
+        (lambda state: state.pop("att.W"), "no entry for parameter 'att.W'"),
+    ])
+    def test_checkpoint_entries_must_match_the_model(self, pipeline, tmp_path, capsys,
+                                                     edit, message):
+        bad = tmp_path / "bad.ckpt"
+        self._bundle_copy(pipeline, bad)
+        edit_entries(bad, edit)
+        assert f"{bad}: {message}" in self._translate_error(pipeline, bad, capsys)
+
+    def test_metadata_without_a_field_exits_2(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        self._bundle_copy(pipeline, bad)
+        edit_meta(bad, lambda meta: meta.pop("mode"))
+        assert f"{bad}: __meta__ lacks 'mode'" in self._translate_error(pipeline, bad, capsys)
 
     def test_align_dump_rows_are_distributions(self, pipeline, tmp_path):
         out = tmp_path / "align.jsonl"

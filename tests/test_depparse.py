@@ -1,5 +1,7 @@
 """Dependency parsing: tree invariants, treebank I/O, Eisner decoding, training."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,16 @@ from hypothesis import strategies as st
 
 from synmt import depparse
 from synmt import tensor as T
-from synmt.depparse import (ArcScores, DependencyTree, ParserModel, decode_projective,
-                            evaluate_las, has_crossing_arcs, normalize_root,
+from synmt.depparse import (DependencyTree, ParserModel, decode_projective, evaluate_las,
+                            has_crossing_arcs, label_scores, normalize_root,
                             parse_sentence, parser_encode, projectivize, read_treebank,
                             score_arcs, train_parser, tree_log_loss, write_treebank)
-from synmt.errors import DataError
+from synmt.errors import DataError, ShapeError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
-                     encode_one, random_projective_tree, rewrite_meta,
-                     toy_grammar_sentences, tuple_chart_decode)
+                     edit_entries, edit_meta, encode_one, one_bucket,
+                     random_projective_tree, rewrite_meta, toy_grammar_sentences,
+                     tuple_chart_decode)
 
 
 def score_matrix(kind, n, rng, self_arcs):
@@ -268,18 +271,23 @@ class TestParserModel:
     def test_score_shape_and_finite(self):
         model, _ = tiny_parser(toy_grammar_sentences(6, seed=11))
         enc = encode_one(["d0", "a1", "n1", "v0", "d1", "n2"], model)
-        scores = score_arcs(enc, model)
-        assert scores.matrix.shape == (7, 6)
-        off_diag = [scores.matrix[h, d] for h in range(7) for d in range(6) if h != d + 1]
-        assert np.all(np.isfinite(off_diag))
-        assert all(scores.matrix[d + 1, d] == -np.inf for d in range(6))
+        arc, lab_head, lab_dep = score_arcs(one_bucket(enc), model)
+        assert arc.shape == (1, 7, 6)
+        assert lab_head.shape == (7, model.mlp_dim + 1)
+        assert lab_dep.shape == (6, model.mlp_dim + 1)
+        matrix = arc.data[0]
+        assert np.all(np.isfinite(matrix))
+        off_diag = [matrix[h, d] for h in range(7) for d in range(6) if h != d + 1]
+        # every self-arc scores far below every other arc
+        assert all(matrix[d + 1, d] < min(off_diag) - 1e8 for d in range(6))
 
     def test_zero_params_decode_still_valid(self):
         model = ParserModel({"<unk>": 0, "w": 1}, ["dep", "root"], embed_dim=6,
                             hidden_dim=6, mlp_dim=5, seed=0)
         for _, t in model.table.items():
             t.data[:] = 0.0
-        tree = decode_projective(score_arcs(encode_one(["w"] * 5, model), model))
+        arc, _, _ = score_arcs(one_bucket(encode_one(["w"] * 5, model)), model)
+        tree = decode_projective(arc.data[0])
         tree.validate()
         assert tree.is_projective()
 
@@ -290,7 +298,8 @@ class TestParserModel:
 
         def loss(_):
             enc = encode_one(["a", "b", "a"], model)
-            return T.scale(tree_log_loss(score_arcs(enc, model), gold, model), 1 / 3)
+            return T.scale(tree_log_loss(score_arcs(one_bucket(enc), model), [gold], model),
+                           1 / 3)
 
         names = ["emb", "arc.U", "lab.U.0", "arc.head.W", "lab.dep.b", "root",
                  "enc.l0.fwd.input.W", "enc.l1.bwd.cell.U"]
@@ -317,6 +326,31 @@ class TestParserModel:
         with pytest.raises(DataError, match="__meta__"):
             ParserModel.load(path)
 
+    def small_checkpoint(self, tmp_path):
+        path = tmp_path / "parser.ckpt"
+        ParserModel({"<unk>": 0, "a": 1}, ["x", "y"], embed_dim=3, hidden_dim=3,
+                    mlp_dim=2, layers=1).save(path)
+        return path
+
+    def test_checkpoint_without_a_parameter_is_a_data_error(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        edit_entries(path, lambda state: state.pop("lab.U.0"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: no entry for parameter "
+                                                      f"'lab.U.0'")):
+            ParserModel.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("labels"), "__meta__ lacks 'labels'"),
+        (lambda meta: meta.update(hidden_dim=None), "invalid __meta__"),
+        (lambda meta: meta.update(vocab={"a": 0}), "invalid __meta__"),
+        (lambda meta: meta.update(labels=["x"]), "unknown entry 'lab.U.1'"),
+    ])
+    def test_bad_metadata_field_is_a_data_error(self, tmp_path, edit, message):
+        path = self.small_checkpoint(tmp_path)
+        edit_meta(path, edit)
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            ParserModel.load(path)
+
     def test_save_load_round_trip(self, tmp_path):
         model, _ = tiny_parser(toy_grammar_sentences(8, seed=12), epochs=2)
         path = tmp_path / "parser.ckpt"
@@ -327,6 +361,84 @@ class TestParserModel:
         a = encode_one(sent, model).data
         b = encode_one(sent, loaded).data
         assert np.array_equal(a, b)
+
+
+class TestBatchedScorer:
+    LABELS = ["a", "b", "c", "root"]
+
+    def model(self, labels=LABELS, seed=21):
+        return ParserModel({"<unk>": 0, "x": 1, "y": 2}, labels, embed_dim=5,
+                           hidden_dim=4, mlp_dim=3, layers=1, seed=seed)
+
+    def bucket(self, model, B, n, seed):
+        """B random sentences of n tokens, their [B, n, out_dim] states and gold trees."""
+        rng = T.make_rng(seed)
+        sents = [[("x", "y", "zz")[int(k)] for k in rng.integers(0, 3, size=n)]
+                 for _ in range(B)]
+        trees = [random_projective_tree(n, rng, labels=model.label_names) for _ in range(B)]
+        positions = parser_encode(sents, model)
+        states = T.reshape(T.concat(positions, axis=1), (B, n, model.out_dim))
+        return sents, states, trees
+
+    def test_a_bucket_scores_as_its_sentences_alone(self):
+        model = self.model()
+        B, n = 4, 5
+        sents, states, trees = self.bucket(model, B, n, seed=3)
+        scores = score_arcs(states, model)
+        heads = np.array([t.heads for t in trees])
+        labels = label_scores(scores, heads, model).data
+        loss = tree_log_loss(scores, trees, model).item()
+        alone_loss = 0.0
+        for b, (toks, tree) in enumerate(zip(sents, trees)):
+            one = score_arcs(one_bucket(encode_one(toks, model)), model)
+            assert np.abs(scores[0].data[b] - one[0].data[0]).max() <= 1e-12
+            one_labels = label_scores(one, [tree.heads], model).data
+            assert np.abs(labels[b * n:(b + 1) * n] - one_labels).max() <= 1e-12
+            alone_loss += tree_log_loss(one, [tree], model).item()
+        assert abs(loss - alone_loss) <= 1e-12 * abs(alone_loss)
+
+    def test_label_scores_are_one_bilinear_form_per_label(self):
+        model = self.model()
+        _, states, trees = self.bucket(model, 3, 4, seed=5)
+        scores = score_arcs(states, model)
+        _, lab_head, lab_dep = scores
+        heads = np.array([t.heads for t in trees])
+        got = label_scores(scores, heads, model).data
+        for b in range(3):
+            for i in range(4):
+                row = lab_head.data[b * 5 + heads[b, i]]
+                want = [row @ model.table[f"lab.U.{k}"].data @ lab_dep.data[b * 4 + i]
+                        for k in range(len(self.LABELS))]
+                assert np.allclose(got[b * 4 + i], want, rtol=0, atol=1e-12)
+
+    def test_head_choice_shape_checked(self):
+        model = self.model()
+        _, states, _ = self.bucket(model, 2, 3, seed=7)
+        with pytest.raises(ShapeError):
+            label_scores(score_arcs(states, model), [[0, 1, 1]], model)
+
+    def test_tape_nodes_do_not_grow_with_bucket_or_labels(self):
+        counts = set()
+        for labels in (["a", "root"], ["a", "b", "c", "d", "e", "f", "root"]):
+            model = self.model(labels)
+            for B in (1, 4):
+                _, states, trees = self.bucket(model, B, 3, seed=B)
+                states = T.Tensor(states.data, requires_grad=True)
+                with T.Tape() as tape:
+                    tree_log_loss(score_arcs(states, model), trees, model)
+                    counts.add(len(tape))
+        assert len(counts) == 1, counts
+
+    def test_parse_labels_the_decoded_heads(self):
+        model = self.model(seed=4)
+        toks = ["x", "y", "x", "zz", "y"]
+        enc = encode_one(toks, model)
+        scores = score_arcs(one_bucket(enc), model)
+        tree = parse_sentence(toks, model)
+        assert tree.heads == decode_projective(scores[0].data[0]).heads
+        best = label_scores(scores, [tree.heads], model).data.argmax(axis=1)
+        assert tree.labels == [self.LABELS[k] for k in best]
+        assert parse_sentence(toks, model, enc) == tree
 
 
 class TestTraining:

@@ -354,6 +354,21 @@ class TestCheckpoint:
         for (_, a), (_, b) in zip(table.items(), table2.items()):
             assert np.array_equal(a.data, b.data)
 
+    def test_load_state_takes_exactly_the_tables_names(self):
+        table = nn.ParamTable()
+        table.add("a", T.zeros((2, 3)))
+        table.add("b", T.zeros((1, 3)))
+        full = {"a": np.ones((2, 3)), "b": np.ones((1, 3))}
+        bad = [({"a": full["a"]}, "m.ckpt: no entry for parameter 'b'"),
+               ({**full, "c": np.ones(1)}, "m.ckpt: unknown entry 'c'"),
+               ({**full, "b": np.ones((3, 1))}, "m.ckpt: parameter 'b' has shape (3, 1)")]
+        for state, message in bad:
+            with pytest.raises(DataError, match=re.escape(message)):
+                table.load_state(state, "m.ckpt")
+            assert not table["a"].data.any()  # nothing was taken
+        table.load_state(full, "m.ckpt")
+        assert table["a"].data.all() and table["b"].data.all()
+
 
 class TestOpenNew:
     def test_replaces_without_truncating_in_place(self, tmp_path):

@@ -1,5 +1,7 @@
 """Translator: encoding, attention, decoder steps, training, beam search."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from synmt.seq2seq import (Hypothesis, TranslationModel, _top_k, attend, beam_se
                            greedy_decode, sequence_loss, train_step)
 
 from helpers import enumerate_best  # shared with the acceptance suite
-from helpers import BAD_METAS, full_length_beam, rewrite_meta
+from helpers import BAD_METAS, edit_entries, edit_meta, full_length_beam, rewrite_meta
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -507,4 +509,30 @@ class TestCheckpointRoundTrip:
         tiny_model().save(path)
         rewrite_meta(path, meta)
         with pytest.raises(DataError, match="__meta__"):
+            TranslationModel.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda state: state.update(bogus=np.zeros(2)), "unknown entry 'bogus'"),
+        (lambda state: state.pop("att.W"), "no entry for parameter 'att.W'"),
+        (lambda state: state.update({"att.W": np.zeros((8, 7))}), "parameter 'att.W' has shape"),
+    ])
+    def test_entries_must_match_the_model(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        tiny_model().save(path)
+        edit_entries(path, edit)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            TranslationModel.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("mode"), "__meta__ lacks 'mode'"),
+        (lambda meta: meta.update(emb_dim="6"), "invalid __meta__"),
+        (lambda meta: meta.update(mode="bogus"), "invalid __meta__"),
+        (lambda meta: meta.update(dropout=None), "invalid __meta__"),
+        (lambda meta: meta.update(parser=[]), "invalid __meta__"),
+    ])
+    def test_bad_metadata_field_is_a_data_error(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        tiny_model().save(path)
+        edit_meta(path, edit)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             TranslationModel.load(path)
