@@ -17,6 +17,9 @@ that keeps the parser untouched while the translator trains around it.
     python3 demos/04_syntax_injection.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from synmt import nn
@@ -61,14 +64,16 @@ print("extracted encodings:", len(encodings), "arrays, first two shapes",
 
 # Extraction is the expensive half, so there is a binary cache format. The
 # cache remembers which parser produced it and refuses to load for another.
-write_sawr_cache("/tmp/demo.sawr", encodings, parser_hash="c0ffee")
-back, _ = read_sawr_cache("/tmp/demo.sawr", parser_hash="c0ffee")
-print("cache round trip intact:",
-      all(np.array_equal(a, b) for a, b in zip(encodings, back)))
-try:
-    read_sawr_cache("/tmp/demo.sawr", parser_hash="deadbeef")
-except DataError as exc:
-    print("stale-cache refusal:", str(exc)[:66], "...")
+with tempfile.TemporaryDirectory() as tmp:
+    cache = os.path.join(tmp, "demo.sawr")
+    write_sawr_cache(cache, encodings, parser_hash="c0ffee")
+    back, _ = read_sawr_cache(cache, parser_hash="c0ffee")
+    print("cache round trip intact:",
+          all(np.array_equal(a, b) for a, b in zip(encodings, back)))
+    try:
+        read_sawr_cache(cache, parser_hash="deadbeef")
+    except DataError as exc:
+        print("stale-cache refusal:", str(exc).removeprefix(cache + ": ")[:66], "...")
 
 # Attaching the parser shares its tensors into the translator's table under
 # the parser.* prefix. By default they are frozen: the translator trains,
@@ -116,9 +121,11 @@ trees = [DependencyTree([2, 3, 0, 3], ["det", "nsubj", "root", "obj"]),
 embs = [T.constant(T.make_rng(30 + i).normal(size=(t.n, 6)))
         for i, t in enumerate(trees)]
 
-batched = tree_gru_encode_batch(embs, trees, tree_params)
-gap = max(float(np.abs(b.data - tree_gru_encode_batch([e], [t], tree_params)[0].data).max())
-          for b, e, t in zip(batched, embs, trees))
+# the batch is every sentence's rows stacked, and so is the output
+batched = tree_gru_encode_batch(T.concat(embs, axis=0), trees, tree_params).data
+starts = np.cumsum([0] + [t.n for t in trees])
+gap = max(float(np.abs(batched[a:a + t.n] - tree_gru_encode_batch(e, [t], tree_params).data).max())
+          for a, e, t in zip(starts, embs, trees))
 print(f"\ntree-GRU batch vs one tree at a time, worst gap: {gap:.2e}")
 print("per-token tree state size:", tree_params.out_dim,
       "(hidden from each direction)")

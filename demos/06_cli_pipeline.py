@@ -23,7 +23,9 @@ from synmt.cli import main
 from synmt.evaluate import read_alignments
 
 FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
-work = Path(tempfile.mkdtemp(prefix="synmt-demo-"))
+# removed at the end, or at interpreter exit if a step fails first
+tmp = tempfile.TemporaryDirectory(prefix="synmt-demo-")
+work = Path(tmp.name)
 print("corpus:", FIXTURES / "copy.src", "\nworkdir:", work, "\n")
 
 
@@ -122,3 +124,5 @@ print("\nbad mode     -> exit", main(["train-nmt", "--mode", "quantum"]))
 print("missing file -> exit", main(["evaluate", "--hyp", "no-such-file.txt",
                                     "--ref", str(FIXTURES / "copy.dev.tgt"),
                                     "--out", str(work / "never.bleu")]))
+
+tmp.cleanup()

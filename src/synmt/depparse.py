@@ -297,6 +297,8 @@ class ParserModel:
         self.vocab = dict(vocab)  # token -> id; must contain "<unk>"
         if "<unk>" not in self.vocab:
             raise ValueError('parser vocabulary must contain "<unk>"')
+        nn.check_dims(embed_dim=embed_dim, hidden_dim=hidden_dim, mlp_dim=mlp_dim,
+                      layers=layers)
         self.label_names = list(label_names)
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
@@ -329,16 +331,14 @@ class ParserModel:
     def encode_positions(self, id_matrix, mask=None):
         """Run the stacked encoder over a [B, n] id matrix.
 
-        Returns a list of n tensors [B, 2*hidden]. mask, when given, is the
-        [B, n] 0/1 array of real tokens in a right-padded batch: every layer
-        carries each direction's state across padded steps, so each sentence
-        encodes as if alone, and padded rows hold that carried state.
+        Returns the top layer's [B, n, 2*hidden] states. mask, when given, is
+        the [B, n] 0/1 array of real tokens in a right-padded batch: every
+        layer carries each direction's state across padded steps, so each
+        sentence encodes as if alone, and padded rows hold that carried state.
         """
-        emb = self.table["emb"]
-        seq = [T.take_rows(emb, id_matrix[:, i]) for i in range(id_matrix.shape[1])]
-        for fwd, bwd in self.cells:
-            seq = nn.birnn_encode(seq, fwd, bwd, mask=mask)
-        return seq
+        B, n = id_matrix.shape
+        x = T.take_rows(self.table["emb"], id_matrix.ravel())  # row b*n + i: token i of b
+        return nn.birnn_encode(T.reshape(x, (B, n, self.embed_dim)), self.cells, mask)
 
     def save(self, path):
         state = self.table.state_dict()
@@ -369,9 +369,9 @@ ENCODE_CHUNK = 32
 def parser_encode(sentences, model):
     """Encode a batch of token lists in one right-padded, masked pass.
 
-    Returns the top layer as a list over positions of [B, out_dim] tensors:
-    row b of entry i is token i of sentence b. Rows past a sentence's end
-    are padding; sentence_states drops them and the translator masks them.
+    Returns the top layer's [B, n, out_dim] states: [b, i] is token i of
+    sentence b. Positions past a sentence's end are padding; corpus_states
+    drops them and the translator masks them.
     """
     lens = [len(toks) for toks in sentences]
     if not lens or min(lens) == 0:
@@ -381,12 +381,6 @@ def parser_encode(sentences, model):
     for b, toks in enumerate(sentences):
         ids[b, :lens[b]] = model.word_ids(toks)
     return model.encode_positions(ids, nn.length_mask(lens, width))
-
-
-def sentence_states(positions, lens):
-    """Per-sentence [n_b, out_dim] tensors from parser_encode's position list."""
-    stacked = T.concat(positions, axis=0)  # row i*B + b is token i of sentence b
-    return [T.take_rows(stacked, np.arange(n) * len(lens) + b) for b, n in enumerate(lens)]
 
 
 def corpus_states(sentences, model):
@@ -399,10 +393,9 @@ def corpus_states(sentences, model):
     out = [None] * len(sentences)
     for k in range(0, len(order), ENCODE_CHUNK):
         chunk = order[k:k + ENCODE_CHUNK]
-        batch = [sentences[i] for i in chunk]
-        states = sentence_states(parser_encode(batch, model), [len(t) for t in batch])
-        for i, enc in zip(chunk, states):
-            out[i] = enc
+        states = parser_encode([sentences[i] for i in chunk], model).data
+        for b, i in enumerate(chunk):
+            out[i] = T.constant(states[b, :len(sentences[i])])
     return out
 
 
@@ -530,12 +523,10 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
         for batch in _length_batches(list(range(len(prepared))), lengths, batch_size, rng):
             with T.Tape():
                 # one length per batch, so the encoder runs unmasked
-                positions = parser_encode([prepared[i][0] for i in batch], model)
-                B, n = len(batch), len(positions)
-                states = T.reshape(T.concat(positions, axis=1), (B, n, model.out_dim))
+                states = parser_encode([prepared[i][0] for i in batch], model)
                 nll = tree_log_loss(score_arcs(states, model),
                                     [prepared[i][1] for i in batch], model)
-                n_tokens = B * n
+                n_tokens = len(batch) * states.shape[1]
                 loss = T.scale(nll, 1.0 / n_tokens)
                 T.backward(loss)
             opt.step()
@@ -553,9 +544,8 @@ def parse_sentence(tokens, model, enc=None):
     enc, when given, is the sentence's [n, out_dim] states from a batched
     encode (corpus_states); otherwise the sentence is encoded alone.
     """
-    if enc is None:
-        enc = T.concat(parser_encode([tokens], model), axis=0)
-    scores = score_arcs(T.reshape(enc, (1,) + enc.shape), model)
+    states = parser_encode([tokens], model) if enc is None else T.reshape(enc, (1, *enc.shape))
+    scores = score_arcs(states, model)
     tree = decode_projective(scores[0].data[0])
     best = label_scores(scores, [tree.heads], model).data.argmax(axis=1)
     tree.labels = [model.label_names[i] for i in best]

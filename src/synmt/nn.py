@@ -86,6 +86,13 @@ class ParamTable:
         return b"".join(chunks)
 
 
+def check_dims(**dims):
+    """Raise ValueError naming the first dimension that is not a positive int."""
+    for name, value in dims.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _init(table: ParamTable, name: str, shape, rng, scale: float) -> Tensor:
     return table.add(name, T.init_uniform(shape, -scale, scale, rng=rng))
 
@@ -190,24 +197,26 @@ def length_mask(lens, width: int) -> np.ndarray | None:
     return (np.arange(width)[None, :] < lens[:, None]).astype(float)
 
 
-def birnn_encode(inputs, fwd, bwd, mask: np.ndarray | None = None):
-    """Bidirectional recurrent encoding: output i is fwd-state i ⊕ bwd-state i.
+def birnn_encode(x: Tensor, layers, mask: np.ndarray | None = None) -> Tensor:
+    """Stacked bidirectional recurrent encoding of a [B, n, d] sequence.
 
-    inputs: list over positions of [batch, dim] tensors.  mask, when given,
-    is a [batch, n] 0/1 array; masked steps carry the previous state through
-    so that right-padded batches encode each sentence as if unpadded.
+    layers: (fwd, bwd) cell pairs, bottom first; layer k reads layer k-1's
+    outputs, and output i of a layer is fwd-state i ⊕ bwd-state i. Returns
+    the top layer as [B, n, H]. mask, when given, is a [B, n] 0/1 array;
+    masked steps carry the previous state through so that right-padded
+    batches encode each sentence as if unpadded.
     """
-    inputs = list(inputs)
-    n = len(inputs)
+    if x.data.ndim != 3:
+        raise ShapeError(f"birnn_encode: input must be [B, n, d], got shape {x.shape}")
+    B, n, d = x.shape
     if n == 0:
         raise ValueError("birnn_encode: empty input sequence")
-    batch = inputs[0].shape[0]
-    cols = None
-    if mask is not None:
-        cols = [T.constant(mask[:, i:i + 1]) for i in range(n)]
+    flat = T.reshape(x, (B, n * d))  # position i is columns i*d .. i*d+d-1
+    inputs = [T.slice_axis(flat, 1, i * d, (i + 1) * d) for i in range(n)]
+    cols = None if mask is None else [T.constant(mask[:, i:i + 1]) for i in range(n)]
 
-    def run(cell, order):
-        state = cell.zero_state(batch)
+    def run(cell, inputs, order):
+        state = cell.zero_state(B)
         outs = [None] * n
         for i in order:
             new = cell.step(inputs[i], state)
@@ -215,9 +224,13 @@ def birnn_encode(inputs, fwd, bwd, mask: np.ndarray | None = None):
             outs[i] = cell.output(state)
         return outs
 
-    f = run(fwd, range(n))
-    b = run(bwd, range(n - 1, -1, -1))
-    return [T.concat([f[i], b[i]], axis=1) for i in range(n)]
+    for k, (fwd, bwd) in enumerate(layers):
+        if k:
+            inputs = [T.concat([f[i], b[i]], axis=1) for i in range(n)]
+        f = run(fwd, inputs, range(n))
+        b = run(bwd, inputs, range(n - 1, -1, -1))
+    top = T.concat([t for i in range(n) for t in (f[i], b[i])], axis=1)
+    return T.reshape(top, (B, n, top.shape[1] // n))
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:

@@ -44,6 +44,10 @@ class TranslationModel:
                  parser_trainable=False, seed=1):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        optional = {"sawr_in_dim": sawr_in_dim, "tree_hidden": tree_hidden}
+        nn.check_dims(src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size,
+                      emb_dim=emb_dim, hidden_dim=hidden_dim, sawr_dim=sawr_dim,
+                      **{k: v for k, v in optional.items() if v is not None})
         if hidden_dim % 2:
             raise ValueError("hidden_dim must be even (it splits into fwd/bwd halves)")
         if tgt_vocab_size <= EOS:
@@ -123,10 +127,11 @@ class TranslationModel:
             self.table.add(f"parser.{name}", tensor)
         syntax.set_parser_trainable(self, trainable)
 
-    def init_state(self, h0):
-        """s_0 = tanh(W h_bwd + b) from the final backward encoder state."""
-        half = self.hidden_dim // 2
-        bwd = T.slice_axis(h0, 1, half, self.hidden_dim)
+    def init_state(self, h):
+        """s_0 = tanh(W h_bwd + b) from the final backward encoder state: the
+        backward half of position 0 in the memory h [B, n, H]."""
+        B, n, H = h.shape
+        bwd = T.slice_axis(T.reshape(h, (B, n * H)), 1, H // 2, H)
         return T.tanh(nn.linear(bwd, self.table["init.W"], self.table["init.b"]))
 
     def output_logits(self, s, c, mode="eval"):
@@ -225,7 +230,7 @@ def decode_step(y_prev, c_prev, s_prev, h, model):
 
 
 def _parser_outputs(model, lens, width, encodings, tokens):
-    """Per-position [B, parser_dim] parser encodings, cached or (training) live."""
+    """[B, width, parser_dim] parser encodings, cached or (training) live."""
     in_dim = model.sawr.in_dim
     if encodings is not None:
         padded = np.zeros((len(lens), width, in_dim))
@@ -234,7 +239,7 @@ def _parser_outputs(model, lens, width, encodings, tokens):
                 raise ShapeError(f"cached encoding {b} has shape {enc.shape}, "
                                  f"expected ({lens[b]}, {in_dim})")
             padded[b, :lens[b]] = enc
-        return [T.constant(np.ascontiguousarray(padded[:, i])) for i in range(width)]
+        return T.constant(padded)
     if model.parser is None or tokens is None:
         raise StateError("sawr mode needs cached encodings (a parser model's states "
                          "when decoding), or an attached parser plus the batch's tokens")
@@ -246,29 +251,31 @@ def _parser_outputs(model, lens, width, encodings, tokens):
     return parser_encode(tokens, model.parser)
 
 
-def _input_positions(model, src, lens, trees=None, encodings=None, tokens=None):
-    """Encoder inputs per position for a padded id matrix src [B, n]."""
+def _encode(model, src, lens, trees=None, encodings=None, tokens=None):
+    """Encoder memory [B, n, H] of a padded id matrix src [B, n], and the
+    [B, n] length mask (None when no row is padded)."""
     B, n = src.shape
     lens = np.asarray(lens)
-    emb = model.table["src_emb"]
-    e_pos = [T.take_rows(emb, src[:, i]) for i in range(n)]
-    if model.mode in ("none", "tree-linearized"):
-        xs = e_pos
-    elif model.mode == "sawr":
-        outs = _parser_outputs(model, lens, n, encodings, tokens)
-        xs = [syntax.sawr_augment(e, syntax.sawr_project(o, model.sawr))
-              for e, o in zip(e_pos, outs)]
-    else:
+    mask = nn.length_mask(lens, n)
+    if model.mode == "tree-rnn":
         if trees is None:
             raise StateError("tree-rnn mode needs a dependency tree per source sentence")
-        embs = [T.take_rows(emb, src[b, :lens[b]]) for b in range(B)]
-        enc = syntax.tree_gru_encode_batch(embs, trees, model.tree)
+        real = np.arange(n)[None, :] < lens[:, None]
+        emb = T.take_rows(model.table["src_emb"], src[real])
+        rows = syntax.tree_gru_encode_batch(emb, trees, model.tree)
         # every sentence's rows, then one zero row that padding positions read
-        rows = T.concat(enc + [T.constant(np.zeros((1, model.tree.out_dim)))], axis=0)
-        starts = np.cumsum(lens) - lens
-        pad = int(lens.sum())
-        xs = [T.take_rows(rows, np.where(i < lens, starts + i, pad)) for i in range(n)]
-    return xs, nn.length_mask(lens, n)
+        rows = T.concat([rows, T.constant(np.zeros((1, model.tree.out_dim)))], axis=0)
+        index = np.full((B, n), rows.shape[0] - 1)
+        index[real] = np.arange(rows.shape[0] - 1)
+        x = T.take_rows(rows, index.ravel())
+    else:
+        x = T.take_rows(model.table["src_emb"], src.ravel())  # row b*n + i: token i of b
+        if model.mode == "sawr":
+            outs = _parser_outputs(model, lens, n, encodings, tokens)
+            outs = T.reshape(outs, (B * n, model.sawr.in_dim))
+            x = syntax.sawr_augment(x, syntax.sawr_project(outs, model.sawr))
+    x = T.reshape(x, (B, n, model.enc_input_dim))
+    return nn.birnn_encode(x, [(model.enc_fwd, model.enc_bwd)], mask), mask
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +291,20 @@ def sequence_loss(batch, model, mode="train"):
     """
     if batch.size == 0:
         raise ValueError("empty batch")
-    xs, mask = _input_positions(model, batch.src, batch.src_lens,
-                                trees=batch.trees, encodings=batch.encodings,
-                                tokens=batch.src_tokens)
-    h_list = nn.birnn_encode(xs, model.enc_fwd, model.enc_bwd, mask=mask)
-    h = T.reshape(T.concat(h_list, axis=1), (batch.size, len(h_list), model.hidden_dim))
+    h, mask = _encode(model, batch.src, batch.src_lens, trees=batch.trees,
+                      encodings=batch.encodings, tokens=batch.src_tokens)
     bias = None if mask is None else (mask - 1.0) * 1e9
-    s = model.init_state(h_list[0])
+    s = model.init_state(h)
     c = T.constant(np.zeros((batch.size, model.hidden_dim)))
     B, m = batch.tgt.shape
     tgt_mask = (np.arange(m)[None, :] < batch.tgt_lens[:, None]).astype(float)
-    emb = model.table["tgt_emb"]
+    # teacher-forced inputs BOS, y_1 .. y_{m-1}: row j*B + b feeds step j of sentence b
+    y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
+    e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
     Wa = model.table["att.W"]
     terms = []
     for j in range(m):
-        y_prev = np.full(B, BOS, dtype=np.int64) if j == 0 else batch.tgt[:, j - 1]
-        x = T.concat([T.take_rows(emb, y_prev), c], axis=1)
+        x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
         s = model.dec.step(x, s)
         c, _ = attend(s, h, Wa, bias)
         lp = T.log_softmax(model.output_logits(s, c, mode=mode), axis=1)
@@ -426,12 +431,10 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
 def encode_for_decode(model, ids, tree=None, encoding=None):
     """Encoder pass for one source sentence: (memory [1, n, H], initial state [1, H])."""
     ids = np.asarray(ids, dtype=np.int64)
-    xs, _ = _input_positions(model, ids[None, :], np.array([ids.size]),
-                             trees=[tree] if tree is not None else None,
-                             encodings=[encoding] if encoding is not None else None)
-    hs = nn.birnn_encode(xs, model.enc_fwd, model.enc_bwd)
-    h = T.reshape(T.concat(hs, axis=1), (1, ids.size, model.hidden_dim))
-    return h, model.init_state(hs[0])
+    h, _ = _encode(model, ids[None, :], np.array([ids.size]),
+                   trees=[tree] if tree is not None else None,
+                   encodings=[encoding] if encoding is not None else None)
+    return h, model.init_state(h)
 
 
 def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):

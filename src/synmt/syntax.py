@@ -116,22 +116,19 @@ def batch_by_level(trees):
     return {"up": up_levels, "down": down_levels}
 
 
-def tree_gru_encode_batch(embs, trees, p):
+def tree_gru_encode_batch(emb, trees, p):
     """Level-batched bidirectional Tree-GRU over a batch of sentences.
 
-    embs: per-sentence [n_i, input_dim] tensors aligned with trees. Returns
-    per-sentence [n_i, 2*hidden] tensors (bottom-up state + top-down state).
-    One GRU step runs per level, not per node; child states are summed through
-    a constant 0/1 aggregation matrix.
+    emb: [N, input_dim] rows of every sentence's tokens, sentence after
+    sentence in the order of trees (N is the trees' total node count).
+    Returns [N, 2*hidden] rows in the same order (bottom-up state + top-down
+    state). One GRU step runs per level, not per node; child states are
+    summed through a constant 0/1 aggregation matrix.
     """
-    if len(embs) != len(trees):
-        raise ValueError(f"{len(embs)} embedding matrices vs {len(trees)} trees")
-    for e, tree in zip(embs, trees):
-        if e.shape[0] != tree.n:
-            raise ValueError(f"{e.shape[0]} embedding rows for a {tree.n}-node tree")
-    schedule = batch_by_level(trees)
-    all_emb = T.concat(embs, axis=0) if len(embs) > 1 else embs[0]
     offsets = np.cumsum([0] + [t.n for t in trees])
+    if emb.shape[0] != offsets[-1]:
+        raise ValueError(f"{emb.shape[0]} embedding rows for trees of {offsets[-1]} nodes")
+    schedule = batch_by_level(trees)
 
     def run(levels, recurrent_rows):
         """recurrent_rows(level_nodes, row_of) -> [L, hidden] recurrent input."""
@@ -139,7 +136,7 @@ def tree_gru_encode_batch(embs, trees, p):
         chunks = []
         for level in levels:
             ids = [offsets[ti] + v - 1 for ti, v in level]
-            x = T.take_rows(all_emb, np.asarray(ids))
+            x = T.take_rows(emb, np.asarray(ids))
             h_prev = recurrent_rows(level, row_of, chunks)
             new = cell.step(x, h_prev)
             base = len(row_of)
@@ -174,13 +171,9 @@ def tree_gru_encode_batch(embs, trees, p):
 
     down_all, down_rows = run(schedule["down"], head_state)
 
-    outs = []
-    for ti, tree in enumerate(trees):
-        up_ids = np.asarray([up_rows[ti, v] for v in range(1, tree.n + 1)])
-        down_ids = np.asarray([down_rows[ti, v] for v in range(1, tree.n + 1)])
-        outs.append(T.concat([T.take_rows(up_all, up_ids),
-                              T.take_rows(down_all, down_ids)], axis=1))
-    return outs
+    nodes = [(ti, v) for ti, tree in enumerate(trees) for v in range(1, tree.n + 1)]
+    return T.concat([T.take_rows(up_all, np.asarray([up_rows[k] for k in nodes])),
+                     T.take_rows(down_all, np.asarray([down_rows[k] for k in nodes]))], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 
 from synmt import tensor as T
-from synmt.depparse import DependencyTree, parser_encode, sentence_states
+from synmt.depparse import DependencyTree, parser_encode
 
 
 def random_projective_tree(n, rng, labels=("det", "amod", "nsubj", "obj", "root")):
@@ -168,6 +168,16 @@ def tuple_chart_decode(matrix):
                         best_cl = cand
                 CL[i, j] = best_cl
     return list(CR[0, n][1])
+
+
+def records_on(tape, tensor):
+    """How many records on tape read tensor as an input."""
+    return sum(any(t is tensor for t in inputs) for _, inputs, _ in tape.records)
+
+
+def split_rows(rows, trees):
+    """Per-tree blocks of a packed [N, d] array, one tree's rows after another."""
+    return np.split(rows, np.cumsum([t.n for t in trees])[:-1])
 
 
 def tree_gru_encode_naive(emb, tree, p):
@@ -388,8 +398,8 @@ def toy_grammar_sentences(count, seed, vocab_per_pos=8):
 
 def encode_one(tokens, model):
     """One sentence through the batched parser encoder: its [n, out_dim] states."""
-    [enc] = sentence_states(parser_encode([tokens], model), [len(tokens)])
-    return enc
+    states = parser_encode([tokens], model)
+    return T.reshape(states, states.shape[1:])
 
 
 def one_bucket(enc):

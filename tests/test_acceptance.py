@@ -38,7 +38,7 @@ from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
                            train_step)
 
 from helpers import (brute_force_decode, encode_one, enumerate_best, one_bucket,
-                     random_projective_tree, tree_gru_encode_naive)
+                     random_projective_tree, split_rows, tree_gru_encode_naive)
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -98,13 +98,12 @@ def _grad_birnn(i):
     table = nn.ParamTable()
     fwd = nn.GruParams(table, "f", 2, 2, T.make_rng(300 + i))
     bwd = nn.GruParams(table, "b", 2, 2, T.make_rng(301 + i))
-    xs = [T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-          for _ in range(1 + i % 4)]
+    x = T.Tensor(rng.normal(size=(1, 1 + i % 4, 2)), requires_grad=True)
 
     def loss(_):
-        return T.sum_all(T.tanh(T.concat(nn.birnn_encode(xs, fwd, bwd), axis=0)))
+        return T.sum_all(T.tanh(nn.birnn_encode(x, [(fwd, bwd)])))
 
-    targets = xs + [t for _, t in table.items()]
+    targets = [x] + [t for _, t in table.items()]
     return T.grad_check(loss, targets[i % len(targets)])
 
 
@@ -218,7 +217,7 @@ def _grad_tree_gru(i):
     table.add("emb", T.init_uniform((tree.n, 3), -0.5, 0.5, rng=rng))
 
     def loss(_):
-        return T.sum_all(T.tanh(syntax.tree_gru_encode_batch([table["emb"]], [tree], p)[0]))
+        return T.sum_all(T.tanh(syntax.tree_gru_encode_batch(table["emb"], [tree], p)))
 
     return T.grad_check(loss, table[TREE_PARAMS[i % len(TREE_PARAMS)]])
 
@@ -407,10 +406,10 @@ def test_criterion_07_tree_gru_batching(capsys):
             trees = [random_projective_tree(int(rng.integers(1, 13)), rng)
                      for _ in range(group)]
             embs = [T.constant(rng.normal(size=(t.n, 3))) for t in trees]
-            batched = syntax.tree_gru_encode_batch(embs, trees, p)
-            for e, t, out in zip(embs, trees, batched):
+            batched = syntax.tree_gru_encode_batch(T.concat(embs, axis=0), trees, p)
+            for e, t, out in zip(embs, trees, split_rows(batched.data, trees)):
                 naive = tree_gru_encode_naive(e, t, p)
-                gap = np.abs(out.data - naive.data).max()
+                gap = np.abs(out - naive.data).max()
                 assert gap <= 1e-5
                 worst = max(worst, gap)
             done += group

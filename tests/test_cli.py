@@ -373,6 +373,26 @@ class TestPipeline:
         edit_meta(bad, lambda meta: meta.pop("mode"))
         assert f"{bad}: __meta__ lacks 'mode'" in self._translate_error(pipeline, bad, capsys)
 
+    def test_translator_dimension_of_the_wrong_type_exits_2(self, pipeline, tmp_path,
+                                                              capsys):
+        bad = tmp_path / "bad.ckpt"
+        self._bundle_copy(pipeline, bad)
+        edit_meta(bad, lambda meta: meta.update(hidden_dim="3"))
+        err = self._translate_error(pipeline, bad, capsys)
+        assert "hidden_dim" in err and "shape" not in err
+
+    def test_parser_dimension_of_the_wrong_type_exits_2(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "parser.ckpt"
+        bad.write_bytes((pipeline / "parser.ckpt").read_bytes())
+        edit_meta(bad, lambda meta: meta.update(hidden_dim="3"))
+        capsys.readouterr()
+        rc = main(["extract-sawr", "--parser", str(bad),
+                   "--src", str(pipeline / "dev.src"), "--out", str(tmp_path / "o.sawr")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert "hidden_dim" in err and "shape" not in err
+
     def test_align_dump_rows_are_distributions(self, pipeline, tmp_path):
         out = tmp_path / "align.jsonl"
         rc = main(["align-dump", "--model", str(pipeline / "base.ckpt"),

@@ -26,3 +26,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
+    assert not list(tmp_path.glob("synmt-demo-*")), "the demo left its work directory"

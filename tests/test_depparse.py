@@ -17,7 +17,7 @@ from synmt.errors import DataError, ShapeError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
                      edit_entries, edit_meta, encode_one, one_bucket,
-                     random_projective_tree, rewrite_meta, toy_grammar_sentences,
+                     random_projective_tree, records_on, rewrite_meta, toy_grammar_sentences,
                      tuple_chart_decode)
 
 
@@ -250,6 +250,12 @@ def tiny_parser(sents, **kw):
 
 
 class TestParserModel:
+    @pytest.mark.parametrize("field", ["embed_dim", "hidden_dim", "mlp_dim", "layers"])
+    @pytest.mark.parametrize("bad", ["3", True, 0, -1, 3.0, None])
+    def test_rejects_a_dimension_that_is_not_a_positive_int(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ParserModel({"<unk>": 0}, ["x"], **{field: bad})
+
     def test_encode_length_and_dim(self):
         model, _ = tiny_parser(toy_grammar_sentences(6, seed=11))
         enc = encode_one(["d0", "n1", "v2", "d1", "n0", "zzz"], model)
@@ -376,9 +382,15 @@ class TestBatchedScorer:
         sents = [[("x", "y", "zz")[int(k)] for k in rng.integers(0, 3, size=n)]
                  for _ in range(B)]
         trees = [random_projective_tree(n, rng, labels=model.label_names) for _ in range(B)]
-        positions = parser_encode(sents, model)
-        states = T.reshape(T.concat(positions, axis=1), (B, n, model.out_dim))
-        return sents, states, trees
+        return sents, parser_encode(sents, model), trees
+
+    def test_a_training_batch_gathers_the_embeddings_once(self):
+        model = self.model()
+        sents, _, trees = self.bucket(model, 3, 6, seed=4)
+        with T.Tape() as tape:
+            states = parser_encode(sents, model)
+            T.backward(tree_log_loss(score_arcs(states, model), trees, model))
+            assert records_on(tape, model.table["emb"]) == 1
 
     def test_a_bucket_scores_as_its_sentences_alone(self):
         model = self.model()

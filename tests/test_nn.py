@@ -86,72 +86,122 @@ class TestLstmStep:
             assert T.grad_check(loss, target) < 1e-4
 
 
+def op_counts(records):
+    """Tape records per primitive, keyed by the op's function name."""
+    counts = {}
+    for _, _, fn in records:
+        op = fn.__qualname__.split(".")[0]
+        counts[op] = counts.get(op, 0) + 1
+    return counts
+
+
 class TestBirnn:
     def test_empty_rejected(self):
         _, fwd = make_gru(2, 3, seed=1)
         _, bwd = make_gru(2, 3, seed=2)
         with pytest.raises(ValueError):
-            nn.birnn_encode([], fwd, bwd)
+            nn.birnn_encode(T.zeros((1, 0, 2)), [(fwd, bwd)])
+
+    def test_input_must_be_a_sequence_tensor(self):
+        _, fwd = make_gru(2, 3, seed=1)
+        _, bwd = make_gru(2, 3, seed=2)
+        with pytest.raises(ShapeError):
+            nn.birnn_encode(T.zeros((3, 2)), [(fwd, bwd)])
 
     def test_single_step(self):
         _, fwd = make_gru(2, 3, seed=1)
         _, bwd = make_gru(2, 3, seed=2)
         x = T.Tensor(T.make_rng(3).normal(size=(1, 2)))
-        (out,) = nn.birnn_encode([x], fwd, bwd)
+        out = nn.birnn_encode(T.reshape(x, (1, 1, 2)), [(fwd, bwd)])
         f = fwd.step(x, fwd.zero_state(1))
         b = bwd.step(x, bwd.zero_state(1))
-        assert np.allclose(out.data, np.concatenate([f.data, b.data], axis=1))
+        assert np.allclose(out.data[:, 0], np.concatenate([f.data, b.data], axis=1))
 
     def test_length_preserved_and_dim(self):
         _, fwd = make_gru(2, 3, seed=1)
         _, bwd = make_gru(2, 3, seed=2)
-        rng = T.make_rng(4)
-        xs = [T.Tensor(rng.normal(size=(2, 2))) for _ in range(50)]
-        outs = nn.birnn_encode(xs, fwd, bwd)
-        assert len(outs) == 50
-        assert all(o.shape == (2, 6) for o in outs)
+        x = T.Tensor(T.make_rng(4).normal(size=(2, 50, 2)))
+        assert nn.birnn_encode(x, [(fwd, bwd)]).shape == (2, 50, 6)
 
     def test_reversal_symmetry(self):
         # same params both directions: reversing the input reverses the output
         # sequence with the forward/backward halves swapped
         _, cell = make_gru(2, 3, seed=7)
-        rng = T.make_rng(8)
-        xs = [T.Tensor(rng.normal(size=(1, 2))) for _ in range(5)]
-        outs = nn.birnn_encode(xs, cell, cell)
-        routs = nn.birnn_encode(xs[::-1], cell, cell)
+        x = T.make_rng(8).normal(size=(1, 5, 2))
+        outs = nn.birnn_encode(T.Tensor(x), [(cell, cell)]).data
+        routs = nn.birnn_encode(T.Tensor(x[:, ::-1]), [(cell, cell)]).data
         for i in range(5):
-            fwd_half, bwd_half = outs[i].data[:, :3], outs[i].data[:, 3:]
+            fwd_half, bwd_half = outs[:, i, :3], outs[:, i, 3:]
             swapped = np.concatenate([bwd_half, fwd_half], axis=1)
-            assert np.allclose(routs[4 - i].data, swapped)
+            assert np.allclose(routs[:, 4 - i], swapped)
 
     def test_mask_matches_unpadded_run(self):
         _, fwd = make_gru(2, 3, seed=1)
         _, bwd = make_gru(2, 3, seed=2)
         rng = T.make_rng(9)
-        sent = [rng.normal(size=(1, 2)) for _ in range(3)]
-        plain = nn.birnn_encode([T.Tensor(v) for v in sent], fwd, bwd)
+        sent = rng.normal(size=(1, 3, 2))
+        plain = nn.birnn_encode(T.Tensor(sent), [(fwd, bwd)])
         # pad to length 5 inside a 2-sentence batch
-        other = [rng.normal(size=(1, 2)) for _ in range(5)]
-        stacked = [T.Tensor(np.concatenate([sent[i] if i < 3 else np.zeros((1, 2)), other[i]]))
-                   for i in range(5)]
+        other = rng.normal(size=(1, 5, 2))
+        stacked = np.concatenate([np.pad(sent, ((0, 0), (0, 2), (0, 0))), other])
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-        padded = nn.birnn_encode(stacked, fwd, bwd, mask=mask)
+        padded = nn.birnn_encode(T.Tensor(stacked), [(fwd, bwd)], mask=mask)
         for i in range(3):
-            assert np.allclose(padded[i].data[0], plain[i].data[0])
+            assert np.allclose(padded.data[0, i], plain.data[0, i])
 
     def test_gradients_through_encoder(self):
         table = nn.ParamTable()
         rng = T.make_rng(10)
         fwd = nn.GruParams(table, "f", 2, 2, rng)
         bwd = nn.GruParams(table, "b", 2, 2, rng)
-        xs = [T.Tensor(rng.normal(size=(1, 2)), requires_grad=True) for _ in range(3)]
+        x = T.Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
 
         def loss(_):
-            outs = nn.birnn_encode(xs, fwd, bwd)
-            return T.sum_all(T.tanh(T.concat(outs, axis=0)))
+            return T.sum_all(T.tanh(nn.birnn_encode(x, [(fwd, bwd)])))
 
-        for target in xs + [t for _, t in table.items()]:
+        for target in [x] + [t for _, t in table.items()]:
             assert T.grad_check(loss, target) < 1e-4
+
+    def test_stacked_layers_equal_one_layer_at_a_time(self):
+        table = nn.ParamTable()
+        rng = T.make_rng(11)
+        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 3, rng),
+                   nn.LstmParams(table, f"l{k}.bwd", d, 3, rng)) for k, d in ((0, 2), (1, 6))]
+        x = T.Tensor(rng.normal(size=(2, 4, 2)))
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=float)
+        low = nn.birnn_encode(x, layers[:1], mask=mask)
+        one_by_one = nn.birnn_encode(low, layers[1:], mask=mask)
+        stacked = nn.birnn_encode(x, layers, mask=mask)
+        assert stacked.shape == (2, 4, 6)
+        assert np.array_equal(stacked.data, one_by_one.data)
+
+    def test_two_layer_lstm_gradients_over_a_padded_batch(self):
+        table = nn.ParamTable()
+        rng = T.make_rng(12)
+        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 2, rng),
+                   nn.LstmParams(table, f"l{k}.bwd", d, 2, rng)) for k, d in ((0, 3), (1, 4))]
+        x = T.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=float)
+
+        def loss(_):
+            return T.sum_all(T.tanh(nn.birnn_encode(x, layers, mask=mask)))
+
+        for target in (x, table["l0.fwd.input.W"], table["l1.bwd.forget.U"]):
+            assert T.grad_check(loss, target) < 1e-4
+
+    def test_one_read_per_position_and_a_fixed_number_of_joins(self):
+        _, fwd = make_gru(2, 3, seed=1)
+        _, bwd = make_gru(2, 3, seed=2)
+        counts = {}
+        for n in (3, 7):
+            x = T.Tensor(T.make_rng(n).normal(size=(2, n, 2)), requires_grad=True)
+            with T.Tape() as tape:
+                nn.birnn_encode(x, [(fwd, bwd)])
+                counts[n] = op_counts(tape.records)
+        for n, c in counts.items():
+            assert c["slice_axis"] == n
+        assert counts[3]["concat"] == counts[7]["concat"] == 1
+        assert counts[3]["reshape"] == counts[7]["reshape"] == 2
 
 
 class TestLinear:

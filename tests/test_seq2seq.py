@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from synmt import nn
 from synmt import tensor as T
 from synmt.data import BOS, EOS, Batch, filter_and_batch
+from synmt.depparse import DependencyTree, ParserModel
 from synmt.errors import DataError, ShapeError
 from synmt.evaluate import ensemble_decode
 from synmt.seq2seq import (Hypothesis, TranslationModel, _top_k, attend, beam_search,
@@ -17,7 +18,8 @@ from synmt.seq2seq import (Hypothesis, TranslationModel, _top_k, attend, beam_se
                            greedy_decode, sequence_loss, train_step)
 
 from helpers import enumerate_best  # shared with the acceptance suite
-from helpers import BAD_METAS, edit_entries, edit_meta, full_length_beam, rewrite_meta
+from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam, records_on,
+                     rewrite_meta)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -36,6 +38,18 @@ class TestModelConstruction:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             tiny_model(mode="syntax-magic")
+
+    @pytest.mark.parametrize("field, bad", [
+        (field, bad) for field in ("src_vocab_size", "tgt_vocab_size", "emb_dim", "hidden_dim",
+                                   "sawr_dim", "tree_hidden", "sawr_in_dim")
+        for bad in ("8", True, 0, -2, 8.0)] + [  # None asks for a default in the last two
+        (field, None) for field in ("src_vocab_size", "tgt_vocab_size", "emb_dim", "hidden_dim",
+                                    "sawr_dim")])
+    def test_rejects_a_dimension_that_is_not_a_positive_int(self, field, bad):
+        kw = {"src_vocab_size": 13, "tgt_vocab_size": 9, "emb_dim": 6, "hidden_dim": 8,
+              "mode": "tree-rnn", field: bad}
+        with pytest.raises(ValueError, match=field):
+            TranslationModel(kw.pop("src_vocab_size"), kw.pop("tgt_vocab_size"), **kw)
 
     def test_rejects_odd_hidden(self):
         with pytest.raises(ValueError, match="even"):
@@ -65,33 +79,32 @@ class TestModelConstruction:
 class TestEncodeSource:
     def test_shapes_and_determinism(self):
         m = tiny_model()
-        xs = [T.constant(np.ones((2, 6))) for _ in range(5)]
-        h1 = nn.birnn_encode(xs, m.enc_fwd, m.enc_bwd)
-        h2 = nn.birnn_encode(xs, m.enc_fwd, m.enc_bwd)
-        assert len(h1) == 5
-        for a, b in zip(h1, h2):
-            assert a.shape == (2, 8)
-            assert np.array_equal(a.data, b.data)
+        x = T.constant(np.ones((2, 5, 6)))
+        h1 = nn.birnn_encode(x, [(m.enc_fwd, m.enc_bwd)])
+        h2 = nn.birnn_encode(x, [(m.enc_fwd, m.enc_bwd)])
+        assert h1.shape == (2, 5, 8)
+        assert np.array_equal(h1.data, h2.data)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             m = tiny_model()
-            nn.birnn_encode([], m.enc_fwd, m.enc_bwd)
+            nn.birnn_encode(T.zeros((1, 0, 6)), [(m.enc_fwd, m.enc_bwd)])
 
     def test_state_is_forward_backward_concat(self):
         # each half must equal a manual unidirectional pass over the inputs
         m = tiny_model()
         rng = T.make_rng(0)
         xs = [T.constant(rng.normal(size=(1, 6))) for _ in range(3)]
-        hs = nn.birnn_encode(xs, m.enc_fwd, m.enc_bwd)
+        hs = nn.birnn_encode(T.constant(np.stack([x.data for x in xs], axis=1)),
+                             [(m.enc_fwd, m.enc_bwd)]).data
         f = m.enc_fwd.zero_state(1)
         for i, x in enumerate(xs):
             f = m.enc_fwd.step(x, f)
-            assert np.allclose(hs[i].data[:, :4], f.data)
+            assert np.allclose(hs[:, i, :4], f.data)
         b = m.enc_bwd.zero_state(1)
         for i in reversed(range(3)):
             b = m.enc_bwd.step(xs[i], b)
-            assert np.allclose(hs[i].data[:, 4:], b.data)
+            assert np.allclose(hs[:, i, 4:], b.data)
 
 
 class TestAttend:
@@ -465,6 +478,31 @@ class TestEarlyStop:
             hyp = beam_search([4, 5, 6], tiny_model(seed=seed), 1, 12)
             assert hyp.steps == len(hyp.ids)
             assert not hyp.stopped_early
+
+
+class TestOneGatherPerTable:
+    """A padded batch reads each embedding table with one gather, not one
+    per source position or target step."""
+
+    @pytest.mark.parametrize("mode", ["none", "tree-rnn", "sawr"])
+    def test_sequence_loss_gathers_each_table_once(self, mode):
+        kw, extra = {}, {}
+        if mode == "tree-rnn":
+            extra["trees"] = [DependencyTree([2, 0, 2]), DependencyTree([0, 1])]
+        if mode == "sawr":
+            kw["parser"] = ParserModel({"<unk>": 0, "a": 1}, ["x"], embed_dim=3,
+                                       hidden_dim=2, mlp_dim=2, layers=2)
+            kw["parser_trainable"] = True
+            extra["src_tokens"] = [["a", "a", "b"], ["b", "a"]]
+        m = tiny_model(mode=mode, **kw)
+        batch = Batch([[4, 5, 6], [7, 4]], [[5, 6, 7, 3], [8, 3]], **extra)
+        assert batch.src_lens.min() < batch.src.shape[1]
+        assert batch.tgt_lens.min() < batch.tgt.shape[1]
+        names = ["src_emb", "tgt_emb"] + (["parser.emb"] if mode == "sawr" else [])
+        with T.Tape() as tape:
+            sequence_loss(batch, m)
+            counts = [records_on(tape, m.table[name]) for name in names]
+        assert counts == [1] * len(names)
 
 
 class TestSyntaxModeBatches:

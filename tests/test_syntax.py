@@ -8,12 +8,12 @@ import pytest
 from synmt import cli, depparse, nn, syntax
 from synmt import tensor as T
 from synmt.data import Batch, BpeModel, Vocabulary, filter_and_batch
-from synmt.depparse import DependencyTree, ParserModel, parser_encode, sentence_states
+from synmt.depparse import DependencyTree, ParserModel, parser_encode
 from synmt.errors import DataError, ShapeError, StateError
 from synmt.evaluate import read_alignments
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import encode_one, random_projective_tree, tree_gru_encode_naive
+from helpers import encode_one, random_projective_tree, split_rows, tree_gru_encode_naive
 
 
 def projection(in_dim, out_dim, seed=0):
@@ -179,11 +179,11 @@ class TestLiveParserBatch:
 
     def test_rows_match_one_sentence_encodes(self):
         parser = self.model().parser
-        states = sentence_states(parser_encode(TOKENS, parser), [len(t) for t in TOKENS])
+        states = parser_encode(TOKENS, parser).data
         for toks, enc in zip(TOKENS, states):
             one = encode_one(toks, parser)
-            assert enc.shape == one.shape
-            assert np.abs(enc.data - one.data).max() <= 1e-12
+            assert enc[:len(toks)].shape == one.shape
+            assert np.abs(enc[:len(toks)] - one.data).max() <= 1e-12
 
     def test_gradients_through_padded_sawr_tuned_loss(self):
         m, batch = self.model(), self.batch()
@@ -253,7 +253,7 @@ class TestTreeGru:
     def test_single_node_uses_zero_and_root_states(self):
         p = tree_params(4, 3)
         e = T.constant(T.make_rng(1).normal(size=(1, 4)))
-        out = syntax.tree_gru_encode_batch([e], [DependencyTree([0], ["root"])], p)[0]
+        out = syntax.tree_gru_encode_batch(e, [DependencyTree([0], ["root"])], p)
         up = p.up.step(e, p.up.zero_state(1))
         down = p.down.step(e, p.root)
         assert np.allclose(out.data[:, :3], up.data)
@@ -263,7 +263,7 @@ class TestTreeGru:
         p = tree_params(3, 4)
         tree = DependencyTree([0, 1, 2], ["root", "obj", "obj"])
         e = T.constant(T.make_rng(2).normal(size=(3, 3)))
-        fast = syntax.tree_gru_encode_batch([e], [tree], p)[0]
+        fast = syntax.tree_gru_encode_batch(e, [tree], p)
         slow = tree_gru_encode_naive(e, tree, p)
         assert np.abs(fast.data - slow.data).max() < 1e-5
 
@@ -271,7 +271,7 @@ class TestTreeGru:
         p = tree_params(3, 4)
         tree = DependencyTree([0, 1, 1, 1, 1, 1])
         e = T.constant(T.make_rng(3).normal(size=(6, 3)))
-        out = syntax.tree_gru_encode_batch([e], [tree], p)[0]
+        out = syntax.tree_gru_encode_batch(e, [tree], p)
         head_down = p.down.step(T.slice_axis(e, 0, 0, 1), p.root)
         for child in range(1, 6):
             expect = p.down.step(T.slice_axis(e, 0, child, child + 1), head_down)
@@ -284,7 +284,7 @@ class TestTreeGru:
             n = int(rng.integers(1, 13))
             tree = random_projective_tree(n, rng)
             e = T.constant(rng.normal(size=(n, 3)))
-            fast = syntax.tree_gru_encode_batch([e], [tree], p)[0]
+            fast = syntax.tree_gru_encode_batch(e, [tree], p)
             slow = tree_gru_encode_naive(e, tree, p)
             assert np.abs(fast.data - slow.data).max() < 1e-5
 
@@ -293,19 +293,19 @@ class TestTreeGru:
         p = tree_params(3, 4, seed=6)
         trees = [random_projective_tree(int(rng.integers(1, 8)), rng) for _ in range(5)]
         embs = [T.constant(rng.normal(size=(t.n, 3))) for t in trees]
-        together = syntax.tree_gru_encode_batch(embs, trees, p)
-        for e, t, out in zip(embs, trees, together):
-            assert np.allclose(out.data, syntax.tree_gru_encode_batch([e], [t], p)[0].data)
+        together = syntax.tree_gru_encode_batch(T.concat(embs, axis=0), trees, p)
+        for e, t, out in zip(embs, trees, split_rows(together.data, trees)):
+            assert np.allclose(out, syntax.tree_gru_encode_batch(e, [t], p).data)
 
     def test_length_mismatch_rejected(self):
         p = tree_params(3, 4)
         tree = DependencyTree([0, 1])
         with pytest.raises(ValueError):
-            syntax.tree_gru_encode_batch([T.zeros((3, 3))], [tree], p)
+            syntax.tree_gru_encode_batch(T.zeros((3, 3)), [tree], p)
         with pytest.raises(ValueError):
             tree_gru_encode_naive(T.zeros((3, 3)), tree, p)
         with pytest.raises(ValueError):
-            syntax.tree_gru_encode_batch([T.zeros((2, 3))], [tree, tree], p)
+            syntax.tree_gru_encode_batch(T.zeros((2, 3)), [tree, tree], p)
 
     def test_gradients_flow_through_both_passes(self):
         table = nn.ParamTable()
@@ -314,7 +314,7 @@ class TestTreeGru:
         emb = table.add("emb", T.init_uniform((3, 3), -0.5, 0.5, rng=T.make_rng(8)))
 
         def loss(_):
-            return T.sum_all(T.tanh(syntax.tree_gru_encode_batch([emb], [tree], p)[0]))
+            return T.sum_all(T.tanh(syntax.tree_gru_encode_batch(emb, [tree], p)))
 
         for name in ("emb", "tree.root", "tree.up.cand.W", "tree.down.update.U"):
             assert T.grad_check(loss, table[name]) < 1e-4, name
@@ -363,10 +363,10 @@ class TestSawrCache:
         # one-sentence rows in the last bit, never by more than reassociation
         parser = small_parser()
         encs = syntax.extract_sawr(parser, TOKENS)
-        batched = sentence_states(parser_encode(TOKENS, parser), [len(t) for t in TOKENS])
+        batched = parser_encode(TOKENS, parser).data
         for toks, enc, same in zip(TOKENS, encs, batched):
             assert enc.shape == (len(toks), parser.out_dim)
-            assert np.array_equal(enc, same.data)
+            assert np.array_equal(enc, same[:len(toks)])
             assert np.abs(enc - encode_one(toks, parser).data).max() <= 1e-12
 
     def test_round_trip(self, tmp_path):
