@@ -364,7 +364,12 @@ def _cmd_train_nmt(cfg, man):
             d["pairs"], cfg.max_src_len, cfg.max_tgt_len, cfg.batch_size,
             cfg.seed + epoch, trees=d["trees"], encodings=d["encodings"],
             src_tokens=d["src_sents"])
-        losses = [train_step(b, model, opt) for b in batches]
+        losses = []
+        for k, b in enumerate(batches, 1):
+            try:
+                losses.append(train_step(b, model, opt))
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"epoch {epoch} batch {k}: {exc}") from None
         train_loss = float(np.mean(losses))
 
         hyps, _ = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,

@@ -471,10 +471,10 @@ def build_parser_vocab(sents):
     return vocab
 
 
-def _length_batches(indices, lengths, batch_size, rng):
+def _length_batches(lengths, batch_size, rng):
     groups = {}
-    for i in indices:
-        groups.setdefault(lengths[i], []).append(i)
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
     batches = []
     for length in sorted(groups):
         members = groups[length]
@@ -492,6 +492,7 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
 
     nonprojective: "projectivize" lifts offending arcs, "skip" drops those
     sentences. Multi-rooted trees are normalized to the first root either way.
+    A non-finite batch loss raises FloatingPointError before the update.
     """
     if not sents:
         raise ValueError("empty treebank")
@@ -520,7 +521,7 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
     history = []
     for epoch in range(epochs):
         total_nll, total_tokens = 0.0, 0
-        for batch in _length_batches(list(range(len(prepared))), lengths, batch_size, rng):
+        for k, batch in enumerate(_length_batches(lengths, batch_size, rng), 1):
             with T.Tape():
                 # one length per batch, so the encoder runs unmasked
                 states = parser_encode([prepared[i][0] for i in batch], model)
@@ -528,6 +529,9 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
                                     [prepared[i][1] for i in batch], model)
                 n_tokens = len(batch) * states.shape[1]
                 loss = T.scale(nll, 1.0 / n_tokens)
+                if not np.isfinite(loss.item()):
+                    raise FloatingPointError(f"epoch {epoch + 1} batch {k}: "
+                                             f"non-finite training loss {loss.item()}")
                 T.backward(loss)
             opt.step()
             total_nll += loss.item() * n_tokens

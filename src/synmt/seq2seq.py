@@ -302,22 +302,32 @@ def sequence_loss(batch, model, mode="train"):
     y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
     e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
     Wa = model.table["att.W"]
-    terms = []
-    for j in range(m):
+    states, contexts = [], []
+    for j in range(m):  # only the recurrence: the output network feeds nothing back
         x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
         s = model.dec.step(x, s)
         c, _ = attend(s, h, Wa, bias)
-        lp = T.log_softmax(model.output_logits(s, c, mode=mode), axis=1)
-        picked = T.pick(lp, batch.tgt[:, j])
-        terms.append(T.mul(picked, T.constant(tgt_mask[:, j:j + 1])))
-    total = T.sum_all(T.add_many(terms) if len(terms) > 1 else terms[0])
+        states.append(s)
+        contexts.append(c)
+    # the output network once over all steps, rows j*B + b as the inputs
+    lp = T.log_softmax(model.output_logits(T.concat(states, axis=0),
+                                           T.concat(contexts, axis=0), mode=mode), axis=1)
+    picked = T.mul(T.pick(lp, batch.tgt.T.ravel()), T.constant(tgt_mask.T.reshape(-1, 1)))
+    # each sentence's terms added step after step, so padded steps add exact zeros
+    total = T.sum_all(T.sum_axis(T.reshape(picked, (m, B)), 0))
     return T.scale(total, -1.0 / float(batch.tgt_lens.sum()))
 
 
 def train_step(batch, model, optimizer):
-    """One teacher-forced update over a Batch; returns mean per-token NLL."""
+    """One teacher-forced update over a Batch; returns mean per-token NLL.
+
+    A non-finite loss raises FloatingPointError before backward, so the
+    parameters and the optimizer state stay as they were.
+    """
     with T.Tape():
         loss = sequence_loss(batch, model, mode="train")
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError(f"non-finite training loss {loss.item()}")
         T.backward(loss)
     optimizer.step()
     return loss.item()

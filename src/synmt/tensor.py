@@ -219,26 +219,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def add_many(parts) -> Tensor:
-    """Sum of equally shaped tensors in one node; gradient fans out unchanged."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("add_many needs at least one tensor")
-    shape = parts[0].data.shape
-    for p in parts[1:]:
-        if p.data.shape != shape:
-            raise ShapeError(f"add_many: shape {p.data.shape} disagrees with {shape}")
-    acc = parts[0].data.copy()
-    for p in parts[1:]:
-        acc += p.data
-    out = Tensor(acc)
-
-    def bwd(g):
-        return tuple(g for _ in parts)
-
-    return _record(out, tuple(parts), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     which = _binary_shapes(a, b, "mul")
     ad, bd = a.data, b.data

@@ -3,7 +3,9 @@
 The references (exhaustive projective enumeration, the loop-per-split Eisner
 chart, the per-node Tree-GRU recursion, the full-length beam loop) are
 deliberately independent of the package's code, so tests compare two
-implementations, not one implementation with itself.
+implementations, not one implementation with itself. The per-step sequence
+loss shares the translator's layers and differs only in where its output
+network runs.
 """
 
 import json
@@ -14,7 +16,9 @@ from unittest import mock
 import numpy as np
 
 from synmt import tensor as T
+from synmt.data import BOS
 from synmt.depparse import DependencyTree, parser_encode
+from synmt.seq2seq import _encode, attend
 
 
 def random_projective_tree(n, rng, labels=("det", "amod", "nsubj", "obj", "root")):
@@ -405,3 +409,27 @@ def encode_one(tokens, model):
 def one_bucket(enc):
     """One sentence's [n, out_dim] states as a [1, n, out_dim] scoring bucket."""
     return T.reshape(enc, (1, *enc.shape))
+
+
+def per_step_sequence_loss(batch, model, mode="train"):
+    """sequence_loss with the output network run inside the target-step loop,
+    one [B, ·] block per step, and the masked per-step terms summed step
+    after step: the oracle of the once-per-batch output network."""
+    h, mask = _encode(model, batch.src, batch.src_lens, trees=batch.trees,
+                      encodings=batch.encodings, tokens=batch.src_tokens)
+    bias = None if mask is None else (mask - 1.0) * 1e9
+    s = model.init_state(h)
+    c = T.constant(np.zeros((batch.size, model.hidden_dim)))
+    B, m = batch.tgt.shape
+    tgt_mask = (np.arange(m)[None, :] < batch.tgt_lens[:, None]).astype(float)
+    y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
+    e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
+    total = None
+    for j in range(m):
+        x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
+        s = model.dec.step(x, s)
+        c, _ = attend(s, h, model.table["att.W"], bias)
+        lp = T.log_softmax(model.output_logits(s, c, mode=mode), axis=1)
+        term = T.mul(T.pick(lp, batch.tgt[:, j]), T.constant(tgt_mask[:, j:j + 1]))
+        total = term if total is None else T.add(total, term)
+    return T.scale(T.sum_all(total), -1.0 / float(batch.tgt_lens.sum()))

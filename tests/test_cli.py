@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from synmt import cli
 from synmt.checkpoint import file_sha256
 from synmt.cli import main
 from synmt.data import read_corpus
@@ -455,3 +456,25 @@ class TestPipeline:
                    "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
                    "--out", str(tmp_path / "x.ckpt")] + SMALL)
         assert rc == 2
+
+    def test_non_finite_loss_exits_3_naming_epoch_and_batch(self, workdir, tmp_path,
+                                                            capsys, monkeypatch):
+        d, out = workdir, tmp_path / "nan.ckpt"
+        saved = []
+
+        def train_step(batch, model, opt):
+            if out.exists() and not saved:  # epoch 1 kept its model: epoch 2, batch 1
+                saved.append(out.read_bytes())
+                model.table["out.logits.b"].data[0, 0] = np.nan
+            return real_train_step(batch, model, opt)
+
+        real_train_step = cli.train_step
+        monkeypatch.setattr(cli, "train_step", train_step)
+        rc = main(["train-nmt",
+                   "--train_src", str(d / "train.src"), "--train_tgt", str(d / "train.tgt"),
+                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                   "--out", str(out)] + SMALL)
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime failure: FloatingPointError: epoch 2 batch 1: non-finite training loss nan"]
+        assert out.read_bytes() == saved[0]  # no checkpoint for the failed epoch

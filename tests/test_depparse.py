@@ -458,6 +458,23 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_parser([])
 
+    def test_non_finite_loss_stops_before_the_update(self, monkeypatch):
+        made = []
+
+        class NanParser(ParserModel):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                self.table["arc.U"].data[0, 0] = np.nan
+                made.append((self, self.table.state_dict()))
+
+        monkeypatch.setattr(depparse, "ParserModel", NanParser)
+        with pytest.raises(FloatingPointError, match="epoch 1 batch 1: non-finite"):
+            tiny_parser(toy_grammar_sentences(10, seed=13))
+        [(model, before)] = made
+        after = model.table.state_dict()
+        assert all(np.array_equal(before[k], after[k], equal_nan=True) for k in before)
+        assert all(t.grad is None for _, t in model.table.items())
+
     def test_loss_descends(self):
         sents = toy_grammar_sentences(10, seed=13)
         _, history = tiny_parser(sents, epochs=3)

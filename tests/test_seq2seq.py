@@ -18,8 +18,8 @@ from synmt.seq2seq import (Hypothesis, TranslationModel, _top_k, attend, beam_se
                            greedy_decode, sequence_loss, train_step)
 
 from helpers import enumerate_best  # shared with the acceptance suite
-from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam, records_on,
-                     rewrite_meta)
+from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam,
+                     per_step_sequence_loss, records_on, rewrite_meta)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -265,6 +265,18 @@ class TestTrainStep:
         b = train_step(padded, m2, nn.Adam(m2.table, lr=1e-3))
         assert a == b
 
+    def test_non_finite_loss_stops_before_the_update(self):
+        m = tiny_model(seed=2)
+        m.table["out.logits.b"].data[0, 4] = np.nan
+        before = m.table.state_dict()
+        opt = nn.Adam(m.table, lr=0.01, clip=5.0)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            train_step(make_batch(PAIRS), m, opt)
+        after = m.table.state_dict()
+        assert all(np.array_equal(before[k], after[k], equal_nan=True) for k in before)
+        assert opt.state.step == 0 and not opt.state.m and not opt.state.v
+        assert m.table.gradients() == {}
+
     def test_source_padding_is_masked_out(self):
         """PAD columns on the source side must not leak into the loss."""
         m = tiny_model(seed=6)
@@ -503,6 +515,58 @@ class TestOneGatherPerTable:
             sequence_loss(batch, m)
             counts = [records_on(tape, m.table[name]) for name in names]
         assert counts == [1] * len(names)
+
+
+def syntax_mode_pair(mode, seed=1, dropout=0.0):
+    """A model in mode (sawr: a live, tuned parser) and a batch padded on
+    both sides that carries what the mode reads."""
+    kw, extra = {}, {}
+    if mode == "tree-rnn":
+        extra["trees"] = [DependencyTree([2, 0, 2]), DependencyTree([0, 1])]
+    if mode == "sawr":
+        kw["parser"] = ParserModel({"<unk>": 0, "a": 1}, ["x"], embed_dim=3,
+                                   hidden_dim=2, mlp_dim=2, layers=2, seed=seed)
+        kw["parser_trainable"] = True
+        extra["src_tokens"] = [["a", "a", "b"], ["b", "a"]]
+    m = tiny_model(mode=mode, seed=seed, dropout=dropout, **kw)
+    batch = Batch([[4, 5, 6], [7, 4]], [[5, 6, 7, 3], [8, 3]], **extra)
+    assert batch.src_lens.min() < batch.src.shape[1]
+    assert batch.tgt_lens.min() < batch.tgt.shape[1]
+    return m, batch
+
+
+class TestOutputNetworkOncePerBatch:
+    """sequence_loss runs only the recurrence per target step and the output
+    network once over the [m*B, ·] stack of states and contexts."""
+
+    @pytest.mark.parametrize("tgt_len", [2, 6])
+    def test_output_weights_are_read_once(self, tgt_len):
+        m = tiny_model(seed=3)
+        tgt = [4 + j % 5 for j in range(tgt_len - 1)] + [EOS]
+        batch = Batch([[4, 5, 6], [7, 4]], [tgt, tgt[1:]])
+        names = ["out.logits.W", "out.hidden.W"]
+        with T.Tape() as tape:
+            sequence_loss(batch, m)
+            counts = [records_on(tape, m.table[name]) for name in names]
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("loss_mode", ["eval", "train"])
+    @pytest.mark.parametrize("mode", ["none", "tree-rnn", "sawr"])
+    def test_matches_the_per_step_output_network(self, mode, loss_mode):
+        # in train mode the two models of one seed draw the same dropout masks
+        results = []
+        for loss_fn in (sequence_loss, per_step_sequence_loss):
+            m, batch = syntax_mode_pair(mode, seed=5, dropout=0.5)
+            with T.Tape():
+                loss = loss_fn(batch, m, mode=loss_mode)
+                T.backward(loss)
+            results.append((loss.item(), m.table.gradients()))
+        (loss, grads), (want, want_grads) = results
+        assert abs(loss - want) <= 1e-12 * abs(want)
+        assert sorted(grads) == sorted(want_grads)
+        for name, g in grads.items():
+            ref = want_grads[name]
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 class TestSyntaxModeBatches:

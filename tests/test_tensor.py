@@ -284,6 +284,7 @@ PRIMITIVE_CASES = {
     "transpose": lambda x, y: T.transpose(x),
     "scale": lambda x, y: T.scale(x, -1.7),
     "sum_axis": lambda x, y: T.sum_axis(x, 1),
+    "sum_axis0": lambda x, y: T.sum_axis(x, 0),
     "scale_rows": lambda x, y: T.scale_rows(x, T.sum_axis(y, 1)),
 }
 
