@@ -158,6 +158,7 @@ def _parser_encodings(models, sents, encodings):
     return encodings
 
 
+@np.errstate(over="raise", invalid="raise")
 def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
                    trees, encodings):
     """Translate token lists back into detokenized text lines.
@@ -171,7 +172,8 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
 
     Returns (lines, stats); stats counts the decoded sentences, the decoder
     steps they took and how many searches stopped before max_len with
-    hypotheses still live.
+    hypotheses still live. An overflow or invalid operation raises
+    FloatingPointError rather than decoding from non-finite values.
     """
     encodings = _parser_encodings(models, sents, encodings)
     out = []
@@ -372,9 +374,12 @@ def _cmd_train_nmt(cfg, man):
                 raise FloatingPointError(f"epoch {epoch} batch {k}: {exc}") from None
         train_loss = float(np.mean(losses))
 
-        hyps, _ = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
-                                 cfg.decode_max_len, trees=d["dev_trees"],
-                                 encodings=[d["dev_encodings"]])
+        try:
+            hyps, _ = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
+                                     cfg.decode_max_len, trees=d["dev_trees"],
+                                     encodings=[d["dev_encodings"]])
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"epoch {epoch} dev decode: {exc}") from None
         dev_bleu = bleu(hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive).score
         seconds = round(time.perf_counter() - t0, 3)
         man.add_epoch(epoch=epoch, train_loss=train_loss, dev_bleu=dev_bleu,

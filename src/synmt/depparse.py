@@ -453,10 +453,10 @@ def tree_log_loss(scores, trees, model):
     heads = np.array([tree.heads for tree in trees])
     label_ids = [model.label_names.index(lab) for tree in trees for lab in tree.labels]
     # one softmax over candidate heads per dependent
-    per_dep = T.log_softmax(T.reshape(T.transpose(scores[0]), (B * n, n1)), axis=1)
-    head_lp = T.sum_all(T.pick(per_dep, heads.ravel()))
-    lab_lp = T.log_softmax(label_scores(scores, heads, model), axis=1)
-    return T.scale(T.add(head_lp, T.sum_all(T.pick(lab_lp, label_ids))), -1.0)
+    per_dep = T.reshape(T.transpose(scores[0]), (B * n, n1))
+    head_lp = T.sum_all(T.nll(per_dep, heads.ravel()))
+    lab_lp = T.sum_all(T.nll(label_scores(scores, heads, model), label_ids))
+    return T.scale(T.add(head_lp, lab_lp), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +492,8 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
 
     nonprojective: "projectivize" lifts offending arcs, "skip" drops those
     sentences. Multi-rooted trees are normalized to the first root either way.
-    A non-finite batch loss raises FloatingPointError before the update.
+    A non-finite batch loss, or an overflow or invalid operation on the way
+    to it or back, raises FloatingPointError before the update.
     """
     if not sents:
         raise ValueError("empty treebank")
@@ -522,18 +523,20 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
     for epoch in range(epochs):
         total_nll, total_tokens = 0.0, 0
         for k, batch in enumerate(_length_batches(lengths, batch_size, rng), 1):
-            with T.Tape():
-                # one length per batch, so the encoder runs unmasked
-                states = parser_encode([prepared[i][0] for i in batch], model)
-                nll = tree_log_loss(score_arcs(states, model),
-                                    [prepared[i][1] for i in batch], model)
-                n_tokens = len(batch) * states.shape[1]
-                loss = T.scale(nll, 1.0 / n_tokens)
-                if not np.isfinite(loss.item()):
-                    raise FloatingPointError(f"epoch {epoch + 1} batch {k}: "
-                                             f"non-finite training loss {loss.item()}")
-                T.backward(loss)
-            opt.step()
+            try:
+                with T.Tape(), np.errstate(over="raise", invalid="raise"):
+                    # one length per batch, so the encoder runs unmasked
+                    states = parser_encode([prepared[i][0] for i in batch], model)
+                    nll = tree_log_loss(score_arcs(states, model),
+                                        [prepared[i][1] for i in batch], model)
+                    n_tokens = len(batch) * states.shape[1]
+                    loss = T.scale(nll, 1.0 / n_tokens)
+                    if not np.isfinite(loss.item()):
+                        raise FloatingPointError(f"non-finite training loss {loss.item()}")
+                    T.backward(loss)
+                opt.step()
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"epoch {epoch + 1} batch {k}: {exc}") from None
             total_nll += loss.item() * n_tokens
             total_tokens += n_tokens
         history.append(total_nll / total_tokens)

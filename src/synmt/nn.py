@@ -97,7 +97,37 @@ def _init(table: ParamTable, name: str, shape, rng, scale: float) -> Tensor:
     return table.add(name, T.init_uniform(shape, -scale, scale, rng=rng))
 
 
-class GruParams:
+class _GatedCell:
+    """Per-gate W [input_dim, H], U [H, H] and b [1, H] under prefix.gate.*."""
+
+    GATES: tuple = ()
+
+    def __init__(self, table: ParamTable, prefix: str, input_dim: int, hidden_dim: int,
+                 rng, scale: float = 0.1):
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.W, self.U, self.b = [], [], []
+        for gate in self.GATES:
+            self.W.append(_init(table, f"{prefix}.{gate}.W", (input_dim, hidden_dim), rng, scale))
+            self.U.append(_init(table, f"{prefix}.{gate}.U", (hidden_dim, hidden_dim), rng, scale))
+            self.b.append(_init(table, f"{prefix}.{gate}.b", (1, hidden_dim), rng, scale))
+
+    def fused(self):
+        """(W, U, b) with the gates side by side in GATES order.
+
+        Concatenated at use time, once per encode call, loss batch or decoded
+        sentence: the tape routes gradients back to the per-gate parameters,
+        and no copy outlives its use.
+        """
+        return tuple(T.concat(parts, axis=1) for parts in (self.W, self.U, self.b))
+
+    def _check(self, x: Tensor, h: Tensor, name: str):
+        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
+            raise ShapeError(f"{name} step: x {x.shape}, h {h.shape} do not match "
+                             f"dims ({self.input_dim}, {self.hidden_dim})")
+
+
+class GruParams(_GatedCell):
     """One GRU cell: update gate z, reset gate r, candidate h̃.
 
     Convention (the update gate interpolates toward the candidate):
@@ -107,83 +137,35 @@ class GruParams:
         h' = (1 - z) * h + z * h̃
     """
 
-    def __init__(self, table: ParamTable, prefix: str, input_dim: int, hidden_dim: int,
-                 rng, scale: float = 0.1):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        for gate in ("update", "reset", "cand"):
-            _init(table, f"{prefix}.{gate}.W", (input_dim, hidden_dim), rng, scale)
-            _init(table, f"{prefix}.{gate}.U", (hidden_dim, hidden_dim), rng, scale)
-            _init(table, f"{prefix}.{gate}.b", (1, hidden_dim), rng, scale)
-        p = table
-        self.Wz, self.Uz, self.bz = p[f"{prefix}.update.W"], p[f"{prefix}.update.U"], p[f"{prefix}.update.b"]
-        self.Wr, self.Ur, self.br = p[f"{prefix}.reset.W"], p[f"{prefix}.reset.U"], p[f"{prefix}.reset.b"]
-        self.Wh, self.Uh, self.bh = p[f"{prefix}.cand.W"], p[f"{prefix}.cand.U"], p[f"{prefix}.cand.b"]
+    GATES = ("update", "reset", "cand")
 
     def zero_state(self, batch: int):
         return T.zeros((batch, self.hidden_dim))
 
-    def step(self, x: Tensor, h: Tensor):
-        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(f"GRU step: x {x.shape}, h {h.shape} do not match "
-                             f"dims ({self.input_dim}, {self.hidden_dim})")
-        z = T.sigmoid(T.add(T.add(T.matmul(x, self.Wz), T.matmul(h, self.Uz)), self.bz))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, self.Wr), T.matmul(h, self.Ur)), self.br))
-        cand = T.tanh(T.add(T.add(T.matmul(x, self.Wh), T.matmul(T.mul(r, h), self.Uh)), self.bh))
-        keep = T.sub(T.constant(np.ones_like(z.data)), z)
-        return T.add(T.mul(keep, h), T.mul(z, cand))
-
-    def output(self, state: Tensor) -> Tensor:
-        return state
-
-    def carry(self, new, old, keep: Tensor):
-        return _masked_carry(new, old, keep)
+    def step(self, x: Tensor, h: Tensor, fused=None):
+        """h' from x [B, input_dim] and h [B, H]; fused is this cell's
+        fused() when the caller runs many steps."""
+        self._check(x, h, "GRU")
+        W, U, b = fused or self.fused()
+        return T.gru_cell(T.matmul(x, W), h, U, b)
 
 
-class LstmParams:
+class LstmParams(_GatedCell):
     """One LSTM cell (input, forget, output gates and cell candidate)."""
 
     GATES = ("input", "forget", "output", "cell")
 
-    def __init__(self, table: ParamTable, prefix: str, input_dim: int, hidden_dim: int,
-                 rng, scale: float = 0.1):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.W, self.U, self.b = {}, {}, {}
-        for gate in self.GATES:
-            self.W[gate] = _init(table, f"{prefix}.{gate}.W", (input_dim, hidden_dim), rng, scale)
-            self.U[gate] = _init(table, f"{prefix}.{gate}.U", (hidden_dim, hidden_dim), rng, scale)
-            self.b[gate] = _init(table, f"{prefix}.{gate}.b", (1, hidden_dim), rng, scale)
-
     def zero_state(self, batch: int):
         return (T.zeros((batch, self.hidden_dim)), T.zeros((batch, self.hidden_dim)))
 
-    def _gate(self, name, x, h):
-        return T.add(T.add(T.matmul(x, self.W[name]), T.matmul(h, self.U[name])), self.b[name])
-
     def step(self, x: Tensor, state):
+        """(h', c') from x [B, input_dim] and state (h, c)."""
         h, c = state
-        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(f"LSTM step: x {x.shape}, h {h.shape} do not match "
-                             f"dims ({self.input_dim}, {self.hidden_dim})")
-        i = T.sigmoid(self._gate("input", x, h))
-        f = T.sigmoid(self._gate("forget", x, h))
-        o = T.sigmoid(self._gate("output", x, h))
-        g = T.tanh(self._gate("cell", x, h))
-        c_new = T.add(T.mul(f, c), T.mul(i, g))
-        return (T.mul(o, T.tanh(c_new)), c_new)
-
-    def output(self, state) -> Tensor:
-        return state[0]
-
-    def carry(self, new, old, keep: Tensor):
-        return (_masked_carry(new[0], old[0], keep), _masked_carry(new[1], old[1], keep))
-
-
-def _masked_carry(new: Tensor, old: Tensor, keep: Tensor) -> Tensor:
-    # keep is a constant [B,1] column of 1 (real token) / 0 (padding)
-    inv = T.constant(1.0 - keep.data)
-    return T.add(T.scale_rows(new, keep), T.scale_rows(old, inv))
+        self._check(x, h, "LSTM")
+        W, U, b = self.fused()
+        hc = T.lstm_cell(T.matmul(x, W), T.concat([h, c], axis=1), U, b)
+        H = self.hidden_dim
+        return (T.slice_axis(hc, 1, 0, H), T.slice_axis(hc, 1, H, 2 * H))
 
 
 def length_mask(lens, width: int) -> np.ndarray | None:
@@ -200,37 +182,49 @@ def length_mask(lens, width: int) -> np.ndarray | None:
 def birnn_encode(x: Tensor, layers, mask: np.ndarray | None = None) -> Tensor:
     """Stacked bidirectional recurrent encoding of a [B, n, d] sequence.
 
-    layers: (fwd, bwd) cell pairs, bottom first; layer k reads layer k-1's
-    outputs, and output i of a layer is fwd-state i ⊕ bwd-state i. Returns
+    layers: (fwd, bwd) cell pairs of one hidden width, bottom first; layer k
+    reads layer k-1's outputs, and output i of a layer is fwd-state i ⊕
+    bwd-state i. Returns
     the top layer as [B, n, H]. mask, when given, is a [B, n] 0/1 array;
     masked steps carry the previous state through so that right-padded
     batches encode each sentence as if unpadded.
+
+    Each direction projects all positions through its fused W in one
+    product; the recurrence then runs one fused cell op per position.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"birnn_encode: input must be [B, n, d], got shape {x.shape}")
     B, n, d = x.shape
     if n == 0:
         raise ValueError("birnn_encode: empty input sequence")
-    flat = T.reshape(x, (B, n * d))  # position i is columns i*d .. i*d+d-1
-    inputs = [T.slice_axis(flat, 1, i * d, (i + 1) * d) for i in range(n)]
-    cols = None if mask is None else [T.constant(mask[:, i:i + 1]) for i in range(n)]
+    keeps = [None] * n if mask is None else [mask[:, i:i + 1] for i in range(n)]
 
-    def run(cell, inputs, order):
-        state = cell.zero_state(B)
-        outs = [None] * n
+    def run(cell, rows, order):
+        """The cell's states at every position; an LSTM's pack h | c."""
+        W, U, b = cell.fused()
+        G = W.shape[1]
+        xw = T.reshape(T.matmul(rows, W), (B, n * G))  # position i: columns i*G ..
+        lstm = isinstance(cell, LstmParams)
+        state = T.zeros((B, (1 + lstm) * cell.hidden_dim))
+        cell_op = T.lstm_cell if lstm else T.gru_cell
+        states = [None] * n
         for i in order:
-            new = cell.step(inputs[i], state)
-            state = cell.carry(new, state, cols[i]) if cols is not None else new
-            outs[i] = cell.output(state)
-        return outs
+            state = cell_op(T.slice_axis(xw, 1, i * G, (i + 1) * G), state, U, b, keeps[i])
+            states[i] = state
+        return states
 
-    for k, (fwd, bwd) in enumerate(layers):
-        if k:
-            inputs = [T.concat([f[i], b[i]], axis=1) for i in range(n)]
-        f = run(fwd, inputs, range(n))
-        b = run(bwd, inputs, range(n - 1, -1, -1))
-    top = T.concat([t for i in range(n) for t in (f[i], b[i])], axis=1)
-    return T.reshape(top, (B, n, top.shape[1] // n))
+    rows = T.reshape(x, (B * n, d))  # row b*n + i: position i of sentence b
+    for fwd, bwd in layers:
+        f = run(fwd, rows, range(n))
+        b = run(bwd, rows, range(n - 1, -1, -1))
+        # row (b*n + i)*2 + direction: one state each
+        states = T.reshape(T.concat([t for i in range(n) for t in (f[i], b[i])], axis=1),
+                           (2 * B * n, f[0].shape[1]))
+        H = fwd.hidden_dim
+        if isinstance(fwd, LstmParams):  # keep h of each h | c
+            states = T.slice_axis(states, 1, 0, H)
+        rows = T.reshape(states, (B * n, 2 * H))
+    return T.reshape(rows, (B, n, rows.shape[1]))
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
@@ -253,14 +247,24 @@ def dropout(x: Tensor, ratio: float, mode: str, rng=None, seed=None) -> Tensor:
     return T.mul(x, T.constant(keep))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
-    """Scale all gradients by threshold/norm when the global L2 norm exceeds it."""
-    if threshold <= 0:
-        raise ValueError("clip threshold must be positive")
+def grad_norm(grads: dict[str, np.ndarray]) -> float:
+    """Global L2 norm over all gradients."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+    return float(np.sqrt(total))
+
+
+def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
+                   norm: float | None = None) -> dict[str, np.ndarray]:
+    """Scale all gradients by threshold/norm when the global L2 norm exceeds it.
+
+    norm, when given, is grad_norm(grads), already computed by the caller.
+    """
+    if threshold <= 0:
+        raise ValueError("clip threshold must be positive")
+    if norm is None:
+        norm = grad_norm(grads)
     if norm > threshold:
         factor = threshold / norm
         for name in grads:
@@ -316,8 +320,14 @@ class Adam:
         self.state = AdamState(beta1, beta2, epsilon)
 
     def step(self):
+        """Raises FloatingPointError, before any update, when the global
+        gradient norm is not finite (an overflowing one included)."""
         grads = self.table.gradients()
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = grad_norm(grads)
+        if not np.isfinite(norm):
+            raise FloatingPointError(f"non-finite gradient norm {norm}")
         if self.clip is not None:
-            clip_gradients(grads, self.clip)
+            clip_gradients(grads, self.clip, norm)
         adam_step(self.table, grads, self.state, self.lr)
         self.table.zero_grad()

@@ -208,10 +208,11 @@ def attend(s_prev, h, Wa, bias=None):
     return T.reshape(T.matmul(alpha, h), (rows, H)), T.reshape(alpha, (rows, n))
 
 
-def decode_step(y_prev, c_prev, s_prev, h, model):
+def decode_step(y_prev, c_prev, s_prev, h, model, dec=None):
     """One decoder step for a row batch of hypotheses of one source.
 
-    y_prev: previous target id (int) or one id per row; h [1, n, H] memory.
+    y_prev: previous target id (int) or one id per row; h [1, n, H] memory;
+    dec, when given, is model.dec.fused(), taken once per decoded sentence.
     Returns (distribution [K, V], new state [K, H], new context [K, H], alpha [K, n]).
     """
     ids = np.atleast_1d(np.asarray(y_prev, dtype=np.int64))
@@ -219,7 +220,7 @@ def decode_step(y_prev, c_prev, s_prev, h, model):
         raise ValueError(f"target id out of range for vocab {model.tgt_vocab_size}")
     e = T.take_rows(model.table["tgt_emb"], ids)
     x = T.concat([e, c_prev], axis=1)
-    s = model.dec.step(x, s_prev)
+    s = model.dec.step(x, s_prev, dec)
     c, alpha = attend(s, h, model.table["att.W"])
     dist = T.softmax(model.output_logits(s, c, mode="eval"), axis=1)
     return dist, s, c, alpha
@@ -302,17 +303,18 @@ def sequence_loss(batch, model, mode="train"):
     y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
     e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
     Wa = model.table["att.W"]
+    dec = model.dec.fused()
     states, contexts = [], []
     for j in range(m):  # only the recurrence: the output network feeds nothing back
         x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
-        s = model.dec.step(x, s)
+        s = model.dec.step(x, s, dec)
         c, _ = attend(s, h, Wa, bias)
         states.append(s)
         contexts.append(c)
     # the output network once over all steps, rows j*B + b as the inputs
-    lp = T.log_softmax(model.output_logits(T.concat(states, axis=0),
-                                           T.concat(contexts, axis=0), mode=mode), axis=1)
-    picked = T.mul(T.pick(lp, batch.tgt.T.ravel()), T.constant(tgt_mask.T.reshape(-1, 1)))
+    logits = model.output_logits(T.concat(states, axis=0), T.concat(contexts, axis=0),
+                                 mode=mode)
+    picked = T.mul(T.nll(logits, batch.tgt.T.ravel()), T.constant(tgt_mask.T.reshape(-1, 1)))
     # each sentence's terms added step after step, so padded steps add exact zeros
     total = T.sum_all(T.sum_axis(T.reshape(picked, (m, B)), 0))
     return T.scale(total, -1.0 / float(batch.tgt_lens.sum()))
@@ -321,10 +323,11 @@ def sequence_loss(batch, model, mode="train"):
 def train_step(batch, model, optimizer):
     """One teacher-forced update over a Batch; returns mean per-token NLL.
 
-    A non-finite loss raises FloatingPointError before backward, so the
+    A non-finite loss, or an overflow or invalid operation on the way to
+    it or back, raises FloatingPointError before the update, so the
     parameters and the optimizer state stay as they were.
     """
-    with T.Tape():
+    with T.Tape(), np.errstate(over="raise", invalid="raise"):
         loss = sequence_loss(batch, model, mode="train")
         if not np.isfinite(loss.item()):
             raise FloatingPointError(f"non-finite training loss {loss.item()}")
@@ -399,6 +402,8 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
         logp, states, alpha = step_fn(y_prev, states)
         steps += 1
         scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
+        if np.isnan(scores).any():
+            raise FloatingPointError(f"decoder step {steps}: NaN in the hypothesis scores")
         flat = scores.ravel()
         order = _top_k(flat, min(beam_size, flat.size))
         new_active, rows = [], []
@@ -462,10 +467,11 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
     if ids.size == 0:
         raise ValueError("empty source sentence")
     h, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding)
+    dec = model.dec.fused()
 
     def step(y_prev, states):
         [(s, c)] = states
-        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, model)
+        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, model, dec)
         with np.errstate(divide="ignore"):
             lp = np.log(dist.data)
         return lp, [(s.data, c.data)], alpha.data

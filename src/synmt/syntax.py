@@ -122,8 +122,9 @@ def tree_gru_encode_batch(emb, trees, p):
     emb: [N, input_dim] rows of every sentence's tokens, sentence after
     sentence in the order of trees (N is the trees' total node count).
     Returns [N, 2*hidden] rows in the same order (bottom-up state + top-down
-    state). One GRU step runs per level, not per node; child states are
-    summed through a constant 0/1 aggregation matrix.
+    state). One GRU step runs per level, not per node, on the rows of one
+    input projection per direction; child states are summed through a
+    constant 0/1 aggregation matrix.
     """
     offsets = np.cumsum([0] + [t.n for t in trees])
     if emb.shape[0] != offsets[-1]:
@@ -134,11 +135,12 @@ def tree_gru_encode_batch(emb, trees, p):
         """recurrent_rows(level_nodes, row_of) -> [L, hidden] recurrent input."""
         row_of = {}
         chunks = []
+        W, U, b = cell.fused()
+        xw = T.matmul(emb, W)
         for level in levels:
             ids = [offsets[ti] + v - 1 for ti, v in level]
-            x = T.take_rows(emb, np.asarray(ids))
             h_prev = recurrent_rows(level, row_of, chunks)
-            new = cell.step(x, h_prev)
+            new = T.gru_cell(T.take_rows(xw, np.asarray(ids)), h_prev, U, b)
             base = len(row_of)
             for k, node in enumerate(level):
                 row_of[node] = base + k

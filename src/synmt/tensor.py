@@ -146,6 +146,20 @@ def _record(out: Tensor, inputs, backward_fn) -> Tensor:
     return out
 
 
+class SliceGrad:
+    """Gradient of a read of one slice (``slice_axis``): zero outside index.
+
+    ``backward`` writes it into one zero buffer per input that it allocated
+    itself, so n reads of an input cost one buffer, not n dense arrays.
+    """
+
+    __slots__ = ("index", "value")
+
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
+
+
 def backward(loss: Tensor):
     """Accumulate gradients of a scalar loss into .grad of the tape's inputs.
 
@@ -153,6 +167,10 @@ def backward(loss: Tensor):
     intermediate's gradient is dropped once passed on to its op's inputs.
     Calling twice without zeroing grads accumulates, matching plain summation
     of the two backward passes.
+
+    Sums are taken in place only in arrays this function allocated: an op
+    may hand one gradient array to several inputs (``add`` does), so an
+    array an op returned is never written to.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -162,7 +180,7 @@ def backward(loss: Tensor):
     if tape.closed:
         raise ValueError("the loss's tape was closed when its `with Tape():` block ended; "
                          "call backward inside the block")
-    grads = {id(loss): (loss, np.ones_like(loss.data))}  # id -> (tensor, gradient)
+    grads = {id(loss): [loss, np.ones_like(loss.data), True]}  # id -> [tensor, gradient, owned]
     for out, inputs, backward_fn in reversed(tape.records):
         entry = grads.pop(id(out), None)
         if entry is None:
@@ -171,8 +189,19 @@ def backward(loss: Tensor):
             if ig is None or not t.requires_grad:
                 continue
             prev = grads.get(id(t))
-            grads[id(t)] = (t, ig if prev is None else prev[1] + ig)
-    for t, g in grads.values():  # only tensors no record on this tape produced
+            if isinstance(ig, SliceGrad):
+                if prev is None:
+                    prev = grads[id(t)] = [t, np.zeros_like(t.data), True]
+                elif not prev[2]:
+                    prev[1:] = [prev[1].copy(), True]
+                prev[1][ig.index] += ig.value
+            elif prev is None:
+                grads[id(t)] = [t, ig, False]
+            elif prev[2]:
+                prev[1] += ig
+            else:
+                grads[id(t)] = [t, prev[1] + ig, True]
+    for t, g, _ in grads.values():  # only tensors no record on this tape produced
         t.grad = g if t.grad is None else t.grad + g
 
 
@@ -230,13 +259,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def _sigmoid_data(xd):
+    # stable on both sides: exp only ever sees -|x| <= 0, written as
+    # min(x, -x) so that a NaN keeps its sign
+    e = np.exp(np.minimum(xd, -xd))
+    return np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid_data(x.data)
     out = Tensor(y)
 
     def bwd(g):
@@ -378,12 +409,11 @@ def concat(parts, axis: int = 0) -> Tensor:
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
-    out = Tensor(x.data[tuple(sl)].copy())
+    sl = tuple(sl)
+    out = Tensor(x.data[sl].copy())
 
     def bwd(g):
-        z = np.zeros_like(x.data)
-        z[tuple(sl)] = g
-        return (z,)
+        return (SliceGrad(sl, g),)
 
     return _record(out, (x,), bwd)
 
@@ -465,6 +495,139 @@ def take_rows(table: Tensor, ids) -> Tensor:
         return (z,)
 
     return _record(out, (table,), bwd)
+
+
+def nll(x: Tensor, ids) -> Tensor:
+    """Log-likelihood of one id per row under a row softmax, in one record.
+
+    The [m, 1] column equals pick(log_softmax(x, axis=1), ids) to the bit; its
+    negated sum is the negative log-likelihood. Only the softmax is kept for
+    backward, which writes -softmax * g once and adds g at the picked ids.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    xd = x.data
+    if xd.ndim != 2 or ids.shape != (xd.shape[0],):
+        raise ShapeError(f"nll: x {xd.shape} needs one id per row, got ids {ids.shape}")
+    if ids.min(initial=0) < 0 or (xd.shape[0] and ids.max() >= xd.shape[1]):
+        raise ValueError("nll: id out of range")
+    rows = np.arange(xd.shape[0])
+    z = xd - xd.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    out = Tensor((z[rows, ids] - lse[:, 0])[:, None])
+    sm = np.exp(np.subtract(z, lse, out=z), out=z)
+
+    def bwd(g):
+        gx = sm * -g
+        gx[rows, ids] += g[:, 0]
+        return (gx,)
+
+    return _record(out, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent cells: one record per step, gates side by side
+
+
+def _cell_shapes(name, xw, state, U, b, gates, parts):
+    """Hidden width H of a cell step, after checking every operand's shape."""
+    B, S = state.data.shape
+    H = S // parts
+    G = gates * H
+    if (S != parts * H or xw.data.shape != (B, G) or U.data.shape != (H, G)
+            or b.data.shape != (1, G)):
+        raise ShapeError(f"{name}: xw {xw.data.shape}, state {state.data.shape}, "
+                         f"U {U.data.shape}, b {b.data.shape} do not conform")
+    return H
+
+
+def _keep_column(keep, batch):
+    keep = np.asarray(keep, dtype=DEFAULT_DTYPE)
+    if keep.shape != (batch, 1):
+        raise ShapeError(f"keep must be a ({batch}, 1) column, got {keep.shape}")
+    return keep, 1.0 - keep
+
+
+def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
+    """One GRU step (nn.GruParams) on a pre-projected input, as one record.
+
+    xw [B, 3H] is x times the gates' W side by side (update | reset |
+    candidate); U [H, 3H] and b [1, 3H] hold the recurrent weights and biases
+    in the same order. Every pre-activation adds (x W + h U) + b. keep, when
+    given, is a [B, 1] 0/1 array: rows with 0 carry h through unchanged.
+    """
+    H = _cell_shapes("gru_cell", xw, h, U, b, 3, 1)
+    xd, hd, Ud, bd = xw.data, h.data, U.data, b.data
+    U_zr, U_c = Ud[:, :2 * H], Ud[:, 2 * H:]
+    zr = _sigmoid_data((xd[:, :2 * H] + hd @ U_zr) + bd[:, :2 * H])
+    z, r = zr[:, :H], zr[:, H:]
+    rh = r * hd
+    cand = np.tanh((xd[:, 2 * H:] + rh @ U_c) + bd[:, 2 * H:])
+    new = (1.0 - z) * hd + z * cand
+    if keep is not None:
+        keep, inv = _keep_column(keep, hd.shape[0])
+        new = new * keep + hd * inv
+    out = Tensor(new)
+
+    def bwd(g):
+        carry = None
+        if keep is not None:
+            carry, g = g * inv, g * keep
+        ga = np.empty_like(xd)  # gradient of the pre-activations
+        ga[:, 2 * H:] = g * z * (1.0 - cand * cand)
+        grh = ga[:, 2 * H:] @ U_c.T
+        ga[:, :H] = g * (cand - hd) * z * (1.0 - z)
+        ga[:, H:2 * H] = grh * hd * r * (1.0 - r)
+        gh = g * (1.0 - z) + grh * r + ga[:, :2 * H] @ U_zr.T
+        if carry is not None:
+            gh += carry
+        gU = np.concatenate([hd.T @ ga[:, :2 * H], rh.T @ ga[:, 2 * H:]], axis=1)
+        return ga, gh, gU, ga.sum(axis=0, keepdims=True)
+
+    return _record(out, (xw, h, U, b), bwd)
+
+
+def lstm_cell(xw: Tensor, state: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
+    """One LSTM step (nn.LstmParams) on a pre-projected input, as one record.
+
+    state [B, 2H] packs h | c, and so does the result. xw [B, 4H] is x times
+    the gates' W side by side (input | forget | output | cell); U [H, 4H]
+    and b [1, 4H] follow the same order. Every pre-activation adds
+    (x W + h U) + b. keep, when given, is a [B, 1] 0/1 array: rows with 0
+    carry the state through unchanged.
+    """
+    H = _cell_shapes("lstm_cell", xw, state, U, b, 4, 2)
+    sd, Ud = state.data, U.data
+    hd, cd = sd[:, :H], sd[:, H:]
+    a = (xw.data + hd @ Ud) + b.data
+    ifo = _sigmoid_data(a[:, :3 * H])
+    i, f, o = ifo[:, :H], ifo[:, H:2 * H], ifo[:, 2 * H:]
+    gg = np.tanh(a[:, 3 * H:])
+    new = np.empty_like(sd)
+    new[:, H:] = f * cd + i * gg
+    tc = np.tanh(new[:, H:])
+    new[:, :H] = o * tc
+    if keep is not None:
+        keep, inv = _keep_column(keep, sd.shape[0])
+        new = new * keep + sd * inv
+    out = Tensor(new)
+
+    def bwd(g):
+        carry = None
+        if keep is not None:
+            carry, g = g * inv, g * keep
+        gh = g[:, :H]
+        gc = g[:, H:] + gh * o * (1.0 - tc * tc)
+        ga = np.empty_like(a)  # gradient of the pre-activations
+        ga[:, :H] = gc * gg * i * (1.0 - i)
+        ga[:, H:2 * H] = gc * cd * f * (1.0 - f)
+        ga[:, 2 * H:3 * H] = gh * tc * o * (1.0 - o)
+        ga[:, 3 * H:] = gc * i * (1.0 - gg * gg)
+        gs = np.concatenate([ga @ Ud.T, gc * f], axis=1)
+        if carry is not None:
+            gs += carry
+        return ga, gs, hd.T @ ga, ga.sum(axis=0, keepdims=True)
+
+    return _record(out, (xw, state, U, b), bwd)
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:

@@ -1,7 +1,8 @@
 """Shared test utilities: tree generators and reference implementations.
 
 The references (exhaustive projective enumeration, the loop-per-split Eisner
-chart, the per-node Tree-GRU recursion, the full-length beam loop) are
+chart, the per-node Tree-GRU recursion, the full-length beam loop, the
+per-gate GRU and LSTM steps, the dense backward sweep) are
 deliberately independent of the package's code, so tests compare two
 implementations, not one implementation with itself. The per-step sequence
 loss shares the translator's layers and differs only in where its output
@@ -182,6 +183,58 @@ def records_on(tape, tensor):
 def split_rows(rows, trees):
     """Per-tree blocks of a packed [N, d] array, one tree's rows after another."""
     return np.split(rows, np.cumsum([t.n for t in trees])[:-1])
+
+
+def gru_step_oracle(x, h, cell):
+    """One GRU step gate by gate, two products and two adds per gate: the
+    reference for the fused tensor.gru_cell behind nn.GruParams."""
+    (Wz, Wr, Wh), (Uz, Ur, Uh), (bz, br, bh) = cell.W, cell.U, cell.b
+    z = T.sigmoid(T.add(T.add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
+    cand = T.tanh(T.add(T.add(T.matmul(x, Wh), T.matmul(T.mul(r, h), Uh)), bh))
+    keep = T.sub(T.constant(np.ones_like(z.data)), z)
+    return T.add(T.mul(keep, h), T.mul(z, cand))
+
+
+def lstm_step_oracle(x, state, cell):
+    """One LSTM step gate by gate: the reference for tensor.lstm_cell."""
+    h, c = state
+
+    def gate(k):
+        return T.add(T.add(T.matmul(x, cell.W[k]), T.matmul(h, cell.U[k])), cell.b[k])
+
+    i, f, o = (T.sigmoid(gate(k)) for k in range(3))
+    g = T.tanh(gate(3))
+    c_new = T.add(T.mul(f, c), T.mul(i, g))
+    return T.mul(o, T.tanh(c_new)), c_new
+
+
+def masked_carry_oracle(new, old, keep):
+    """new where keep [B, 1] is 1, old where it is 0, as two row scalings."""
+    inv = T.constant(1.0 - keep)
+    return T.add(T.scale_rows(new, T.constant(keep)), T.scale_rows(old, inv))
+
+
+def dense_backward(loss):
+    """Leaf gradients of loss, {id(tensor): array}, by the plain reverse sweep:
+    every slice read's gradient becomes a zero array of its whole input, and
+    every sum is taken out of place. The reference for tensor.backward's
+    shared slice buffer and in-place sums; .grad is left untouched."""
+    grads = {id(loss): (loss, np.ones_like(loss.data))}
+    for out, inputs, backward_fn in reversed(loss.tape.records):
+        entry = grads.pop(id(out), None)
+        if entry is None:
+            continue
+        for t, ig in zip(inputs, backward_fn(entry[1])):
+            if ig is None or not t.requires_grad:
+                continue
+            if isinstance(ig, T.SliceGrad):
+                dense = np.zeros_like(t.data)
+                dense[ig.index] = ig.value
+                ig = dense
+            prev = grads.get(id(t))
+            grads[id(t)] = (t, ig if prev is None else prev[1] + ig)
+    return {key: g for key, (_, g) in grads.items()}
 
 
 def tree_gru_encode_naive(emb, tree, p):

@@ -478,3 +478,18 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [
             "runtime failure: FloatingPointError: epoch 2 batch 1: non-finite training loss nan"]
         assert out.read_bytes() == saved[0]  # no checkpoint for the failed epoch
+
+    def test_overflowing_learning_rate_exits_3_naming_epoch_and_batch(self, workdir,
+                                                                     tmp_path, capsys):
+        # the first update throws every parameter out to about 1e300; the
+        # next batch's forward overflows instead of training on infinities
+        d = workdir
+        rc = main(["train-nmt",
+                   "--train_src", str(d / "train.src"), "--train_tgt", str(d / "train.tgt"),
+                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                   "--out", str(tmp_path / "x.ckpt")] + SMALL + ["--learning_rate", "1e300"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("runtime failure: FloatingPointError: epoch 1 batch 2: ")
+        assert not (tmp_path / "x.ckpt").exists()

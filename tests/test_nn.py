@@ -9,11 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synmt import nn
 from synmt import tensor as T
 from synmt.checkpoint import file_sha256, load_checkpoint, open_new, save_checkpoint
 from synmt.errors import DataError, ShapeError
+
+from helpers import gru_step_oracle, lstm_step_oracle, masked_carry_oracle
 
 
 def make_gru(input_dim, hidden_dim, seed=0, prefix="g"):
@@ -84,6 +88,50 @@ class TestLstmStep:
 
         for target in [x] + [t for _, t in table.items()]:
             assert T.grad_check(loss, target) < 1e-4
+
+
+class TestFusedStepsMatchOracles:
+    """tensor.gru_cell and tensor.lstm_cell against the gate-by-gate steps in
+    helpers, with and without a keep column, forward and backward."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 4), H=st.integers(1, 6), d=st.integers(1, 4),
+           seed=st.integers(0, 10_000), masked=st.booleans(), lstm=st.booleans())
+    def test_forward_and_every_gradient(self, B, H, d, seed, masked, lstm):
+        rng = T.make_rng(seed)
+        table, cell = (make_lstm if lstm else make_gru)(d, H, seed=seed)
+        x = T.Tensor(rng.normal(size=(B, d)), requires_grad=True)
+        state = [T.Tensor(rng.normal(size=(B, H)), requires_grad=True)
+                 for _ in range(1 + lstm)]
+        keep = (rng.random((B, 1)) < 0.5).astype(float) if masked else None
+        weights = T.constant(rng.normal(size=(B, (1 + lstm) * H)))
+        inputs = [x] + state + [t for _, t in table.items()]
+
+        def fused():
+            W, U, b = cell.fused()
+            op = T.lstm_cell if lstm else T.gru_cell
+            return op(T.matmul(x, W), T.concat(state, axis=1), U, b, keep)
+
+        def oracle():
+            old = T.concat(state, axis=1)
+            if lstm:
+                new = T.concat(list(lstm_step_oracle(x, state, cell)), axis=1)
+            else:
+                new = gru_step_oracle(x, state[0], cell)
+            return new if keep is None else masked_carry_oracle(new, old, keep)
+
+        results = []
+        for run in (fused, oracle):
+            for t in inputs:
+                t.grad = None
+            with T.Tape():
+                out = run()
+                T.backward(T.sum_all(T.mul(out, weights)))
+            results.append((out.data, [t.grad for t in inputs]))
+        (out, grads), (ref, ref_grads) = results
+        assert np.abs(out - ref).max() <= 1e-12
+        for g, r in zip(grads, ref_grads):
+            assert np.abs(g - r).max() <= 1e-10
 
 
 def op_counts(records):
@@ -199,9 +247,44 @@ class TestBirnn:
                 nn.birnn_encode(x, [(fwd, bwd)])
                 counts[n] = op_counts(tape.records)
         for n, c in counts.items():
-            assert c["slice_axis"] == n
-        assert counts[3]["concat"] == counts[7]["concat"] == 1
-        assert counts[3]["reshape"] == counts[7]["reshape"] == 2
+            assert c["slice_axis"] == 2 * n  # one read of the projected inputs per step
+        # the fused W, U and b of each direction, then one join of all states
+        assert counts[3]["concat"] == counts[7]["concat"] == 7
+        assert counts[3]["reshape"] == counts[7]["reshape"] == 6
+
+    @pytest.mark.parametrize("make, op, layers", [(make_gru, "gru_cell", 1),
+                                                  (make_lstm, "lstm_cell", 2)],
+                             ids=["gru", "lstm"])
+    def test_one_fused_node_per_step_and_a_fixed_rest(self, make, op, layers):
+        # per step and direction: one fused cell record and one read of the
+        # hoisted projection; every other record is independent of n
+        cells = [tuple(make(2 if k == 0 else 6, 3, seed=2 * k + side)[1] for side in (0, 1))
+                 for k in range(layers)]
+        # an LSTM layer adds one read of h from all its packed h | c states
+        h_reads = layers if op == "lstm_cell" else 0
+        rest = {}
+        for n in (3, 7):
+            x = T.Tensor(T.make_rng(n).normal(size=(2, n, 2)), requires_grad=True)
+            with T.Tape() as tape:
+                nn.birnn_encode(x, cells, mask=np.ones((2, n)))
+                c = op_counts(tape.records)
+            assert c.pop(op) == 2 * layers * n
+            assert c.pop("slice_axis") == 2 * layers * n + h_reads
+            rest[n] = c
+        assert rest[3] == rest[7]
+
+    def test_one_step_is_one_fused_node(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        _, gru = make_gru(3, 4)
+        _, lstm = make_lstm(3, 4)
+        with T.Tape() as tape:
+            gru.step(x, gru.zero_state(2))
+            assert op_counts(tape.records) == {"concat": 3, "matmul": 1, "gru_cell": 1}
+        with T.Tape() as tape:
+            lstm.step(x, lstm.zero_state(2))
+            # the zero state packs into h | c off the tape; h and c unpack again
+            assert op_counts(tape.records) == {"concat": 3, "matmul": 1, "lstm_cell": 1,
+                                               "slice_axis": 2}
 
 
 class TestLinear:
@@ -308,6 +391,20 @@ class TestAdam:
         table.add("w", T.Tensor(np.zeros((2, 2)), requires_grad=True))
         with pytest.raises(ShapeError):
             nn.adam_step(table, {"w": np.zeros(3)}, nn.AdamState(), 0.1)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    @pytest.mark.parametrize("clip", [None, 5.0])
+    def test_non_finite_gradient_norm_stops_before_the_update(self, bad, clip):
+        table = nn.ParamTable()
+        w = table.add("w", T.Tensor(np.array([1.0, -2.0]), requires_grad=True))
+        table.add("v", T.Tensor(np.array([3.0]), requires_grad=True))
+        w.grad, table["v"].grad = np.array([0.5, bad]), np.array([1.0])
+        opt = nn.Adam(table, lr=0.1, clip=clip)
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            opt.step()
+        assert np.array_equal(w.data, [1.0, -2.0]) and table["v"].data[0] == 3.0
+        assert opt.state.step == 0 and not opt.state.m
 
 
 class TestParamTable:

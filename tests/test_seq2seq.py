@@ -333,6 +333,14 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search([4, 5], m, 5, 0)
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_nan_scores_raise_one_line(self, beam):
+        m = tiny_model(seed=2)
+        m.table["out.logits.b"].data[0, 5] = np.nan
+        with pytest.raises(FloatingPointError) as info:
+            beam_search([4, 5, 6], m, beam, 10)
+        assert str(info.value) == "decoder step 1: NaN in the hypothesis scores"
+
     def test_beam_one_equals_greedy(self):
         for seed in range(6):
             m = tiny_model(seed=seed)

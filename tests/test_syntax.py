@@ -197,13 +197,13 @@ class TestLiveParserBatch:
 
     def test_one_lstm_step_per_position_and_direction(self, monkeypatch):
         calls = []
-        step = nn.LstmParams.step
+        step = T.lstm_cell
 
-        def counted(cell, x, state):
-            calls.append(x.shape[0])
-            return step(cell, x, state)
+        def counted(xw, state, U, b, keep=None):
+            calls.append(xw.shape[0])
+            return step(xw, state, U, b, keep)
 
-        monkeypatch.setattr(nn.LstmParams, "step", counted)
+        monkeypatch.setattr(T, "lstm_cell", counted)
         m, batch = self.model(), self.batch()
         with T.Tape():
             T.backward(sequence_loss(batch, m))

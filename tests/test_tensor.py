@@ -1,6 +1,7 @@
 """Tensor core: primitives, tape semantics, gradient checks."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from synmt import tensor as T
 from synmt.errors import ShapeError
+
+from helpers import dense_backward
 
 
 def leaf(data, rg=True):
@@ -336,3 +339,136 @@ def test_pick_and_take_rows_gradients():
         T.pick(T.Tensor(np.zeros((2, 3))), [0, 5])
     with pytest.raises(ValueError):
         T.take_rows(T.Tensor(np.zeros((2, 3))), [4])
+
+
+def masked_sigmoid(xd):
+    """The sigmoid as a two-branch masked formula (the formula before the
+    branch-free one)."""
+    y = np.empty_like(xd)
+    pos = xd >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+    ex = np.exp(xd[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+class TestSigmoid:
+    def test_bit_identical_to_the_masked_formula(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-310, -1e-310,
+                            np.nan, -np.nan])
+        for xd in (special, T.make_rng(5).normal(size=(20, 64)) * 30.0):
+            assert T.sigmoid(T.Tensor(xd)).data.tobytes() == masked_sigmoid(xd).tobytes()
+
+
+class TestNll:
+    def test_equals_pick_of_log_softmax_to_the_bit(self):
+        rng = T.make_rng(21)
+        for _ in range(20):
+            m, v = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            ids = rng.integers(0, v, size=m)
+            xd = rng.normal(size=(m, v)) * 5.0
+            g = rng.normal(size=(m, 1))
+            results = []
+            for f in (lambda t: T.nll(t, ids), lambda t: T.pick(T.log_softmax(t, axis=1), ids)):
+                x = leaf(xd.copy())
+                with T.Tape():
+                    out = f(x)
+                    T.backward(T.sum_all(T.mul(out, T.constant(g))))
+                results.append((out.data, x.grad))
+            (fused, fused_grad), (ref, ref_grad) = results
+            assert fused.tobytes() == ref.tobytes()
+            assert np.array_equal(fused_grad, ref_grad)
+
+    def test_gradients(self):
+        rng = T.make_rng(22)
+        for _ in range(30):
+            m, v = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            ids = rng.integers(0, v, size=m)
+            w = T.constant(rng.normal(size=(m, 1)))
+            x = leaf(rng.normal(size=(m, v)))
+            assert T.grad_check(lambda t: T.sum_all(T.mul(T.nll(t, ids), w)), x) < 1e-4
+
+    def test_rejects_bad_ids(self):
+        with pytest.raises(ValueError):
+            T.nll(T.Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(ShapeError):
+            T.nll(T.Tensor(np.zeros((2, 3))), [0])
+
+
+def _cell_case(rng, op, B, H):
+    """Operands of one fused step, a [B, 1] keep column with both values, and
+    a loss that weights every output element differently."""
+    gates, parts = (3, 1) if op is T.gru_cell else (4, 2)
+    operands = [leaf(rng.normal(size=shape)) for shape in
+                ((B, gates * H), (B, parts * H), (H, gates * H), (1, gates * H))]
+    keep = (np.arange(B) % 2 == 0).astype(float)[:, None]
+    w = T.constant(rng.normal(size=(B, parts * H)))
+
+    def loss(_):
+        return T.sum_all(T.mul(T.tanh(op(*operands, keep)), w))
+
+    return operands, keep, loss
+
+
+class TestFusedCells:
+    @pytest.mark.parametrize("op", [T.gru_cell, T.lstm_cell], ids=["gru", "lstm"])
+    def test_gradients_with_keep(self, op):
+        rng = T.make_rng(31)
+        for B, H in ((1, 1), (3, 2), (4, 3)):
+            operands, _, loss = _cell_case(rng, op, B, H)
+            for target in operands:
+                assert T.grad_check(loss, target) < 1e-4
+
+    @pytest.mark.parametrize("op", [T.gru_cell, T.lstm_cell], ids=["gru", "lstm"])
+    def test_zero_keep_carries_the_state(self, op):
+        operands, keep, _ = _cell_case(T.make_rng(32), op, 4, 3)
+        state = operands[1].data
+        out = op(*operands, np.zeros_like(keep)).data
+        assert np.array_equal(out, state)
+
+    @pytest.mark.parametrize("op", [T.gru_cell, T.lstm_cell], ids=["gru", "lstm"])
+    def test_shapes_checked(self, op):
+        operands, keep, _ = _cell_case(T.make_rng(33), op, 2, 3)
+        with pytest.raises(ShapeError):
+            op(operands[0], operands[1], operands[2], T.Tensor(np.zeros((1, 2))))
+        with pytest.raises(ShapeError):
+            op(*operands, np.ones((3, 1)))
+
+
+class TestSliceGradientBuffer:
+    def test_matches_the_dense_reference_when_add_shares_its_gradient(self):
+        # add hands one array to both of its inputs. Records made before the
+        # add reach those inputs later in the sweep: slice reads of u and v,
+        # a dense read of p. Writing into the shared array in place would
+        # corrupt the other input's gradient.
+        rng = T.make_rng(41)
+        xs = [leaf(rng.normal(size=(3, 8))) for _ in range(4)]
+        with T.Tape():
+            u, v, p, q = (T.tanh(x) for x in xs)
+            reads = [T.slice_axis(t, 1, a, b) for t in (u, v) for a, b in ((0, 3), (2, 7), (5, 8))]
+            dense = T.tanh(p)
+            loss = T.add(T.sum_all(T.tanh(T.add(u, v))), T.sum_all(T.tanh(T.add(p, q))))
+            for k, r in enumerate(reads + [dense]):
+                loss = T.add(loss, T.sum_all(T.scale(T.mul(r, r), 0.5 + k)))
+            reference = dense_backward(loss)
+            T.backward(loss)
+        for x in xs:
+            assert x.grad.tobytes() == reference[id(x)].tobytes()
+
+    def test_many_reads_need_one_buffer(self):
+        n, w = 200, 16
+        x = leaf(T.make_rng(42).normal(size=(4, n * w)))
+        with T.Tape():
+            total = None
+            for i in range(n):
+                r = T.sum_all(T.slice_axis(x, 1, i * w, (i + 1) * w))
+                total = r if total is None else T.add(total, r)
+            tracemalloc.start()
+            try:
+                T.backward(total)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(x.grad, np.ones_like(x.data))
+        # one dense zero array per read, summed out of place, peaks near 3x
+        assert peak < 2 * x.data.nbytes
