@@ -40,7 +40,8 @@ pairs = [(src_vocab.ids(s), tgt_vocab.ids(t) + [EOS])
 
 # ---------------------------------------------------------------------------
 # Model and training loop. train_step runs one teacher-forced batch through
-# the tape, backpropagates, and lets Adam update every trainable tensor.
+# the tape, backpropagates, lets Adam update every trainable tensor, and
+# returns the batch loss and the gradient norm before clipping.
 
 model = TranslationModel(len(src_vocab), len(tgt_vocab), mode="none",
                          emb_dim=32, hidden_dim=64, dropout=0.0, seed=2)
@@ -51,7 +52,8 @@ for epoch in range(1, 51):
     batches = filter_and_batch(pairs, 50, 50, batch_size=16, seed=epoch)
     total = 0.0
     for batch in batches:
-        total += train_step(batch, model, opt)
+        loss, _ = train_step(batch, model, opt)
+        total += loss
     if epoch % 10 == 0 or epoch == 1:
         print(f"epoch {epoch:2d}  mean per-token NLL {total / len(batches):.4f}")
 

@@ -32,15 +32,13 @@ from .errors import DataError
 
 MAGIC = b"SAWRCKPT"
 VERSION = 1
-_PREC = {"f64": (0, "<f8"), "f32": (1, "<f4")}
 _PREC_BY_TAG = {0: "<f8", 1: "<f4", 2: "<u1"}
 _BYTES_TAG = 2
 
 
-def save_checkpoint(path, state: dict[str, np.ndarray], precision: str = "f64"):
-    if precision not in _PREC:
-        raise ValueError(f"precision must be one of {sorted(_PREC)}, got {precision!r}")
-    tag, dtype = _PREC[precision]
+def save_checkpoint(path, state: dict[str, np.ndarray]):
+    """Write float arrays as float64 (tag 0) and uint8 arrays as raw bytes
+    (tag 2); load_checkpoint also reads float32 (tag 1) entries."""
     with open_new(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(state)))
@@ -48,13 +46,12 @@ def save_checkpoint(path, state: dict[str, np.ndarray], precision: str = "f64"):
             raw = name.encode("utf-8")
             arr = np.ascontiguousarray(arr)
             # uint8 entries (serialized metadata blobs) bypass the float cast
-            entry_tag, entry_dtype = ((_BYTES_TAG, "<u1") if arr.dtype == np.uint8
-                                      else (tag, dtype))
+            entry_tag = _BYTES_TAG if arr.dtype == np.uint8 else 0
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
             f.write(struct.pack("<BB", entry_tag, arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype(entry_dtype).tobytes())
+            f.write(arr.astype(_PREC_BY_TAG[entry_tag]).tobytes())
 
 
 class BlobReader:

@@ -3,13 +3,15 @@
 Every run validates its configuration before touching any data, performs one
 well-defined piece of work, and records what it did in a JSON manifest next
 to the primary output (out + ".manifest.json"): the full config snapshot, a
-sha256 for each artifact written, and for training runs the per-epoch trace.
+sha256 for each artifact written, the process's peak resident memory, and
+for training runs the per-epoch trace.
 
 Exit codes: 0 success, 1 configuration error, 2 data/path error, 3 anything
 else that fails at runtime.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -17,6 +19,11 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform; the manifest then omits peak_rss_mb
+    resource = None
 
 from . import nn
 from .checkpoint import file_sha256, open_new
@@ -75,6 +82,9 @@ class RunManifest:
             return
         body = dict(self.data)
         body["updated"] = _now()
+        if resource is not None:  # ru_maxrss is in KiB on Linux
+            body["peak_rss_mb"] = round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         with open_new(self.path) as f:
             json.dump(body, f, indent=2)
             f.write("\n")
@@ -82,6 +92,13 @@ class RunManifest:
 
 def _now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _grad_stats(norms, clip):
+    """An epoch's gradient norms before clipping: median, max, and the share
+    of updates that clipping scaled down (Adam clips when norm > clip)."""
+    return {"grad_norm": {"median": float(np.median(norms)), "max": max(norms)},
+            "clipped_frac": sum(n > clip for n in norms) / len(norms)}
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +249,10 @@ def _cmd_train_parser(cfg, man):
     trace = []
     clock = [time.perf_counter()]
 
-    def log(epoch, loss):
+    def log(epoch, loss, norms):
         now = time.perf_counter()
         entry = {"epoch": epoch + 1, "train_loss": loss,
+                 **_grad_stats(norms, cfg.clip_norm),
                  "seconds": round(now - clock[0], 3)}
         clock[0] = now
         trace.append(entry)
@@ -366,12 +384,14 @@ def _cmd_train_nmt(cfg, man):
             d["pairs"], cfg.max_src_len, cfg.max_tgt_len, cfg.batch_size,
             cfg.seed + epoch, trees=d["trees"], encodings=d["encodings"],
             src_tokens=d["src_sents"])
-        losses = []
+        losses, norms = [], []
         for k, b in enumerate(batches, 1):
             try:
-                losses.append(train_step(b, model, opt))
+                loss, norm = train_step(b, model, opt)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"epoch {epoch} batch {k}: {exc}") from None
+            losses.append(loss)
+            norms.append(norm)
         train_loss = float(np.mean(losses))
 
         try:
@@ -383,7 +403,7 @@ def _cmd_train_nmt(cfg, man):
         dev_bleu = bleu(hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive).score
         seconds = round(time.perf_counter() - t0, 3)
         man.add_epoch(epoch=epoch, train_loss=train_loss, dev_bleu=dev_bleu,
-                      seconds=seconds)
+                      **_grad_stats(norms, cfg.clip_norm), seconds=seconds)
         marker = ""
         if dev_bleu > best_bleu:
             best_bleu, best_epoch = dev_bleu, epoch
@@ -551,7 +571,12 @@ def run(command, cfg):
     return man
 
 
+@functools.cache
 def build_arg_parser():
+    """The CLI's parser, built on first use: 9 subcommands x every schema field.
+
+    parse_args leaves the parser as it was, so every main call shares it.
+    """
     ap = argparse.ArgumentParser(
         prog="synmt",
         description="syntax-aware neural machine translation, desk scale")

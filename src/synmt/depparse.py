@@ -78,17 +78,6 @@ class DependencyTree:
         return [d for d in range(1, self.n + 1) if self.heads[d - 1] == head]
 
 
-def has_crossing_arcs(tree):
-    """Alternative projectivity test: two arcs interleave."""
-    arcs = [(min(h, d), max(h, d)) for d, h in enumerate(tree.heads, start=1)]
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            (a, b), (c, dd) = arcs[i], arcs[j]
-            if a < c < b < dd or c < a < dd < b:
-                return True
-    return False
-
-
 def normalize_root(tree):
     """Reattach all roots after the first to the first root. Returns a new tree."""
     heads = list(tree.heads)
@@ -492,6 +481,8 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
 
     nonprojective: "projectivize" lifts offending arcs, "skip" drops those
     sentences. Multi-rooted trees are normalized to the first root either way.
+    log, when given, is called after each epoch with the epoch index, its
+    mean per-token loss and its batches' gradient norms before clipping.
     A non-finite batch loss, or an overflow or invalid operation on the way
     to it or back, raises FloatingPointError before the update.
     """
@@ -521,7 +512,7 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
 
     history = []
     for epoch in range(epochs):
-        total_nll, total_tokens = 0.0, 0
+        total_nll, total_tokens, norms = 0.0, 0, []
         for k, batch in enumerate(_length_batches(lengths, batch_size, rng), 1):
             try:
                 with T.Tape(), np.errstate(over="raise", invalid="raise"):
@@ -534,14 +525,14 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
                     if not np.isfinite(loss.item()):
                         raise FloatingPointError(f"non-finite training loss {loss.item()}")
                     T.backward(loss)
-                opt.step()
+                norms.append(opt.step())
             except FloatingPointError as exc:
                 raise FloatingPointError(f"epoch {epoch + 1} batch {k}: {exc}") from None
             total_nll += loss.item() * n_tokens
             total_tokens += n_tokens
         history.append(total_nll / total_tokens)
         if log:
-            log(epoch, history[-1])
+            log(epoch, history[-1], norms)
     return model, history
 
 

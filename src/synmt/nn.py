@@ -272,8 +272,19 @@ def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
     return grads
 
 
+# Elements per block of the in-place Adam update: its scratch is two arrays of
+# at most this size (or of one row, when a row is longer), whatever the
+# parameter's size.
+ADAM_BLOCK = 2 ** 14
+
+
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    owned maps a parameter name to the array that adam_step copied into
+    place and updates in place; the update never writes into an array it
+    did not allocate.
+    """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         self.beta1 = beta1
@@ -282,14 +293,24 @@ class AdamState:
         self.step = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.owned: dict[str, np.ndarray] = {}
 
 
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+    """One bias-corrected Adam update, in place on the parameter tensors.
+
+    Per element, in this order: m += (g - m)·(1-β1), v += (g·g - v)·(1-β2),
+    p -= lr·(m/c1) / (sqrt(v/c2) + ε). It runs about ADAM_BLOCK elements at
+    a time (whole rows of the last axis; one row when a row is longer)
+    through two scratch blocks, so it allocates nothing parameter-sized
+    after the first step. A parameter's array is copied on its first update,
+    and again whenever something has rebound .data since, so arrays handed
+    in from outside (a constructor's input, a loaded state) never change.
+    """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, g in grads.items():
@@ -297,15 +318,37 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float)
         if p.data.shape != g.shape:
             raise ShapeError(f"adam_step: gradient shape {g.shape} != parameter "
                              f"shape {p.data.shape} for {name}")
+        if state.owned.get(name) is not p.data:
+            p.data = state.owned[name] = p.data.copy()
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        # blocks of whole rows: concat's backward hands the gated cells
+        # column slices of a wider array, and rows read them without a copy
+        cols = g.shape[-1] if g.ndim > 1 else 1
+        g2, m2, v2, p2 = (a.reshape(-1, cols) for a in (g, m, v, p.data))
+        k = max(1, ADAM_BLOCK // cols)  # rows per block
+        s, t = (np.empty((min(k, len(g2)), cols)) for _ in range(2))
+        for lo in range(0, len(g2), k):
+            gb, mb, vb, pb = g2[lo:lo + k], m2[lo:lo + k], v2[lo:lo + k], p2[lo:lo + k]
+            sb, tb = s[:len(gb)], t[:len(gb)]
+            np.subtract(gb, mb, out=sb)
+            sb *= 1.0 - b1
+            mb += sb
+            np.multiply(gb, gb, out=sb)
+            sb -= vb
+            sb *= 1.0 - b2
+            vb += sb
+            np.divide(mb, c1, out=sb)
+            sb *= lr
+            np.divide(vb, c2, out=tb)
+            np.sqrt(tb, out=tb)
+            tb += eps
+            sb /= tb
+            pb -= sb
     return params, state
 
 
@@ -319,9 +362,11 @@ class Adam:
         self.clip = clip
         self.state = AdamState(beta1, beta2, epsilon)
 
-    def step(self):
-        """Raises FloatingPointError, before any update, when the global
-        gradient norm is not finite (an overflowing one included)."""
+    def step(self) -> float:
+        """One update; returns the global gradient norm before clipping.
+
+        Raises FloatingPointError, before any update, when that norm is not
+        finite (an overflowing one included)."""
         grads = self.table.gradients()
         with np.errstate(over="ignore", invalid="ignore"):
             norm = grad_norm(grads)
@@ -331,3 +376,4 @@ class Adam:
             clip_gradients(grads, self.clip, norm)
         adam_step(self.table, grads, self.state, self.lr)
         self.table.zero_grad()
+        return norm

@@ -321,7 +321,8 @@ def sequence_loss(batch, model, mode="train"):
 
 
 def train_step(batch, model, optimizer):
-    """One teacher-forced update over a Batch; returns mean per-token NLL.
+    """One teacher-forced update over a Batch; returns (mean per-token NLL,
+    global gradient norm before clipping).
 
     A non-finite loss, or an overflow or invalid operation on the way to
     it or back, raises FloatingPointError before the update, so the
@@ -332,8 +333,8 @@ def train_step(batch, model, optimizer):
         if not np.isfinite(loss.item()):
             raise FloatingPointError(f"non-finite training loss {loss.item()}")
         T.backward(loss)
-    optimizer.step()
-    return loss.item()
+    norm = optimizer.step()
+    return loss.item(), norm
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 The references (exhaustive projective enumeration, the loop-per-split Eisner
 chart, the per-node Tree-GRU recursion, the full-length beam loop, the
-per-gate GRU and LSTM steps, the dense backward sweep) are
-deliberately independent of the package's code, so tests compare two
-implementations, not one implementation with itself. The per-step sequence
-loss shares the translator's layers and differs only in where its output
-network runs.
+per-gate GRU and LSTM steps, the whole-array Adam update, the dense
+backward sweep) are deliberately independent of the package's code, so
+tests compare two implementations, not one implementation with itself. The
+per-step sequence loss shares the translator's layers and differs only in
+where its output network runs.
 """
 
 import json
+import struct
 from contextlib import contextmanager
 from itertools import product
 from unittest import mock
@@ -85,6 +86,17 @@ def _projective(heads):
             if not ancestor(h, k):
                 return False
     return True
+
+
+def has_crossing_arcs(tree):
+    """Alternative projectivity test: two arcs interleave."""
+    arcs = [(min(h, d), max(h, d)) for d, h in enumerate(tree.heads, start=1)]
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            (a, b), (c, dd) = arcs[i], arcs[j]
+            if a < c < b < dd or c < a < dd < b:
+                return True
+    return False
 
 
 _TREE_CACHE = {}
@@ -331,6 +343,34 @@ def edit_meta(path, edit):
 
 
 BAD_METAS = [b"{bad", b"\xff{}", b"[1, 2]", None]
+
+
+def write_f32_checkpoint(path, state):
+    """A checkpoint whose entries are all float32 (precision tag 1), written
+    from the file-format table; the package itself writes only tags 0 and 2."""
+    with open(path, "wb") as f:
+        f.write(b"SAWRCKPT" + struct.pack("<II", 1, len(state)))
+        for name, arr in state.items():
+            raw = name.encode("utf-8")
+            f.write(struct.pack("<H", len(raw)) + raw + struct.pack("<BB", 1, arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def adam_step_oracle(params, grads, state, lr):
+    """nn.adam_step's update in whole-array form: each parameter is rebound
+    to a new array, and every temporary is parameter-sized."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for name, g in grads.items():
+        p = params[name]
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m += (1.0 - b1) * (g - m)
+        v += (1.0 - b2) * (g * g - v)
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
 
 
 def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):

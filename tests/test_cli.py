@@ -165,6 +165,18 @@ class TestValidationFailures:
                      "--hyp_a", str(hyp), "--hyp_b", str(hyp),
                      "--ref", str(hyp), "--out", str(tmp_path / "p.txt")]) == 0
 
+    def test_a_flag_does_not_outlive_its_call(self, tmp_path):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("a b c d\n", encoding="utf-8")
+        outs = [tmp_path / "first.txt", tmp_path / "second.txt"]
+        assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp),
+                     "--beam_size", "3", "--out", str(outs[0])]) == 0
+        assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp),
+                     "--out", str(outs[1])]) == 0
+        assert _manifest(outs[0])["config"]["beam_size"] == 3
+        assert _manifest(outs[1])["config"]["beam_size"] == 5
+        assert cli.build_arg_parser() is cli.build_arg_parser()  # built once
+
 
 class TestScoringCommands:
     def test_evaluate_matches_library_and_hashes_artifact(self, tmp_path, capsys):
@@ -183,6 +195,7 @@ class TestScoringCommands:
         assert man["command"] == "evaluate"
         assert man["artifacts"][str(out)] == file_sha256(out)
         assert man["config"]["beam_size"] == 5  # full snapshot present
+        assert man["peak_rss_mb"] > 0
 
     def test_out_symlink_stays_a_symlink(self, tmp_path):
         hyp = tmp_path / "h.txt"
@@ -248,7 +261,11 @@ class TestPipeline:
         man = _manifest(pipeline / "parser.ckpt")
         assert man["command"] == "train-parser"
         assert [e["epoch"] for e in man["epochs"]] == [1, 2]
-        assert all(e["seconds"] >= 0 for e in man["epochs"])
+        for e in man["epochs"]:
+            assert set(e) == {"epoch", "train_loss", "grad_norm", "clipped_frac", "seconds"}
+            assert e["seconds"] >= 0
+            assert 0 < e["grad_norm"]["median"] <= e["grad_norm"]["max"]
+            assert 0.0 <= e["clipped_frac"] <= 1.0
         assert 0.0 <= man["dev"]["las"] <= man["dev"]["uas"] <= 1.0
         ckpt = str(pipeline / "parser.ckpt")
         assert man["artifacts"][ckpt] == file_sha256(ckpt)
@@ -263,7 +280,12 @@ class TestPipeline:
         man = _manifest(pipeline / "base.ckpt")
         assert [e["epoch"] for e in man["epochs"]] == [1, 2, 3]
         for e in man["epochs"]:
-            assert set(e) == {"epoch", "train_loss", "dev_bleu", "seconds"}
+            assert set(e) == {"epoch", "train_loss", "dev_bleu", "grad_norm",
+                              "clipped_frac", "seconds"}
+            assert set(e["grad_norm"]) == {"median", "max"}
+            assert 0 < e["grad_norm"]["median"] <= e["grad_norm"]["max"]
+            assert 0.0 <= e["clipped_frac"] <= 1.0
+        assert man["peak_rss_mb"] > 0
         traces = [e["dev_bleu"] for e in man["epochs"]]
         best = man["best"]
         assert best["dev_bleu"] == max(traces)
@@ -293,9 +315,25 @@ class TestPipeline:
         assert rc == 0
         first = _manifest(pipeline / "base.ckpt")["epochs"]
         second = _manifest(tmp_path / "again.ckpt")["epochs"]
-        assert [(e["epoch"], e["train_loss"], e["dev_bleu"]) for e in first] == \
-               [(e["epoch"], e["train_loss"], e["dev_bleu"]) for e in second]
+        fields = ("epoch", "train_loss", "dev_bleu", "grad_norm", "clipped_frac")
+        assert [[e[k] for k in fields] for e in first] == \
+               [[e[k] for k in fields] for e in second]
         assert file_sha256(pipeline / "base.ckpt") == file_sha256(tmp_path / "again.ckpt")
+
+    def test_tiny_clip_norm_clips_every_update(self, workdir, tmp_path):
+        d = workdir
+        assert main(["train-nmt",
+                     "--train_src", str(d / "train.src"), "--train_tgt", str(d / "train.tgt"),
+                     "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                     "--out", str(tmp_path / "nmt.ckpt")]
+                    + SMALL + ["--epochs", "1", "--clip_norm", "1e-9"]) == 0
+        assert main(["train-parser", "--treebank", str(d / "dev.trees"),
+                     "--parser_embed", "8", "--parser_hidden", "8",
+                     "--parser_layers", "1", "--parser_epochs", "1",
+                     "--clip_norm", "1e-9", "--out", str(tmp_path / "parser.ckpt")]) == 0
+        for name in ("nmt.ckpt", "parser.ckpt"):
+            [epoch] = _manifest(tmp_path / name)["epochs"]
+            assert epoch["clipped_frac"] == 1.0
 
     def test_ensemble_of_identical_models_equals_single(self, pipeline, tmp_path):
         ck = str(pipeline / "base.ckpt")

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from synmt import depparse
 from synmt import tensor as T
 from synmt.depparse import (DependencyTree, ParserModel, decode_projective, evaluate_las,
-                            has_crossing_arcs, label_scores, normalize_root,
+                            label_scores, normalize_root,
                             parse_sentence, parser_encode, projectivize, read_treebank,
                             score_arcs, train_parser, tree_log_loss, write_treebank)
 from synmt.errors import DataError, ShapeError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
-                     edit_entries, edit_meta, encode_one, one_bucket,
+                     edit_entries, edit_meta, encode_one, has_crossing_arcs, one_bucket,
                      random_projective_tree, records_on, rewrite_meta, toy_grammar_sentences,
                      tuple_chart_decode)
 

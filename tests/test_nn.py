@@ -5,11 +5,12 @@ import ast
 import os
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synmt import nn
@@ -17,7 +18,8 @@ from synmt import tensor as T
 from synmt.checkpoint import file_sha256, load_checkpoint, open_new, save_checkpoint
 from synmt.errors import DataError, ShapeError
 
-from helpers import gru_step_oracle, lstm_step_oracle, masked_carry_oracle
+from helpers import (adam_step_oracle, gru_step_oracle, lstm_step_oracle,
+                     masked_carry_oracle, write_f32_checkpoint)
 
 
 def make_gru(input_dim, hidden_dim, seed=0, prefix="g"):
@@ -392,6 +394,98 @@ class TestAdam:
         with pytest.raises(ShapeError):
             nn.adam_step(table, {"w": np.zeros(3)}, nn.AdamState(), 0.1)
 
+    B = nn.ADAM_BLOCK
+    SHAPES = ([(n,) for n in (1, B - 1, B, B + 1, 3 * B + 7)]
+              + [(1, B + 1), (3, B // 2 + 5), (B + 1, 2), (B // 2 + 3, 4)])
+
+    @settings(max_examples=25, deadline=None)
+    @example(shapes=SHAPES, layout="C", lr=1e-3, seed=0)
+    @example(shapes=SHAPES, layout="column slice", lr=0.5, seed=1)
+    @given(shapes=st.lists(st.sampled_from(SHAPES), min_size=1, max_size=3),
+           layout=st.sampled_from(["C", "F", "column slice"]),
+           lr=st.sampled_from([1e-3, 0.5]), seed=st.integers(0, 2 ** 16))
+    def test_blocks_match_the_whole_array_update_bit_for_bit(self, shapes, layout,
+                                                             lr, seed):
+        rng = T.make_rng(seed)
+        init = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        tables, states = [], []
+        for _ in range(2):
+            table = nn.ParamTable()
+            for name, arr in init.items():
+                table.add(name, T.Tensor(arr.copy(), requires_grad=True))
+            tables.append(table)
+            states.append(nn.AdamState())
+        for _ in range(3):
+            grads = {}
+            for name, arr in init.items():
+                if layout == "F":
+                    g = rng.normal(size=arr.shape[::-1]).T
+                elif layout == "column slice":
+                    g = rng.normal(size=arr.shape[:-1] + (arr.shape[-1] + 3,))[..., 1:-2]
+                else:
+                    g = rng.normal(size=arr.shape)
+                g[rng.random(arr.shape) < 0.1] = 0.0
+                grads[name] = g * 10.0 ** rng.integers(-4, 3)
+            nn.adam_step(tables[0], grads, states[0], lr)
+            adam_step_oracle(tables[1], grads, states[1], lr)
+        for name in init:
+            for got, want in ((tables[0][name].data, tables[1][name].data),
+                              (states[0].m[name], states[1].m[name]),
+                              (states[0].v[name], states[1].v[name])):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("column_slice", [False, True])
+    def test_second_step_allocates_no_parameter_sized_array(self, column_slice):
+        table = nn.ParamTable()
+        table.add("w", T.Tensor(np.zeros((2 ** 11, 2 ** 10)), requires_grad=True))
+        # concat's backward hands the gated cells column slices of a wider array
+        width = 2 ** 11 if column_slice else 2 ** 10
+        grads = {"w": T.make_rng(0).normal(size=(2 ** 11, width))[:, :2 ** 10]}
+        state = nn.AdamState()
+        nn.adam_step(table, grads, state, 1e-3)  # copies w, allocates m and v
+        tracemalloc.start()
+        try:
+            nn.adam_step(table, grads, state, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table["w"].data.nbytes / 8
+
+    def test_arrays_handed_in_are_never_written(self):
+        rng = T.make_rng(5)
+        given_w, given_b = rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+        table = nn.ParamTable()
+        w = table.add("w", T.Tensor(given_w, requires_grad=True))
+        b = table.add("b", T.Tensor(given_b, requires_grad=True))
+        originals = [given_w.copy(), given_b.copy()]
+        opt = nn.Adam(table, lr=0.1)
+
+        def steps(k):
+            for _ in range(k):
+                w.grad, b.grad = rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+                opt.step()
+
+        steps(2)
+        for arr, orig in zip((given_w, given_b), originals):
+            assert np.array_equal(arr, orig)
+        snapshot = table.state_dict()
+        kept = {k: v.copy() for k, v in snapshot.items()}
+        steps(2)
+        loaded = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
+        loaded_kept = {k: v.copy() for k, v in loaded.items()}
+        table.load_state(loaded)
+        steps(2)
+        for name in kept:
+            assert np.array_equal(snapshot[name], kept[name])
+            assert np.array_equal(loaded[name], loaded_kept[name])
+            assert not np.array_equal(table[name].data, loaded_kept[name])
+
+    def test_step_returns_the_norm_before_clipping(self):
+        table = nn.ParamTable()
+        w = table.add("w", T.Tensor(np.zeros(2), requires_grad=True))
+        w.grad = np.array([3.0, 4.0])
+        assert nn.Adam(table, lr=0.1, clip=1.0).step() == 5.0
+
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     @pytest.mark.parametrize("clip", [None, 5.0])
@@ -452,7 +546,7 @@ class TestCheckpoint:
     def test_roundtrip_f32(self, tmp_path):
         state = {"w": T.make_rng(2).normal(size=(4, 5))}
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, state, precision="f32")
+        write_f32_checkpoint(path, state)
         loaded = load_checkpoint(path)
         assert loaded["w"].dtype == np.float32
         assert np.allclose(loaded["w"], state["w"], atol=1e-6)

@@ -245,24 +245,24 @@ class TestTrainStep:
         m = tiny_model(tgt=vocab, dropout=0.5, seed=9)
         batch = make_batch([([4, 5, 6], [10, 20, 30, 3]), ([5, 6], [12, 3])])
         opt = nn.Adam(m.table, lr=5e-4, clip=5.0)
-        nll = train_step(batch, m, opt)
+        nll, _ = train_step(batch, m, opt)
         assert abs(nll - np.log(vocab)) < 0.1 * np.log(vocab)
 
     def test_loss_strictly_decreases_on_repeated_batch(self):
         m = tiny_model(seed=2)
         batch = make_batch(PAIRS)
         opt = nn.Adam(m.table, lr=0.01, clip=5.0)
-        losses = [train_step(batch, m, opt) for _ in range(20)]
+        losses = [train_step(batch, m, opt)[0] for _ in range(20)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_pad_appended_to_references_leaves_loss_unchanged(self):
         m1 = tiny_model(seed=4)
-        a = train_step(make_batch(PAIRS), m1, nn.Adam(m1.table, lr=1e-3))
+        a, _ = train_step(make_batch(PAIRS), m1, nn.Adam(m1.table, lr=1e-3))
         padded = make_batch(PAIRS)
         padded.tgt = np.concatenate(
             [padded.tgt, np.zeros((padded.size, 2), dtype=np.int64)], axis=1)
         m2 = tiny_model(seed=4)
-        b = train_step(padded, m2, nn.Adam(m2.table, lr=1e-3))
+        b, _ = train_step(padded, m2, nn.Adam(m2.table, lr=1e-3))
         assert a == b
 
     def test_non_finite_loss_stops_before_the_update(self):
