@@ -14,8 +14,9 @@ import numpy as np
 
 from synmt import nn
 from synmt import tensor as T
-from synmt.data import build_vocab, filter_and_batch, EOS
-from synmt.seq2seq import TranslationModel, beam_search, greedy_decode, train_step
+from synmt.data import BOS, EOS, build_vocab, filter_and_batch
+from synmt.seq2seq import (TranslationModel, beam_search, decode_step, encode_for_decode,
+                           train_step)
 
 # ---------------------------------------------------------------------------
 # Data: 150 random letter sequences, target = source reversed.
@@ -59,14 +60,24 @@ for epoch in range(1, 51):
 
 # ---------------------------------------------------------------------------
 # Decode an unseen sentence. beam_search returns the best Hypothesis with
-# its token ids, total log-probability and per-step attention rows;
-# greedy_decode is literally beam_search with beam_size=1.
+# its token ids, total log-probability and per-step attention rows. With
+# beam_size=1 it is greedy decoding: at each step it keeps the argmax token,
+# as the step-by-step loop below does by hand.
 
 sentence = list("cafebead")
 ids = src_vocab.ids(sentence)
 
-greedy = greedy_decode(ids, model, max_len=20)
+greedy = beam_search(ids, model, beam_size=1, max_len=20)
 beam = beam_search(ids, model, beam_size=5, max_len=20)
+
+h, s = encode_for_decode(model, ids)
+c = T.zeros((1, model.hidden_dim))
+chain, y = [], BOS
+while y != EOS and len(chain) < 20:
+    dist, s, c, _ = decode_step(y, c, s, h, model)
+    y = int(np.argmax(dist.data[0]))
+    chain.append(y)
+assert greedy.ids == chain
 
 print("\nsource        ", " ".join(sentence))
 print("greedy        ", " ".join(tgt_vocab.tokens(greedy.ids)),

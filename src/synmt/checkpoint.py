@@ -13,13 +13,15 @@ Layout, all integers little-endian:
         dims      ndim * uint32
         data      raw little-endian floats, C order
 
-open_new, below, is the one way the package writes a file.
+open_new, below, is the one way the package writes a file, and read_text
+the one way it reads a text file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -105,8 +107,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: unknown precision tag {tag} for {name}")
         shape = r.unpack(f"<{ndim}I")
         dtype = np.dtype(_PREC_BY_TAG[tag])
-        arr = np.frombuffer(r.take(math.prod(shape) * dtype.itemsize),
-                            dtype=dtype).reshape(shape)
+        raw = r.take(math.prod(shape) * dtype.itemsize)
+        try:  # an empty entry can still name more axes, or elements, than numpy allows
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as exc:
+            raise DataError(f"{path}: entry {name!r} has an unusable shape ({exc})") from None
         if tag == _BYTES_TAG:
             state[name] = arr.copy()
         else:
@@ -189,6 +194,24 @@ def open_new(path, mode="w"):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise _cannot_write(path, exc) from None
+
+
+def read_text(path, error=DataError) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise error naming
+    the file and the line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path} line {line}: not valid UTF-8") from None
+
+
+def read_lines(path) -> list[str]:
+    """read_text's lines without their newlines; \\r\\n and \\r end a line
+    too, as in a file opened in text mode."""
+    return [line.rstrip("\n") for line in io.StringIO(read_text(path), newline=None)]
 
 
 def _cannot_write(path, exc):

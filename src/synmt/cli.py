@@ -26,7 +26,7 @@ except ImportError:  # not on every platform; the manifest then omits peak_rss_m
     resource = None
 
 from . import nn
-from .checkpoint import file_sha256, open_new
+from .checkpoint import file_sha256, open_new, read_lines
 from .config import SCHEMA, read_config, validate_config
 from .data import (EOS, BpeModel, Vocabulary, apply_bpe, build_vocab, decode_bpe,
                    filter_and_batch, learn_bpe, linearize_tree, read_corpus)
@@ -109,11 +109,6 @@ def _require(cfg, command, *names):
     for name in names:
         if not getattr(cfg, name):
             raise ConfigError(f"command '{command}' requires the '{name}' field")
-
-
-def _read_lines(path):
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
 
 
 def _write_lines(path, lines):
@@ -307,7 +302,7 @@ def _prepare_nmt_data(cfg, man):
     tgt_sents = [tgt_sents[i] for i in keep]
 
     dev_sents = read_corpus(cfg.dev_src)
-    dev_refs = _read_lines(cfg.dev_tgt)
+    dev_refs = read_lines(cfg.dev_tgt)
     if len(dev_sents) != len(dev_refs):
         raise DataError(f"{len(dev_sents)} dev source vs {len(dev_refs)} references")
 
@@ -486,7 +481,7 @@ def _cmd_ensemble_translate(cfg, man):
 
 def _cmd_evaluate(cfg, man):
     _require(cfg, "evaluate", "hyp", "ref", "out")
-    report = bleu(_read_lines(cfg.hyp), _read_lines(cfg.ref),
+    report = bleu(read_lines(cfg.hyp), read_lines(cfg.ref),
                   case_sensitive=cfg.case_sensitive)
     _write_lines(cfg.out, [str(report)])
     man.add_artifact(cfg.out)
@@ -496,8 +491,8 @@ def _cmd_evaluate(cfg, man):
 
 def _cmd_significance(cfg, man):
     _require(cfg, "significance", "hyp_a", "hyp_b", "ref", "out")
-    a, b = _read_lines(cfg.hyp_a), _read_lines(cfg.hyp_b)
-    refs = _read_lines(cfg.ref)
+    a, b = read_lines(cfg.hyp_a), read_lines(cfg.hyp_b)
+    refs = read_lines(cfg.ref)
     fold = cfg.case_sensitive
     score_a = bleu(a, refs, case_sensitive=fold).score
     score_b = bleu(b, refs, case_sensitive=fold).score
@@ -531,8 +526,8 @@ def _cmd_align_dump(cfg, man):
 
 def _cmd_length_report(cfg, man):
     _require(cfg, "length-report", "hyp", "ref", "src", "out")
-    bins = bleu_by_length(_read_lines(cfg.hyp), _read_lines(cfg.ref),
-                          _read_lines(cfg.src), cfg.length_edges,
+    bins = bleu_by_length(read_lines(cfg.hyp), read_lines(cfg.ref),
+                          read_lines(cfg.src), cfg.length_edges,
                           case_sensitive=cfg.case_sensitive)
     lines = ["lo\thi\tcount\tbleu"]
     for b in bins:

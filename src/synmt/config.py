@@ -9,6 +9,7 @@ at invocation time. An empty document is valid and yields pure defaults.
 
 import difflib
 
+from .checkpoint import read_text
 from .errors import ConfigError
 
 MODES = ("baseline", "sawr", "sawr-tuned", "tree-rnn", "tree-linearized")
@@ -194,8 +195,7 @@ def parse_config_text(text):
 
 
 def read_config(path):
-    with open(path, encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    return parse_config_text(read_text(path, ConfigError))
 
 
 def _unknown_key_error(key):

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import open_new
+from .checkpoint import open_new, read_lines
 from .depparse import DependencyTree
 from .errors import DataError
 
@@ -59,8 +59,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
+        tokens = [line for line in read_lines(path) if line]
+        try:
+            return cls(tokens)
+        except ValueError as exc:  # a duplicate or reserved token
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpus, max_size):
@@ -83,8 +86,7 @@ def build_vocab(corpus, max_size):
 
 
 def read_corpus(path):
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n").split() for line in f]
+    return [line.split() for line in read_lines(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +109,11 @@ class BpeModel:
     @classmethod
     def load(cls, path):
         merges = []
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != 2:
-                    raise DataError(f"{path} line {line_no}: expected two units")
-                merges.append(tuple(parts))
+        for line_no, line in enumerate(read_lines(path), start=1):
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise DataError(f"{path} line {line_no}: expected two units")
+            merges.append(tuple(parts))
         return cls(merges)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .checkpoint import load_checkpoint, meta_errors, open_new, pop_meta, save_checkpoint
+from .checkpoint import (load_checkpoint, meta_errors, open_new, pop_meta, read_lines,
+                         save_checkpoint)
 from .errors import DataError, ShapeError
 
 
@@ -124,7 +125,7 @@ def read_treebank(path):
     tokens, heads, labels = [], [], []
     sent_start = 1
 
-    def flush(line_no):
+    def flush():
         if not tokens:
             return
         tree = DependencyTree(heads, labels)
@@ -135,34 +136,31 @@ def read_treebank(path):
         sents.append((list(tokens), tree))
         tokens.clear(), heads.clear(), labels.clear()
 
-    with open(path, encoding="utf-8") as f:
-        line_no = 0
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush(line_no)
-                continue
-            if line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t") if "\t" in line else line.split()
-            if len(cols) == 4:
-                idx_s, form, head_s, label = cols
-            elif len(cols) == 10:
-                idx_s, form, head_s, label = cols[0], cols[1], cols[6], cols[7]
-            else:
-                raise DataError(f"line {line_no}: expected 4 or 10 columns, got {len(cols)}")
-            if not tokens:
-                sent_start = line_no
-            try:
-                idx, head = int(idx_s), int(head_s)
-            except ValueError:
-                raise DataError(f"line {line_no}: non-integer index or head") from None
-            if idx != len(tokens) + 1:
-                raise DataError(f"line {line_no}: token index {idx}, expected {len(tokens) + 1}")
-            tokens.append(form)
-            heads.append(head)
-            labels.append(label)
-        flush(line_no + 1)
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            flush()
+            continue
+        if line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t") if "\t" in line else line.split()
+        if len(cols) == 4:
+            idx_s, form, head_s, label = cols
+        elif len(cols) == 10:
+            idx_s, form, head_s, label = cols[0], cols[1], cols[6], cols[7]
+        else:
+            raise DataError(f"line {line_no}: expected 4 or 10 columns, got {len(cols)}")
+        if not tokens:
+            sent_start = line_no
+        try:
+            idx, head = int(idx_s), int(head_s)
+        except ValueError:
+            raise DataError(f"line {line_no}: non-integer index or head") from None
+        if idx != len(tokens) + 1:
+            raise DataError(f"line {line_no}: token index {idx}, expected {len(tokens) + 1}")
+        tokens.append(form)
+        heads.append(head)
+        labels.append(label)
+    flush()
     if not sents:
         raise DataError(f"{path}: no sentences")
     return sents

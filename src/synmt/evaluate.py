@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import open_new
+from .checkpoint import open_new, read_lines
 from .seq2seq import _run_beam, beam_search, decode_step, encode_for_decode
 
 MAX_ORDER = 4
@@ -208,10 +208,9 @@ def write_alignments(records, path):
 
 def read_alignments(path):
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            d = json.loads(line)
-            out.append(AlignmentRecord(d["id"], d["src"], d["tgt"], d["attn"]))
+    for line in read_lines(path):
+        d = json.loads(line)
+        out.append(AlignmentRecord(d["id"], d["src"], d["tgt"], d["attn"]))
     return out
 
 

@@ -255,125 +255,105 @@ def grad_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
-                   norm: float | None = None) -> dict[str, np.ndarray]:
-    """Scale all gradients by threshold/norm when the global L2 norm exceeds it.
+# Adam's moment decay rates and denominator offset (Kingma & Ba).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    norm, when given, is grad_norm(grads), already computed by the caller.
-    """
-    if threshold <= 0:
-        raise ValueError("clip threshold must be positive")
-    if norm is None:
-        norm = grad_norm(grads)
-    if norm > threshold:
-        factor = threshold / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
-    return grads
-
-
-# Elements per block of the in-place Adam update: its scratch is two arrays of
-# at most this size (or of one row, when a row is longer), whatever the
+# Elements per block of the in-place Adam update: its scratch is three arrays
+# of at most this size (or of one row, when a row is longer), whatever the
 # parameter's size.
 ADAM_BLOCK = 2 ** 14
 
 
-class AdamState:
-    """First/second moment accumulators plus the shared step counter.
+class Adam:
+    """Bias-corrected Adam under a global gradient-norm clip, on a ParamTable.
 
-    owned maps a parameter name to the array that adam_step copied into
-    place and updates in place; the update never writes into an array it
-    did not allocate.
+    m and v map a parameter name to its moment arrays and t counts steps.
+    owned maps a name to the array that update copied into place and updates
+    in place; the update never writes into an array it did not allocate.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.step = 0
+    def __init__(self, table: ParamTable, lr: float, clip: float | None = None):
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if clip is not None and clip <= 0:
+            raise ValueError("clip threshold must be positive")
+        self.table = table
+        self.lr = lr
+        self.clip = clip
+        self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.owned: dict[str, np.ndarray] = {}
 
-
-def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place on the parameter tensors.
-
-    Per element, in this order: m += (g - m)·(1-β1), v += (g·g - v)·(1-β2),
-    p -= lr·(m/c1) / (sqrt(v/c2) + ε). It runs about ADAM_BLOCK elements at
-    a time (whole rows of the last axis; one row when a row is longer)
-    through two scratch blocks, so it allocates nothing parameter-sized
-    after the first step. A parameter's array is copied on its first update,
-    and again whenever something has rebound .data since, so arrays handed
-    in from outside (a constructor's input, a loaded state) never change.
-    """
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    state.step += 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    for name, g in grads.items():
-        p = params[name]
-        if p.data.shape != g.shape:
-            raise ShapeError(f"adam_step: gradient shape {g.shape} != parameter "
-                             f"shape {p.data.shape} for {name}")
-        if state.owned.get(name) is not p.data:
-            p.data = state.owned[name] = p.data.copy()
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        # blocks of whole rows: concat's backward hands the gated cells
-        # column slices of a wider array, and rows read them without a copy
-        cols = g.shape[-1] if g.ndim > 1 else 1
-        g2, m2, v2, p2 = (a.reshape(-1, cols) for a in (g, m, v, p.data))
-        k = max(1, ADAM_BLOCK // cols)  # rows per block
-        s, t = (np.empty((min(k, len(g2)), cols)) for _ in range(2))
-        for lo in range(0, len(g2), k):
-            gb, mb, vb, pb = g2[lo:lo + k], m2[lo:lo + k], v2[lo:lo + k], p2[lo:lo + k]
-            sb, tb = s[:len(gb)], t[:len(gb)]
-            np.subtract(gb, mb, out=sb)
-            sb *= 1.0 - b1
-            mb += sb
-            np.multiply(gb, gb, out=sb)
-            sb -= vb
-            sb *= 1.0 - b2
-            vb += sb
-            np.divide(mb, c1, out=sb)
-            sb *= lr
-            np.divide(vb, c2, out=tb)
-            np.sqrt(tb, out=tb)
-            tb += eps
-            sb /= tb
-            pb -= sb
-    return params, state
-
-
-class Adam:
-    """Convenience wrapper: collect grads from a table, clip, update, zero."""
-
-    def __init__(self, table: ParamTable, lr: float, clip: float | None = None,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        self.table = table
-        self.lr = lr
-        self.clip = clip
-        self.state = AdamState(beta1, beta2, epsilon)
-
     def step(self) -> float:
-        """One update; returns the global gradient norm before clipping.
+        """One update from the table's gradients, which it then zeroes;
+        returns the global gradient norm before clipping.
 
-        Raises FloatingPointError, before any update, when that norm is not
+        When that norm exceeds clip, every gradient is scaled by clip / norm.
+        Raises FloatingPointError, before any update, when the norm is not
         finite (an overflowing one included)."""
         grads = self.table.gradients()
         with np.errstate(over="ignore", invalid="ignore"):
             norm = grad_norm(grads)
         if not np.isfinite(norm):
             raise FloatingPointError(f"non-finite gradient norm {norm}")
-        if self.clip is not None:
-            clip_gradients(grads, self.clip, norm)
-        adam_step(self.table, grads, self.state, self.lr)
+        clipped = self.clip is not None and norm > self.clip
+        self.update(grads, self.clip / norm if clipped else None)
         self.table.zero_grad()
         return norm
+
+    def update(self, grads: dict[str, np.ndarray], factor: float | None = None):
+        """One Adam update from grads, each scaled by factor when given, in
+        place on the parameter tensors; grads themselves are never written.
+
+        Per element, in this order: g = g·factor, m += (g - m)·(1-β1),
+        v += (g·g - v)·(1-β2), p -= lr·(m/c1) / (sqrt(v/c2) + ε). It runs about
+        ADAM_BLOCK elements at a time (whole rows of the last axis; one row
+        when a row is longer) through three scratch blocks, so it allocates
+        nothing parameter-sized after the first step. A parameter's array is
+        copied on its first update, and again whenever something has rebound
+        .data since, so arrays handed in from outside (a constructor's input,
+        a loaded state) never change.
+        """
+        self.t += 1
+        b1, b2, lr = ADAM_BETA1, ADAM_BETA2, self.lr
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for name, g in grads.items():
+            p = self.table[name]
+            if p.data.shape != g.shape:
+                raise ShapeError(f"Adam: gradient shape {g.shape} != parameter "
+                                 f"shape {p.data.shape} for {name}")
+            if self.owned.get(name) is not p.data:
+                p.data = self.owned[name] = p.data.copy()
+            m = self.m.get(name)
+            if m is None:
+                m = self.m[name] = np.zeros_like(p.data)
+            v = self.v.get(name)
+            if v is None:
+                v = self.v[name] = np.zeros_like(p.data)
+            # blocks of whole rows: concat's backward hands the gated cells
+            # column slices of a wider array, and rows read them without a copy
+            cols = g.shape[-1] if g.ndim > 1 else 1
+            g2, m2, v2, p2 = (a.reshape(-1, cols) for a in (g, m, v, p.data))
+            k = max(1, ADAM_BLOCK // cols)  # rows per block
+            s, d, u = (np.empty((min(k, len(g2)), cols)) for _ in range(3))
+            for lo in range(0, len(g2), k):
+                gb, mb, vb, pb = g2[lo:lo + k], m2[lo:lo + k], v2[lo:lo + k], p2[lo:lo + k]
+                sb, db = s[:len(gb)], d[:len(gb)]
+                if factor is not None:
+                    gb = np.multiply(gb, factor, out=u[:len(gb)])
+                np.subtract(gb, mb, out=sb)
+                sb *= 1.0 - b1
+                mb += sb
+                np.multiply(gb, gb, out=sb)
+                sb -= vb
+                sb *= 1.0 - b2
+                vb += sb
+                np.divide(mb, c1, out=sb)
+                sb *= lr
+                np.divide(vb, c2, out=db)
+                np.sqrt(db, out=db)
+                db += ADAM_EPS
+                sb /= db
+                pb -= sb

@@ -342,18 +342,16 @@ def train_step(batch, model, optimizer):
 
 
 class Hypothesis:
-    """A (partial) translation: ids, score, final decoder snapshot, attention.
+    """A (partial) translation: ids, score, per-step log-probs and attention.
 
     steps counts the decoder steps the search ran; stopped_early is True when
     it ended before max_len while hypotheses were still live.
     """
 
-    def __init__(self, ids, logp, state, context, alphas, step_logps, completed,
-                 steps=0, stopped_early=False):
+    def __init__(self, ids, logp, alphas, step_logps, completed, steps=0,
+                 stopped_early=False):
         self.ids = list(ids)
         self.logp = float(logp)
-        self.state = state
-        self.context = context
         self.alphas = list(alphas)
         self.step_logps = list(step_logps)
         self.completed = completed
@@ -390,9 +388,6 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
     beat it (a tie keeps the earlier one), and the search stops with the
     result a run to max_len would return.
     """
-    def row(k):
-        return [(s[k].copy(), c[k].copy()) for s, c in states]
-
     active = [{"ids": (), "logp": 0.0, "step_logps": (), "alphas": ()}]
     completed = []
     best_done = -np.inf
@@ -416,13 +411,12 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
                    "step_logps": parent["step_logps"] + (float(logp[pk, v]),),
                    "alphas": parent["alphas"] + (alpha[pk].copy(),)}
             if v == EOS:
-                completed.append((hyp, row(pk)))
+                completed.append(hyp)
                 best_done = max(best_done, hyp["logp"])
             else:
                 new_active.append(hyp)
                 rows.append(pk)
         if not new_active:
-            active = []
             break
         active = new_active
         states = [(s[rows], c[rows]) for s, c in states]
@@ -430,18 +424,9 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
             early = steps < max_len
             break
 
-    def build(hyp, snap, done):
-        s_rows, c_rows = [s for s, _ in snap], [c for _, c in snap]
-        if len(snap) == 1:  # a single model reports its own rows
-            s_rows, c_rows = s_rows[0], c_rows[0]
-        return Hypothesis(hyp["ids"], hyp["logp"], s_rows, c_rows,
-                          hyp["alphas"], hyp["step_logps"], done, steps, early)
-
-    if completed:
-        best, snap = max(completed, key=lambda pair: pair[0]["logp"])
-        return build(best, snap, True)
-    k = max(range(len(active)), key=lambda i: active[i]["logp"])
-    return build(active[k], row(k), False)
+    best = max(completed or active, key=lambda hyp: hyp["logp"])
+    return Hypothesis(best["ids"], best["logp"], best["alphas"], best["step_logps"],
+                      bool(completed), steps, early)
 
 
 def encode_for_decode(model, ids, tree=None, encoding=None):
@@ -479,7 +464,3 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
 
     states = [(s0.data, np.zeros((1, model.hidden_dim)))]
     return _run_beam(step, states, beam_size, max_len, model.tgt_vocab_size)
-
-
-def greedy_decode(source, model, max_len, tree=None, encoding=None):
-    return beam_search(source, model, 1, max_len, tree=tree, encoding=encoding)

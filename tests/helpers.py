@@ -2,11 +2,11 @@
 
 The references (exhaustive projective enumeration, the loop-per-split Eisner
 chart, the per-node Tree-GRU recursion, the full-length beam loop, the
-per-gate GRU and LSTM steps, the whole-array Adam update, the dense
-backward sweep) are deliberately independent of the package's code, so
-tests compare two implementations, not one implementation with itself. The
-per-step sequence loss shares the translator's layers and differs only in
-where its output network runs.
+step-by-step argmax chain, the per-gate GRU and LSTM steps, the whole-array
+Adam update, the dense backward sweep) are deliberately independent of the
+package's code, so tests compare two implementations, not one
+implementation with itself. The per-step sequence loss shares the
+translator's layers and differs only in where its output network runs.
 """
 
 import json
@@ -18,9 +18,10 @@ from unittest import mock
 import numpy as np
 
 from synmt import tensor as T
-from synmt.data import BOS
+from synmt.data import BOS, EOS
 from synmt.depparse import DependencyTree, parser_encode
-from synmt.seq2seq import _encode, attend
+from synmt.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from synmt.seq2seq import _encode, attend, decode_step, encode_for_decode
 
 
 def random_projective_tree(n, rng, labels=("det", "amod", "nsubj", "obj", "root")):
@@ -357,20 +358,43 @@ def write_f32_checkpoint(path, state):
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def adam_step_oracle(params, grads, state, lr):
-    """nn.adam_step's update in whole-array form: each parameter is rebound
-    to a new array, and every temporary is parameter-sized."""
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+def adam_step_oracle(opt, grads, factor=None):
+    """nn.Adam.update in whole-array form, with its signature, so that a test
+    can patch it in. When the step clips, factor is clip / norm and every
+    gradient is first scaled into a new array, g * factor; then each
+    parameter is rebound to a new array, and every temporary is
+    parameter-sized."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    if factor is not None:
+        grads = {name: g * factor for name, g in grads.items()}
+    opt.t += 1
+    c1 = 1.0 - b1 ** opt.t
+    c2 = 1.0 - b2 ** opt.t
     for name, g in grads.items():
-        p = params[name]
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        p = opt.table[name]
+        m = opt.m.setdefault(name, np.zeros_like(p.data))
+        v = opt.v.setdefault(name, np.zeros_like(p.data))
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        p.data = p.data - opt.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+def argmax_chain(model, source, max_len):
+    """Greedy decoding written out step by step: the ids and the summed
+    log-probability of the argmax token at each decoder step, up to EOS or
+    max_len."""
+    h, s = encode_for_decode(model, source)
+    c = T.zeros((1, model.hidden_dim))
+    ids, logp, y = [], 0.0, BOS
+    for _ in range(max_len):
+        dist, s, c, _ = decode_step(y, c, s, h, model)
+        y = int(np.argmax(dist.data[0]))
+        ids.append(y)
+        with np.errstate(divide="ignore"):
+            logp += float(np.log(dist.data[0])[y])
+        if y == EOS:
+            break
+    return ids, logp
 
 
 def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
@@ -378,11 +402,7 @@ def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
     hypothesis is live. Same contract as seq2seq._run_beam, kept as the
     reference that the stopping rule must reproduce exactly.
     """
-    from synmt.data import BOS, EOS
     from synmt.seq2seq import Hypothesis
-
-    def row(k):
-        return [(s[k].copy(), c[k].copy()) for s, c in states]
 
     active = [{"ids": (), "logp": 0.0, "step_logps": (), "alphas": ()}]
     completed = []
@@ -402,7 +422,7 @@ def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
                    "step_logps": parent["step_logps"] + (float(logp[pk, v]),),
                    "alphas": parent["alphas"] + (alpha[pk].copy(),)}
             if v == EOS:
-                completed.append((hyp, row(pk)))
+                completed.append(hyp)
             else:
                 new_active.append(hyp)
                 rows.append(pk)
@@ -412,18 +432,13 @@ def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
         active = new_active
         states = [(s[rows], c[rows]) for s, c in states]
 
-    def build(hyp, snap, done):
-        s_rows, c_rows = [s for s, _ in snap], [c for _, c in snap]
-        if len(snap) == 1:
-            s_rows, c_rows = s_rows[0], c_rows[0]
-        return Hypothesis(hyp["ids"], hyp["logp"], s_rows, c_rows,
-                          hyp["alphas"], hyp["step_logps"], done)
+    def build(hyp, done):
+        return Hypothesis(hyp["ids"], hyp["logp"], hyp["alphas"], hyp["step_logps"], done)
 
     if completed:
-        best, snap = max(completed, key=lambda pair: pair[0]["logp"])
-        return build(best, snap, True)
+        return build(max(completed, key=lambda hyp: hyp["logp"]), True)
     k = max(range(len(active)), key=lambda i: active[i]["logp"])
-    return build(active[k], row(k), False)
+    return build(active[k], False)
 
 
 @contextmanager

@@ -34,11 +34,11 @@ from synmt.depparse import (ParserModel, decode_projective, evaluate_las,
                             score_arcs, train_parser, tree_log_loss)
 from synmt.evaluate import bleu, bootstrap_significance
 from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
-                           encode_for_decode, greedy_decode, sequence_loss,
-                           train_step)
+                           encode_for_decode, sequence_loss, train_step)
 
-from helpers import (brute_force_decode, encode_one, enumerate_best, one_bucket,
-                     random_projective_tree, split_rows, tree_gru_encode_naive)
+from helpers import (argmax_chain, brute_force_decode, encode_one, enumerate_best,
+                     one_bucket, random_projective_tree, split_rows,
+                     tree_gru_encode_naive)
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -308,13 +308,12 @@ def test_criterion_04_beam_matches_exhaustive_search(capsys):
             assert hyp.completed
             assert hyp.ids == ref["ids"], trial
             assert abs(hyp.logp - ref["logp"]) < 1e-9
-            g = greedy_decode([4, 5, 6], m, 12)
             b1 = beam_search([4, 5, 6], m, 1, 12)
-            assert g.ids == b1.ids and g.logp == b1.logp
+            assert (b1.ids, b1.logp) == argmax_chain(m, [4, 5, 6], 12)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         notes["detail"] = (f"50 models, |V|=4, max_len=3, beam 64 == argmax; "
-                           f"beam 1 == greedy, {elapsed:.1f}s")
+                           f"beam 1 == argmax chain, {elapsed:.1f}s")
 
 
 # Fixture A: counts worked out by hand give p = 12/14, 8/11, 5/8, 2/5, BP 1.

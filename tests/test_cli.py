@@ -8,11 +8,12 @@ suite.
 import json
 import stat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from synmt import cli
+from synmt import cli, nn
 from synmt.checkpoint import file_sha256
 from synmt.cli import main
 from synmt.data import read_corpus
@@ -20,7 +21,7 @@ from synmt.depparse import read_treebank, write_treebank
 from synmt.evaluate import bleu, read_alignments
 from synmt.syntax import read_sawr_cache
 
-from helpers import edit_entries, edit_meta, rewrite_meta
+from helpers import adam_step_oracle, edit_entries, edit_meta, rewrite_meta
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -531,3 +532,85 @@ class TestPipeline:
         assert len(err) == 1
         assert err[0].startswith("runtime failure: FloatingPointError: epoch 1 batch 2: ")
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("baseline", []),
+        ("tree-rnn", ["--trees", "train.trees", "--dev_trees", "dev.trees",
+                      "--tree_hidden", "8"]),
+        ("sawr-tuned", ["--parser", "parser.ckpt", "--sawr_dim", "8"]),
+    ])
+    def test_clipped_training_matches_the_whole_array_update(self, pipeline, tmp_path,
+                                                             mode, extra):
+        """Every update clips; the block-wise Adam leaves the bytes the
+        whole-array reference leaves. The modes cover the column slices that
+        concat's backward hands the gated cells, the parser's LSTM gradients
+        (sawr-tuned) and the Tree-GRU's (tree-rnn)."""
+        d = pipeline
+        extra = [str(d / a) if (d / a).is_file() else a for a in extra]
+
+        def train(out):
+            assert main(["train-nmt", "--mode", mode,
+                         "--train_src", str(d / "train.src"),
+                         "--train_tgt", str(d / "train.tgt"),
+                         "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                         "--out", str(out)]
+                        + SMALL + ["--epochs", "1", "--clip_norm", "0.001"] + extra) == 0
+            [epoch] = _manifest(out)["epochs"]
+            assert epoch["clipped_frac"] == 1.0
+            return out.read_bytes()
+
+        block = train(tmp_path / "block.ckpt")
+        with mock.patch.object(nn.Adam, "update", adam_step_oracle):
+            whole = train(tmp_path / "whole.ckpt")
+        assert block == whole
+
+
+def _not_utf8(blob):
+    """blob with a byte that no UTF-8 text holds put in its second line."""
+    first = blob.index(b"\n") + 1
+    return blob[:first] + b"\xff" + blob[first:]
+
+
+# (command line, the file it reads and how it is spoiled, exit code, prefix)
+MALFORMED_TEXT = {
+    "duplicate vocabulary token": (
+        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
+        lambda blob: blob + blob.split(b"\n")[0] + b"\n", 2, "data error"),
+    "reserved vocabulary token": (
+        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
+        lambda blob: b"<unk>\n" + blob, 2, "data error"),
+    "vocabulary not UTF-8": (
+        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.tgt.vocab",
+        _not_utf8, 2, "data error"),
+    "BPE merges not UTF-8": (
+        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.bpe",
+        _not_utf8, 2, "data error"),
+    "source corpus not UTF-8": (
+        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "dev.src",
+        _not_utf8, 2, "data error"),
+    "treebank not UTF-8": (
+        ["train-parser", "--treebank", "dev.trees", "--parser_epochs", "1"], "dev.trees",
+        _not_utf8, 2, "data error"),
+    "config not UTF-8": (
+        ["evaluate", "--config", "exp.cfg", "--hyp", "dev.src", "--ref", "dev.src"],
+        "exp.cfg", lambda blob: b"beam_size = 3\nseed = \xc3\x28\n", 1, "config error"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TEXT)
+def test_malformed_text_input_ends_in_one_line_naming_the_file(pipeline, tmp_path,
+                                                               capsys, case):
+    argv, spoiled, edit, code, prefix = MALFORMED_TEXT[case]
+    for suffix in ("", ".src.vocab", ".tgt.vocab", ".bpe"):
+        (tmp_path / f"m.ckpt{suffix}").write_bytes(
+            (pipeline / f"base.ckpt{suffix}").read_bytes())
+    for name in ("dev.src", "dev.trees"):
+        (tmp_path / name).write_bytes((pipeline / name).read_bytes())
+    (tmp_path / "exp.cfg").write_bytes(b"")
+    (tmp_path / spoiled).write_bytes(edit((tmp_path / spoiled).read_bytes()))
+    capsys.readouterr()
+    argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"{prefix}: {tmp_path / spoiled}"), err[0]

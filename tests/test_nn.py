@@ -2,11 +2,14 @@
 the checkpoint container and the one file writer."""
 
 import ast
+import contextlib
 import os
 import re
 import stat
+import struct
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,93 +331,124 @@ class TestDropout:
         assert np.allclose(survivors, 2.0)
 
 
+def one_param_adam(w, clip=None, lr=0.1):
+    """An Adam over a one-parameter table named "w", initialised to w."""
+    table = nn.ParamTable()
+    table.add("w", T.Tensor(np.asarray(w, dtype=float), requires_grad=True))
+    return nn.Adam(table, lr=lr, clip=clip)
+
+
+def step_with(opt, grads):
+    """Hand grads to the table's parameters, then take one step."""
+    for name, g in grads.items():
+        opt.table[name].grad = g
+    return opt.step()
+
+
 class TestClip:
+    """The global clip, seen through a step's first moment: after one step
+    m = 0.1 * g, where g is the gradient the update used."""
+
+    def m_after_one_step(self, g, clip):
+        opt = one_param_adam(np.zeros(len(g)), clip)
+        step_with(opt, {"w": np.array(g)})
+        return opt.m["w"]
+
     def test_below_threshold_unchanged(self):
-        g = {"a": np.array([1.5, 2.0])}  # norm 2.5
-        out = nn.clip_gradients(g, 5.0)
-        assert np.array_equal(out["a"], [1.5, 2.0])
+        # norm 2.5
+        assert np.array_equal(self.m_after_one_step([1.5, 2.0], 5.0),
+                              self.m_after_one_step([1.5, 2.0], None))
 
     def test_boundary_unchanged(self):
-        g = {"a": np.array([3.0, 4.0])}  # norm exactly 5
-        out = nn.clip_gradients(g, 5.0)
-        assert np.array_equal(out["a"], [3.0, 4.0])
+        # norm exactly 5
+        assert np.array_equal(self.m_after_one_step([3.0, 4.0], 5.0),
+                              self.m_after_one_step([3.0, 4.0], None))
 
     def test_hand_scaling(self):
-        g = {"a": np.array([6.0, 8.0])}  # norm 10 -> scaled by 0.5
-        out = nn.clip_gradients(g, 5.0)
-        assert np.allclose(out["a"], [3.0, 4.0])
+        # norm 10 -> scaled by 0.5
+        assert np.array_equal(self.m_after_one_step([6.0, 8.0], 5.0),
+                              self.m_after_one_step([3.0, 4.0], None))
 
-    def test_never_increases_and_idempotent(self):
+    def test_clipped_norm_never_grows_and_clips_once(self):
+        class Spy(nn.Adam):
+            def update(self, grads, factor=None):
+                self.used = {k: g if factor is None else g * factor
+                             for k, g in grads.items()}
+                super().update(grads, factor)
+
         rng = T.make_rng(13)
         for _ in range(50):
-            g = {f"p{i}": rng.normal(size=rng.integers(1, 5)) * 10 for i in range(3)}
-            before = np.sqrt(sum(np.sum(v * v) for v in g.values()))
-            out = nn.clip_gradients(g, 2.0)
-            after = np.sqrt(sum(np.sum(v * v) for v in out.values()))
+            table = nn.ParamTable()
+            for i in range(3):
+                p = table.add(f"p{i}", T.Tensor(np.zeros(rng.integers(1, 5)),
+                                                requires_grad=True))
+                p.grad = rng.normal(size=p.data.shape) * 10
+            before = np.sqrt(sum(np.sum(t.grad ** 2) for _, t in table.items()))
+            opt = Spy(table, lr=0.1, clip=2.0)
+            assert opt.step() == pytest.approx(before, rel=1e-12)
+            after = np.sqrt(sum(np.sum(g * g) for g in opt.used.values()))
             assert after <= before + 1e-12
             assert after <= 2.0 + 1e-9
-            again = nn.clip_gradients({k: v.copy() for k, v in out.items()}, 2.0)
-            for k in g:
-                assert np.allclose(again[k], out[k])
+            for name, g in opt.used.items():  # clipping a clipped set changes nothing
+                table[name].grad = g
+            again = Spy(table, lr=0.1, clip=2.0)
+            again.step()
+            for name in opt.used:
+                assert np.allclose(again.used[name], opt.used[name])
+
+    @pytest.mark.parametrize("lr, clip", [(0.0, None), (-1.0, 5.0), (0.1, 0.0),
+                                          (0.1, -1.0)])
+    def test_non_positive_settings_are_refused(self, lr, clip):
+        with pytest.raises(ValueError):
+            nn.Adam(nn.ParamTable(), lr=lr, clip=clip)
 
 
 class TestAdam:
     def test_zero_gradient(self):
-        table = nn.ParamTable()
-        p = table.add("w", T.Tensor(np.array([1.0, -2.0]), requires_grad=True))
-        state = nn.AdamState()
-        nn.adam_step(table, {"w": np.zeros(2)}, state, lr=0.1)
-        assert np.array_equal(p.data, [1.0, -2.0])
-        assert state.step == 1
+        opt = one_param_adam([1.0, -2.0])
+        step_with(opt, {"w": np.zeros(2)})
+        assert np.array_equal(opt.table["w"].data, [1.0, -2.0])
+        assert opt.t == 1
 
     def test_first_step_is_signed_lr(self):
-        table = nn.ParamTable()
-        p = table.add("w", T.Tensor(np.zeros(3), requires_grad=True))
+        opt = one_param_adam(np.zeros(3), lr=1e-3)
         g = np.array([0.5, -2.0, 3.0])
-        nn.adam_step(table, {"w": g}, nn.AdamState(), lr=1e-3)
-        assert np.allclose(p.data, -1e-3 * np.sign(g), atol=1e-7)
+        step_with(opt, {"w": g})
+        assert np.allclose(opt.table["w"].data, -1e-3 * np.sign(g), atol=1e-7)
 
     def test_two_identical_steps_match_hand_recursion(self):
-        lr, eps = 0.01, 1e-8
+        lr, eps = 0.01, nn.ADAM_EPS
         g = np.array([2.0, -0.3])
-        table = nn.ParamTable()
-        p = table.add("w", T.Tensor(np.array([1.0, 1.0]), requires_grad=True))
-        state = nn.AdamState(epsilon=eps)
-        nn.adam_step(table, {"w": g.copy()}, state, lr)
-        nn.adam_step(table, {"w": g.copy()}, state, lr)
+        opt = one_param_adam([1.0, 1.0], lr=lr)
+        step_with(opt, {"w": g.copy()})
+        step_with(opt, {"w": g.copy()})
         # with a constant gradient both bias-corrected steps reduce to
         # -lr * g / (|g| + eps)
         expected = 1.0 - 2 * lr * g / (np.abs(g) + eps)
-        assert np.allclose(p.data, expected, atol=1e-10)
-        assert state.step == 2
+        assert np.allclose(opt.table["w"].data, expected, atol=1e-10)
+        assert opt.t == 2
 
     def test_shape_mismatch(self):
-        table = nn.ParamTable()
-        table.add("w", T.Tensor(np.zeros((2, 2)), requires_grad=True))
+        opt = one_param_adam(np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            nn.adam_step(table, {"w": np.zeros(3)}, nn.AdamState(), 0.1)
+            step_with(opt, {"w": np.zeros(3)})
 
     B = nn.ADAM_BLOCK
     SHAPES = ([(n,) for n in (1, B - 1, B, B + 1, 3 * B + 7)]
               + [(1, B + 1), (3, B // 2 + 5), (B + 1, 2), (B // 2 + 3, 4)])
 
     @settings(max_examples=25, deadline=None)
-    @example(shapes=SHAPES, layout="C", lr=1e-3, seed=0)
-    @example(shapes=SHAPES, layout="column slice", lr=0.5, seed=1)
+    @example(shapes=SHAPES, layout="C", lr=1e-3, clipped=False, seed=0)
+    @example(shapes=SHAPES, layout="column slice", lr=0.5, clipped=True, seed=1)
     @given(shapes=st.lists(st.sampled_from(SHAPES), min_size=1, max_size=3),
            layout=st.sampled_from(["C", "F", "column slice"]),
-           lr=st.sampled_from([1e-3, 0.5]), seed=st.integers(0, 2 ** 16))
+           lr=st.sampled_from([1e-3, 0.5]), clipped=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
     def test_blocks_match_the_whole_array_update_bit_for_bit(self, shapes, layout,
-                                                             lr, seed):
+                                                             lr, clipped, seed):
         rng = T.make_rng(seed)
         init = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
-        tables, states = [], []
-        for _ in range(2):
-            table = nn.ParamTable()
-            for name, arr in init.items():
-                table.add(name, T.Tensor(arr.copy(), requires_grad=True))
-            tables.append(table)
-            states.append(nn.AdamState())
+        steps = []
         for _ in range(3):
             grads = {}
             for name, arr in init.items():
@@ -424,32 +458,67 @@ class TestAdam:
                     g = rng.normal(size=arr.shape[:-1] + (arr.shape[-1] + 3,))[..., 1:-2]
                 else:
                     g = rng.normal(size=arr.shape)
-                g[rng.random(arr.shape) < 0.1] = 0.0
+                drop = rng.random(arr.shape) < 0.1
+                drop.flat[0] = False  # every step's norm is positive
+                g[drop] = 0.0
                 grads[name] = g * 10.0 ** rng.integers(-4, 3)
-            nn.adam_step(tables[0], grads, states[0], lr)
-            adam_step_oracle(tables[1], grads, states[1], lr)
+            steps.append(grads)
+        # a clip every step exceeds
+        clip = min(nn.grad_norm(grads) for grads in steps) / 2 if clipped else None
+        kept = [{name: g.copy() for name, g in grads.items()} for grads in steps]
+        opts = []
+        for oracle in (False, True):
+            table = nn.ParamTable()
+            for name, arr in init.items():
+                table.add(name, T.Tensor(arr.copy(), requires_grad=True))
+            opts.append(nn.Adam(table, lr, clip))
+            with mock.patch.object(nn.Adam, "update", adam_step_oracle) if oracle \
+                    else contextlib.nullcontext():
+                for grads in steps:
+                    step_with(opts[-1], grads)
+        block, whole = opts
         for name in init:
-            for got, want in ((tables[0][name].data, tables[1][name].data),
-                              (states[0].m[name], states[1].m[name]),
-                              (states[0].v[name], states[1].v[name])):
+            for got, want in ((block.table[name].data, whole.table[name].data),
+                              (block.m[name], whole.m[name]),
+                              (block.v[name], whole.v[name])):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for grads, copies in zip(steps, kept):  # gradients are never written
+            for name in grads:
+                assert grads[name].tobytes() == copies[name].tobytes()
 
+    @pytest.mark.parametrize("factor", [None, 0.5])
     @pytest.mark.parametrize("column_slice", [False, True])
-    def test_second_step_allocates_no_parameter_sized_array(self, column_slice):
-        table = nn.ParamTable()
-        table.add("w", T.Tensor(np.zeros((2 ** 11, 2 ** 10)), requires_grad=True))
+    def test_second_step_allocates_no_parameter_sized_array(self, column_slice, factor):
+        opt = one_param_adam(np.zeros((2 ** 11, 2 ** 10)), lr=1e-3)
         # concat's backward hands the gated cells column slices of a wider array
         width = 2 ** 11 if column_slice else 2 ** 10
         grads = {"w": T.make_rng(0).normal(size=(2 ** 11, width))[:, :2 ** 10]}
-        state = nn.AdamState()
-        nn.adam_step(table, grads, state, 1e-3)  # copies w, allocates m and v
+        opt.update(grads, factor)  # copies w, allocates m and v
         tracemalloc.start()
         try:
-            nn.adam_step(table, grads, state, 1e-3)
+            opt.update(grads, factor)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < table["w"].data.nbytes / 8
+        assert peak < opt.table["w"].data.nbytes / 8
+
+    def test_clipped_step_holds_no_second_gradient_set(self):
+        """Past the first step a clipped step's largest allocation is the
+        norm's square of one gradient: no scaled copy of the gradients."""
+        rng = T.make_rng(4)
+        table = nn.ParamTable()
+        for i in range(4):
+            table.add(f"p{i}", T.Tensor(np.zeros(2 ** 19), requires_grad=True))
+        opt = nn.Adam(table, lr=1e-3, clip=1e-3)
+        grads = {name: rng.normal(size=2 ** 19) for name in table.names()}
+        step_with(opt, grads)  # copies the parameters, allocates m and v
+        tracemalloc.start()
+        try:
+            step_with(opt, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * table["p0"].data.nbytes
 
     def test_arrays_handed_in_are_never_written(self):
         rng = T.make_rng(5)
@@ -486,7 +555,6 @@ class TestAdam:
         w.grad = np.array([3.0, 4.0])
         assert nn.Adam(table, lr=0.1, clip=1.0).step() == 5.0
 
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     @pytest.mark.parametrize("clip", [None, 5.0])
     def test_non_finite_gradient_norm_stops_before_the_update(self, bad, clip):
@@ -498,7 +566,7 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
             opt.step()
         assert np.array_equal(w.data, [1.0, -2.0]) and table["v"].data[0] == 3.0
-        assert opt.state.step == 0 and not opt.state.m
+        assert opt.t == 0 and not opt.m
 
 
 class TestParamTable:
@@ -576,6 +644,16 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match=re.escape(f"{path}: invalid utf-8 "
                                                       f"text at byte 18")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(0,) * 65, (0, 2 ** 31, 2 ** 31)],
+                             ids=["65 axes", "overflowing size"])
+    def test_empty_entry_of_an_impossible_shape_is_a_data_error(self, tmp_path, dims):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SAWRCKPT" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims))
+        with pytest.raises(DataError, match=re.escape(f"{path}: entry 'w' has an "
+                                                      f"unusable shape")):
             load_checkpoint(path)
 
     def test_hash_changes_with_content(self, tmp_path):

@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synmt import cli, depparse, nn, syntax
 from synmt import tensor as T
+from synmt.checkpoint import load_checkpoint
 from synmt.data import Batch, BpeModel, Vocabulary, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel, parser_encode
 from synmt.errors import DataError, ShapeError, StateError
@@ -428,3 +431,50 @@ class TestSawrCache:
             f.write(blob + b"\x00\x01")
         with pytest.raises(DataError, match="trailing"):
             syntax.read_sawr_cache(path)
+
+
+@pytest.fixture(scope="module")
+def valid_binaries(tmp_path_factory):
+    """One valid file per binary reader: a translator checkpoint carrying a
+    parser, a parser checkpoint and a SAWR cache, all small enough that any
+    digit a corruption writes into their metadata keeps the model small."""
+    d = tmp_path_factory.mktemp("binaries")
+    parser = small_parser()
+    parser.save(d / "parser.ckpt")
+    sawr_model(parser=parser).save(d / "model.ckpt")
+    syntax.write_sawr_cache(d / "train.sawr", syntax.extract_sawr(parser, TOKENS), "e" * 64)
+    return {name: (d / name).read_bytes()
+            for name in ("model.ckpt", "parser.ckpt", "train.sawr")}, d
+
+
+READERS = {
+    "load_checkpoint": ("model.ckpt", load_checkpoint),
+    "TranslationModel.load": ("model.ckpt", TranslationModel.load),
+    "ParserModel.load": ("parser.ckpt", ParserModel.load),
+    "read_sawr_cache": ("train.sawr", syntax.read_sawr_cache),
+}
+
+
+class TestBinaryReadersOnCorruptFiles:
+    """A truncated or bit-flipped file either loads or raises DataError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reader=st.sampled_from(sorted(READERS)), data=st.data())
+    def test_loads_or_raises_data_error(self, valid_binaries, reader, data):
+        blobs, d = valid_binaries
+        name, load = READERS[reader]
+        blob = bytearray(blobs[name])
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                 st.integers(1, 255)),
+                                       min_size=1, max_size=4), label="flips")
+            for at, mask in flips:
+                blob[at] ^= mask
+        path = d / f"corrupt.{name}"
+        path.write_bytes(bytes(blob))
+        try:
+            load(path)
+        except DataError:
+            pass
