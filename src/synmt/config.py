@@ -8,6 +8,7 @@ at invocation time. An empty document is valid and yields pure defaults.
 """
 
 import difflib
+import math
 
 from .checkpoint import read_text
 from .errors import ConfigError
@@ -108,14 +109,14 @@ def _coerce(field, value):
     if kind == "float":
         if isinstance(value, bool):
             raise ConfigError(f"{field.name}: expected a number, got a boolean")
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, float, str)):
             try:
-                return float(value.strip())
-            except ValueError:
-                pass
-        raise ConfigError(f"{field.name}: expected a number, got {value!r}")
+                number = float(value.strip() if isinstance(value, str) else value)
+            except (ValueError, OverflowError):
+                number = math.nan
+            if math.isfinite(number):
+                return number
+        raise ConfigError(f"{field.name}: expected a finite number, got {value!r}")
     if kind == "bool":
         if isinstance(value, bool):
             return value

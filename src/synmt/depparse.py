@@ -132,7 +132,8 @@ def read_treebank(path):
         try:
             tree.validate(single_root=False)
         except DataError as e:
-            raise DataError(f"sentence {len(sents) + 1} (line {sent_start}): {e}") from None
+            raise DataError(f"{path} sentence {len(sents) + 1} (line {sent_start}): "
+                            f"{e}") from None
         sents.append((list(tokens), tree))
         tokens.clear(), heads.clear(), labels.clear()
 
@@ -148,15 +149,17 @@ def read_treebank(path):
         elif len(cols) == 10:
             idx_s, form, head_s, label = cols[0], cols[1], cols[6], cols[7]
         else:
-            raise DataError(f"line {line_no}: expected 4 or 10 columns, got {len(cols)}")
+            raise DataError(f"{path} line {line_no}: expected 4 or 10 columns, "
+                            f"got {len(cols)}")
         if not tokens:
             sent_start = line_no
         try:
             idx, head = int(idx_s), int(head_s)
         except ValueError:
-            raise DataError(f"line {line_no}: non-integer index or head") from None
+            raise DataError(f"{path} line {line_no}: non-integer index or head") from None
         if idx != len(tokens) + 1:
-            raise DataError(f"line {line_no}: token index {idx}, expected {len(tokens) + 1}")
+            raise DataError(f"{path} line {line_no}: token index {idx}, "
+                            f"expected {len(tokens) + 1}")
         tokens.append(form)
         heads.append(head)
         labels.append(label)
@@ -284,9 +287,15 @@ class ParserModel:
         self.vocab = dict(vocab)  # token -> id; must contain "<unk>"
         if "<unk>" not in self.vocab:
             raise ValueError('parser vocabulary must contain "<unk>"')
+        ids = list(self.vocab.values())
+        if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+            raise ValueError(f"parser vocabulary ids must be the ints 0..{len(ids) - 1}, "
+                             "each used once")
         nn.check_dims(embed_dim=embed_dim, hidden_dim=hidden_dim, mlp_dim=mlp_dim,
                       layers=layers)
         self.label_names = list(label_names)
+        if not self.label_names:
+            raise ValueError("parser needs at least one label")
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         self.mlp_dim = mlp_dim
@@ -308,8 +317,7 @@ class ParserModel:
                 t.add(f"{part}.{side}.W", T.init_uniform((self.out_dim, mlp_dim), -s, s, rng=rng))
                 t.add(f"{part}.{side}.b", T.Tensor(np.zeros((1, mlp_dim)), requires_grad=True))
         t.add("arc.U", T.init_uniform((mlp_dim + 1, mlp_dim), -s, s, rng=rng))
-        for i in range(len(self.label_names)):
-            t.add(f"lab.U.{i}", T.init_uniform((mlp_dim + 1, mlp_dim + 1), -s, s, rng=rng))
+        t.add_side_by_side({"lab.U": (mlp_dim + 1, mlp_dim + 1)}, len(self.label_names), rng, s)
 
     def word_ids(self, tokens):
         unk = self.vocab["<unk>"]
@@ -402,8 +410,8 @@ def score_arcs(states, model):
     t, m = model.table, model.mlp_dim
     deps = T.reshape(states, (B * n, dim))
     # row b*(n+1) is the root, rows b*(n+1)+1 .. b*(n+1)+n sentence b's tokens
-    rows = np.insert(1 + np.arange(B * n).reshape(B, n), 0, 0, axis=1).ravel()
-    heads = T.take_rows(T.concat([t["root"], deps], axis=0), rows)
+    joined = T.concat([T.take_rows(t["root"], [0] * B), T.reshape(states, (B, n * dim))], axis=1)
+    heads = T.reshape(joined, (B * (n + 1), dim))
 
     def mlp(part, side, src):
         return T.tanh(nn.linear(src, t[f"{part}.{side}.W"], t[f"{part}.{side}.b"]))
@@ -420,7 +428,7 @@ def label_scores(scores, heads, model):
     """[B*n, L] scores of every label on a [B, n] head choice.
 
     Row b*n + i scores token i+1 of sentence b under head heads[b][i]. One
-    product covers all labels: the lab.U.{i} matrices side by side.
+    product covers all labels: lab.U holds their [m+1, m+1] maps side by side.
     """
     arc, lab_head, lab_dep = scores
     B, n1, n = arc.shape
@@ -429,8 +437,7 @@ def label_scores(scores, heads, model):
         raise ShapeError(f"label_scores: heads {heads.shape}, expected {(B, n)}")
     L, width = len(model.label_names), lab_dep.shape[1]
     rows = T.take_rows(lab_head, (heads + n1 * np.arange(B)[:, None]).ravel())
-    U = T.concat([model.table[f"lab.U.{i}"] for i in range(L)], axis=1)  # [m+1, L*(m+1)]
-    prod = T.reshape(T.matmul(rows, U), (B * n, L, width))
+    prod = T.reshape(T.matmul(rows, model.table["lab.U"]), (B * n, L, width))
     return T.reshape(T.matmul(prod, T.reshape(lab_dep, (B * n, width, 1))), (B * n, L))
 
 

@@ -1,7 +1,7 @@
 """Neural layers and optimization shared by the parser and the translator.
 
 Parameters live in a ``ParamTable`` keyed by hierarchical dotted names
-("encoder.fwd.update.W"), which makes checkpoints portable and lets whole
+("enc.fwd.W"), which makes checkpoints portable and lets whole
 subtrees be frozen by prefix.
 """
 
@@ -19,12 +19,35 @@ class ParamTable:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.norm_terms: list[tuple[str, slice]] = []  # grad_norm's, in its order
 
     def add(self, name: str, t: Tensor) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         self._params[name] = t
+        self.norm_terms.append((name, slice(None)))
         return t
+
+    def add_side_by_side(self, shapes: dict, count: int, rng, scale: float) -> list[Tensor]:
+        """Add an entry per name of count blocks of its shape side by side (a
+        cell's W, U and b; the parser's label maps), drawn from U[-scale, scale).
+        Draws and norm terms take block k of every entry before block k+1, as
+        when each block was an entry of its own, so both keep those bits."""
+        draws = [[T.init_uniform(s, -scale, scale, rng=rng).data for s in shapes.values()]
+                 for _ in range(count)]
+        start = len(self.norm_terms)
+        tensors = [self.add(name, Tensor(np.concatenate(blocks, axis=1), requires_grad=True))
+                   for name, blocks in zip(shapes, zip(*draws))]
+        self.norm_terms[start:] = [(name, slice(k * shape[1], (k + 1) * shape[1]))
+                                   for k in range(count) for name, shape in shapes.items()]
+        return tensors
+
+    def attach(self, prefix: str, other: "ParamTable"):
+        """Share other's tensors under prefix.*, its norm terms after ours."""
+        start = len(self.norm_terms)
+        for name, t in other.items():
+            self.add(f"{prefix}.{name}", t)
+        self.norm_terms[start:] = [(f"{prefix}.{name}", cols) for name, cols in other.norm_terms]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -93,33 +116,18 @@ def check_dims(**dims):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _init(table: ParamTable, name: str, shape, rng, scale: float) -> Tensor:
-    return table.add(name, T.init_uniform(shape, -scale, scale, rng=rng))
-
-
 class _GatedCell:
-    """Per-gate W [input_dim, H], U [H, H] and b [1, H] under prefix.gate.*."""
+    """W [input_dim, G·H], U [H, G·H] and b [1, G·H], the gates side by side."""
 
     GATES: tuple = ()
 
     def __init__(self, table: ParamTable, prefix: str, input_dim: int, hidden_dim: int,
                  rng, scale: float = 0.1):
         self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.W, self.U, self.b = [], [], []
-        for gate in self.GATES:
-            self.W.append(_init(table, f"{prefix}.{gate}.W", (input_dim, hidden_dim), rng, scale))
-            self.U.append(_init(table, f"{prefix}.{gate}.U", (hidden_dim, hidden_dim), rng, scale))
-            self.b.append(_init(table, f"{prefix}.{gate}.b", (1, hidden_dim), rng, scale))
-
-    def fused(self):
-        """(W, U, b) with the gates side by side in GATES order.
-
-        Concatenated at use time, once per encode call, loss batch or decoded
-        sentence: the tape routes gradients back to the per-gate parameters,
-        and no copy outlives its use.
-        """
-        return tuple(T.concat(parts, axis=1) for parts in (self.W, self.U, self.b))
+        self.hidden_dim = H = hidden_dim
+        self.W, self.U, self.b = table.add_side_by_side(
+            {f"{prefix}.W": (input_dim, H), f"{prefix}.U": (H, H), f"{prefix}.b": (1, H)},
+            len(self.GATES), rng, scale)
 
     def _check(self, x: Tensor, h: Tensor, name: str):
         if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
@@ -142,12 +150,10 @@ class GruParams(_GatedCell):
     def zero_state(self, batch: int):
         return T.zeros((batch, self.hidden_dim))
 
-    def step(self, x: Tensor, h: Tensor, fused=None):
-        """h' from x [B, input_dim] and h [B, H]; fused is this cell's
-        fused() when the caller runs many steps."""
+    def step(self, x: Tensor, h: Tensor):
+        """h' from x [B, input_dim] and h [B, H]."""
         self._check(x, h, "GRU")
-        W, U, b = fused or self.fused()
-        return T.gru_cell(T.matmul(x, W), h, U, b)
+        return T.gru_cell(T.matmul(x, self.W), h, self.U, self.b)
 
 
 class LstmParams(_GatedCell):
@@ -162,8 +168,7 @@ class LstmParams(_GatedCell):
         """(h', c') from x [B, input_dim] and state (h, c)."""
         h, c = state
         self._check(x, h, "LSTM")
-        W, U, b = self.fused()
-        hc = T.lstm_cell(T.matmul(x, W), T.concat([h, c], axis=1), U, b)
+        hc = T.lstm_cell(T.matmul(x, self.W), T.concat([h, c], axis=1), self.U, self.b)
         H = self.hidden_dim
         return (T.slice_axis(hc, 1, 0, H), T.slice_axis(hc, 1, H, 2 * H))
 
@@ -189,8 +194,8 @@ def birnn_encode(x: Tensor, layers, mask: np.ndarray | None = None) -> Tensor:
     masked steps carry the previous state through so that right-padded
     batches encode each sentence as if unpadded.
 
-    Each direction projects all positions through its fused W in one
-    product; the recurrence then runs one fused cell op per position.
+    Each direction projects all positions through its W in one product;
+    the recurrence then runs one fused cell op per position.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"birnn_encode: input must be [B, n, d], got shape {x.shape}")
@@ -201,15 +206,15 @@ def birnn_encode(x: Tensor, layers, mask: np.ndarray | None = None) -> Tensor:
 
     def run(cell, rows, order):
         """The cell's states at every position; an LSTM's pack h | c."""
-        W, U, b = cell.fused()
-        G = W.shape[1]
-        xw = T.reshape(T.matmul(rows, W), (B, n * G))  # position i: columns i*G ..
+        G = cell.W.shape[1]
+        xw = T.reshape(T.matmul(rows, cell.W), (B, n * G))  # position i: columns i*G ..
         lstm = isinstance(cell, LstmParams)
         state = T.zeros((B, (1 + lstm) * cell.hidden_dim))
         cell_op = T.lstm_cell if lstm else T.gru_cell
         states = [None] * n
         for i in order:
-            state = cell_op(T.slice_axis(xw, 1, i * G, (i + 1) * G), state, U, b, keeps[i])
+            state = cell_op(T.slice_axis(xw, 1, i * G, (i + 1) * G), state, cell.U, cell.b,
+                            keeps[i])
             states[i] = state
         return states
 
@@ -247,11 +252,13 @@ def dropout(x: Tensor, ratio: float, mode: str, rng=None, seed=None) -> Tensor:
     return T.mul(x, T.constant(keep))
 
 
-def grad_norm(grads: dict[str, np.ndarray]) -> float:
-    """Global L2 norm over all gradients."""
+def grad_norm(grads: dict[str, np.ndarray], terms) -> float:
+    """Global L2 norm of grads, summed over terms (ParamTable.norm_terms) in order."""
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for name, cols in terms:
+        if name in grads:
+            blk = grads[name][..., cols]
+            total += float(np.sum(blk * blk))
     return float(np.sqrt(total))
 
 
@@ -294,7 +301,7 @@ class Adam:
         finite (an overflowing one included)."""
         grads = self.table.gradients()
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = grad_norm(grads)
+            norm = grad_norm(grads, self.table.norm_terms)
         if not np.isfinite(norm):
             raise FloatingPointError(f"non-finite gradient norm {norm}")
         clipped = self.clip is not None and norm > self.clip
@@ -332,8 +339,8 @@ class Adam:
             v = self.v.get(name)
             if v is None:
                 v = self.v[name] = np.zeros_like(p.data)
-            # blocks of whole rows: concat's backward hands the gated cells
-            # column slices of a wider array, and rows read them without a copy
+            # blocks of whole rows, which read a column slice of a wider
+            # array (one a backward may hand over) without a copy
             cols = g.shape[-1] if g.ndim > 1 else 1
             g2, m2, v2, p2 = (a.reshape(-1, cols) for a in (g, m, v, p.data))
             k = max(1, ADAM_BLOCK // cols)  # rows per block

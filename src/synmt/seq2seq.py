@@ -123,8 +123,7 @@ class TranslationModel:
             raise ShapeError(f"parser encoder emits {parser.out_dim}-dim states, "
                              f"projection expects {self.sawr.in_dim}")
         self.parser = parser
-        for name, tensor in parser.table.items():
-            self.table.add(f"parser.{name}", tensor)
+        self.table.attach("parser", parser.table)
         syntax.set_parser_trainable(self, trainable)
 
     def init_state(self, h):
@@ -208,11 +207,10 @@ def attend(s_prev, h, Wa, bias=None):
     return T.reshape(T.matmul(alpha, h), (rows, H)), T.reshape(alpha, (rows, n))
 
 
-def decode_step(y_prev, c_prev, s_prev, h, model, dec=None):
+def decode_step(y_prev, c_prev, s_prev, h, model):
     """One decoder step for a row batch of hypotheses of one source.
 
-    y_prev: previous target id (int) or one id per row; h [1, n, H] memory;
-    dec, when given, is model.dec.fused(), taken once per decoded sentence.
+    y_prev: previous target id (int) or one id per row; h [1, n, H] memory.
     Returns (distribution [K, V], new state [K, H], new context [K, H], alpha [K, n]).
     """
     ids = np.atleast_1d(np.asarray(y_prev, dtype=np.int64))
@@ -220,7 +218,7 @@ def decode_step(y_prev, c_prev, s_prev, h, model, dec=None):
         raise ValueError(f"target id out of range for vocab {model.tgt_vocab_size}")
     e = T.take_rows(model.table["tgt_emb"], ids)
     x = T.concat([e, c_prev], axis=1)
-    s = model.dec.step(x, s_prev, dec)
+    s = model.dec.step(x, s_prev)
     c, alpha = attend(s, h, model.table["att.W"])
     dist = T.softmax(model.output_logits(s, c, mode="eval"), axis=1)
     return dist, s, c, alpha
@@ -303,11 +301,10 @@ def sequence_loss(batch, model, mode="train"):
     y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
     e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
     Wa = model.table["att.W"]
-    dec = model.dec.fused()
     states, contexts = [], []
     for j in range(m):  # only the recurrence: the output network feeds nothing back
         x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
-        s = model.dec.step(x, s, dec)
+        s = model.dec.step(x, s)
         c, _ = attend(s, h, Wa, bias)
         states.append(s)
         contexts.append(c)
@@ -453,11 +450,10 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
     if ids.size == 0:
         raise ValueError("empty source sentence")
     h, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding)
-    dec = model.dec.fused()
 
     def step(y_prev, states):
         [(s, c)] = states
-        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, model, dec)
+        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, model)
         with np.errstate(divide="ignore"):
             lp = np.log(dist.data)
         return lp, [(s.data, c.data)], alpha.data

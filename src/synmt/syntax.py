@@ -135,12 +135,11 @@ def tree_gru_encode_batch(emb, trees, p):
         """recurrent_rows(level_nodes, row_of) -> [L, hidden] recurrent input."""
         row_of = {}
         chunks = []
-        W, U, b = cell.fused()
-        xw = T.matmul(emb, W)
+        xw = T.matmul(emb, cell.W)
         for level in levels:
             ids = [offsets[ti] + v - 1 for ti, v in level]
             h_prev = recurrent_rows(level, row_of, chunks)
-            new = T.gru_cell(T.take_rows(xw, np.asarray(ids)), h_prev, U, b)
+            new = T.gru_cell(T.take_rows(xw, np.asarray(ids)), h_prev, cell.U, cell.b)
             base = len(row_of)
             for k, node in enumerate(level):
                 row_of[node] = base + k

@@ -2,7 +2,8 @@
 
 The references (exhaustive projective enumeration, the loop-per-split Eisner
 chart, the per-node Tree-GRU recursion, the full-length beam loop, the
-step-by-step argmax chain, the per-gate GRU and LSTM steps, the whole-array
+step-by-step argmax chain, the per-gate GRU and LSTM steps, the
+one-entry-per-gate parameter layout and its gradient norm, the whole-array
 Adam update, the dense backward sweep) are deliberately independent of the
 package's code, so tests compare two implementations, not one
 implementation with itself. The per-step sequence loss shares the
@@ -198,10 +199,18 @@ def split_rows(rows, trees):
     return np.split(rows, np.cumsum([t.n for t in trees])[:-1])
 
 
+def gate_columns(t, k, width):
+    """Block k of a side-by-side entry's columns, read on the tape."""
+    return T.slice_axis(t, 1, k * width, (k + 1) * width)
+
+
 def gru_step_oracle(x, h, cell):
-    """One GRU step gate by gate, two products and two adds per gate: the
-    reference for the fused tensor.gru_cell behind nn.GruParams."""
-    (Wz, Wr, Wh), (Uz, Ur, Uh), (bz, br, bh) = cell.W, cell.U, cell.b
+    """One GRU step gate by gate, two products and two adds per gate, on
+    column blocks of the cell's W, U and b: the reference for the fused
+    tensor.gru_cell behind nn.GruParams."""
+    H = cell.hidden_dim
+    (Wz, Wr, Wh), (Uz, Ur, Uh), (bz, br, bh) = (
+        [gate_columns(t, k, H) for k in range(3)] for t in (cell.W, cell.U, cell.b))
     z = T.sigmoid(T.add(T.add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
     r = T.sigmoid(T.add(T.add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
     cand = T.tanh(T.add(T.add(T.matmul(x, Wh), T.matmul(T.mul(r, h), Uh)), bh))
@@ -210,16 +219,137 @@ def gru_step_oracle(x, h, cell):
 
 
 def lstm_step_oracle(x, state, cell):
-    """One LSTM step gate by gate: the reference for tensor.lstm_cell."""
+    """One LSTM step gate by gate, on column blocks of the cell's W, U and
+    b: the reference for tensor.lstm_cell."""
     h, c = state
+    H = cell.hidden_dim
 
     def gate(k):
-        return T.add(T.add(T.matmul(x, cell.W[k]), T.matmul(h, cell.U[k])), cell.b[k])
+        return T.add(T.add(T.matmul(x, gate_columns(cell.W, k, H)),
+                           T.matmul(h, gate_columns(cell.U, k, H))),
+                     gate_columns(cell.b, k, H))
 
     i, f, o = (T.sigmoid(gate(k)) for k in range(3))
     g = T.tanh(gate(3))
     c_new = T.add(T.mul(f, c), T.mul(i, g))
     return T.mul(o, T.tanh(c_new)), c_new
+
+
+# ---------------------------------------------------------------------------
+# The one-entry-per-gate layout: each gate's W, U and b, and each label's
+# map, stored as entries of their own. The oracles below draw that layout
+# from a seed and split the side-by-side entries back into it.
+
+GRU_GATES = ("update", "reset", "cand")
+LSTM_GATES = ("input", "forget", "output", "cell")
+
+
+def per_gate_draws(rng, prefix, gates, input_dim, hidden_dim, scale=0.1):
+    """{prefix}.{gate}.W/U/b drawn gate by gate, W, U then b."""
+    out = {}
+    for gate in gates:
+        for part, shape in (("W", (input_dim, hidden_dim)), ("U", (hidden_dim, hidden_dim)),
+                            ("b", (1, hidden_dim))):
+            out[f"{prefix}.{gate}.{part}"] = rng.uniform(-scale, scale, size=shape)
+    return out
+
+
+def per_gate_parser_state(parser, seed):
+    """A ParserModel's parameters as seed draws them one entry per gate and
+    per label (lab.U.{i}), in table order."""
+    rng, s = T.make_rng(seed), 0.1
+    E, H, m, out = parser.embed_dim, parser.hidden_dim, parser.mlp_dim, parser.out_dim
+    state = {"emb": rng.uniform(-s, s, size=(len(parser.vocab), E))}
+    for layer in range(parser.layers):
+        for side in ("fwd", "bwd"):
+            state.update(per_gate_draws(rng, f"enc.l{layer}.{side}", LSTM_GATES,
+                                        E if layer == 0 else out, H))
+    state["root"] = rng.uniform(-s, s, size=(1, out))
+    for name in ("arc.head", "arc.dep", "lab.head", "lab.dep"):
+        state[f"{name}.W"] = rng.uniform(-s, s, size=(out, m))
+        state[f"{name}.b"] = np.zeros((1, m))
+    state["arc.U"] = rng.uniform(-s, s, size=(m + 1, m))
+    for i in range(len(parser.label_names)):
+        state[f"lab.U.{i}"] = rng.uniform(-s, s, size=(m + 1, m + 1))
+    return state
+
+
+def per_gate_translator_state(model, parser_seed=None):
+    """A TranslationModel's parameters as its seed draws them one entry per
+    gate, in table order; an attached parser's follow under parser.*, drawn
+    from parser_seed."""
+    rng, s = T.make_rng(model.seed), 0.1
+
+    def draw(*shape):
+        return rng.uniform(-s, s, size=shape)
+
+    E, H, V = model.emb_dim, model.hidden_dim, model.tgt_vocab_size
+    state = {"src_emb": draw(model.src_vocab_size, E), "tgt_emb": draw(V, E)}
+    if model.mode == "sawr":
+        state["sawr.W"] = draw(model.sawr.in_dim, model.sawr_dim)
+        state["sawr.b"] = draw(1, model.sawr_dim)
+    elif model.mode == "tree-rnn":
+        for side in ("up", "down"):
+            state.update(per_gate_draws(rng, f"tree.{side}", GRU_GATES, E, model.tree_hidden))
+        state["tree.root"] = draw(1, model.tree_hidden)
+    for side in ("fwd", "bwd"):
+        state.update(per_gate_draws(rng, f"enc.{side}", GRU_GATES, model.enc_input_dim,
+                                    H // 2))
+    state["att.W"] = draw(H, H)
+    state.update(per_gate_draws(rng, "dec", GRU_GATES, E + H, H))
+    state.update({"init.W": draw(H // 2, H), "init.b": draw(1, H),
+                  "out.hidden.W": draw(2 * H, H), "out.hidden.b": draw(1, H),
+                  "out.logits.W": draw(H, V), "out.logits.b": draw(1, V)})
+    if model.parser is not None:
+        state.update({f"parser.{name}": arr for name, arr
+                      in per_gate_parser_state(model.parser, parser_seed).items()})
+    return state
+
+
+def split_per_gate(arrays):
+    """Side-by-side entries (parameters or gradients, in table order) split
+    back into one entry per gate and per label, in the same order.
+
+    A cell is a prefix with .W, .U and .b entries: U [H, G*H] holds G=3 (GRU)
+    or G=4 (LSTM) gates. lab.U [m+1, L*(m+1)] holds L label maps. Every
+    other entry is kept as it is.
+    """
+    out = {}
+    for name, arr in arrays.items():
+        prefix, _, part = name.rpartition(".")
+        if {f"{prefix}.W", f"{prefix}.U", f"{prefix}.b"} <= arrays.keys():
+            if part != "W":
+                continue  # split with its cell's W
+            U = arrays[f"{prefix}.U"]
+            H = U.shape[0]
+            gates = {3: GRU_GATES, 4: LSTM_GATES}[U.shape[1] // H]
+            for k, gate in enumerate(gates):
+                for p in "WUb":
+                    out[f"{prefix}.{gate}.{p}"] = arrays[f"{prefix}.{p}"][:, k * H:(k + 1) * H]
+        elif name == "lab.U" or name.endswith(".lab.U"):
+            w = arr.shape[0]
+            for i in range(arr.shape[1] // w):
+                out[f"{name}.{i}"] = arr[:, i * w:(i + 1) * w]
+        else:
+            out[name] = arr
+    return out
+
+
+def per_gate_layout(state):
+    """Rewrite a checkpoint's entries in place into one entry per gate and
+    per label, the layout checkpoints had before the gates went side by side."""
+    split = split_per_gate(state)
+    state.clear()
+    state.update(split)
+
+
+def per_gate_norm(grads):
+    """The global gradient norm with one term per gate and per label, each
+    term's squares summed alone and the terms added in table order."""
+    total = 0.0
+    for g in split_per_gate(grads).values():
+        total += float(np.sum(g * g))
+    return float(np.sqrt(total))
 
 
 def masked_carry_oracle(new, old, keep):

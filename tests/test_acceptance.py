@@ -141,9 +141,9 @@ def _grad_stacked(i):
     return T.grad_check(loss, target)
 
 
-DECODER_PARAMS = ("att.W", "tgt_emb", "dec.cand.W", "dec.update.U",
+DECODER_PARAMS = ("att.W", "tgt_emb", "dec.W", "dec.U",
                   "out.hidden.W", "out.logits.b", "init.W", "src_emb",
-                  "enc.fwd.reset.W")
+                  "enc.fwd.W")
 
 
 def _grad_decoder(i):
@@ -162,7 +162,7 @@ def _grad_decoder(i):
 
 
 SAWR_PARAMS = ("sawr.W", "sawr.b", "parser.emb", "parser.root",
-               "parser.arc.head.W", "parser.enc.l0.fwd.input.W")
+               "parser.arc.head.W", "parser.enc.l0.fwd.W")
 
 
 def _grad_sawr(i):
@@ -183,8 +183,8 @@ def _grad_sawr(i):
 
 
 BIAFFINE_PARAMS = ("emb", "root", "arc.U", "arc.head.W", "arc.dep.b",
-                   "lab.U.0", "lab.U.2", "lab.head.W", "lab.dep.b",
-                   "enc.l0.fwd.input.W", "enc.l0.bwd.cell.U")
+                   "lab.U", "lab.head.b", "lab.head.W", "lab.dep.b",
+                   "enc.l0.fwd.W", "enc.l0.bwd.U")
 
 
 def _grad_biaffine(i):
@@ -204,9 +204,9 @@ def _grad_biaffine(i):
     return T.grad_check(loss, model.table[BIAFFINE_PARAMS[i % len(BIAFFINE_PARAMS)]])
 
 
-TREE_PARAMS = ("emb", "tree.root", "tree.up.update.W", "tree.up.reset.U",
-               "tree.up.cand.b", "tree.down.update.U", "tree.down.cand.W",
-               "tree.down.reset.b")
+TREE_PARAMS = ("emb", "tree.root", "tree.up.W", "tree.up.U",
+               "tree.up.b", "tree.down.U", "tree.down.W",
+               "tree.down.b")
 
 
 def _grad_tree_gru(i):

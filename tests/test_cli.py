@@ -21,7 +21,7 @@ from synmt.depparse import read_treebank, write_treebank
 from synmt.evaluate import bleu, read_alignments
 from synmt.syntax import read_sawr_cache
 
-from helpers import adam_step_oracle, edit_entries, edit_meta, rewrite_meta
+from helpers import adam_step_oracle, edit_entries, edit_meta, per_gate_layout, rewrite_meta
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -399,6 +399,7 @@ class TestPipeline:
     @pytest.mark.parametrize("edit, message", [
         (lambda state: state.update(bogus=np.zeros(2)), "unknown entry 'bogus'"),
         (lambda state: state.pop("att.W"), "no entry for parameter 'att.W'"),
+        (per_gate_layout, "no entry for parameter 'enc.fwd.W'"),
     ])
     def test_checkpoint_entries_must_match_the_model(self, pipeline, tmp_path, capsys,
                                                      edit, message):
@@ -542,9 +543,9 @@ class TestPipeline:
     def test_clipped_training_matches_the_whole_array_update(self, pipeline, tmp_path,
                                                              mode, extra):
         """Every update clips; the block-wise Adam leaves the bytes the
-        whole-array reference leaves. The modes cover the column slices that
-        concat's backward hands the gated cells, the parser's LSTM gradients
-        (sawr-tuned) and the Tree-GRU's (tree-rnn)."""
+        whole-array reference leaves. The modes cover the translator's GRU
+        gradients, the parser's LSTM gradients (sawr-tuned) and the
+        Tree-GRU's (tree-rnn)."""
         d = pipeline
         extra = [str(d / a) if (d / a).is_file() else a for a in extra]
 
@@ -591,6 +592,14 @@ MALFORMED_TEXT = {
     "treebank not UTF-8": (
         ["train-parser", "--treebank", "dev.trees", "--parser_epochs", "1"], "dev.trees",
         _not_utf8, 2, "data error"),
+    "dev treebank line of two columns": (
+        ["train-parser", "--treebank", "train.trees", "--dev_treebank", "dev.trees",
+         "--parser_epochs", "1"], "dev.trees",
+        lambda blob: blob.replace(b"\n\n", b"\n\n1\tx\n", 1), 2, "data error"),
+    "dev treebank token that heads itself": (
+        ["train-parser", "--treebank", "train.trees", "--dev_treebank", "dev.trees",
+         "--parser_epochs", "1"], "dev.trees",
+        lambda blob: blob + b"1\tx\t1\troot\n\n", 2, "data error"),
     "config not UTF-8": (
         ["evaluate", "--config", "exp.cfg", "--hyp", "dev.src", "--ref", "dev.src"],
         "exp.cfg", lambda blob: b"beam_size = 3\nseed = \xc3\x28\n", 1, "config error"),
@@ -604,7 +613,7 @@ def test_malformed_text_input_ends_in_one_line_naming_the_file(pipeline, tmp_pat
     for suffix in ("", ".src.vocab", ".tgt.vocab", ".bpe"):
         (tmp_path / f"m.ckpt{suffix}").write_bytes(
             (pipeline / f"base.ckpt{suffix}").read_bytes())
-    for name in ("dev.src", "dev.trees"):
+    for name in ("dev.src", "dev.trees", "train.trees"):
         (tmp_path / name).write_bytes((pipeline / name).read_bytes())
     (tmp_path / "exp.cfg").write_bytes(b"")
     (tmp_path / spoiled).write_bytes(edit((tmp_path / spoiled).read_bytes()))

@@ -108,6 +108,12 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="learning_rate.*number"):
             validate_config({"learning_rate": "fast"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", float("nan"), 10 ** 400])
+    def test_float_must_be_finite(self, value):
+        # a NaN clip never clips, a NaN or infinite step size ruins the first update
+        with pytest.raises(ConfigError, match="learning_rate: expected a finite number"):
+            validate_config({"learning_rate": value})
+
     def test_bool_rejects_arbitrary_words(self):
         with pytest.raises(ConfigError, match="case_sensitive"):
             validate_config({"case_sensitive": "maybe"})

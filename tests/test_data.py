@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synmt import tensor as T
+from synmt.config import read_config, validate_config
 from synmt.data import (BOS, EOS, PAD, UNK, BpeModel, Vocabulary, apply_bpe,
                         build_vocab, decode_bpe, delinearize_tree, filter_and_batch,
                         learn_bpe, linearize_tree, read_corpus)
-from synmt.depparse import DependencyTree
-from synmt.errors import DataError
+from synmt.depparse import DependencyTree, read_treebank
+from synmt.errors import ConfigError, DataError
 
 from helpers import random_projective_tree
 
@@ -265,3 +268,56 @@ class TestReadCorpus:
         p = tmp_path / "c.txt"
         p.write_text("a b c\nd e\n", encoding="utf-8")
         assert read_corpus(p) == [["a", "b", "c"], ["d", "e"]]
+
+
+# One valid document per text reader, the reader (the config's validation
+# included, as the command line runs it) and the one error it may raise.
+TEXT_READERS = {
+    "read_treebank": ("1\ta\t2\tdet\n2\tb\t0\troot\n\n# note\n"
+                      "1\tc\t_\t_\t_\t_\t0\troot\t_\t_\n", read_treebank, DataError),
+    "BpeModel.load": ("a b\nab c\nabc d\n", BpeModel.load, DataError),
+    "Vocabulary.load": ("a\nb\nab\n", Vocabulary.load, DataError),
+    "read_config": ("# run\nbeam_size = 3\nlearning_rate = 0.01\nmode = tree-rnn\n"
+                    "length_edges = 5, 10\ncase_sensitive = yes\n",
+                    lambda path: validate_config(read_config(path)), ConfigError),
+}
+# bytes that steer the readers: separators, digits, signs, comment and
+# assignment marks, and the start of a multi-byte or invalid UTF-8 sequence
+STEERING = list(b"\t \n\r#=,-_.019eE") + [0x00, 0xc3, 0xe2, 0xff]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text-fuzz")
+
+
+class TestTextReadersOnAnyInput:
+    """Any file either reads or raises the reader's one error (DataError,
+    ConfigError for the config): an edited valid document, or bytes at random."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reader=st.sampled_from(sorted(TEXT_READERS)), data=st.data())
+    def test_reads_or_raises_its_error(self, fuzz_dir, reader, data):
+        valid, read, error = TEXT_READERS[reader]
+        byte = st.one_of(st.sampled_from(STEERING), st.integers(0, 255))
+        if data.draw(st.booleans(), label="edit a valid document"):
+            blob = bytearray(valid.encode("utf-8"))
+            edits = data.draw(st.lists(st.tuples(st.sampled_from(["insert", "delete", "set"]),
+                                                 st.integers(0, len(blob)), byte),
+                                       min_size=1, max_size=6), label="edits")
+            for kind, at, value in edits:
+                at = min(at, len(blob) - 1) if kind != "insert" else at
+                if kind == "insert":
+                    blob.insert(at, value)
+                elif blob and kind == "delete":
+                    del blob[at]
+                elif blob:
+                    blob[at] = value
+        else:
+            blob = bytes(data.draw(st.lists(byte, max_size=60), label="bytes"))
+        path = fuzz_dir / f"{reader}.txt"
+        path.write_bytes(bytes(blob))
+        try:
+            read(path)
+        except error:
+            pass

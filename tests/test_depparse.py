@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from synmt import depparse
 from synmt import tensor as T
+from synmt.checkpoint import load_checkpoint
 from synmt.depparse import (DependencyTree, ParserModel, decode_projective, evaluate_las,
                             label_scores, normalize_root,
                             parse_sentence, parser_encode, projectivize, read_treebank,
@@ -17,7 +18,7 @@ from synmt.errors import DataError, ShapeError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
                      edit_entries, edit_meta, encode_one, has_crossing_arcs, one_bucket,
-                     random_projective_tree, records_on, rewrite_meta, toy_grammar_sentences,
+                     per_gate_layout, random_projective_tree, records_on, rewrite_meta, toy_grammar_sentences,
                      tuple_chart_decode)
 
 
@@ -130,23 +131,32 @@ class TestTreebankIO:
 
     def test_head_out_of_range(self, tmp_path):
         p = self.write(tmp_path, "1\ta\t5\tdep\n\n")
-        with pytest.raises(DataError, match="sentence 1"):
+        with pytest.raises(DataError, match="^" + re.escape(f"{p} sentence 1 (line 1): ")):
             read_treebank(p)
 
     def test_cycle_reported_with_sentence_index(self, tmp_path):
         good = "1\ta\t0\troot\n\n"
         bad = "1\ta\t2\tx\n2\tb\t1\ty\n\n"
-        with pytest.raises(DataError, match="sentence 2"):
-            read_treebank(self.write(tmp_path, good + bad))
+        p = self.write(tmp_path, good + bad)
+        with pytest.raises(DataError, match="^" + re.escape(f"{p} sentence 2 (line 3): cycle")):
+            read_treebank(p)
 
     def test_bad_column_count(self, tmp_path):
         p = self.write(tmp_path, "1\ta\t0\n\n")
-        with pytest.raises(DataError, match="line 1"):
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"{p} line 1: expected 4 or 10 columns, got 3")):
             read_treebank(p)
 
     def test_non_integer_head(self, tmp_path):
         p = self.write(tmp_path, "1\ta\tx\tdep\n\n")
-        with pytest.raises(DataError, match="line 1"):
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"{p} line 1: non-integer index or head")):
+            read_treebank(p)
+
+    def test_token_index_out_of_order(self, tmp_path):
+        p = self.write(tmp_path, "1\ta\t0\troot\n3\tb\t1\tx\n\n")
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"{p} line 2: token index 3, expected 2")):
             read_treebank(p)
 
     @pytest.mark.parametrize("columns", [4, 10])
@@ -307,8 +317,8 @@ class TestParserModel:
             return T.scale(tree_log_loss(score_arcs(one_bucket(enc), model), [gold], model),
                            1 / 3)
 
-        names = ["emb", "arc.U", "lab.U.0", "arc.head.W", "lab.dep.b", "root",
-                 "enc.l0.fwd.input.W", "enc.l1.bwd.cell.U"]
+        names = ["emb", "arc.U", "lab.U", "arc.head.W", "lab.dep.b", "root",
+                 "enc.l0.fwd.W", "enc.l1.bwd.U"]
         for name in names:
             assert T.grad_check(loss, model.table[name]) < 1e-4, name
 
@@ -338,18 +348,36 @@ class TestParserModel:
                     mlp_dim=2, layers=1).save(path)
         return path
 
+    def test_checkpoint_holds_one_w_u_and_b_per_cell_and_one_lab_u(self, tmp_path):
+        path = tmp_path / "parser.ckpt"
+        ParserModel({"<unk>": 0, "a": 1}, ["x", "y", "z"], embed_dim=3, hidden_dim=3,
+                    mlp_dim=2, layers=3).save(path)
+        names = list(load_checkpoint(path))
+        assert len(names) == 31  # was 84 + 3 labels with one entry per gate and label
+        assert [n for n in names if n.startswith("lab.U")] == ["lab.U"]
+        assert [n for n in names if n.startswith("enc.l2.bwd.")] == [
+            "enc.l2.bwd.W", "enc.l2.bwd.U", "enc.l2.bwd.b"]
+
+    def test_a_checkpoint_with_one_entry_per_gate_is_a_data_error(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        edit_entries(path, per_gate_layout)
+        with pytest.raises(DataError, match=re.escape(f"{path}: no entry for parameter "
+                                                      f"'enc.l0.fwd.W'")):
+            ParserModel.load(path)
+
     def test_checkpoint_without_a_parameter_is_a_data_error(self, tmp_path):
         path = self.small_checkpoint(tmp_path)
-        edit_entries(path, lambda state: state.pop("lab.U.0"))
+        edit_entries(path, lambda state: state.pop("lab.U"))
         with pytest.raises(DataError, match=re.escape(f"{path}: no entry for parameter "
-                                                      f"'lab.U.0'")):
+                                                      f"'lab.U'")):
             ParserModel.load(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: meta.pop("labels"), "__meta__ lacks 'labels'"),
         (lambda meta: meta.update(hidden_dim=None), "invalid __meta__"),
         (lambda meta: meta.update(vocab={"a": 0}), "invalid __meta__"),
-        (lambda meta: meta.update(labels=["x"]), "unknown entry 'lab.U.1'"),
+        (lambda meta: meta.update(labels=["x"]), "parameter 'lab.U' has shape (3, 6)"),
+        (lambda meta: meta.update(labels=[]), "invalid __meta__ (parser needs at least one label)"),
     ])
     def test_bad_metadata_field_is_a_data_error(self, tmp_path, edit, message):
         path = self.small_checkpoint(tmp_path)
@@ -419,7 +447,8 @@ class TestBatchedScorer:
         for b in range(3):
             for i in range(4):
                 row = lab_head.data[b * 5 + heads[b, i]]
-                want = [row @ model.table[f"lab.U.{k}"].data @ lab_dep.data[b * 4 + i]
+                U = model.table["lab.U"].data  # the labels' [4, 4] maps side by side
+                want = [row @ U[:, 4 * k:4 * (k + 1)] @ lab_dep.data[b * 4 + i]
                         for k in range(len(self.LABELS))]
                 assert np.allclose(got[b * 4 + i], want, rtol=0, atol=1e-12)
 

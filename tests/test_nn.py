@@ -19,10 +19,16 @@ from hypothesis import strategies as st
 from synmt import nn
 from synmt import tensor as T
 from synmt.checkpoint import file_sha256, load_checkpoint, open_new, save_checkpoint
+from synmt.data import Batch
+from synmt.depparse import (DependencyTree, ParserModel, parser_encode, score_arcs,
+                            tree_log_loss)
 from synmt.errors import DataError, ShapeError
+from synmt.seq2seq import TranslationModel, sequence_loss
 
-from helpers import (adam_step_oracle, gru_step_oracle, lstm_step_oracle,
-                     masked_carry_oracle, write_f32_checkpoint)
+from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, gru_step_oracle,
+                     lstm_step_oracle, masked_carry_oracle, per_gate_draws, per_gate_norm,
+                     per_gate_parser_state, per_gate_translator_state, random_projective_tree,
+                     split_per_gate, write_f32_checkpoint)
 
 
 def make_gru(input_dim, hidden_dim, seed=0, prefix="g"):
@@ -113,9 +119,8 @@ class TestFusedStepsMatchOracles:
         inputs = [x] + state + [t for _, t in table.items()]
 
         def fused():
-            W, U, b = cell.fused()
             op = T.lstm_cell if lstm else T.gru_cell
-            return op(T.matmul(x, W), T.concat(state, axis=1), U, b, keep)
+            return op(T.matmul(x, cell.W), T.concat(state, axis=1), cell.U, cell.b, keep)
 
         def oracle():
             old = T.concat(state, axis=1)
@@ -239,7 +244,7 @@ class TestBirnn:
         def loss(_):
             return T.sum_all(T.tanh(nn.birnn_encode(x, layers, mask=mask)))
 
-        for target in (x, table["l0.fwd.input.W"], table["l1.bwd.forget.U"]):
+        for target in (x, table["l0.fwd.W"], table["l1.bwd.U"]):
             assert T.grad_check(loss, target) < 1e-4
 
     def test_one_read_per_position_and_a_fixed_number_of_joins(self):
@@ -253,8 +258,8 @@ class TestBirnn:
                 counts[n] = op_counts(tape.records)
         for n, c in counts.items():
             assert c["slice_axis"] == 2 * n  # one read of the projected inputs per step
-        # the fused W, U and b of each direction, then one join of all states
-        assert counts[3]["concat"] == counts[7]["concat"] == 7
+        # one join of all states; the weights are read as they are stored
+        assert counts[3]["concat"] == counts[7]["concat"] == 1
         assert counts[3]["reshape"] == counts[7]["reshape"] == 6
 
     @pytest.mark.parametrize("make, op, layers", [(make_gru, "gru_cell", 1),
@@ -284,12 +289,11 @@ class TestBirnn:
         _, lstm = make_lstm(3, 4)
         with T.Tape() as tape:
             gru.step(x, gru.zero_state(2))
-            assert op_counts(tape.records) == {"concat": 3, "matmul": 1, "gru_cell": 1}
+            assert op_counts(tape.records) == {"matmul": 1, "gru_cell": 1}
         with T.Tape() as tape:
             lstm.step(x, lstm.zero_state(2))
             # the zero state packs into h | c off the tape; h and c unpack again
-            assert op_counts(tape.records) == {"concat": 3, "matmul": 1, "lstm_cell": 1,
-                                               "slice_axis": 2}
+            assert op_counts(tape.records) == {"matmul": 1, "lstm_cell": 1, "slice_axis": 2}
 
 
 class TestLinear:
@@ -463,14 +467,16 @@ class TestAdam:
                 g[drop] = 0.0
                 grads[name] = g * 10.0 ** rng.integers(-4, 3)
             steps.append(grads)
-        # a clip every step exceeds
-        clip = min(nn.grad_norm(grads) for grads in steps) / 2 if clipped else None
-        kept = [{name: g.copy() for name, g in grads.items()} for grads in steps]
-        opts = []
-        for oracle in (False, True):
-            table = nn.ParamTable()
+        tables = [nn.ParamTable() for _ in range(2)]
+        for table in tables:
             for name, arr in init.items():
                 table.add(name, T.Tensor(arr.copy(), requires_grad=True))
+        # a clip every step exceeds
+        terms = tables[0].norm_terms
+        clip = min(nn.grad_norm(grads, terms) for grads in steps) / 2 if clipped else None
+        kept = [{name: g.copy() for name, g in grads.items()} for grads in steps]
+        opts = []
+        for oracle, table in zip((False, True), tables):
             opts.append(nn.Adam(table, lr, clip))
             with mock.patch.object(nn.Adam, "update", adam_step_oracle) if oracle \
                     else contextlib.nullcontext():
@@ -490,7 +496,7 @@ class TestAdam:
     @pytest.mark.parametrize("column_slice", [False, True])
     def test_second_step_allocates_no_parameter_sized_array(self, column_slice, factor):
         opt = one_param_adam(np.zeros((2 ** 11, 2 ** 10)), lr=1e-3)
-        # concat's backward hands the gated cells column slices of a wider array
+        # a gradient may be a column slice of a wider array
         width = 2 ** 11 if column_slice else 2 ** 10
         grads = {"w": T.make_rng(0).normal(size=(2 ** 11, width))[:, :2 ** 10]}
         opt.update(grads, factor)  # copies w, allocates m and v
@@ -599,6 +605,92 @@ class TestParamTable:
         opt.step()
         assert np.array_equal(frozen.data, np.ones((2, 2)))
         assert not np.array_equal(live.data, np.ones((2, 2)))
+
+
+def layout_parser(seed=4):
+    return ParserModel({"<unk>": 0, "a": 1, "b": 2}, ["root", "x", "y"], embed_dim=5,
+                       hidden_dim=4, mlp_dim=6, layers=2, seed=seed)
+
+
+def layout_model(kind, seed=5):
+    """(model, its one-entry-per-gate draws, a loss over one batch): a
+    parser, or a translator in mode kind (sawr: tuning an attached parser)."""
+    if kind == "parser":
+        model = layout_parser(seed)
+        rng = T.make_rng(seed)
+        sents = [["a", "b", "a"], ["b", "b", "a"]]
+        trees = [random_projective_tree(3, rng, labels=("x", "y")) for _ in sents]
+        return (model, per_gate_parser_state(model, seed),
+                lambda: tree_log_loss(score_arcs(parser_encode(sents, model), model),
+                                      trees, model))
+    model = TranslationModel(9, 10, mode={"baseline": "none"}.get(kind, kind), emb_dim=6,
+                             hidden_dim=8, sawr_dim=3, tree_hidden=5, dropout=0.0,
+                             parser=layout_parser(seed + 1) if kind == "sawr" else None,
+                             parser_trainable=True, seed=seed)
+    batch = Batch([[4, 5, 6], [7, 4]], [[5, 6, 7, 3], [8, 3]],
+                  src_tokens=[["a", "b", "a"], ["b", "a"]] if kind == "sawr" else None,
+                  trees=[DependencyTree([2, 0, 2]), DependencyTree([0, 1])]
+                  if kind == "tree-rnn" else None)
+    return (model, per_gate_translator_state(model, seed + 1),
+            lambda: sequence_loss(batch, model, mode="eval"))
+
+
+class TestGatesSideBySide:
+    """A cell stores its W, U and b with the gates side by side, and the
+    parser its label maps as one lab.U, with the bits of one entry per gate
+    and per label: the same draws, and a gradient norm that adds the same
+    terms in the same order."""
+
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    @pytest.mark.parametrize("d, H, seed", [(1, 1, 0), (3, 4, 1), (7, 5, 2)])
+    def test_a_cell_holds_its_per_gate_draws_side_by_side(self, lstm, d, H, seed):
+        table, rng = nn.ParamTable(), T.make_rng(seed)
+        cell = (nn.LstmParams if lstm else nn.GruParams)(table, "c", d, H, rng)
+        gates = LSTM_GATES if lstm else GRU_GATES
+        oracle_rng = T.make_rng(seed)
+        draws = per_gate_draws(oracle_rng, "c", gates, d, H)
+        assert table.names() == ["c.W", "c.U", "c.b"]
+        for part in "WUb":
+            want = np.concatenate([draws[f"c.{gate}.{part}"] for gate in gates], axis=1)
+            assert getattr(cell, part).data.tobytes() == want.tobytes()
+        assert rng.random() == oracle_rng.random()  # no draw more or less
+
+    @pytest.mark.parametrize("kind", ["baseline", "tree-rnn", "sawr", "parser"])
+    def test_a_model_splits_into_its_per_gate_draws(self, kind):
+        model, want, _ = layout_model(kind)
+        got = split_per_gate(model.table.state_dict())
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert np.ascontiguousarray(got[name]).tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["baseline", "sawr", "parser"])
+    def test_the_norm_adds_the_per_gate_terms_bit_for_bit(self, kind):
+        """Over a few clipped steps of a plain translator, a sawr translator
+        tuning its attached parser, and a parser (lab.U), Adam's norm is the
+        norm of the gradients split into one entry per gate and per label:
+        it squares and sums those blocks, one by one, in that order."""
+        real_sum = np.sum
+        for seed in range(2):
+            model, _, loss = layout_model(kind, seed)
+            opt = nn.Adam(model.table, lr=1e-2, clip=1e-3)
+            for _ in range(3):
+                with T.Tape():
+                    T.backward(loss())
+                grads = model.table.gradients()
+                want = per_gate_norm(grads)
+                summed = []
+
+                def spy(a, *args, **kwargs):
+                    summed.append(a.copy())
+                    return real_sum(a, *args, **kwargs)
+
+                with mock.patch.object(np, "sum", spy):
+                    norm = opt.step()
+                assert norm == want > opt.clip
+                blocks = list(split_per_gate(grads).values())
+                assert len(summed) == len(blocks)
+                for got, g in zip(summed, blocks):
+                    assert got.tobytes() == (g * g).tobytes()
 
 
 class TestCheckpoint:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from synmt import nn
 from synmt import tensor as T
+from synmt.checkpoint import load_checkpoint
 from synmt.data import BOS, EOS, Batch, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel
 from synmt.errors import DataError, ShapeError
@@ -17,7 +18,7 @@ from synmt.seq2seq import (TranslationModel, _top_k, attend, beam_search, decode
                            encode_for_decode, sequence_loss, train_step)
 
 from helpers import argmax_chain, enumerate_best  # shared with the acceptance suite
-from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam,
+from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam, per_gate_layout,
                      per_step_sequence_loss, records_on, rewrite_meta)
 
 
@@ -234,7 +235,7 @@ class TestDecodeStep:
             dist, _, _, _ = decode_step(4, T.zeros((1, 8)), s0, h, m)
             return T.scale(T.log(T.pick(dist, [7])), -1.0)
 
-        for name in ("att.W", "tgt_emb", "dec.cand.W", "out.hidden.W", "out.logits.b"):
+        for name in ("att.W", "tgt_emb", "dec.W", "out.hidden.W", "out.logits.b"):
             assert T.grad_check(loss, m.table[name]) < 1e-4, name
 
 
@@ -302,8 +303,8 @@ class TestTrainStep:
         def loss(_):
             return sequence_loss(batch, m, mode="eval")
 
-        for name in ("src_emb", "tgt_emb", "enc.fwd.update.W", "enc.bwd.cand.U",
-                     "att.W", "dec.reset.W", "init.W", "out.hidden.b", "out.logits.W"):
+        for name in ("src_emb", "tgt_emb", "enc.fwd.W", "enc.bwd.U",
+                     "att.W", "dec.b", "init.W", "out.hidden.b", "out.logits.W"):
             assert T.grad_check(loss, m.table[name]) < 1e-4, name
 
     def test_tape_nodes_per_target_step_do_not_grow_with_the_source(self):
@@ -590,6 +591,18 @@ class TestCheckpointRoundTrip:
         assert before.logp == after.logp
         assert m2.mode == "none" and m2.hidden_dim == 8
 
+    @pytest.mark.parametrize("mode, entries", [("none", 19), ("tree-rnn", 26)])
+    def test_checkpoint_holds_one_w_u_and_b_per_cell(self, tmp_path, mode, entries):
+        path = tmp_path / "model.ckpt"
+        tiny_model(mode=mode).save(path)
+        names = list(load_checkpoint(path))
+        assert len(names) == entries  # __meta__ included
+        cells = ["enc.fwd", "enc.bwd", "dec"] + (["tree.up", "tree.down"] if mode != "none"
+                                                  else [])
+        for cell in cells:
+            assert [n for n in names if n.startswith(cell + ".")] == [
+                f"{cell}.W", f"{cell}.U", f"{cell}.b"]
+
     @pytest.mark.parametrize("meta", BAD_METAS)
     def test_bad_metadata_is_a_data_error(self, tmp_path, meta):
         path = tmp_path / "model.ckpt"
@@ -602,6 +615,7 @@ class TestCheckpointRoundTrip:
         (lambda state: state.update(bogus=np.zeros(2)), "unknown entry 'bogus'"),
         (lambda state: state.pop("att.W"), "no entry for parameter 'att.W'"),
         (lambda state: state.update({"att.W": np.zeros((8, 7))}), "parameter 'att.W' has shape"),
+        (per_gate_layout, "no entry for parameter 'enc.fwd.W'"),
     ])
     def test_entries_must_match_the_model(self, tmp_path, edit, message):
         path = tmp_path / "model.ckpt"

@@ -16,7 +16,8 @@ from synmt.errors import DataError, ShapeError, StateError
 from synmt.evaluate import read_alignments
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import encode_one, random_projective_tree, split_rows, tree_gru_encode_naive
+from helpers import (edit_meta, encode_one, random_projective_tree, split_rows,
+                     tree_gru_encode_naive)
 
 
 def projection(in_dim, out_dim, seed=0):
@@ -195,7 +196,7 @@ class TestLiveParserBatch:
         def loss(_):
             return sequence_loss(batch, m, mode="eval")
 
-        for name in ("parser.emb", "parser.enc.l1.fwd.input.W"):
+        for name in ("parser.emb", "parser.enc.l1.fwd.W"):
             assert T.grad_check(loss, m.table[name]) < 1e-4, name
 
     def test_one_lstm_step_per_position_and_direction(self, monkeypatch):
@@ -319,7 +320,7 @@ class TestTreeGru:
         def loss(_):
             return T.sum_all(T.tanh(syntax.tree_gru_encode_batch(emb, [tree], p)))
 
-        for name in ("emb", "tree.root", "tree.up.cand.W", "tree.down.update.U"):
+        for name in ("emb", "tree.root", "tree.up.W", "tree.down.U"):
             assert T.grad_check(loss, table[name]) < 1e-4, name
 
     def test_tree_mode_translator_end_to_end(self):
@@ -478,3 +479,30 @@ class TestBinaryReadersOnCorruptFiles:
             load(path)
         except DataError:
             pass
+
+
+# small_parser's "b" has id 2 of ids 0..4
+BAD_VOCAB_IDS = {"id out of range": 7, "duplicate id": 1, "non-int id": "2",
+                 "bool id": True}
+
+
+class TestParserVocabularyIds:
+    """A parser's token ids are the ints 0..len(vocab)-1, each used once: any
+    other id in a checkpoint's __meta__ is a DataError at load, not a row
+    lookup that fails at the first parse."""
+
+    @pytest.mark.parametrize("bad", BAD_VOCAB_IDS.values(), ids=list(BAD_VOCAB_IDS))
+    @pytest.mark.parametrize("kind", ["parser", "translator"])
+    def test_a_bad_id_is_a_data_error_at_load(self, tmp_path, kind, bad):
+        path = tmp_path / f"{kind}.ckpt"
+        if kind == "parser":
+            small_parser().save(path)
+            load, vocab_of = ParserModel.load, lambda meta: meta["vocab"]
+        else:
+            sawr_model(parser=small_parser()).save(path)
+            load, vocab_of = TranslationModel.load, lambda meta: meta["parser"]["vocab"]
+        load(path)
+        edit_meta(path, lambda meta: vocab_of(meta).update(b=bad))
+        with pytest.raises(DataError, match=re.escape(f"{path}: invalid __meta__ (parser "
+                                                      "vocabulary ids must be")):
+            load(path)
