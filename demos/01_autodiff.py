@@ -26,8 +26,8 @@ x = T.constant([[2.0, 1.0]])
 with T.Tape() as tape:
     y = T.tanh(x @ w)  # infix operators delegate to the functional API
     loss = T.sum_all(T.mul(y, y))
+    recorded = len(tape)  # backward frees each record as it runs it
     T.backward(loss)
-    recorded = len(tape)  # leaving the block frees the graph and empties the tape
 
 print("loss        ", round(loss.item(), 6))
 print("dloss/dw")

@@ -114,7 +114,7 @@ print("after unfreezing, parser moved:   ",
 
 table = nn.ParamTable()
 tree_params = TreeGruParams(table, "tree", input_dim=6, hidden_dim=5,
-                            rng=T.make_rng(21))
+                            init=nn.uniform_init(T.make_rng(21)))
 trees = [DependencyTree([2, 3, 0, 3], ["det", "nsubj", "root", "obj"]),
          DependencyTree([0, 1, 2], ["root", "a", "b"]),
          DependencyTree([2, 0, 2, 2, 4], ["x", "root", "x", "y", "z"])]

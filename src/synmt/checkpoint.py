@@ -40,20 +40,24 @@ _BYTES_TAG = 2
 
 def save_checkpoint(path, state: dict[str, np.ndarray]):
     """Write float arrays as float64 (tag 0) and uint8 arrays as raw bytes
-    (tag 2); load_checkpoint also reads float32 (tag 1) entries."""
+    (tag 2); load_checkpoint also reads float32 (tag 1) entries.
+
+    A C-contiguous little-endian float64 (or uint8) array is written from its
+    own buffer; any other array is converted into one copy first."""
     with open_new(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(state)))
         for name, arr in state.items():
             raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr)
+            arr = np.asarray(arr)
             # uint8 entries (serialized metadata blobs) bypass the float cast
             entry_tag = _BYTES_TAG if arr.dtype == np.uint8 else 0
+            arr = np.ascontiguousarray(arr, dtype=_PREC_BY_TAG[entry_tag])
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
             f.write(struct.pack("<BB", entry_tag, arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype(_PREC_BY_TAG[entry_tag]).tobytes())
+            f.write(arr.data)
 
 
 class BlobReader:
@@ -79,7 +83,7 @@ class BlobReader:
     def text(self, n, encoding="utf-8"):
         start = self.off
         try:
-            return self.take(n).decode(encoding)
+            return str(self.take(n), encoding)
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: invalid {encoding} text at byte "
                             f"{start + exc.start}") from None
@@ -90,11 +94,13 @@ class BlobReader:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Every entry of a checkpoint, by name, each copied once out of the file's
+    bytes; a malformed file, a repeated name included, is a DataError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
-    r = BlobReader(path, blob, 8)
+    r = BlobReader(path, memoryview(blob), 8)  # its slices are views, not copies
     version, count = r.unpack("<II")
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
@@ -102,6 +108,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.text(name_len)
+        if name in state:
+            raise DataError(f"{path}: entry {name!r} appears twice")
         tag, ndim = r.unpack("<BB")
         if tag not in _PREC_BY_TAG:
             raise DataError(f"{path}: unknown precision tag {tag} for {name}")

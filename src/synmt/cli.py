@@ -183,13 +183,14 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     back as empty output lines so file alignment survives.
 
     Returns (lines, stats); stats counts the decoded sentences, the decoder
-    steps they took and how many searches stopped before max_len with
-    hypotheses still live. An overflow or invalid operation raises
-    FloatingPointError rather than decoding from non-finite values.
+    steps they took, the tokens they emitted (EOS included) and how many
+    searches stopped before max_len with hypotheses still live. An overflow
+    or invalid operation raises FloatingPointError rather than decoding from
+    non-finite values.
     """
     encodings = _parser_encodings(models, sents, encodings)
     out = []
-    stats = {"sentences": 0, "decoder_steps": 0, "stopped_early": 0}
+    stats = {"sentences": 0, "decoder_steps": 0, "emitted_tokens": 0, "stopped_early": 0}
     for i, toks in enumerate(sents):
         if not toks:
             out.append("")
@@ -207,6 +208,7 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
         out.append(" ".join(decode_bpe(tgt_vocab.tokens(hyp.ids))))
         stats["sentences"] += 1
         stats["decoder_steps"] += hyp.steps
+        stats["emitted_tokens"] += len(hyp.ids)
         stats["stopped_early"] += hyp.stopped_early
     return out, stats
 
@@ -287,7 +289,11 @@ def _cmd_extract_sawr(cfg, man):
 
 
 def _prepare_nmt_data(cfg, man):
-    """Everything train-nmt needs before the first update, aligned by index."""
+    """Everything train-nmt needs before the first update, aligned by index.
+
+    The manifest's phases give its seconds: parser_encode for the trees and
+    SAWR encodings (read, or computed by the parser), data_prep for the rest."""
+    t0 = time.perf_counter()
     src_sents = read_corpus(cfg.train_src)
     tgt_sents = read_corpus(cfg.train_tgt)
     if len(src_sents) != len(tgt_sents):
@@ -308,6 +314,7 @@ def _prepare_nmt_data(cfg, man):
 
     mode = cfg.mode
     parser = ParserModel.load(cfg.parser) if cfg.parser else None
+    t1 = time.perf_counter()
     trees = dev_trees = None
     if mode in ("tree-rnn", "tree-linearized"):
         trees = _trees_for(cfg.trees, src_sents, parser, "trees")
@@ -334,6 +341,7 @@ def _prepare_nmt_data(cfg, man):
         elif parser is None:
             raise ConfigError("mode 'sawr' without 'parser' needs 'dev_cache' to "
                               "decode the dev set")
+    parser_s = time.perf_counter() - t1
 
     src_units = [_source_units(mode, toks, tree)
                  for toks, tree in zip(src_sents, trees or [None] * len(src_sents))]
@@ -347,6 +355,8 @@ def _prepare_nmt_data(cfg, man):
              for u, t in zip(src_units, tgt_units)]
     man.note("data", {"pairs": len(pairs), "dev": len(dev_sents),
                       "src_vocab": len(src_vocab), "tgt_vocab": len(tgt_vocab)})
+    man.note("phases", {"data_prep": round(time.perf_counter() - t0 - parser_s, 3),
+                        "parser_encode": round(parser_s, 3)})
     return {"pairs": pairs, "src_sents": src_sents, "trees": trees,
             "encodings": encodings, "dev_sents": dev_sents, "dev_refs": dev_refs,
             "dev_trees": dev_trees, "dev_encodings": dev_encodings,
@@ -356,10 +366,33 @@ def _prepare_nmt_data(cfg, man):
 
 def _cmd_train_nmt(cfg, man):
     _require(cfg, "train-nmt", "train_src", "train_tgt", "dev_src", "dev_tgt", "out")
-    mode = cfg.mode
     d = _prepare_nmt_data(cfg, man)
-    src_vocab, tgt_vocab, bpe = d["src_vocab"], d["tgt_vocab"], d["bpe"]
+    src_vocab, tgt_vocab = d["src_vocab"], d["tgt_vocab"]
+    # the training model and its optimizer live only inside _train_epochs,
+    # so they are freed before the best checkpoint is loaded back
+    best_epoch, best_bleu = _train_epochs(cfg, man, d)
+    man.note("best", {"epoch": best_epoch, "dev_bleu": best_bleu})
+    best_model = TranslationModel.load(cfg.out)
+    final_hyps, decode = _decode_corpus(
+        [best_model], [src_vocab], tgt_vocab, d["dev_sents"], cfg.beam_size,
+        cfg.decode_max_len, trees=d["dev_trees"], encodings=[d["dev_encodings"]])
+    final = bleu(final_hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive)
+    man.note("final", {"beam_size": cfg.beam_size, "dev_bleu": final.score,
+                       "decode": decode})
+    for path in _bundle_paths(cfg.out):
+        man.add_artifact(path)
+    print(f"best epoch {best_epoch} (greedy dev BLEU {best_bleu:.2f}); "
+          f"beam {cfg.beam_size} dev BLEU {final.score:.2f}")
+    print(f"saved model to {cfg.out}")
 
+
+def _train_epochs(cfg, man, d):
+    """Train a new model on _prepare_nmt_data's d for cfg.epochs, decoding
+    the dev set greedily after each epoch and saving the bundle at cfg.out
+    whenever its BLEU beats every earlier epoch's; returns (best epoch, its
+    BLEU)."""
+    mode = cfg.mode
+    src_vocab, tgt_vocab = d["src_vocab"], d["tgt_vocab"]
     sawr_in = None
     if mode == "sawr" and d["parser"] is None:
         sawr_in = int(d["encodings"][0].shape[1])
@@ -379,7 +412,7 @@ def _cmd_train_nmt(cfg, man):
             d["pairs"], cfg.max_src_len, cfg.max_tgt_len, cfg.batch_size,
             cfg.seed + epoch, trees=d["trees"], encodings=d["encodings"],
             src_tokens=d["src_sents"])
-        losses, norms = [], []
+        losses, norms, tokens = [], [], 0
         for k, b in enumerate(batches, 1):
             try:
                 loss, norm = train_step(b, model, opt)
@@ -387,39 +420,33 @@ def _cmd_train_nmt(cfg, man):
                 raise FloatingPointError(f"epoch {epoch} batch {k}: {exc}") from None
             losses.append(loss)
             norms.append(norm)
+            tokens += int(b.tgt_lens.sum())
         train_loss = float(np.mean(losses))
+        t1 = time.perf_counter()
 
         try:
-            hyps, _ = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
-                                     cfg.decode_max_len, trees=d["dev_trees"],
-                                     encodings=[d["dev_encodings"]])
+            hyps, decode = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
+                                          cfg.decode_max_len, trees=d["dev_trees"],
+                                          encodings=[d["dev_encodings"]])
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch} dev decode: {exc}") from None
         dev_bleu = bleu(hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive).score
-        seconds = round(time.perf_counter() - t0, 3)
-        man.add_epoch(epoch=epoch, train_loss=train_loss, dev_bleu=dev_bleu,
-                      **_grad_stats(norms, cfg.clip_norm), seconds=seconds)
+        t2 = time.perf_counter()
         marker = ""
         if dev_bleu > best_bleu:
             best_bleu, best_epoch = dev_bleu, epoch
-            _save_bundle(cfg.out, model, src_vocab, tgt_vocab, bpe)
+            _save_bundle(cfg.out, model, src_vocab, tgt_vocab, d["bpe"])
             marker = " *"
+        t3 = time.perf_counter()
+        seconds = round(t2 - t0, 3)
+        man.add_epoch(epoch=epoch, train_loss=train_loss, dev_bleu=dev_bleu,
+                      **_grad_stats(norms, cfg.clip_norm), decode=decode,
+                      tok_per_s=round(tokens / (t1 - t0), 1), seconds=seconds,
+                      phases={"train": round(t1 - t0, 3), "dev_decode": round(t2 - t1, 3),
+                              "save": round(t3 - t2, 3)})
         print(f"epoch {epoch}: loss {train_loss:.4f}, dev BLEU {dev_bleu:.2f} "
               f"({seconds:.1f}s){marker}")
-
-    man.note("best", {"epoch": best_epoch, "dev_bleu": best_bleu})
-    best_model = TranslationModel.load(cfg.out)
-    final_hyps, decode = _decode_corpus(
-        [best_model], [src_vocab], tgt_vocab, d["dev_sents"], cfg.beam_size,
-        cfg.decode_max_len, trees=d["dev_trees"], encodings=[d["dev_encodings"]])
-    final = bleu(final_hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive)
-    man.note("final", {"beam_size": cfg.beam_size, "dev_bleu": final.score,
-                       "decode": decode})
-    for path in _bundle_paths(cfg.out):
-        man.add_artifact(path)
-    print(f"best epoch {best_epoch} (greedy dev BLEU {best_bleu:.2f}); "
-          f"beam {cfg.beam_size} dev BLEU {final.score:.2f}")
-    print(f"saved model to {cfg.out}")
+    return best_epoch, best_bleu
 
 
 def _translate_resources(cfg, models, src_sents):

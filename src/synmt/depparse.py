@@ -280,10 +280,14 @@ def decode_projective(matrix):
 
 
 class ParserModel:
-    """Word embeddings, stacked Bi-LSTM encoder, and biaffine scorers."""
+    """Word embeddings, stacked Bi-LSTM encoder, and biaffine scorers.
+
+    Parameters are drawn from U[-0.1, 0.1) off seed (the MLP biases start at
+    zero), or made by init(shape) when init is given (load passes np.empty).
+    """
 
     def __init__(self, vocab, label_names, embed_dim=64, hidden_dim=100,
-                 mlp_dim=100, layers=3, seed=1):
+                 mlp_dim=100, layers=3, seed=1, init=None):
         self.vocab = dict(vocab)  # token -> id; must contain "<unk>"
         if "<unk>" not in self.vocab:
             raise ValueError('parser vocabulary must contain "<unk>"')
@@ -301,23 +305,23 @@ class ParserModel:
         self.mlp_dim = mlp_dim
         self.layers = layers
         self.out_dim = 2 * hidden_dim
-        self.table = nn.ParamTable()
-        rng = T.make_rng(seed)
-        t, s = self.table, 0.1
-        t.add("emb", T.init_uniform((len(self.vocab), embed_dim), -s, s, rng=rng))
+        if init is None:  # else the caller's, such as load's np.empty
+            init = nn.uniform_init(T.make_rng(seed), 0.1)
+        t = self.table = nn.ParamTable()
+        t.new("emb", (len(self.vocab), embed_dim), init)
         self.cells = []
         for layer in range(layers):
             in_dim = embed_dim if layer == 0 else 2 * hidden_dim
-            fwd = nn.LstmParams(t, f"enc.l{layer}.fwd", in_dim, hidden_dim, rng, scale=s)
-            bwd = nn.LstmParams(t, f"enc.l{layer}.bwd", in_dim, hidden_dim, rng, scale=s)
+            fwd = nn.LstmParams(t, f"enc.l{layer}.fwd", in_dim, hidden_dim, init)
+            bwd = nn.LstmParams(t, f"enc.l{layer}.bwd", in_dim, hidden_dim, init)
             self.cells.append((fwd, bwd))
-        t.add("root", T.init_uniform((1, self.out_dim), -s, s, rng=rng))
+        t.new("root", (1, self.out_dim), init)
         for part in ("arc", "lab"):
             for side in ("head", "dep"):
-                t.add(f"{part}.{side}.W", T.init_uniform((self.out_dim, mlp_dim), -s, s, rng=rng))
-                t.add(f"{part}.{side}.b", T.Tensor(np.zeros((1, mlp_dim)), requires_grad=True))
-        t.add("arc.U", T.init_uniform((mlp_dim + 1, mlp_dim), -s, s, rng=rng))
-        t.add_side_by_side({"lab.U": (mlp_dim + 1, mlp_dim + 1)}, len(self.label_names), rng, s)
+                t.new(f"{part}.{side}.W", (self.out_dim, mlp_dim), init)
+                t.new(f"{part}.{side}.b", (1, mlp_dim), np.zeros)
+        t.new("arc.U", (mlp_dim + 1, mlp_dim), init)
+        t.add_side_by_side({"lab.U": (mlp_dim + 1, mlp_dim + 1)}, len(self.label_names), init)
 
     def word_ids(self, tokens):
         unk = self.vocab["<unk>"]
@@ -336,7 +340,7 @@ class ParserModel:
         return nn.birnn_encode(T.reshape(x, (B, n, self.embed_dim)), self.cells, mask)
 
     def save(self, path):
-        state = self.table.state_dict()
+        state = {name: t.data for name, t in self.table.items()}
         meta = {
             "vocab": self.vocab, "labels": self.label_names,
             "embed_dim": self.embed_dim, "hidden_dim": self.hidden_dim,
@@ -352,7 +356,7 @@ class ParserModel:
         with meta_errors(path):
             model = cls(meta["vocab"], meta["labels"], embed_dim=meta["embed_dim"],
                         hidden_dim=meta["hidden_dim"], mlp_dim=meta["mlp_dim"],
-                        layers=meta["layers"])
+                        layers=meta["layers"], init=np.empty)
         model.table.load_state(state, path)
         return model
 
@@ -520,12 +524,13 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
         total_nll, total_tokens, norms = 0.0, 0, []
         for k, batch in enumerate(_length_batches(lengths, batch_size, rng), 1):
             try:
+                words = [prepared[i][0] for i in batch]
+                n_tokens = len(batch) * lengths[batch[0]]
                 with T.Tape(), np.errstate(over="raise", invalid="raise"):
-                    # one length per batch, so the encoder runs unmasked
-                    states = parser_encode([prepared[i][0] for i in batch], model)
-                    nll = tree_log_loss(score_arcs(states, model),
+                    # one length per batch, so the encoder runs unmasked; no
+                    # name holds an activation, so backward frees each one
+                    nll = tree_log_loss(score_arcs(parser_encode(words, model), model),
                                         [prepared[i][1] for i in batch], model)
-                    n_tokens = len(batch) * states.shape[1]
                     loss = T.scale(nll, 1.0 / n_tokens)
                     if not np.isfinite(loss.item()):
                         raise FloatingPointError(f"non-finite training loss {loss.item()}")

@@ -28,13 +28,16 @@ class ParamTable:
         self.norm_terms.append((name, slice(None)))
         return t
 
-    def add_side_by_side(self, shapes: dict, count: int, rng, scale: float) -> list[Tensor]:
+    def new(self, name: str, shape, init) -> Tensor:
+        """Add a trainable entry whose array init(shape) makes."""
+        return self.add(name, Tensor(init(shape), requires_grad=True))
+
+    def add_side_by_side(self, shapes: dict, count: int, init) -> list[Tensor]:
         """Add an entry per name of count blocks of its shape side by side (a
-        cell's W, U and b; the parser's label maps), drawn from U[-scale, scale).
+        cell's W, U and b; the parser's label maps), each block from init.
         Draws and norm terms take block k of every entry before block k+1, as
         when each block was an entry of its own, so both keep those bits."""
-        draws = [[T.init_uniform(s, -scale, scale, rng=rng).data for s in shapes.values()]
-                 for _ in range(count)]
+        draws = [[init(s) for s in shapes.values()] for _ in range(count)]
         start = len(self.norm_terms)
         tensors = [self.add(name, Tensor(np.concatenate(blocks, axis=1), requires_grad=True))
                    for name, blocks in zip(shapes, zip(*draws))]
@@ -82,9 +85,6 @@ class ParamTable:
         return {name: t.grad for name, t in self._params.items()
                 if t.requires_grad and t.grad is not None}
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
     def load_state(self, state: dict[str, np.ndarray], source="checkpoint"):
         """Take every parameter from state, which must hold exactly this
         table's names and shapes; anything else is a DataError naming source."""
@@ -109,6 +109,15 @@ class ParamTable:
         return b"".join(chunks)
 
 
+def uniform_init(rng, scale: float = 0.1):
+    """Parameter initializer: each call draws an array of the shape it is
+    given from U[-scale, scale), off rng in call order.
+
+    Layers take their initializer from the caller; a model that a checkpoint
+    fills passes np.empty, which allocates without drawing."""
+    return lambda shape: rng.uniform(-scale, scale, size=shape)
+
+
 def check_dims(**dims):
     """Raise ValueError naming the first dimension that is not a positive int."""
     for name, value in dims.items():
@@ -122,12 +131,12 @@ class _GatedCell:
     GATES: tuple = ()
 
     def __init__(self, table: ParamTable, prefix: str, input_dim: int, hidden_dim: int,
-                 rng, scale: float = 0.1):
+                 init):
         self.input_dim = input_dim
         self.hidden_dim = H = hidden_dim
         self.W, self.U, self.b = table.add_side_by_side(
             {f"{prefix}.W": (input_dim, H), f"{prefix}.U": (H, H), f"{prefix}.b": (1, H)},
-            len(self.GATES), rng, scale)
+            len(self.GATES), init)
 
     def _check(self, x: Tensor, h: Tensor, name: str):
         if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:

@@ -36,12 +36,14 @@ class TranslationModel:
     hidden_dim is the full encoder output size; each encoder direction gets
     half of it so the concatenated state lands back on hidden_dim. The
     decoder state, attention space and output hidden layer share hidden_dim.
+    Parameters are drawn from U[-0.1, 0.1) off seed, or made by init(shape)
+    when init is given (load passes np.empty and then sets every value).
     """
 
     def __init__(self, src_vocab_size, tgt_vocab_size, *, mode="none",
                  emb_dim=512, hidden_dim=1024, sawr_dim=512, sawr_in_dim=None,
                  tree_hidden=None, dropout=0.5, parser=None,
-                 parser_trainable=False, seed=1):
+                 parser_trainable=False, seed=1, init=None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         optional = {"sawr_in_dim": sawr_in_dim, "tree_hidden": tree_hidden}
@@ -65,12 +67,11 @@ class TranslationModel:
         self.parser = None
         self.parser_trainable = False
 
-        rng = T.make_rng(seed)
+        if init is None:  # else the caller's, such as load's np.empty
+            init = nn.uniform_init(T.make_rng(seed), INIT_SCALE)
         t = self.table = nn.ParamTable()
-        t.add("src_emb", T.init_uniform((src_vocab_size, emb_dim),
-                                        -INIT_SCALE, INIT_SCALE, rng=rng))
-        t.add("tgt_emb", T.init_uniform((tgt_vocab_size, emb_dim),
-                                        -INIT_SCALE, INIT_SCALE, rng=rng))
+        t.new("src_emb", (src_vocab_size, emb_dim), init)
+        t.new("tgt_emb", (tgt_vocab_size, emb_dim), init)
 
         self.sawr = None
         self.tree = None
@@ -81,32 +82,25 @@ class TranslationModel:
                 sawr_in_dim = parser.out_dim
             if sawr_in_dim is None:
                 raise ValueError("sawr mode needs a parser or an explicit sawr_in_dim")
-            self.sawr = syntax.SawrProjection(t, "sawr", sawr_in_dim, sawr_dim, rng,
-                                              scale=INIT_SCALE)
+            self.sawr = syntax.SawrProjection(t, "sawr", sawr_in_dim, sawr_dim, init)
             enc_in = emb_dim + sawr_dim
         elif mode == "tree-rnn":
             self.tree_hidden = tree_hidden if tree_hidden else max(emb_dim // 2, 1)
-            self.tree = syntax.TreeGruParams(t, "tree", emb_dim, self.tree_hidden,
-                                             rng, scale=INIT_SCALE)
+            self.tree = syntax.TreeGruParams(t, "tree", emb_dim, self.tree_hidden, init)
             enc_in = self.tree.out_dim
         self.enc_input_dim = enc_in
 
         half = hidden_dim // 2
-        self.enc_fwd = nn.GruParams(t, "enc.fwd", enc_in, half, rng, scale=INIT_SCALE)
-        self.enc_bwd = nn.GruParams(t, "enc.bwd", enc_in, half, rng, scale=INIT_SCALE)
-        t.add("att.W", T.init_uniform((hidden_dim, hidden_dim),
-                                      -INIT_SCALE, INIT_SCALE, rng=rng))
-        self.dec = nn.GruParams(t, "dec", emb_dim + hidden_dim, hidden_dim, rng,
-                                scale=INIT_SCALE)
-        t.add("init.W", T.init_uniform((half, hidden_dim), -INIT_SCALE, INIT_SCALE, rng=rng))
-        t.add("init.b", T.init_uniform((1, hidden_dim), -INIT_SCALE, INIT_SCALE, rng=rng))
-        t.add("out.hidden.W", T.init_uniform((2 * hidden_dim, hidden_dim),
-                                             -INIT_SCALE, INIT_SCALE, rng=rng))
-        t.add("out.hidden.b", T.init_uniform((1, hidden_dim), -INIT_SCALE, INIT_SCALE, rng=rng))
-        t.add("out.logits.W", T.init_uniform((hidden_dim, tgt_vocab_size),
-                                             -INIT_SCALE, INIT_SCALE, rng=rng))
-        t.add("out.logits.b", T.init_uniform((1, tgt_vocab_size),
-                                             -INIT_SCALE, INIT_SCALE, rng=rng))
+        self.enc_fwd = nn.GruParams(t, "enc.fwd", enc_in, half, init)
+        self.enc_bwd = nn.GruParams(t, "enc.bwd", enc_in, half, init)
+        t.new("att.W", (hidden_dim, hidden_dim), init)
+        self.dec = nn.GruParams(t, "dec", emb_dim + hidden_dim, hidden_dim, init)
+        t.new("init.W", (half, hidden_dim), init)
+        t.new("init.b", (1, hidden_dim), init)
+        t.new("out.hidden.W", (2 * hidden_dim, hidden_dim), init)
+        t.new("out.hidden.b", (1, hidden_dim), init)
+        t.new("out.logits.W", (hidden_dim, tgt_vocab_size), init)
+        t.new("out.logits.b", (1, tgt_vocab_size), init)
         self.drop_rng = T.make_rng(seed + 7919)
         if parser is not None:
             self.attach_parser(parser, trainable=parser_trainable)
@@ -155,7 +149,7 @@ class TranslationModel:
                               "embed_dim": p.embed_dim, "hidden_dim": p.hidden_dim,
                               "mlp_dim": p.mlp_dim, "layers": p.layers,
                               "trainable": self.parser_trainable}
-        arrays = dict(self.table.state_dict())
+        arrays = {name: t.data for name, t in self.table.items()}
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                            dtype=np.uint8).copy()
         save_checkpoint(path, arrays)
@@ -173,12 +167,14 @@ class TranslationModel:
                 trainable = pm["trainable"]
                 parser = ParserModel(pm["vocab"], pm["label_names"],
                                      embed_dim=pm["embed_dim"], hidden_dim=pm["hidden_dim"],
-                                     mlp_dim=pm["mlp_dim"], layers=pm["layers"])
+                                     mlp_dim=pm["mlp_dim"], layers=pm["layers"],
+                                     init=np.empty)
             model = cls(meta["src_vocab_size"], meta["tgt_vocab_size"], mode=meta["mode"],
                         emb_dim=meta["emb_dim"], hidden_dim=meta["hidden_dim"],
                         sawr_dim=meta["sawr_dim"], sawr_in_dim=meta["sawr_in_dim"],
                         tree_hidden=meta["tree_hidden"], dropout=meta["dropout"],
-                        parser=parser, parser_trainable=trainable, seed=meta["seed"])
+                        parser=parser, parser_trainable=trainable, seed=meta["seed"],
+                        init=np.empty)
         model.table.load_state(arrays, path)
         return model
 

@@ -22,10 +22,10 @@ from .errors import DataError, ShapeError, StateError
 class SawrProjection:
     """Positionwise affine map from parser encoder space into the NMT input."""
 
-    def __init__(self, table, prefix, in_dim, out_dim, rng, scale=0.1):
+    def __init__(self, table, prefix, in_dim, out_dim, init):
         self.in_dim, self.out_dim = in_dim, out_dim
-        self.W = table.add(f"{prefix}.W", T.init_uniform((in_dim, out_dim), -scale, scale, rng=rng))
-        self.b = table.add(f"{prefix}.b", T.init_uniform((1, out_dim), -scale, scale, rng=rng))
+        self.W = table.new(f"{prefix}.W", (in_dim, out_dim), init)
+        self.b = table.new(f"{prefix}.b", (1, out_dim), init)
 
 
 def sawr_project(o, p):
@@ -68,12 +68,11 @@ class TreeGruParams:
     input is the head's top-down state; the root uses the learned vector.
     """
 
-    def __init__(self, table, prefix, input_dim, hidden_dim, rng, scale=0.1):
+    def __init__(self, table, prefix, input_dim, hidden_dim, init):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.up = nn.GruParams(table, f"{prefix}.up", input_dim, hidden_dim, rng, scale)
-        self.down = nn.GruParams(table, f"{prefix}.down", input_dim, hidden_dim, rng, scale)
-        self.root = table.add(f"{prefix}.root",
-                              T.init_uniform((1, hidden_dim), -scale, scale, rng=rng))
+        self.up = nn.GruParams(table, f"{prefix}.up", input_dim, hidden_dim, init)
+        self.down = nn.GruParams(table, f"{prefix}.down", input_dim, hidden_dim, init)
+        self.root = table.new(f"{prefix}.root", (1, hidden_dim), init)
 
     @property
     def out_dim(self):

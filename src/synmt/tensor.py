@@ -3,8 +3,9 @@
 Forward ops are recorded onto the innermost active ``Tape`` whenever some
 input requires a gradient; with no active tape, ops run forward-only (the
 decoding paths rely on this to stay allocation-free).  Training code opens a
-fresh tape per step and calls ``backward`` inside the block; leaving the block
-drops the recorded graph at once::
+fresh tape per step and calls ``backward`` inside the block, once: the sweep
+frees each record as it runs it, and leaving the block drops whatever the
+sweep did not reach::
 
     with Tape() as tape:
         loss = ...
@@ -37,9 +38,10 @@ class Tape:
     a single reverse sweep propagates gradients correctly.
 
     Records point at their output tensors and each output points back at its
-    tape, a reference cycle. Leaving the block clears the records, so the
-    graph is freed by reference counting rather than by a later cyclic
-    collection, and the tape is closed to further ``backward`` calls.
+    tape, a reference cycle. ``backward`` pops each record as it runs it, and
+    leaving the block clears the rest, so the graph is freed by reference
+    counting rather than by a later cyclic collection. A tape is closed to
+    further ``backward`` calls once swept or left.
     """
 
     _stack: list["Tape"] = []
@@ -165,8 +167,11 @@ def backward(loss: Tensor):
 
     Tensors that a record on the loss's tape produced get no .grad: each
     intermediate's gradient is dropped once passed on to its op's inputs.
-    Calling twice without zeroing grads accumulates, matching plain summation
-    of the two backward passes.
+    The sweep pops each record before it runs it, so the op's closure, the
+    arrays it saved and its output are freed once its gradient has reached
+    its inputs (unless the caller still holds them). A tape is swept once:
+    a second call on it raises ValueError. Gradients of two losses add up in
+    .grad when each is swept on its own tape without zeroing in between.
 
     Sums are taken in place only in arrays this function allocated: an op
     may hand one gradient array to several inputs (``add`` does), so an
@@ -178,31 +183,39 @@ def backward(loss: Tensor):
     if tape is None:
         raise ValueError("loss was not recorded on any tape; wrap the forward pass in `with Tape():`")
     if tape.closed:
-        raise ValueError("the loss's tape was closed when its `with Tape():` block ended; "
-                         "call backward inside the block")
+        raise ValueError("the loss's tape was already swept by backward, or closed when its "
+                         "`with Tape():` block ended; record a new forward pass")
+    tape.closed = True
+    records = tape.records
     grads = {id(loss): [loss, np.ones_like(loss.data), True]}  # id -> [tensor, gradient, owned]
-    for out, inputs, backward_fn in reversed(tape.records):
+    while records:
+        out, inputs, backward_fn = records.pop()
         entry = grads.pop(id(out), None)
-        if entry is None:
-            continue  # not on a path to the loss
-        for t, ig in zip(inputs, backward_fn(entry[1])):
-            if ig is None or not t.requires_grad:
-                continue
-            prev = grads.get(id(t))
-            if isinstance(ig, SliceGrad):
-                if prev is None:
-                    prev = grads[id(t)] = [t, np.zeros_like(t.data), True]
-                elif not prev[2]:
-                    prev[1:] = [prev[1].copy(), True]
-                prev[1][ig.index] += ig.value
-            elif prev is None:
-                grads[id(t)] = [t, ig, False]
-            elif prev[2]:
-                prev[1] += ig
-            else:
-                grads[id(t)] = [t, prev[1] + ig, True]
+        if entry is not None:  # else not on a path to the loss
+            _pass_on(grads, inputs, backward_fn(entry[1]))
     for t, g, _ in grads.values():  # only tensors no record on this tape produced
         t.grad = g if t.grad is None else t.grad + g
+
+
+def _pass_on(grads, inputs, input_grads):
+    """Add one record's input gradients into grads (id -> [tensor, gradient,
+    owned]); a helper, so that none of them outlives the record's turn."""
+    for t, ig in zip(inputs, input_grads):
+        if ig is None or not t.requires_grad:
+            continue
+        prev = grads.get(id(t))
+        if isinstance(ig, SliceGrad):
+            if prev is None:
+                prev = grads[id(t)] = [t, np.zeros_like(t.data), True]
+            elif not prev[2]:
+                prev[1:] = [prev[1].copy(), True]
+            prev[1][ig.index] += ig.value
+        elif prev is None:
+            grads[id(t)] = [t, ig, False]
+        elif prev[2]:
+            prev[1] += ig
+        else:
+            grads[id(t)] = [t, prev[1] + ig, True]
 
 
 # ---------------------------------------------------------------------------

@@ -476,16 +476,31 @@ def edit_meta(path, edit):
 BAD_METAS = [b"{bad", b"\xff{}", b"[1, 2]", None]
 
 
-def write_f32_checkpoint(path, state):
-    """A checkpoint whose entries are all float32 (precision tag 1), written
-    from the file-format table; the package itself writes only tags 0 and 2."""
+def write_checkpoint_oracle(path, entries, float_tag=0):
+    """A checkpoint from (name, array) pairs, written as the package's writer
+    did when it cast each entry with astype and copied it out with tobytes:
+    uint8 arrays as raw bytes (tag 2), float arrays under float_tag (0 =
+    float64, 1 = float32). A name may repeat, which a dict of entries cannot."""
     with open(path, "wb") as f:
-        f.write(b"SAWRCKPT" + struct.pack("<II", 1, len(state)))
-        for name, arr in state.items():
+        f.write(b"SAWRCKPT" + struct.pack("<II", 1, len(entries)))
+        for name, arr in entries:
             raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)) + raw + struct.pack("<BB", 1, arr.ndim))
+            arr = np.ascontiguousarray(arr)
+            tag = 2 if arr.dtype == np.uint8 else float_tag
+            f.write(struct.pack("<H", len(raw)) + raw + struct.pack("<BB", tag, arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            f.write(arr.astype({0: "<f8", 1: "<f4", 2: "<u1"}[tag]).tobytes())
+
+
+def write_f32_checkpoint(path, state):
+    """A checkpoint whose entries are all float32 (precision tag 1); the
+    package itself writes only tags 0 and 2."""
+    write_checkpoint_oracle(path, list(state.items()), float_tag=1)
+
+
+def state_dict(table):
+    """A copy of every parameter's array in a ParamTable, by name."""
+    return {name: t.data.copy() for name, t in table.items()}
 
 
 def adam_step_oracle(opt, grads, factor=None):

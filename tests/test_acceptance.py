@@ -66,7 +66,7 @@ def criterion(capsys, num, name):
 def _grad_gru(i):
     rng = T.make_rng(9000 + i)
     table = nn.ParamTable()
-    cell = nn.GruParams(table, "g", 3, 2, T.make_rng(100 + i))
+    cell = nn.GruParams(table, "g", 3, 2, nn.uniform_init(T.make_rng(100 + i)))
     x = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     h = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
 
@@ -80,7 +80,7 @@ def _grad_gru(i):
 def _grad_lstm(i):
     rng = T.make_rng(9100 + i)
     table = nn.ParamTable()
-    cell = nn.LstmParams(table, "l", 2, 2, T.make_rng(200 + i))
+    cell = nn.LstmParams(table, "l", 2, 2, nn.uniform_init(T.make_rng(200 + i)))
     x = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
     h0 = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
     c0 = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
@@ -96,8 +96,8 @@ def _grad_lstm(i):
 def _grad_birnn(i):
     rng = T.make_rng(9200 + i)
     table = nn.ParamTable()
-    fwd = nn.GruParams(table, "f", 2, 2, T.make_rng(300 + i))
-    bwd = nn.GruParams(table, "b", 2, 2, T.make_rng(301 + i))
+    fwd = nn.GruParams(table, "f", 2, 2, nn.uniform_init(T.make_rng(300 + i)))
+    bwd = nn.GruParams(table, "b", 2, 2, nn.uniform_init(T.make_rng(301 + i)))
     x = T.Tensor(rng.normal(size=(1, 1 + i % 4, 2)), requires_grad=True)
 
     def loss(_):
@@ -212,7 +212,7 @@ TREE_PARAMS = ("emb", "tree.root", "tree.up.W", "tree.up.U",
 def _grad_tree_gru(i):
     rng = T.make_rng(9500 + i)
     table = nn.ParamTable()
-    p = syntax.TreeGruParams(table, "tree", 3, 3, T.make_rng(800 + i))
+    p = syntax.TreeGruParams(table, "tree", 3, 3, nn.uniform_init(T.make_rng(800 + i)))
     tree = random_projective_tree(1 + i % 4, rng)
     table.add("emb", T.init_uniform((tree.n, 3), -0.5, 0.5, rng=rng))
 
@@ -398,7 +398,7 @@ def test_criterion_06_round_trips(capsys):
 def test_criterion_07_tree_gru_batching(capsys):
     with criterion(capsys, 7, "level-batched tree-gru equals naive recursion") as notes:
         rng = T.make_rng(77)
-        p = syntax.TreeGruParams(nn.ParamTable(), "tree", 3, 4, T.make_rng(7))
+        p = syntax.TreeGruParams(nn.ParamTable(), "tree", 3, 4, nn.uniform_init(T.make_rng(7)))
         done, worst = 0, 0.0
         while done < 200:
             group = min(8, 200 - done)
@@ -557,7 +557,8 @@ def test_manifests_count_decoder_steps(overfit):
         with open(d / f"{mode}.ckpt.manifest.json", encoding="utf-8") as f:
             final = json.load(f)["final"]["decode"]
         assert final["sentences"] == n_dev, mode
-        assert set(final) == {"sentences", "decoder_steps", "stopped_early"}
+        assert set(final) == {"sentences", "decoder_steps", "emitted_tokens", "stopped_early"}
+        assert final["sentences"] <= final["emitted_tokens"] <= final["decoder_steps"], mode
 
 
 def test_beam_steps_follow_output_length(overfit, monkeypatch):

@@ -5,8 +5,10 @@ the whole module stays fast; convergence itself is covered by the acceptance
 suite.
 """
 
+import gc
 import json
 import stat
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -14,14 +16,15 @@ import numpy as np
 import pytest
 
 from synmt import cli, nn
-from synmt.checkpoint import file_sha256
+from synmt.checkpoint import file_sha256, load_checkpoint
 from synmt.cli import main
 from synmt.data import read_corpus
 from synmt.depparse import read_treebank, write_treebank
 from synmt.evaluate import bleu, read_alignments
 from synmt.syntax import read_sawr_cache
 
-from helpers import adam_step_oracle, edit_entries, edit_meta, per_gate_layout, rewrite_meta
+from helpers import (adam_step_oracle, edit_entries, edit_meta, per_gate_layout, rewrite_meta,
+                     write_checkpoint_oracle)
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -282,10 +285,17 @@ class TestPipeline:
         assert [e["epoch"] for e in man["epochs"]] == [1, 2, 3]
         for e in man["epochs"]:
             assert set(e) == {"epoch", "train_loss", "dev_bleu", "grad_norm",
-                              "clipped_frac", "seconds"}
+                              "clipped_frac", "decode", "tok_per_s", "seconds", "phases"}
             assert set(e["grad_norm"]) == {"median", "max"}
             assert 0 < e["grad_norm"]["median"] <= e["grad_norm"]["max"]
             assert 0.0 <= e["clipped_frac"] <= 1.0
+            dec = e["decode"]
+            assert dec["sentences"] == man["data"]["dev"]
+            assert dec["sentences"] <= dec["emitted_tokens"] <= dec["decoder_steps"]
+            assert e["tok_per_s"] > 0
+            assert set(e["phases"]) == {"train", "dev_decode", "save"}
+            assert all(v >= 0 for v in e["phases"].values())
+        assert set(man["phases"]) == {"data_prep", "parser_encode"}
         assert man["peak_rss_mb"] > 0
         traces = [e["dev_bleu"] for e in man["epochs"]]
         best = man["best"]
@@ -316,10 +326,42 @@ class TestPipeline:
         assert rc == 0
         first = _manifest(pipeline / "base.ckpt")["epochs"]
         second = _manifest(tmp_path / "again.ckpt")["epochs"]
-        fields = ("epoch", "train_loss", "dev_bleu", "grad_norm", "clipped_frac")
+        # every field but the timings (seconds, tok_per_s, phases)
+        fields = ("epoch", "train_loss", "dev_bleu", "grad_norm", "clipped_frac", "decode")
         assert [[e[k] for k in fields] for e in first] == \
                [[e[k] for k in fields] for e in second]
+        assert _manifest(pipeline / "base.ckpt")["final"] == \
+               _manifest(tmp_path / "again.ckpt")["final"]
         assert file_sha256(pipeline / "base.ckpt") == file_sha256(tmp_path / "again.ckpt")
+
+    def test_the_training_state_is_freed_before_the_best_model_loads(self, workdir,
+                                                                      tmp_path, monkeypatch):
+        # the training model's table and its optimizer must be unreachable
+        # (freed without the cyclic collector) when the best checkpoint loads
+        made, seen = [], []
+        adam_init, load = nn.Adam.__init__, cli.TranslationModel.load
+
+        def tracked_init(opt, table, *args, **kw):
+            adam_init(opt, table, *args, **kw)
+            made.extend([weakref.ref(opt), weakref.ref(table)])
+
+        def tracked_load(path):
+            seen.append([ref() is None for ref in made])
+            return load(path)
+
+        monkeypatch.setattr(nn.Adam, "__init__", tracked_init)
+        monkeypatch.setattr(cli.TranslationModel, "load", tracked_load)
+        d = workdir
+        gc.disable()
+        try:
+            assert main(["train-nmt",
+                         "--train_src", str(d / "train.src"),
+                         "--train_tgt", str(d / "train.tgt"),
+                         "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                         "--out", str(tmp_path / "nmt.ckpt")] + SMALL + ["--epochs", "1"]) == 0
+        finally:
+            gc.enable()
+        assert seen == [[True, True]]
 
     def test_tiny_clip_norm_clips_every_update(self, workdir, tmp_path):
         d = workdir
@@ -407,6 +449,16 @@ class TestPipeline:
         self._bundle_copy(pipeline, bad)
         edit_entries(bad, edit)
         assert f"{bad}: {message}" in self._translate_error(pipeline, bad, capsys)
+
+    def test_a_repeated_entry_exits_2(self, pipeline, tmp_path, capsys):
+        # the second att.W has the first's shape, so it would load in its place
+        bad = tmp_path / "bad.ckpt"
+        self._bundle_copy(pipeline, bad)
+        entries = list(load_checkpoint(bad).items())
+        att = dict(entries)["att.W"]
+        write_checkpoint_oracle(bad, entries + [("att.W", np.zeros_like(att))])
+        assert f"{bad}: entry 'att.W' appears twice" in self._translate_error(pipeline, bad,
+                                                                              capsys)
 
     def test_metadata_without_a_field_exits_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

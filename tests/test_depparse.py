@@ -19,7 +19,7 @@ from synmt.errors import DataError, ShapeError
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
                      edit_entries, edit_meta, encode_one, has_crossing_arcs, one_bucket,
                      per_gate_layout, random_projective_tree, records_on, rewrite_meta, toy_grammar_sentences,
-                     tuple_chart_decode)
+                     state_dict, tuple_chart_decode)
 
 
 def score_matrix(kind, n, rng, self_arcs):
@@ -417,8 +417,10 @@ class TestBatchedScorer:
         sents, _, trees = self.bucket(model, 3, 6, seed=4)
         with T.Tape() as tape:
             states = parser_encode(sents, model)
-            T.backward(tree_log_loss(score_arcs(states, model), trees, model))
-            assert records_on(tape, model.table["emb"]) == 1
+            loss = tree_log_loss(score_arcs(states, model), trees, model)
+            assert records_on(tape, model.table["emb"]) == 1  # before the sweep frees them
+            T.backward(loss)
+        assert model.table["emb"].grad is not None
 
     def test_a_bucket_scores_as_its_sentences_alone(self):
         model = self.model()
@@ -494,13 +496,13 @@ class TestTraining:
             def __init__(self, *args, **kw):
                 super().__init__(*args, **kw)
                 self.table["arc.U"].data[0, 0] = np.nan
-                made.append((self, self.table.state_dict()))
+                made.append((self, state_dict(self.table)))
 
         monkeypatch.setattr(depparse, "ParserModel", NanParser)
         with pytest.raises(FloatingPointError, match="epoch 1 batch 1: non-finite"):
             tiny_parser(toy_grammar_sentences(10, seed=13))
         [(model, before)] = made
-        after = model.table.state_dict()
+        after = state_dict(model.table)
         assert all(np.array_equal(before[k], after[k], equal_nan=True) for k in before)
         assert all(t.grad is None for _, t in model.table.items())
 

@@ -28,18 +28,19 @@ from synmt.seq2seq import TranslationModel, sequence_loss
 from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, gru_step_oracle,
                      lstm_step_oracle, masked_carry_oracle, per_gate_draws, per_gate_norm,
                      per_gate_parser_state, per_gate_translator_state, random_projective_tree,
-                     split_per_gate, write_f32_checkpoint)
+                     split_per_gate, state_dict, write_checkpoint_oracle,
+                     write_f32_checkpoint)
 
 
 def make_gru(input_dim, hidden_dim, seed=0, prefix="g"):
     table = nn.ParamTable()
-    cell = nn.GruParams(table, prefix, input_dim, hidden_dim, T.make_rng(seed))
+    cell = nn.GruParams(table, prefix, input_dim, hidden_dim, nn.uniform_init(T.make_rng(seed)))
     return table, cell
 
 
 def make_lstm(input_dim, hidden_dim, seed=0, prefix="l"):
     table = nn.ParamTable()
-    cell = nn.LstmParams(table, prefix, input_dim, hidden_dim, T.make_rng(seed))
+    cell = nn.LstmParams(table, prefix, input_dim, hidden_dim, nn.uniform_init(T.make_rng(seed)))
     return table, cell
 
 
@@ -210,8 +211,8 @@ class TestBirnn:
     def test_gradients_through_encoder(self):
         table = nn.ParamTable()
         rng = T.make_rng(10)
-        fwd = nn.GruParams(table, "f", 2, 2, rng)
-        bwd = nn.GruParams(table, "b", 2, 2, rng)
+        fwd = nn.GruParams(table, "f", 2, 2, nn.uniform_init(rng))
+        bwd = nn.GruParams(table, "b", 2, 2, nn.uniform_init(rng))
         x = T.Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
 
         def loss(_):
@@ -223,8 +224,9 @@ class TestBirnn:
     def test_stacked_layers_equal_one_layer_at_a_time(self):
         table = nn.ParamTable()
         rng = T.make_rng(11)
-        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 3, rng),
-                   nn.LstmParams(table, f"l{k}.bwd", d, 3, rng)) for k, d in ((0, 2), (1, 6))]
+        init = nn.uniform_init(rng)
+        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 3, init),
+                   nn.LstmParams(table, f"l{k}.bwd", d, 3, init)) for k, d in ((0, 2), (1, 6))]
         x = T.Tensor(rng.normal(size=(2, 4, 2)))
         mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=float)
         low = nn.birnn_encode(x, layers[:1], mask=mask)
@@ -236,8 +238,9 @@ class TestBirnn:
     def test_two_layer_lstm_gradients_over_a_padded_batch(self):
         table = nn.ParamTable()
         rng = T.make_rng(12)
-        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 2, rng),
-                   nn.LstmParams(table, f"l{k}.bwd", d, 2, rng)) for k, d in ((0, 3), (1, 4))]
+        init = nn.uniform_init(rng)
+        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 2, init),
+                   nn.LstmParams(table, f"l{k}.bwd", d, 2, init)) for k, d in ((0, 3), (1, 4))]
         x = T.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=float)
 
@@ -543,7 +546,7 @@ class TestAdam:
         steps(2)
         for arr, orig in zip((given_w, given_b), originals):
             assert np.array_equal(arr, orig)
-        snapshot = table.state_dict()
+        snapshot = state_dict(table)
         kept = {k: v.copy() for k, v in snapshot.items()}
         steps(2)
         loaded = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
@@ -645,7 +648,7 @@ class TestGatesSideBySide:
     @pytest.mark.parametrize("d, H, seed", [(1, 1, 0), (3, 4, 1), (7, 5, 2)])
     def test_a_cell_holds_its_per_gate_draws_side_by_side(self, lstm, d, H, seed):
         table, rng = nn.ParamTable(), T.make_rng(seed)
-        cell = (nn.LstmParams if lstm else nn.GruParams)(table, "c", d, H, rng)
+        cell = (nn.LstmParams if lstm else nn.GruParams)(table, "c", d, H, nn.uniform_init(rng))
         gates = LSTM_GATES if lstm else GRU_GATES
         oracle_rng = T.make_rng(seed)
         draws = per_gate_draws(oracle_rng, "c", gates, d, H)
@@ -658,7 +661,7 @@ class TestGatesSideBySide:
     @pytest.mark.parametrize("kind", ["baseline", "tree-rnn", "sawr", "parser"])
     def test_a_model_splits_into_its_per_gate_draws(self, kind):
         model, want, _ = layout_model(kind)
-        got = split_per_gate(model.table.state_dict())
+        got = split_per_gate(state_dict(model.table))
         assert list(got) == list(want)
         for name, arr in want.items():
             assert np.ascontiguousarray(got[name]).tobytes() == arr.tobytes(), name
@@ -748,6 +751,27 @@ class TestCheckpoint:
                                                       f"unusable shape")):
             load_checkpoint(path)
 
+    def test_a_repeated_name_is_a_data_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_checkpoint_oracle(path, [("a", np.zeros(2)), ("a", np.ones(2))])
+        with pytest.raises(DataError, match=re.escape(f"{path}: entry 'a' appears twice")):
+            load_checkpoint(path)
+
+    def test_bytes_equal_the_cast_and_copy_writer(self, tmp_path):
+        # arrays go out from their own buffers; the file is what casting each
+        # with astype and copying it out with tobytes wrote
+        rng = T.make_rng(3)
+        wide = rng.normal(size=(4, 6))
+        state = {"f64": rng.normal(size=(3, 5)), "f64.strided": wide[:, ::2],
+                 "f64.big_endian": wide.astype(">f8"), "f64.scalar": np.array(2.5),
+                 "f64.empty": np.zeros((0, 3)),
+                 "f32": rng.normal(size=(2, 3)).astype(np.float32),
+                 "__meta__": np.frombuffer(b'{"a": 1}', dtype=np.uint8)}
+        ours, oracle = tmp_path / "ours.ckpt", tmp_path / "oracle.ckpt"
+        save_checkpoint(ours, state)
+        write_checkpoint_oracle(oracle, list(state.items()))
+        assert ours.read_bytes() == oracle.read_bytes()
+
     def test_hash_changes_with_content(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(p1, {"w": np.zeros(3)})
@@ -756,11 +780,11 @@ class TestCheckpoint:
 
     def test_table_roundtrip(self, tmp_path):
         table = nn.ParamTable()
-        nn.GruParams(table, "enc", 3, 4, T.make_rng(1))
+        nn.GruParams(table, "enc", 3, 4, nn.uniform_init(T.make_rng(1)))
         path = tmp_path / "t.ckpt"
-        save_checkpoint(path, table.state_dict())
+        save_checkpoint(path, state_dict(table))
         table2 = nn.ParamTable()
-        nn.GruParams(table2, "enc", 3, 4, T.make_rng(2))
+        nn.GruParams(table2, "enc", 3, 4, nn.uniform_init(T.make_rng(2)))
         table2.load_state(load_checkpoint(path))
         for (_, a), (_, b) in zip(table.items(), table2.items()):
             assert np.array_equal(a.data, b.data)

@@ -1,6 +1,7 @@
 """Translator: encoding, attention, decoder steps, training, beam search."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from synmt.seq2seq import (TranslationModel, _top_k, attend, beam_search, decode
 
 from helpers import argmax_chain, enumerate_best  # shared with the acceptance suite
 from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam, per_gate_layout,
-                     per_step_sequence_loss, records_on, rewrite_meta)
+                     per_step_sequence_loss, records_on, rewrite_meta, state_dict)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -268,11 +269,11 @@ class TestTrainStep:
     def test_non_finite_loss_stops_before_the_update(self):
         m = tiny_model(seed=2)
         m.table["out.logits.b"].data[0, 4] = np.nan
-        before = m.table.state_dict()
+        before = state_dict(m.table)
         opt = nn.Adam(m.table, lr=0.01, clip=5.0)
         with pytest.raises(FloatingPointError, match="non-finite"):
             train_step(make_batch(PAIRS), m, opt)
-        after = m.table.state_dict()
+        after = state_dict(m.table)
         assert all(np.array_equal(before[k], after[k], equal_nan=True) for k in before)
         assert opt.t == 0 and not opt.m and not opt.v
         assert m.table.gradients() == {}
@@ -590,6 +591,46 @@ class TestCheckpointRoundTrip:
         assert before.ids == after.ids
         assert before.logp == after.logp
         assert m2.mode == "none" and m2.hidden_dim == 8
+
+    @pytest.mark.parametrize("kind", ["baseline", "sawr", "parser"])
+    def test_load_draws_nothing_and_takes_the_saved_bits(self, tmp_path, monkeypatch, kind):
+        parser = ParserModel({"<unk>": 0, "a": 1, "b": 2}, ["dep", "root"], embed_dim=4,
+                             hidden_dim=3, mlp_dim=3, layers=2, seed=5)
+        if kind == "parser":
+            saved, cls = parser, ParserModel
+        else:
+            saved, cls = tiny_model(seed=6, mode="none" if kind == "baseline" else "sawr",
+                                    sawr_dim=5, parser=parser if kind == "sawr" else None,
+                                    parser_trainable=True), TranslationModel
+        path = tmp_path / "model.ckpt"
+        saved.save(path)
+
+        def no_draws(*args, **kw):
+            raise AssertionError("a load drew parameters")
+
+        monkeypatch.setattr(nn, "uniform_init", no_draws)
+        monkeypatch.setattr(T, "init_uniform", no_draws)
+        loaded = cls.load(path)
+        assert loaded.table.names() == saved.table.names()
+        for name, t in saved.table.items():
+            assert loaded.table[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_loading_a_wide_model_holds_the_file_and_one_copy(self, tmp_path):
+        # the bench's train-wide shapes, 7.88M parameters: the file's bytes
+        # and the arrays copied out of them, then the arrays alone plus the
+        # model's undrawn ones, which the loaded arrays replace
+        path = tmp_path / "wide.ckpt"
+        model = TranslationModel(4096, 4096, emb_dim=256, hidden_dim=512, dropout=0.0)
+        model.save(path)
+        param_bytes = sum(t.data.nbytes for _, t in model.table.items())
+        del model
+        tracemalloc.start()
+        try:
+            TranslationModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * param_bytes, peak / param_bytes
 
     @pytest.mark.parametrize("mode, entries", [("none", 19), ("tree-rnn", 26)])
     def test_checkpoint_holds_one_w_u_and_b_per_cell(self, tmp_path, mode, entries):

@@ -22,12 +22,12 @@ from helpers import (edit_meta, encode_one, random_projective_tree, split_rows,
 
 def projection(in_dim, out_dim, seed=0):
     return syntax.SawrProjection(nn.ParamTable(), "sawr", in_dim, out_dim,
-                                 T.make_rng(seed))
+                                 nn.uniform_init(T.make_rng(seed)))
 
 
 def tree_params(input_dim, hidden_dim, seed=0):
     return syntax.TreeGruParams(nn.ParamTable(), "tree", input_dim, hidden_dim,
-                                T.make_rng(seed))
+                                nn.uniform_init(T.make_rng(seed)))
 
 
 def small_parser(seed=2):
@@ -313,7 +313,7 @@ class TestTreeGru:
 
     def test_gradients_flow_through_both_passes(self):
         table = nn.ParamTable()
-        p = syntax.TreeGruParams(table, "tree", 3, 3, T.make_rng(7))
+        p = syntax.TreeGruParams(table, "tree", 3, 3, nn.uniform_init(T.make_rng(7)))
         tree = DependencyTree([2, 0, 2], ["det", "root", "obj"])
         emb = table.add("emb", T.init_uniform((3, 3), -0.5, 0.5, rng=T.make_rng(8)))
 

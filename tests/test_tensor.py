@@ -198,41 +198,71 @@ class TestBackward:
 
     def test_only_inputs_keep_gradients(self):
         # intermediates drop their gradient once it has been passed on; the
-        # leaf still accumulates over two backward calls
+        # leaf still accumulates over two tapes' backward calls
         x = leaf(np.full((2, 3), 0.5))
-        with T.Tape():
-            hidden = T.tanh(T.mul(x, x))
-            loss = T.sum_all(hidden)
-            T.backward(loss)
-            T.backward(loss)
-            assert hidden.grad is None and loss.grad is None
+        for _ in range(2):
+            with T.Tape():
+                hidden = T.tanh(T.mul(x, x))
+                loss = T.sum_all(hidden)
+                T.backward(loss)
+                assert hidden.grad is None and loss.grad is None
         assert np.allclose(x.grad, 2 * 2 * 0.5 * (1 - np.tanh(0.25) ** 2))
 
     def test_accumulation_without_reset(self):
         x = leaf(np.ones(4))
-        with T.Tape():
-            loss = T.sum_all(x)
-            T.backward(loss)
-            T.backward(loss)
+        for _ in range(2):
+            with T.Tape():
+                T.backward(T.sum_all(x))
         assert np.array_equal(x.grad, 2 * np.ones(4))
 
     def test_leaving_the_block_frees_the_graph(self):
-        # records hold their outputs and every output holds its tape; closing
-        # the tape must break that cycle without help from the cyclic collector
+        # records hold their outputs and every output holds its tape; the
+        # sweep must break that cycle as it runs, without help from the
+        # cyclic collector, and leave the block nothing to free
         x = leaf(np.full((2, 3), 0.5))
         gc.disable()
         try:
             with T.Tape() as tape:
                 hidden = T.tanh(T.mul(x, x))
                 alive = weakref.ref(hidden)
-                T.backward(T.sum_all(hidden))
+                loss = T.sum_all(hidden)
                 del hidden
-                assert alive() is not None  # still on the open tape
-            assert alive() is None
-            assert len(tape) == 0
+                assert alive() is not None  # still on the tape
+                T.backward(loss)
+                assert alive() is None
+                assert len(tape) == 0
         finally:
             gc.enable()
         assert np.allclose(x.grad, 2 * 0.5 * (1 - np.tanh(0.25) ** 2))
+
+    def test_backward_frees_each_record_as_it_runs(self):
+        # the oldest record runs last; when it does, every later output and
+        # the arrays its record saved must already be gone
+        x = leaf(np.full((2, 3), 0.5))
+        watched, dead = [], []
+
+        def probe_bwd(g):
+            dead.extend(ref() is None for ref in watched)
+            return (g,)
+
+        with T.Tape():
+            first = T._record(T.Tensor(x.data.copy()), (x,), probe_bwd)
+            hidden = T.tanh(T.mul(first, first))  # tanh saves its output array
+            watched += [weakref.ref(hidden), weakref.ref(hidden.data)]
+            loss = T.sum_all(hidden)
+            del hidden
+            T.backward(loss)
+        assert dead == [True, True]
+
+    def test_a_swept_tape_cannot_be_swept_again(self):
+        x = leaf(np.ones(3))
+        with T.Tape() as tape:
+            loss = T.sum_all(T.mul(x, x))
+            T.backward(loss)
+            assert len(tape) == 0
+            with pytest.raises(ValueError, match="swept"):
+                T.backward(loss)
+        assert np.array_equal(x.grad, 2 * np.ones(3))
 
     def test_backward_after_the_block_raises(self):
         x = leaf(np.ones(3))
