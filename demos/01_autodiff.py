@@ -24,7 +24,7 @@ w = T.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
 x = T.constant([[2.0, 1.0]])
 
 with T.Tape() as tape:
-    y = T.tanh(x @ w)  # infix operators delegate to the functional API
+    y = T.tanh(T.matmul(x, w))
     loss = T.sum_all(T.mul(y, y))
     recorded = len(tape)  # backward frees each record as it runs it
     T.backward(loss)
@@ -36,18 +36,20 @@ print("ops recorded", recorded)
 
 # Outside a tape the exact same ops run forward-only. No graph, no buffers.
 # Frozen submodules rely on this: evaluation costs nothing extra.
-w.zero_grad()
-_ = T.tanh(x @ w)
+w.grad = None
+_ = T.tanh(T.matmul(x, w))
 print("untaped forward leaves the gradient empty:", w.grad is None)
 
 # grad_check perturbs every element of a tensor twice (central differences)
 # and returns the worst relative error against backward(). The function under
 # test has to be deterministic, so dropout must run in eval mode.
-probe = T.init_uniform((3, 4), -1.0, 1.0, seed=7)
+# Parameters are drawn through nn.uniform_init: U[-scale, scale), off one
+# generator in call order.
+probe = T.Tensor(nn.uniform_init(T.make_rng(7), 1.0)((3, 4)), requires_grad=True)
 
 
 def bilinear_mix(t):
-    h = T.sigmoid(t)
+    h = T.tanh(t)
     return T.sum_all(T.mul(h, T.tanh(T.scale(t, 0.5))))
 
 
@@ -63,15 +65,16 @@ y_obs = X @ true_w + 0.01 * rng.normal(size=(64, 1))
 
 # Parameters live in a ParamTable so the optimizer can find them by name.
 table = nn.ParamTable()
-w_hat = table.add("w", T.init_uniform((3, 1), -0.1, 0.1, seed=1))
-b_hat = table.add("b", T.init_uniform((1, 1), -0.1, 0.1, seed=2))
+init = nn.uniform_init(T.make_rng(1), 0.1)
+w_hat = table.new("w", (3, 1), init)
+b_hat = table.new("b", (1, 1), init)
 opt = nn.Adam(table, lr=0.05)
 
 Xt, yt = T.constant(X), T.constant(y_obs)
 for step in range(201):
     with T.Tape():
         pred = nn.linear(Xt, w_hat, b_hat)
-        diff = T.sub(pred, yt)
+        diff = T.add(pred, T.scale(yt, -1.0))
         mse = T.scale(T.sum_all(T.mul(diff, diff)), 1.0 / len(X))
         T.backward(mse)
     opt.step()  # collects grads from the table, clips, updates, zeroes

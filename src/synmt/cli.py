@@ -117,6 +117,17 @@ def _write_lines(path, lines):
             f.write(line + "\n")
 
 
+def _read_aligned(*paths):
+    """Each file's lines; the files must hold the same number of lines, and
+    at least one, or it is a DataError that names them."""
+    texts = [read_lines(p) for p in paths]
+    counts = [len(t) for t in texts]
+    if len(set(counts)) > 1 or not counts[0]:
+        listing = ", ".join(f"{p} ({n} lines)" for p, n in zip(paths, counts))
+        raise DataError(f"inputs must be aligned, non-empty line files: {listing}")
+    return texts
+
+
 def _load_trees(path, src_sents):
     """Treebank aligned 1:1 with a source corpus, projectivized as needed."""
     bank = read_treebank(path)
@@ -508,8 +519,7 @@ def _cmd_ensemble_translate(cfg, man):
 
 def _cmd_evaluate(cfg, man):
     _require(cfg, "evaluate", "hyp", "ref", "out")
-    report = bleu(read_lines(cfg.hyp), read_lines(cfg.ref),
-                  case_sensitive=cfg.case_sensitive)
+    report = bleu(*_read_aligned(cfg.hyp, cfg.ref), case_sensitive=cfg.case_sensitive)
     _write_lines(cfg.out, [str(report)])
     man.add_artifact(cfg.out)
     man.note("bleu", report.score)
@@ -518,8 +528,7 @@ def _cmd_evaluate(cfg, man):
 
 def _cmd_significance(cfg, man):
     _require(cfg, "significance", "hyp_a", "hyp_b", "ref", "out")
-    a, b = read_lines(cfg.hyp_a), read_lines(cfg.hyp_b)
-    refs = read_lines(cfg.ref)
+    a, b, refs = _read_aligned(cfg.hyp_a, cfg.hyp_b, cfg.ref)
     fold = cfg.case_sensitive
     score_a = bleu(a, refs, case_sensitive=fold).score
     score_b = bleu(b, refs, case_sensitive=fold).score
@@ -553,8 +562,7 @@ def _cmd_align_dump(cfg, man):
 
 def _cmd_length_report(cfg, man):
     _require(cfg, "length-report", "hyp", "ref", "src", "out")
-    bins = bleu_by_length(read_lines(cfg.hyp), read_lines(cfg.ref),
-                          read_lines(cfg.src), cfg.length_edges,
+    bins = bleu_by_length(*_read_aligned(cfg.hyp, cfg.ref, cfg.src), cfg.length_edges,
                           case_sensitive=cfg.case_sensitive)
     lines = ["lo\thi\tcount\tbleu"]
     for b in bins:

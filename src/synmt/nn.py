@@ -55,12 +55,6 @@ class ParamTable:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -100,14 +94,6 @@ class ParamTable:
         for name, t in self._params.items():
             t.data = np.asarray(state[name], dtype=t.data.dtype)
 
-    def bytes_of(self, prefix: str) -> bytes:
-        """Raw little-endian bytes of all parameters under a prefix (freeze checks)."""
-        chunks = []
-        for name, t in sorted(self._params.items()):
-            if name == prefix or name.startswith(prefix + "."):
-                chunks.append(t.data.astype("<f8").tobytes())
-        return b"".join(chunks)
-
 
 def uniform_init(rng, scale: float = 0.1):
     """Parameter initializer: each call draws an array of the shape it is
@@ -138,11 +124,6 @@ class _GatedCell:
             {f"{prefix}.W": (input_dim, H), f"{prefix}.U": (H, H), f"{prefix}.b": (1, H)},
             len(self.GATES), init)
 
-    def _check(self, x: Tensor, h: Tensor, name: str):
-        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(f"{name} step: x {x.shape}, h {h.shape} do not match "
-                             f"dims ({self.input_dim}, {self.hidden_dim})")
-
 
 class GruParams(_GatedCell):
     """One GRU cell: update gate z, reset gate r, candidate h̃.
@@ -161,25 +142,17 @@ class GruParams(_GatedCell):
 
     def step(self, x: Tensor, h: Tensor):
         """h' from x [B, input_dim] and h [B, H]."""
-        self._check(x, h, "GRU")
+        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
+            raise ShapeError(f"GRU step: x {x.shape}, h {h.shape} do not match "
+                             f"dims ({self.input_dim}, {self.hidden_dim})")
         return T.gru_cell(T.matmul(x, self.W), h, self.U, self.b)
 
 
 class LstmParams(_GatedCell):
-    """One LSTM cell (input, forget, output gates and cell candidate)."""
+    """One LSTM cell (input, forget, output gates and cell candidate); it
+    runs only inside birnn_encode, one tensor.lstm_cell per position."""
 
     GATES = ("input", "forget", "output", "cell")
-
-    def zero_state(self, batch: int):
-        return (T.zeros((batch, self.hidden_dim)), T.zeros((batch, self.hidden_dim)))
-
-    def step(self, x: Tensor, state):
-        """(h', c') from x [B, input_dim] and state (h, c)."""
-        h, c = state
-        self._check(x, h, "LSTM")
-        hc = T.lstm_cell(T.matmul(x, self.W), T.concat([h, c], axis=1), self.U, self.b)
-        H = self.hidden_dim
-        return (T.slice_axis(hc, 1, 0, H), T.slice_axis(hc, 1, H, 2 * H))
 
 
 def length_mask(lens, width: int) -> np.ndarray | None:
@@ -246,17 +219,16 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     return T.add(out, b) if b is not None else out
 
 
-def dropout(x: Tensor, ratio: float, mode: str, rng=None, seed=None) -> Tensor:
-    """Inverted dropout: train mode zeroes each element with probability ratio
-    and scales survivors by 1/(1-ratio); eval mode is exactly the identity."""
+def dropout(x: Tensor, ratio: float, mode: str, rng) -> Tensor:
+    """Inverted dropout: train mode zeroes each element with probability ratio,
+    drawn from rng, and scales survivors by 1/(1-ratio); eval mode is exactly
+    the identity."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if mode not in ("train", "eval"):
         raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or ratio == 0.0:
         return x
-    if rng is None:
-        rng = T.make_rng(0 if seed is None else int(seed))
     keep = (rng.random(x.data.shape) >= ratio) / (1.0 - ratio)
     return T.mul(x, T.constant(keep))
 

@@ -1,11 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Forward ops are recorded onto the innermost active ``Tape`` whenever some
-input requires a gradient; with no active tape, ops run forward-only (the
-decoding paths rely on this to stay allocation-free).  Training code opens a
-fresh tape per step and calls ``backward`` inside the block, once: the sweep
-frees each record as it runs it, and leaving the block drops whatever the
-sweep did not reach::
+input requires a gradient; with no active tape, ops run forward-only and
+record nothing (the decoding paths run this way).  Every array is float64.
+Training code opens a fresh tape per step and calls ``backward`` inside the
+block, once: the sweep frees each record as it runs it, and leaving the block
+drops whatever the sweep did not reach::
 
     with Tape() as tape:
         loss = ...
@@ -22,8 +22,6 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-
-DEFAULT_DTYPE = np.float64
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -69,12 +67,12 @@ class Tape:
 
 
 class Tensor:
-    """A dense array plus the bookkeeping needed for backpropagation."""
+    """A dense float64 array plus the bookkeeping needed for backpropagation."""
 
     __slots__ = ("data", "requires_grad", "grad", "tape", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None  # ndarray of self.shape once backward has run
         self.tape = None  # tape that recorded the op producing this tensor
@@ -94,49 +92,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
 
-    # operator sugar; scalars on the right only
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def constant(data, dtype=None) -> Tensor:
+def constant(data) -> Tensor:
     """Leaf tensor that never takes gradients (masks, cached features...)."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
+    return Tensor(data, requires_grad=False)
 
 
-def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=False, dtype=dtype)
-
-
-def init_uniform(shape, low: float, high: float, seed=None, rng=None, requires_grad=True,
-                 dtype=None) -> Tensor:
-    """Uniform [low, high) leaf tensor; same seed and shape give bitwise-equal data.
-
-    Pass either a seed or an already-split Generator.
-    """
-    shape = tuple(int(s) for s in (shape if hasattr(shape, "__len__") else [shape]))
-    if len(shape) == 0 or any(s <= 0 for s in shape):
-        raise ValueError(f"init_uniform needs a non-empty positive shape, got {shape}")
-    if not low < high:
-        raise ValueError(f"init_uniform needs low < high, got [{low}, {high})")
-    if rng is None:
-        rng = make_rng(0 if seed is None else int(seed))
-    data = rng.uniform(low, high, size=shape)
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=False)
 
 
 def _record(out: Tensor, inputs, backward_fn) -> Tensor:
@@ -251,16 +214,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    which = _binary_shapes(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return _reduce_rows(g, which, "a"), _reduce_rows(-g, which, "b")
-
-    return _record(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     which = _binary_shapes(a, b, "mul")
     ad, bd = a.data, b.data
@@ -279,42 +232,12 @@ def _sigmoid_data(xd):
     return np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_data(x.data)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(out, (x,), bwd)
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y)
 
     def bwd(g):
         return (g * (1.0 - y * y),)
-
-    return _record(out, (x,), bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * y,)
-
-    return _record(out, (x,), bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    out = Tensor(np.log(xd))
-
-    def bwd(g):
-        return (g / xd,)
 
     return _record(out, (x,), bwd)
 
@@ -374,22 +297,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _record(out, (x,), bwd)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if axis >= x.data.ndim:
-        raise ShapeError(f"log_softmax axis {axis} out of range for shape {x.data.shape}")
-    xd = x.data
-    m = xd.max(axis=axis, keepdims=True)
-    z = xd - m
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = Tensor(z - lse)
-    sm = np.exp(z - lse)
-
-    def bwd(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
 
     return _record(out, (x,), bwd)
 
@@ -460,38 +367,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of x [m,n] by scalar s[i] from s [m,1]."""
-    xd, sd = x.data, s.data
-    if xd.ndim != 2 or sd.shape != (xd.shape[0], 1):
-        raise ShapeError(f"scale_rows: x {xd.shape} needs s of shape ({xd.shape[0]}, 1), got {sd.shape}")
-    out = Tensor(xd * sd)
-
-    def bwd(g):
-        return g * sd, (g * xd).sum(axis=1, keepdims=True)
-
-    return _record(out, (x, s), bwd)
-
-
-def pick(x: Tensor, ids) -> Tensor:
-    """Select one column per row: out[i, 0] = x[i, ids[i]]."""
-    ids = np.asarray(ids, dtype=np.int64)
-    xd = x.data
-    if xd.ndim != 2 or ids.shape != (xd.shape[0],):
-        raise ShapeError(f"pick: x {xd.shape} needs one id per row, got ids {ids.shape}")
-    if ids.min(initial=0) < 0 or (xd.shape[0] and ids.max() >= xd.shape[1]):
-        raise ValueError("pick: id out of range")
-    rows = np.arange(xd.shape[0])
-    out = Tensor(xd[rows, ids][:, None])
-
-    def bwd(g):
-        z = np.zeros_like(xd)
-        z[rows, ids] = g[:, 0]
-        return (z,)
-
-    return _record(out, (x,), bwd)
-
-
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a matrix (embedding lookup); backward scatter-adds."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -513,9 +388,10 @@ def take_rows(table: Tensor, ids) -> Tensor:
 def nll(x: Tensor, ids) -> Tensor:
     """Log-likelihood of one id per row under a row softmax, in one record.
 
-    The [m, 1] column equals pick(log_softmax(x, axis=1), ids) to the bit; its
-    negated sum is the negative log-likelihood. Only the softmax is kept for
-    backward, which writes -softmax * g once and adds g at the picked ids.
+    The [m, 1] column equals the unfused pick(log_softmax(x, axis=1), ids) of
+    tests/helpers.py to the bit; its negated sum is the negative
+    log-likelihood. Only the softmax is kept for backward, which writes
+    -softmax * g once and adds g at the picked ids.
     """
     ids = np.asarray(ids, dtype=np.int64)
     xd = x.data
@@ -554,7 +430,7 @@ def _cell_shapes(name, xw, state, U, b, gates, parts):
 
 
 def _keep_column(keep, batch):
-    keep = np.asarray(keep, dtype=DEFAULT_DTYPE)
+    keep = np.asarray(keep, dtype=np.float64)
     if keep.shape != (batch, 1):
         raise ShapeError(f"keep must be a ({batch}, 1) column, got {keep.shape}")
     return keep, 1.0 - keep

@@ -8,6 +8,10 @@ Adam update, the dense backward sweep) are deliberately independent of the
 package's code, so tests compare two implementations, not one
 implementation with itself. The per-step sequence loss shares the
 translator's layers and differs only in where its output network runs.
+
+The oracles are built from unfused tape ops that the package itself no
+longer needs (sub, sigmoid, log, log_softmax, scale_rows, pick); they live
+here and record onto the active tape like the package's primitives.
 """
 
 import json
@@ -21,6 +25,7 @@ import numpy as np
 from synmt import tensor as T
 from synmt.data import BOS, EOS
 from synmt.depparse import DependencyTree, parser_encode
+from synmt.errors import ShapeError
 from synmt.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from synmt.seq2seq import _encode, attend, decode_step, encode_for_decode
 
@@ -199,6 +204,96 @@ def split_rows(rows, trees):
     return np.split(rows, np.cumsum([t.n for t in trees])[:-1])
 
 
+# ---------------------------------------------------------------------------
+# Unfused tape ops: what the fused cells and nll replaced, kept as the
+# pieces of their oracles.
+
+def sub(a, b):
+    which = T._binary_shapes(a, b, "sub")
+    out = T.Tensor(a.data - b.data)
+
+    def bwd(g):
+        return T._reduce_rows(g, which, "a"), T._reduce_rows(-g, which, "b")
+
+    return T._record(out, (a, b), bwd)
+
+
+def sigmoid(x):
+    y = T._sigmoid_data(x.data)
+    out = T.Tensor(y)
+
+    def bwd(g):
+        return (g * y * (1.0 - y),)
+
+    return T._record(out, (x,), bwd)
+
+
+def log(x):
+    xd = x.data
+    out = T.Tensor(np.log(xd))
+
+    def bwd(g):
+        return (g / xd,)
+
+    return T._record(out, (x,), bwd)
+
+
+def log_softmax(x, axis=-1):
+    if axis >= x.data.ndim:
+        raise ShapeError(f"log_softmax axis {axis} out of range for shape {x.data.shape}")
+    xd = x.data
+    m = xd.max(axis=axis, keepdims=True)
+    z = xd - m
+    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    out = T.Tensor(z - lse)
+    sm = np.exp(z - lse)
+
+    def bwd(g):
+        return (g - sm * g.sum(axis=axis, keepdims=True),)
+
+    return T._record(out, (x,), bwd)
+
+
+def scale_rows(x, s):
+    """Multiply row i of x [m,n] by scalar s[i] from s [m,1]."""
+    xd, sd = x.data, s.data
+    if xd.ndim != 2 or sd.shape != (xd.shape[0], 1):
+        raise ShapeError(f"scale_rows: x {xd.shape} needs s of shape ({xd.shape[0]}, 1), "
+                         f"got {sd.shape}")
+    out = T.Tensor(xd * sd)
+
+    def bwd(g):
+        return g * sd, (g * xd).sum(axis=1, keepdims=True)
+
+    return T._record(out, (x, s), bwd)
+
+
+def pick(x, ids):
+    """Select one column per row: out[i, 0] = x[i, ids[i]]."""
+    ids = np.asarray(ids, dtype=np.int64)
+    xd = x.data
+    if xd.ndim != 2 or ids.shape != (xd.shape[0],):
+        raise ShapeError(f"pick: x {xd.shape} needs one id per row, got ids {ids.shape}")
+    if ids.min(initial=0) < 0 or (xd.shape[0] and ids.max() >= xd.shape[1]):
+        raise ValueError("pick: id out of range")
+    rows = np.arange(xd.shape[0])
+    out = T.Tensor(xd[rows, ids][:, None])
+
+    def bwd(g):
+        z = np.zeros_like(xd)
+        z[rows, ids] = g[:, 0]
+        return (z,)
+
+    return T._record(out, (x,), bwd)
+
+
+def param_bytes(table, prefix):
+    """The bytes of every parameter under a dotted prefix, in table order:
+    equal before and after a run exactly when no bit of them moved."""
+    return b"".join(t.data.tobytes() for name, t in table.items()
+                    if name.startswith(prefix + "."))
+
+
 def gate_columns(t, k, width):
     """Block k of a side-by-side entry's columns, read on the tape."""
     return T.slice_axis(t, 1, k * width, (k + 1) * width)
@@ -211,10 +306,10 @@ def gru_step_oracle(x, h, cell):
     H = cell.hidden_dim
     (Wz, Wr, Wh), (Uz, Ur, Uh), (bz, br, bh) = (
         [gate_columns(t, k, H) for k in range(3)] for t in (cell.W, cell.U, cell.b))
-    z = T.sigmoid(T.add(T.add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
-    r = T.sigmoid(T.add(T.add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
+    z = sigmoid(T.add(T.add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
+    r = sigmoid(T.add(T.add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
     cand = T.tanh(T.add(T.add(T.matmul(x, Wh), T.matmul(T.mul(r, h), Uh)), bh))
-    keep = T.sub(T.constant(np.ones_like(z.data)), z)
+    keep = sub(T.constant(np.ones_like(z.data)), z)
     return T.add(T.mul(keep, h), T.mul(z, cand))
 
 
@@ -229,7 +324,7 @@ def lstm_step_oracle(x, state, cell):
                            T.matmul(h, gate_columns(cell.U, k, H))),
                      gate_columns(cell.b, k, H))
 
-    i, f, o = (T.sigmoid(gate(k)) for k in range(3))
+    i, f, o = (sigmoid(gate(k)) for k in range(3))
     g = T.tanh(gate(3))
     c_new = T.add(T.mul(f, c), T.mul(i, g))
     return T.mul(o, T.tanh(c_new)), c_new
@@ -355,7 +450,7 @@ def per_gate_norm(grads):
 def masked_carry_oracle(new, old, keep):
     """new where keep [B, 1] is 1, old where it is 0, as two row scalings."""
     inv = T.constant(1.0 - keep)
-    return T.add(T.scale_rows(new, T.constant(keep)), T.scale_rows(old, inv))
+    return T.add(scale_rows(new, T.constant(keep)), scale_rows(old, inv))
 
 
 def dense_backward(loss):
@@ -682,7 +777,7 @@ def per_step_sequence_loss(batch, model, mode="train"):
         x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
         s = model.dec.step(x, s)
         c, _ = attend(s, h, model.table["att.W"], bias)
-        lp = T.log_softmax(model.output_logits(s, c, mode=mode), axis=1)
-        term = T.mul(T.pick(lp, batch.tgt[:, j]), T.constant(tgt_mask[:, j:j + 1]))
+        lp = log_softmax(model.output_logits(s, c, mode=mode), axis=1)
+        term = T.mul(pick(lp, batch.tgt[:, j]), T.constant(tgt_mask[:, j:j + 1]))
         total = term if total is None else T.add(total, term)
     return T.scale(T.sum_all(total), -1.0 / float(batch.tgt_lens.sum()))

@@ -36,8 +36,8 @@ from synmt.evaluate import bleu, bootstrap_significance
 from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
                            encode_for_decode, sequence_loss, train_step)
 
-from helpers import (argmax_chain, brute_force_decode, encode_one, enumerate_best,
-                     one_bucket, random_projective_tree, split_rows,
+from helpers import (argmax_chain, brute_force_decode, encode_one, enumerate_best, log,
+                     one_bucket, param_bytes, pick, random_projective_tree, split_rows,
                      tree_gru_encode_naive)
 
 FX = Path(__file__).parent / "fixtures"
@@ -86,7 +86,8 @@ def _grad_lstm(i):
     c0 = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
 
     def loss(_):
-        h, c = cell.step(x, (h0, c0))
+        hc = T.lstm_cell(T.matmul(x, cell.W), T.concat([h0, c0], axis=1), cell.U, cell.b)
+        h, c = T.slice_axis(hc, 1, 0, 2), T.slice_axis(hc, 1, 2, 4)
         return T.add(T.sum_all(T.mul(h, h)), T.sum_all(T.tanh(c)))
 
     targets = [x, h0, c0] + [t for _, t in table.items()]
@@ -156,7 +157,7 @@ def _grad_decoder(i):
     def loss(_):
         h, s0 = encode_for_decode(m, src)
         dist, _, _, _ = decode_step(y_prev, T.zeros((1, 4)), s0, h, m)
-        return T.scale(T.log(T.pick(dist, [picked])), -1.0)
+        return T.scale(log(pick(dist, [picked])), -1.0)
 
     return T.grad_check(loss, m.table[DECODER_PARAMS[i % len(DECODER_PARAMS)]])
 
@@ -214,7 +215,7 @@ def _grad_tree_gru(i):
     table = nn.ParamTable()
     p = syntax.TreeGruParams(table, "tree", 3, 3, nn.uniform_init(T.make_rng(800 + i)))
     tree = random_projective_tree(1 + i % 4, rng)
-    table.add("emb", T.init_uniform((tree.n, 3), -0.5, 0.5, rng=rng))
+    table.new("emb", (tree.n, 3), nn.uniform_init(rng, 0.5))
 
     def loss(_):
         return T.sum_all(T.tanh(syntax.tree_gru_encode_batch(table["emb"], [tree], p)))
@@ -432,15 +433,15 @@ def test_criterion_08_parser_freeze_contract(capsys):
             return m, nn.Adam(m.table, lr=0.01, clip=5.0), batches
 
         m, opt, batches = fresh(False)
-        before = m.table.bytes_of("parser")
+        before = param_bytes(m.table, "parser")
         for step in range(100):
             train_step(batches[step % len(batches)], m, opt)
-        assert m.table.bytes_of("parser") == before
+        assert param_bytes(m.table, "parser") == before
 
         m, opt, batches = fresh(True)
-        before = m.table.bytes_of("parser")
+        before = param_bytes(m.table, "parser")
         train_step(batches[0], m, opt)
-        assert m.table.bytes_of("parser") != before
+        assert param_bytes(m.table, "parser") != before
         notes["detail"] = ("parser bytes identical after 100 frozen updates; "
                            "changed after 1 tuned update")
 

@@ -155,6 +155,28 @@ class TestValidationFailures:
         assert err[0].startswith(f"data error: {out}: ")
         assert ".tmp" not in err[0]
 
+    @pytest.mark.parametrize("empty", [False, True], ids=["misaligned", "empty"])
+    @pytest.mark.parametrize("command, fields", [
+        ("evaluate", ("hyp", "ref")),
+        ("significance", ("hyp_a", "hyp_b", "ref")),
+        ("length-report", ("hyp", "ref", "src")),
+    ])
+    def test_misaligned_or_empty_inputs_exit_2(self, tmp_path, capsys, command, fields, empty):
+        argv, paths = [command], []
+        for k, field in enumerate(fields):
+            path = tmp_path / f"{field}.txt"
+            # misaligned: the second file holds one line, the others two
+            path.write_text("" if empty else "a b c d\n" * (1 if k == 1 else 2),
+                            encoding="utf-8")
+            argv += [f"--{field}", str(path)]
+            paths.append(str(path))
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert all(p in err[0] for p in paths)
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bootstrap_samples = 99\n", encoding="utf-8")

@@ -19,8 +19,8 @@ from synmt.seq2seq import (TranslationModel, _top_k, attend, beam_search, decode
                            encode_for_decode, sequence_loss, train_step)
 
 from helpers import argmax_chain, enumerate_best  # shared with the acceptance suite
-from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam, per_gate_layout,
-                     per_step_sequence_loss, records_on, rewrite_meta, state_dict)
+from helpers import (BAD_METAS, edit_entries, edit_meta, full_length_beam, log, per_gate_layout,
+                     per_step_sequence_loss, pick, records_on, rewrite_meta, state_dict)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -234,7 +234,7 @@ class TestDecodeStep:
         def loss(_):
             h, s0 = encode_for_decode(m, [4, 5, 6])
             dist, _, _, _ = decode_step(4, T.zeros((1, 8)), s0, h, m)
-            return T.scale(T.log(T.pick(dist, [7])), -1.0)
+            return T.scale(log(pick(dist, [7])), -1.0)
 
         for name in ("att.W", "tgt_emb", "dec.W", "out.hidden.W", "out.logits.b"):
             assert T.grad_check(loss, m.table[name]) < 1e-4, name
@@ -609,7 +609,6 @@ class TestCheckpointRoundTrip:
             raise AssertionError("a load drew parameters")
 
         monkeypatch.setattr(nn, "uniform_init", no_draws)
-        monkeypatch.setattr(T, "init_uniform", no_draws)
         loaded = cls.load(path)
         assert loaded.table.names() == saved.table.names()
         for name, t in saved.table.items():

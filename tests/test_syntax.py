@@ -16,7 +16,7 @@ from synmt.errors import DataError, ShapeError, StateError
 from synmt.evaluate import read_alignments
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import (edit_meta, encode_one, random_projective_tree, split_rows,
+from helpers import (edit_meta, encode_one, param_bytes, random_projective_tree, split_rows,
                      tree_gru_encode_naive)
 
 
@@ -125,17 +125,17 @@ class TestParserFreezing:
         m = sawr_model(parser=small_parser(), trainable=False)
         opt = nn.Adam(m.table, lr=0.01, clip=5.0)
         batches = sawr_batches(parser=m.parser)
-        before = m.table.bytes_of("parser")
+        before = param_bytes(m.table, "parser")
         for step in range(100):
             train_step(batches[step % len(batches)], m, opt)
-        assert m.table.bytes_of("parser") == before
+        assert param_bytes(m.table, "parser") == before
 
     def test_tuned_parser_moves_after_one_update(self):
         m = sawr_model(parser=small_parser(), trainable=True)
         opt = nn.Adam(m.table, lr=0.01, clip=5.0)
-        before = m.table.bytes_of("parser")
+        before = param_bytes(m.table, "parser")
         train_step(sawr_batches(parser=m.parser)[0], m, opt)
-        assert m.table.bytes_of("parser") != before
+        assert param_bytes(m.table, "parser") != before
 
     def test_projection_trains_even_when_parser_is_frozen(self):
         m = sawr_model(parser=small_parser(), trainable=False)
@@ -315,7 +315,7 @@ class TestTreeGru:
         table = nn.ParamTable()
         p = syntax.TreeGruParams(table, "tree", 3, 3, nn.uniform_init(T.make_rng(7)))
         tree = DependencyTree([2, 0, 2], ["det", "root", "obj"])
-        emb = table.add("emb", T.init_uniform((3, 3), -0.5, 0.5, rng=T.make_rng(8)))
+        emb = table.new("emb", (3, 3), nn.uniform_init(T.make_rng(8), 0.5))
 
         def loss(_):
             return T.sum_all(T.tanh(syntax.tree_gru_encode_batch(emb, [tree], p)))

@@ -12,32 +12,11 @@ from hypothesis import strategies as st
 from synmt import tensor as T
 from synmt.errors import ShapeError
 
-from helpers import dense_backward
+from helpers import dense_backward, log_softmax, pick, scale_rows, sigmoid, sub
 
 
 def leaf(data, rg=True):
     return T.Tensor(data, requires_grad=rg)
-
-
-class TestInitUniform:
-    def test_range_and_reproducibility(self):
-        a = T.init_uniform([2, 2], -0.1, 0.1, seed=7)
-        b = T.init_uniform([2, 2], -0.1, 0.1, seed=7)
-        assert a.data.shape == (2, 2)
-        assert np.all(a.data >= -0.1) and np.all(a.data < 0.1)
-        assert np.array_equal(a.data, b.data)  # bitwise
-
-    def test_degenerate_range(self):
-        t = T.init_uniform([4], 0.0, 1e-12, seed=1)
-        assert np.all(np.abs(t.data) <= 1e-12)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            T.init_uniform([], -1, 1, seed=0)
-        with pytest.raises(ValueError):
-            T.init_uniform([2], 1.0, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            T.init_uniform([2], 2.0, -2.0, seed=0)
 
 
 class TestMatmul:
@@ -84,7 +63,7 @@ class TestReshape:
 
 class TestElementwise:
     def test_fixed_points(self):
-        assert T.sigmoid(T.Tensor([0.0])).data[0] == 0.5
+        assert T._sigmoid_data(np.array([0.0]))[0] == 0.5
         assert T.tanh(T.Tensor([0.0])).data[0] == 0.0
 
     def test_add_hand_case(self):
@@ -107,10 +86,10 @@ class TestElementwise:
             T.mul(T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((3,))))
 
     def test_sigmoid_extreme_inputs(self):
-        out = T.sigmoid(T.Tensor([-1000.0, 1000.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(0.0, abs=1e-12)
-        assert out.data[1] == pytest.approx(1.0, abs=1e-12)
+        out = T._sigmoid_data(np.array([-1000.0, 1000.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(0.0, abs=1e-12)
+        assert out[1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSoftmax:
@@ -137,7 +116,7 @@ class TestSoftmax:
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = T.Tensor(np.linspace(-3, 3, 12).reshape(3, 4))
-        assert np.allclose(T.log_softmax(x, axis=1).data,
+        assert np.allclose(log_softmax(x, axis=1).data,
                            np.log(T.softmax(x, axis=1).data))
 
 
@@ -165,7 +144,7 @@ class TestConcat:
             back_b = T.slice_axis(cat, 1, 3, 7)
             assert np.array_equal(back_a.data, a.data)
             assert np.array_equal(back_b.data, b.data)
-            loss = T.sum_all(T.mul(back_a, back_a)) + T.sum_all(T.mul(back_b, back_b))
+            loss = T.add(T.sum_all(T.mul(back_a, back_a)), T.sum_all(T.mul(back_b, back_b)))
             T.backward(loss)
         # gradient of sum(x*x) through concat/split must equal direct 2x
         assert np.allclose(a.grad, 2 * a.data)
@@ -289,7 +268,7 @@ class TestBackward:
 class TestGradCheck:
     def test_sigmoid_sum(self):
         x = leaf(T.make_rng(11).normal(size=(3, 4)))
-        err = T.grad_check(lambda t: T.sum_all(T.sigmoid(t)), x, eps=1e-5)
+        err = T.grad_check(lambda t: T.sum_all(sigmoid(t)), x, eps=1e-5)
         assert err < 1e-4
 
     def test_linear_is_exact(self):
@@ -302,23 +281,23 @@ def _random_case(rng):
     return int(m), int(n), int(k)
 
 
+# the package's primitives, and the unfused ops in helpers that oracles use
 PRIMITIVE_CASES = {
     "add": lambda x, y: T.add(x, y),
-    "sub": lambda x, y: T.sub(x, y),
+    "sub": lambda x, y: sub(x, y),
     "mul": lambda x, y: T.mul(x, y),
-    "sigmoid": lambda x, y: T.sigmoid(x),
+    "sigmoid": lambda x, y: sigmoid(x),
     "tanh": lambda x, y: T.tanh(x),
-    "exp": lambda x, y: T.exp(x),
     "matmul": lambda x, y: T.matmul(x, T.transpose(y)),
     "softmax": lambda x, y: T.mul(T.softmax(x, axis=1), y),
-    "log_softmax": lambda x, y: T.mul(T.log_softmax(x, axis=1), y),
+    "log_softmax": lambda x, y: T.mul(log_softmax(x, axis=1), y),
     "concat": lambda x, y: T.concat([x, y], axis=1),
     "slice": lambda x, y: T.slice_axis(x, 1, 0, x.shape[1] // 2 + 1),
     "transpose": lambda x, y: T.transpose(x),
     "scale": lambda x, y: T.scale(x, -1.7),
     "sum_axis": lambda x, y: T.sum_axis(x, 1),
     "sum_axis0": lambda x, y: T.sum_axis(x, 0),
-    "scale_rows": lambda x, y: T.scale_rows(x, T.sum_axis(y, 1)),
+    "scale_rows": lambda x, y: scale_rows(x, T.sum_axis(y, 1)),
 }
 
 
@@ -361,12 +340,12 @@ def test_pick_and_take_rows_gradients():
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         ids = rng.integers(0, n, size=m)
         x = leaf(rng.normal(size=(m, n)))
-        assert T.grad_check(lambda t: T.sum_all(T.exp(T.pick(t, ids))), x) < 1e-4
+        assert T.grad_check(lambda t: T.sum_all(T.tanh(pick(t, ids))), x) < 1e-4
         rows = rng.integers(0, m, size=2 * m)  # repeats exercise scatter-add
         tab = leaf(rng.normal(size=(m, n)))
         assert T.grad_check(lambda t: T.sum_all(T.tanh(T.take_rows(t, rows))), tab) < 1e-4
     with pytest.raises(ValueError):
-        T.pick(T.Tensor(np.zeros((2, 3))), [0, 5])
+        pick(T.Tensor(np.zeros((2, 3))), [0, 5])
     with pytest.raises(ValueError):
         T.take_rows(T.Tensor(np.zeros((2, 3))), [4])
 
@@ -387,7 +366,7 @@ class TestSigmoid:
         special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-310, -1e-310,
                             np.nan, -np.nan])
         for xd in (special, T.make_rng(5).normal(size=(20, 64)) * 30.0):
-            assert T.sigmoid(T.Tensor(xd)).data.tobytes() == masked_sigmoid(xd).tobytes()
+            assert T._sigmoid_data(xd).tobytes() == masked_sigmoid(xd).tobytes()
 
 
 class TestNll:
@@ -399,7 +378,7 @@ class TestNll:
             xd = rng.normal(size=(m, v)) * 5.0
             g = rng.normal(size=(m, 1))
             results = []
-            for f in (lambda t: T.nll(t, ids), lambda t: T.pick(T.log_softmax(t, axis=1), ids)):
+            for f in (lambda t: T.nll(t, ids), lambda t: pick(log_softmax(t, axis=1), ids)):
                 x = leaf(xd.copy())
                 with T.Tape():
                     out = f(x)
