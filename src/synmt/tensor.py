@@ -11,6 +11,11 @@ drops whatever the sweep did not reach::
         loss = ...
         backward(loss)
 
+A record keeps node ids for the tensors its tape produced and the tensors
+themselves only for leaves, so an op's arrays live while its backward needs
+them (or the caller holds them), not until the sweep. ``slice_axis`` returns
+a view of its input's array.
+
 All randomness in the package flows through numpy's PCG64 generator via
 ``make_rng`` so that every run is reproducible from explicit seeds.
 """
@@ -35,17 +40,21 @@ class Tape:
     Every record's inputs were produced by earlier records or are leaves, so
     a single reverse sweep propagates gradients correctly.
 
-    Records point at their output tensors and each output points back at its
-    tape, a reference cycle. ``backward`` pops each record as it runs it, and
-    leaving the block clears the rest, so the graph is freed by reference
-    counting rather than by a later cyclic collection. A tape is closed to
-    further ``backward`` calls once swept or left.
+    A record is (out node, input specs, backward_fn). Each recorded output
+    gets the next node id; an input this tape produced is specified as
+    (node, shape), any other (a parameter, a constant, a tensor of an earlier
+    tape) as the Tensor itself. Records hold no output and no intermediate
+    Tensor, so a tensor's array lives only while the caller or a backward
+    closure holds it. ``backward`` pops each record as it runs it, and
+    leaving the block clears the rest. A tape is closed to further
+    ``backward`` calls once swept or left.
     """
 
     _stack: list["Tape"] = []
 
     def __init__(self):
-        self.records = []  # (out, inputs, backward_fn)
+        self.records = []  # (out node, input specs, backward_fn)
+        self.next_node = 0
         self.closed = False
 
     def __enter__(self) -> "Tape":
@@ -69,13 +78,14 @@ class Tape:
 class Tensor:
     """A dense float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None  # ndarray of self.shape once backward has run
         self.tape = None  # tape that recorded the op producing this tensor
+        self.node = None  # this tensor's node id on that tape
 
     @property
     def shape(self):
@@ -107,7 +117,10 @@ def _record(out: Tensor, inputs, backward_fn) -> Tensor:
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.tape = tape
-        tape.records.append((out, tuple(inputs), backward_fn))
+        out.node = tape.next_node
+        tape.next_node += 1
+        specs = tuple((t.node, t.data.shape) if t.tape is tape else t for t in inputs)
+        tape.records.append((out.node, specs, backward_fn))
     return out
 
 
@@ -125,20 +138,33 @@ class SliceGrad:
         self.value = value
 
 
+class Owned:
+    """An input gradient that its backward allocated for that input alone
+    (a product, say) and keeps no other reference to: ``backward`` may add
+    later contributions into it in place."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into .grad of the tape's inputs.
+    """Accumulate gradients of a scalar loss into .grad of the tape's leaves.
 
-    Tensors that a record on the loss's tape produced get no .grad: each
-    intermediate's gradient is dropped once passed on to its op's inputs.
-    The sweep pops each record before it runs it, so the op's closure, the
-    arrays it saved and its output are freed once its gradient has reached
-    its inputs (unless the caller still holds them). A tape is swept once:
-    a second call on it raises ValueError. Gradients of two losses add up in
-    .grad when each is swept on its own tape without zeroing in between.
+    Gradients are summed per node of the loss's tape and per leaf (a tensor
+    no record on that tape produced); only leaves get .grad, and each node's
+    gradient is dropped once passed on to its op's inputs. The sweep pops
+    each record before it runs it, so the op's closure and the arrays it
+    saved are freed once its gradient has reached its inputs (unless the
+    caller still holds them). A tape is swept once: a second call on it
+    raises ValueError. Gradients of two losses add up in .grad when each is
+    swept on its own tape without zeroing in between.
 
-    Sums are taken in place only in arrays this function allocated: an op
-    may hand one gradient array to several inputs (``add`` does), so an
-    array an op returned is never written to.
+    Sums are taken in place only in arrays this function allocated or that
+    an op handed over as ``Owned``: an op may hand one gradient array to
+    several inputs (``add`` does), so any other array an op returned is
+    never written to.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -150,35 +176,48 @@ def backward(loss: Tensor):
                          "`with Tape():` block ended; record a new forward pass")
     tape.closed = True
     records = tape.records
-    grads = {id(loss): [loss, np.ones_like(loss.data), True]}  # id -> [tensor, gradient, owned]
+    grads = {loss.node: [np.ones_like(loss.data), True]}  # node or leaf -> [gradient, owned]
     while records:
-        out, inputs, backward_fn = records.pop()
-        entry = grads.pop(id(out), None)
+        node, inputs, backward_fn = records.pop()
+        entry = grads.pop(node, None)
         if entry is not None:  # else not on a path to the loss
-            _pass_on(grads, inputs, backward_fn(entry[1]))
-    for t, g, _ in grads.values():  # only tensors no record on this tape produced
+            _pass_on(grads, inputs, backward_fn(entry[0]))
+    for t, (g, _) in grads.items():  # every node's entry was popped: leaves only
         t.grad = g if t.grad is None else t.grad + g
 
 
 def _pass_on(grads, inputs, input_grads):
-    """Add one record's input gradients into grads (id -> [tensor, gradient,
-    owned]); a helper, so that none of them outlives the record's turn."""
-    for t, ig in zip(inputs, input_grads):
-        if ig is None or not t.requires_grad:
+    """Add one record's input gradients into grads (node id, or the leaf
+    Tensor itself, -> [gradient, owned]); a helper, so that none of them
+    outlives the record's turn."""
+    for spec, ig in zip(inputs, input_grads):
+        if ig is None:
             continue
-        prev = grads.get(id(t))
+        if type(spec) is tuple:
+            key, shape = spec
+        elif spec.requires_grad:
+            key, shape = spec, spec.data.shape
+        else:
+            continue
+        owned = type(ig) is Owned
+        if owned:
+            ig = ig.value
+        prev = grads.get(key)
         if isinstance(ig, SliceGrad):
             if prev is None:
-                prev = grads[id(t)] = [t, np.zeros_like(t.data), True]
-            elif not prev[2]:
-                prev[1:] = [prev[1].copy(), True]
-            prev[1][ig.index] += ig.value
+                prev = grads[key] = [np.zeros(shape), True]
+            elif not prev[1]:
+                prev[:] = [prev[0].copy(), True]
+            prev[0][ig.index] += ig.value
         elif prev is None:
-            grads[id(t)] = [t, ig, False]
-        elif prev[2]:
-            prev[1] += ig
+            grads[key] = [ig, owned]
+        elif prev[1]:
+            prev[0] += ig
+        elif owned:
+            ig += prev[0]
+            prev[:] = [ig, True]
         else:
-            grads[id(t)] = [t, prev[1] + ig, True]
+            prev[:] = [prev[0] + ig, True]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +291,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(ad @ bd)
 
     def bwd(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        return Owned(g @ bd.swapaxes(-1, -2)), Owned(ad.swapaxes(-1, -2) @ g)
 
     return _record(out, (a, b), bwd)
 
@@ -330,7 +369,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
-    out = Tensor(x.data[sl].copy())
+    out = Tensor(x.data[sl])  # a view: x's array lives while out's does
 
     def bwd(g):
         return (SliceGrad(sl, g),)
@@ -339,20 +378,22 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    shape = x.data.shape
     out = Tensor(np.array([[x.data.sum()]]))
 
     def bwd(g):
-        return (np.full_like(x.data, float(g.reshape(-1)[0])),)
+        return (np.full(shape, float(g.reshape(-1)[0])),)
 
     return _record(out, (x,), bwd)
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     """Sum along one axis, keeping it as size 1."""
+    shape = x.data.shape
     out = Tensor(x.data.sum(axis=axis, keepdims=True))
 
     def bwd(g):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record(out, (x,), bwd)
 
@@ -376,9 +417,10 @@ def take_rows(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
         raise ValueError("take_rows: row id out of range")
     out = Tensor(td[ids])
+    shape = td.shape
 
     def bwd(g):
-        z = np.zeros_like(td)
+        z = np.zeros(shape)
         np.add.at(z, ids, g)
         return (z,)
 
@@ -461,7 +503,7 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
         carry = None
         if keep is not None:
             carry, g = g * inv, g * keep
-        ga = np.empty_like(xd)  # gradient of the pre-activations
+        ga = np.empty((len(hd), 3 * H))  # gradient of the pre-activations
         ga[:, 2 * H:] = g * z * (1.0 - cand * cand)
         grh = ga[:, 2 * H:] @ U_c.T
         ga[:, :H] = g * (cand - hd) * z * (1.0 - z)
@@ -470,7 +512,7 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
         if carry is not None:
             gh += carry
         gU = np.concatenate([hd.T @ ga[:, :2 * H], rh.T @ ga[:, 2 * H:]], axis=1)
-        return ga, gh, gU, ga.sum(axis=0, keepdims=True)
+        return ga, Owned(gh), Owned(gU), ga.sum(axis=0, keepdims=True)
 
     return _record(out, (xw, h, U, b), bwd)
 
@@ -506,7 +548,7 @@ def lstm_cell(xw: Tensor, state: Tensor, U: Tensor, b: Tensor, keep=None) -> Ten
             carry, g = g * inv, g * keep
         gh = g[:, :H]
         gc = g[:, H:] + gh * o * (1.0 - tc * tc)
-        ga = np.empty_like(a)  # gradient of the pre-activations
+        ga = np.empty((len(hd), 4 * H))  # gradient of the pre-activations
         ga[:, :H] = gc * gg * i * (1.0 - i)
         ga[:, H:2 * H] = gc * cd * f * (1.0 - f)
         ga[:, 2 * H:3 * H] = gh * tc * o * (1.0 - o)
@@ -514,7 +556,7 @@ def lstm_cell(xw: Tensor, state: Tensor, U: Tensor, b: Tensor, keep=None) -> Ten
         gs = np.concatenate([ga @ Ud.T, gc * f], axis=1)
         if carry is not None:
             gs += carry
-        return ga, gs, hd.T @ ga, ga.sum(axis=0, keepdims=True)
+        return ga, Owned(gs), Owned(hd.T @ ga), ga.sum(axis=0, keepdims=True)
 
     return _record(out, (xw, state, U, b), bwd)
 

@@ -16,6 +16,7 @@ here and record onto the active tape like the package's primitives.
 
 import json
 import struct
+import weakref
 from contextlib import contextmanager
 from itertools import product
 from unittest import mock
@@ -195,8 +196,22 @@ def tuple_chart_decode(matrix):
 
 
 def records_on(tape, tensor):
-    """How many records on tape read tensor as an input."""
+    """How many records on tape read tensor, a leaf (a parameter, say), as an
+    input; a record names the tensors its own tape produced by node id."""
     return sum(any(t is tensor for t in inputs) for _, inputs, _ in tape.records)
+
+
+def watch_outputs(monkeypatch, *names):
+    """Patch the named tensor ops to note a weak reference to each result and
+    to its array; returns {name: [(tensor ref, array ref), ...]} in call order."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def watched(*args, _op=getattr(T, name), _seen=seen[name], **kw):
+            out = _op(*args, **kw)
+            _seen.append((weakref.ref(out), weakref.ref(out.data)))
+            return out
+        monkeypatch.setattr(T, name, watched)
+    return seen
 
 
 def split_rows(rows, trees):
@@ -457,22 +472,31 @@ def dense_backward(loss):
     """Leaf gradients of loss, {id(tensor): array}, by the plain reverse sweep:
     every slice read's gradient becomes a zero array of its whole input, and
     every sum is taken out of place. The reference for tensor.backward's
-    shared slice buffer and in-place sums; .grad is left untouched."""
-    grads = {id(loss): (loss, np.ones_like(loss.data))}
-    for out, inputs, backward_fn in reversed(loss.tape.records):
-        entry = grads.pop(id(out), None)
-        if entry is None:
+    shared slice buffer and in-place sums; it walks the node-keyed records
+    without popping them, and .grad is left untouched."""
+    grads = {loss.node: np.ones_like(loss.data)}  # node id, or leaf Tensor -> gradient
+    for node, inputs, backward_fn in reversed(loss.tape.records):
+        g = grads.pop(node, None)
+        if g is None:
             continue
-        for t, ig in zip(inputs, backward_fn(entry[1])):
-            if ig is None or not t.requires_grad:
+        for spec, ig in zip(inputs, backward_fn(g)):
+            if ig is None:
                 continue
+            if type(spec) is tuple:
+                key, shape = spec
+            elif spec.requires_grad:
+                key, shape = spec, spec.data.shape
+            else:
+                continue
+            if isinstance(ig, T.Owned):
+                ig = ig.value
             if isinstance(ig, T.SliceGrad):
-                dense = np.zeros_like(t.data)
+                dense = np.zeros(shape)
                 dense[ig.index] = ig.value
                 ig = dense
-            prev = grads.get(id(t))
-            grads[id(t)] = (t, ig if prev is None else prev[1] + ig)
-    return {key: g for key, (_, g) in grads.items()}
+            prev = grads.get(key)
+            grads[key] = ig if prev is None else prev + ig
+    return {id(t): g for t, g in grads.items()}
 
 
 def tree_gru_encode_naive(emb, tree, p):

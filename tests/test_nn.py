@@ -3,6 +3,7 @@ the checkpoint container and the one file writer."""
 
 import ast
 import contextlib
+import gc
 import os
 import re
 import stat
@@ -25,10 +26,10 @@ from synmt.depparse import (DependencyTree, ParserModel, parser_encode, score_ar
 from synmt.errors import DataError, ShapeError
 from synmt.seq2seq import TranslationModel, sequence_loss
 
-from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, gru_step_oracle,
+from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, dense_backward, gru_step_oracle,
                      lstm_step_oracle, masked_carry_oracle, per_gate_draws, per_gate_norm,
                      per_gate_parser_state, per_gate_translator_state, random_projective_tree,
-                     split_per_gate, state_dict, write_checkpoint_oracle,
+                     split_per_gate, state_dict, watch_outputs, write_checkpoint_oracle,
                      write_f32_checkpoint)
 
 
@@ -353,6 +354,35 @@ class TestBirnn:
         with T.Tape() as tape:
             gru.step(x, gru.zero_state(2))
             assert op_counts(tape.records) == {"matmul": 1, "gru_cell": 1}
+
+    def test_arrays_no_backward_reads_die_before_the_sweep(self, monkeypatch):
+        # a padded two-layer LSTM stack: the hoisted projections, their
+        # per-step column reads (views) and the joins of all states are read
+        # by no backward, so they must be gone before backward starts, freed
+        # by reference counting alone; the leaf gradients keep their bits
+        table = nn.ParamTable()
+        rng = T.make_rng(13)
+        init = nn.uniform_init(rng)
+        layers = [(nn.LstmParams(table, f"l{k}.fwd", d, 3, init),
+                   nn.LstmParams(table, f"l{k}.bwd", d, 3, init)) for k, d in ((0, 2), (1, 6))]
+        x = T.Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=float)
+        seen = watch_outputs(monkeypatch, "matmul", "reshape", "concat", "slice_axis")
+        gc.disable()
+        try:
+            with T.Tape():
+                loss = T.sum_all(T.tanh(nn.birnn_encode(x, layers, mask=mask)))
+                assert [len(seen[k]) for k in ("matmul", "concat", "slice_axis")] == [4, 2, 18]
+                for name, refs in seen.items():
+                    assert all(t() is None for t, _ in refs), name  # records hold no output
+                    if name != "reshape":  # a matmul reads its input rows, a reshape view
+                        assert all(a() is None for _, a in refs), name
+                reference = dense_backward(loss)
+                T.backward(loss)
+        finally:
+            gc.enable()
+        for t in [x] + [t for _, t in table.items()]:
+            assert t.grad.tobytes() == reference[id(t)].tobytes()
 
 
 class TestLinear:

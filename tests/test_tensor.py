@@ -195,21 +195,27 @@ class TestBackward:
         assert np.array_equal(x.grad, 2 * np.ones(4))
 
     def test_leaving_the_block_frees_the_graph(self):
-        # records hold their outputs and every output holds its tape; the
-        # sweep must break that cycle as it runs, without help from the
-        # cyclic collector, and leave the block nothing to free
+        # records hold node ids, not their outputs: a tensor dies when the
+        # caller drops it, the array its op's backward reads lives until the
+        # sweep has run that op, and the tape, which no tensor's record
+        # points back into, goes with its last reference, all without help
+        # from the cyclic collector
         x = leaf(np.full((2, 3), 0.5))
         gc.disable()
         try:
             with T.Tape() as tape:
                 hidden = T.tanh(T.mul(x, x))
-                alive = weakref.ref(hidden)
+                alive, saved = weakref.ref(hidden), weakref.ref(hidden.data)
                 loss = T.sum_all(hidden)
                 del hidden
-                assert alive() is not None  # still on the tape
-                T.backward(loss)
                 assert alive() is None
+                assert saved() is not None  # tanh's backward reads it
+                T.backward(loss)
+                assert saved() is None
                 assert len(tape) == 0
+            swept = weakref.ref(tape)
+            del tape, loss
+            assert swept() is None
         finally:
             gc.enable()
         assert np.allclose(x.grad, 2 * 0.5 * (1 - np.tanh(0.25) ** 2))
@@ -481,3 +487,63 @@ class TestSliceGradientBuffer:
         assert np.array_equal(x.grad, np.ones_like(x.data))
         # one dense zero array per read, summed out of place, peaks near 3x
         assert peak < 2 * x.data.nbytes
+
+    def test_a_slice_is_a_view_and_reads_of_a_node_fill_one_buffer(self):
+        # slice_axis copies nothing, of a leaf or of a recorded tensor; the
+        # reads of a recorded tensor, which its record names only by node
+        # and shape, still fill one zero buffer that the sweep allocates
+        n, w = 200, 16
+        x = leaf(T.make_rng(43).normal(size=(4, n * w)))
+        arrived = []
+
+        def pass_through(g):
+            arrived.append(g)
+            return (g,)
+
+        with T.Tape():
+            node = T._record(T.Tensor(x.data.copy()), (x,), pass_through)
+            for src in (x, node):
+                r = T.slice_axis(src, 1, w, 2 * w)
+                assert np.shares_memory(r.data, src.data)
+                assert np.array_equal(r.data, src.data[:, w:2 * w])
+            total = None
+            for i in range(n):
+                r = T.sum_all(T.slice_axis(node, 1, i * w, (i + 1) * w))
+                total = r if total is None else T.add(total, r)
+            tracemalloc.start()
+            try:
+                T.backward(total)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(arrived) == 1 and arrived[0] is x.grad
+        assert np.array_equal(x.grad, np.ones_like(x.data))
+        assert peak < 2 * x.data.nbytes
+
+
+class TestOwnedGradients:
+    def test_weight_products_are_summed_in_place_with_the_dense_bits(self):
+        # a weight read by n products gets n fresh [k, V] gradients that no
+        # other input receives: the second and later ones are added into the
+        # first, never into a third array, and the sum keeps the bits of the
+        # plain out-of-place sweep
+        k, V, n = 64, 512, 6
+        rng = T.make_rng(44)
+        W = leaf(rng.normal(size=(k, V)))
+        xs = [leaf(rng.normal(size=(3, k))) for _ in range(n)]
+        with T.Tape():
+            total = None
+            for x in xs:
+                r = T.sum_all(T.tanh(T.matmul(x, W)))
+                total = r if total is None else T.add(total, r)
+            reference = dense_backward(total)
+            tracemalloc.start()
+            try:
+                T.backward(total)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for t in [W] + xs:
+            assert t.grad.tobytes() == reference[id(t)].tobytes()
+        # the running sum and one new product; out of place, a third array
+        assert peak < 2.5 * W.data.nbytes
