@@ -30,8 +30,8 @@ from .checkpoint import file_sha256, open_new, read_lines
 from .config import SCHEMA, read_config, validate_config
 from .data import (EOS, BpeModel, Vocabulary, apply_bpe, build_vocab, decode_bpe,
                    filter_and_batch, learn_bpe, linearize_tree, read_corpus)
-from .depparse import (ParserModel, corpus_states, evaluate_las, normalize_root,
-                       parse_sentence, projectivize, read_treebank, train_parser)
+from .depparse import (ParserModel, evaluate_las, normalize_root, parse_sentence,
+                       projectivize, read_treebank, train_parser)
 from .errors import ConfigError, DataError
 from .evaluate import (bleu, bleu_by_length, bootstrap_significance,
                        dump_alignments, ensemble_decode, write_alignments)
@@ -151,17 +151,13 @@ def _trees_for(path, src_sents, parser, field):
     if parser is None:
         raise ConfigError(f"tree-structured inputs need '{field}' (an aligned "
                           f"treebank) or 'parser' (a checkpoint to parse with)")
-    present = [i for i, toks in enumerate(src_sents) if toks]
-    trees = [None] * len(src_sents)
-    for i, tree in zip(present, _parse_corpus([src_sents[i] for i in present], parser)):
-        trees[i] = tree
-    return trees
+    return _parse_corpus(src_sents, parser)
 
 
 def _parse_corpus(sents, parser):
-    """Trees for non-empty token lists, encoded in padded length-sorted batches."""
-    states = corpus_states(sents, parser)
-    return [parse_sentence(toks, parser, enc) for toks, enc in zip(sents, states)]
+    """A tree per sentence (None for an empty line) from extract_sawr's states."""
+    return [enc if enc is None else parse_sentence(toks, parser, enc)
+            for toks, enc in zip(sents, extract_sawr(parser, sents))]
 
 
 def _source_units(mode, toks, tree):
@@ -171,14 +167,29 @@ def _source_units(mode, toks, tree):
 
 def _parser_encodings(models, sents, encodings):
     """encodings (one list or None per model), a parser model's None replaced
-    by its parser's states from one batched pass per ENCODE_CHUNK sentences."""
-    present = [toks for toks in sents if toks]
-    encodings = list(encodings)
-    for m, model in enumerate(models):
-        if model.parser is not None and encodings[m] is None:
-            states = iter(corpus_states(present, model.parser))
-            encodings[m] = [next(states).data if toks else None for toks in sents]
-    return encodings
+    by extract_sawr's states of sents under its parser."""
+    return [extract_sawr(m.parser, sents) if m.parser is not None and e is None else e
+            for m, e in zip(models, encodings)]
+
+
+def _read_cache(path, sents, parser_hash=None, widths=(), keep=None):
+    """The SAWR encodings at path, checked against sents, the corpus they
+    align with: one record per sentence, each [len(sentence), width] for
+    every width in widths (the first record's width when none is known).
+    keep, when given, lists the sentences in use; the cache may then align
+    with those alone, and only their records come back. A mismatch is a
+    DataError naming the cache, the record and both shapes."""
+    encodings, _ = read_sawr_cache(path, parser_hash)
+    if keep is not None and len(encodings) != len(sents):
+        sents, keep = [sents[i] for i in keep], None
+    if len(encodings) != len(sents):
+        raise DataError(f"{path}: {len(encodings)} encodings for {len(sents)} sentences")
+    for i, (enc, toks) in enumerate(zip(encodings, sents)):
+        for width in widths or [encodings[0].shape[1]]:
+            if enc.shape != (len(toks), width):
+                raise DataError(f"{path} record {i}: shape {enc.shape}, "
+                                f"expected {(len(toks), width)}")
+    return encodings if keep is None else [encodings[i] for i in keep]
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -305,17 +316,16 @@ def _prepare_nmt_data(cfg, man):
     The manifest's phases give its seconds: parser_encode for the trees and
     SAWR encodings (read, or computed by the parser), data_prep for the rest."""
     t0 = time.perf_counter()
-    src_sents = read_corpus(cfg.train_src)
+    all_src = read_corpus(cfg.train_src)
     tgt_sents = read_corpus(cfg.train_tgt)
-    if len(src_sents) != len(tgt_sents):
-        raise DataError(f"{len(src_sents)} source vs {len(tgt_sents)} target sentences")
-    n_orig = len(src_sents)
-    keep = [i for i, (s, t) in enumerate(zip(src_sents, tgt_sents)) if s and t]
+    if len(all_src) != len(tgt_sents):
+        raise DataError(f"{len(all_src)} source vs {len(tgt_sents)} target sentences")
+    keep = [i for i, (s, t) in enumerate(zip(all_src, tgt_sents)) if s and t]
     if not keep:
         raise DataError("no non-empty sentence pairs in the training data")
-    if len(keep) < n_orig:
-        print(f"dropping {n_orig - len(keep)} empty pairs")
-    src_sents = [src_sents[i] for i in keep]
+    if len(keep) < len(all_src):
+        print(f"dropping {len(all_src) - len(keep)} empty pairs")
+    src_sents = [all_src[i] for i in keep]
     tgt_sents = [tgt_sents[i] for i in keep]
 
     dev_sents = read_corpus(cfg.dev_src)
@@ -333,25 +343,20 @@ def _prepare_nmt_data(cfg, man):
 
     encodings = dev_encodings = None
     if mode == "sawr":
+        digest = file_sha256(cfg.parser) if parser else None
         if cfg.cache:
-            encodings, _ = read_sawr_cache(
-                cfg.cache, file_sha256(cfg.parser) if cfg.parser else None)
-            if len(encodings) == n_orig:  # cache aligns with the unfiltered corpus
-                encodings = [encodings[i] for i in keep]
-            if len(encodings) != len(src_sents):
-                raise DataError(f"{cfg.cache}: {len(encodings)} encodings for "
-                                f"{len(src_sents)} usable sentence pairs")
+            encodings = _read_cache(cfg.cache, all_src, digest,
+                                    [parser.out_dim] if parser else [], keep)
         else:
             encodings = extract_sawr(parser, src_sents)
         if cfg.dev_cache:
-            dev_encodings, _ = read_sawr_cache(
-                cfg.dev_cache, file_sha256(cfg.parser) if cfg.parser else None)
-            if len(dev_encodings) != len(dev_sents):
-                raise DataError(f"{cfg.dev_cache}: {len(dev_encodings)} encodings "
-                                f"for {len(dev_sents)} dev sentences")
+            dev_encodings = _read_cache(cfg.dev_cache, dev_sents, digest,
+                                        [encodings[0].shape[1]])
         elif parser is None:
             raise ConfigError("mode 'sawr' without 'parser' needs 'dev_cache' to "
                               "decode the dev set")
+        else:  # the parser stays frozen: one encode serves every dev decode
+            dev_encodings = extract_sawr(parser, dev_sents)
     parser_s = time.perf_counter() - t1
 
     src_units = [_source_units(mode, toks, tree)
@@ -471,14 +476,12 @@ def _translate_resources(cfg, models, src_sents):
         parser = ParserModel.load(cfg.parser) if cfg.parser else None
         trees = _trees_for(cfg.trees, src_sents, parser, "trees")
     encodings = None
-    if any(m.mode == "sawr" and m.parser is None for m in models):
+    widths = sorted({m.sawr.in_dim for m in models if m.mode == "sawr" and m.parser is None})
+    if widths:
         if not cfg.cache:
             raise ConfigError("a checkpoint trained from cached encodings carries "
                               "no parser; set 'cache' for the input")
-        encodings, _ = read_sawr_cache(cfg.cache)
-        if len(encodings) != len(src_sents):
-            raise DataError(f"{cfg.cache}: {len(encodings)} encodings for "
-                            f"{len(src_sents)} sentences")
+        encodings = _read_cache(cfg.cache, src_sents, widths=widths)
     return trees, [encodings if m.parser is None else None for m in models]
 
 

@@ -267,6 +267,7 @@ def _cross_check(v):
     if v["mode"] == "sawr-tuned":
         if not v["parser"]:
             raise ConfigError("mode 'sawr-tuned' needs 'parser' (a parser checkpoint)")
-        if v["cache"]:
-            raise ConfigError("mode 'sawr-tuned' recomputes encodings every step; "
-                              "remove 'cache'")
+        for name in ("cache", "dev_cache"):
+            if v[name]:
+                raise ConfigError(f"mode 'sawr-tuned' recomputes encodings with the "
+                                  f"parser it tunes; remove '{name}'")

@@ -265,22 +265,23 @@ def linearize_tree(tokens, tree):
     tree.validate()
     if not tree.is_projective():
         raise ValueError("cannot linearize a non-projective tree")
+    kids = [[] for _ in range(tree.n + 1)]
+    for d, h in enumerate(tree.heads, 1):
+        kids[h].append(d)
     out = []
-
-    def emit(node):
-        out.append("(" + tree.labels[node - 1])
-        deps = tree.children(node)
-        for d in deps:
-            if d > node:
-                break
-            emit(d)
-        out.append(tokens[node - 1])
-        for d in deps:
-            if d > node:
-                emit(d)
-        out.append(")")
-
-    emit(tree.heads.index(0) + 1)
+    # an explicit stack, so depth costs no recursion: a node (an int) opens
+    # its bracket and pushes the rest of its span; a symbol (a str) is emitted
+    stack = list(kids[0])
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append("(" + tree.labels[item - 1])
+        stack.append(")")
+        stack.extend(reversed([d for d in kids[item] if d > item]))
+        stack.append(tokens[item - 1])
+        stack.extend(reversed([d for d in kids[item] if d < item]))
     return out
 
 
@@ -313,11 +314,10 @@ def delinearize_tree(symbols):
     tokens = [nd["word"] for nd in in_order]
     heads = [0] * len(in_order)
     labels = [nd["label"] for nd in in_order]
-
-    def assign(nd, head_pos):
-        heads[nd["pos"]] = head_pos
+    stack = list(top)
+    while stack:
+        nd = stack.pop()
         for child in nd["children"]:
-            assign(child, nd["pos"] + 1)
-
-    assign(top[0], 0)
+            heads[child["pos"]] = nd["pos"] + 1
+        stack.extend(nd["children"])
     return tokens, DependencyTree(heads, labels)

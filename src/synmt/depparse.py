@@ -361,15 +361,11 @@ class ParserModel:
         return model
 
 
-# Sentences per padded batch when a whole corpus is encoded.
-ENCODE_CHUNK = 32
-
-
 def parser_encode(sentences, model):
     """Encode a batch of token lists in one right-padded, masked pass.
 
     Returns the top layer's [B, n, out_dim] states: [b, i] is token i of
-    sentence b. Positions past a sentence's end are padding; corpus_states
+    sentence b. Positions past a sentence's end are padding; extract_sawr
     drops them and the translator masks them.
     """
     lens = [len(toks) for toks in sentences]
@@ -380,22 +376,6 @@ def parser_encode(sentences, model):
     for b, toks in enumerate(sentences):
         ids[b, :lens[b]] = model.word_ids(toks)
     return model.encode_positions(ids, nn.length_mask(lens, width))
-
-
-def corpus_states(sentences, model):
-    """Forward [n_i, out_dim] parser states for a corpus, in corpus order.
-
-    Sentences are sorted by length and encoded ENCODE_CHUNK at a time, so
-    each padded batch pads little.
-    """
-    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
-    out = [None] * len(sentences)
-    for k in range(0, len(order), ENCODE_CHUNK):
-        chunk = order[k:k + ENCODE_CHUNK]
-        states = parser_encode([sentences[i] for i in chunk], model).data
-        for b, i in enumerate(chunk):
-            out[i] = T.constant(states[b, :len(sentences[i])])
-    return out
 
 
 def _append_ones(x):
@@ -549,10 +529,11 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
 def parse_sentence(tokens, model, enc=None):
     """Projective tree for one sentence, each token with its best label.
 
-    enc, when given, is the sentence's [n, out_dim] states from a batched
-    encode (corpus_states); otherwise the sentence is encoded alone.
+    enc, when given, is the sentence's [n, out_dim] state array from a
+    batched encode (syntax.extract_sawr); otherwise the sentence is encoded
+    alone.
     """
-    states = parser_encode([tokens], model) if enc is None else T.reshape(enc, (1, *enc.shape))
+    states = parser_encode([tokens], model) if enc is None else T.constant(enc[None])
     scores = score_arcs(states, model)
     tree = decode_projective(scores[0].data[0])
     best = label_scores(scores, [tree.heads], model).data.argmax(axis=1)

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from . import nn
+from . import depparse, nn
 from . import tensor as T
 from .checkpoint import BlobReader, open_new
 from .errors import DataError, ShapeError, StateError
@@ -89,29 +89,25 @@ def batch_by_level(trees):
     up_levels, down_levels = [], []
     for ti, tree in enumerate(trees):
         tree.validate()
-        up_depth = [None] * (tree.n + 1)
-        down_depth = [None] * (tree.n + 1)
-
-        def up(v):
-            if up_depth[v] is None:
-                kids = tree.children(v)
-                up_depth[v] = 1 + max((up(k) for k in kids), default=-1)
-            return up_depth[v]
-
-        def down(v):
-            if down_depth[v] is None:
-                h = tree.heads[v - 1]
-                down_depth[v] = 0 if h == 0 else 1 + down(h)
-            return down_depth[v]
-
+        kids = [[] for _ in range(tree.n + 1)]
+        for d, h in enumerate(tree.heads, 1):
+            kids[h].append(d)
+        down = [0] * (tree.n + 1)  # arcs from the root
+        order = list(kids[0])  # grows as it is read: every node after its head
+        for v in order:
+            for k in kids[v]:
+                down[k] = down[v] + 1
+            order += kids[v]
+        up = [0] * (tree.n + 1)  # arcs down to the deepest leaf
+        for v in reversed(order):
+            up[v] = 1 + max((up[k] for k in kids[v]), default=-1)
         for v in range(1, tree.n + 1):
-            du, dd = up(v), down(v)
-            while len(up_levels) <= du:
+            while len(up_levels) <= up[v]:
                 up_levels.append([])
-            while len(down_levels) <= dd:
+            while len(down_levels) <= down[v]:
                 down_levels.append([])
-            up_levels[du].append((ti, v))
-            down_levels[dd].append((ti, v))
+            up_levels[up[v]].append((ti, v))
+            down_levels[down[v]].append((ti, v))
     return {"up": up_levels, "down": down_levels}
 
 
@@ -188,14 +184,27 @@ CACHE_MAGIC = b"SAWRCACH"
 CACHE_VERSION = 1
 
 
-def extract_sawr(parser, corpus):
-    """Parser encoder outputs for every sentence, forward-only numpy arrays.
+# Sentences per padded batch when a whole corpus is encoded.
+ENCODE_CHUNK = 32
 
-    The corpus is encoded in padded, length-sorted batches, so a row equals a
-    one-sentence encode up to float reassociation, not bit for bit.
+
+def extract_sawr(parser, corpus):
+    """Parser encoder states for a corpus: a forward-only [n_i, out_dim] numpy
+    array per sentence, in corpus order, and None for an empty line.
+
+    Sentences are sorted by length and encoded ENCODE_CHUNK at a time, so
+    each padded batch pads little. A row equals a one-sentence encode up to
+    float reassociation, not bit for bit.
     """
-    from .depparse import corpus_states  # local import keeps module load light
-    return [enc.data for enc in corpus_states(corpus, parser)]
+    order = sorted((i for i, toks in enumerate(corpus) if toks),
+                   key=lambda i: len(corpus[i]))
+    out = [None] * len(corpus)
+    for k in range(0, len(order), ENCODE_CHUNK):
+        chunk = order[k:k + ENCODE_CHUNK]
+        states = depparse.parser_encode([corpus[i] for i in chunk], parser).data
+        for b, i in enumerate(chunk):
+            out[i] = states[b, :len(corpus[i])]
+    return out
 
 
 def write_sawr_cache(path, encodings, parser_hash):

@@ -15,13 +15,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from synmt import cli, nn
+from synmt import cli, depparse, nn, syntax
 from synmt.checkpoint import file_sha256, load_checkpoint
 from synmt.cli import main
 from synmt.data import read_corpus
 from synmt.depparse import read_treebank, write_treebank
 from synmt.evaluate import bleu, read_alignments
-from synmt.syntax import read_sawr_cache
+from synmt.syntax import read_sawr_cache, write_sawr_cache
 
 from helpers import (adam_step_oracle, edit_entries, edit_meta, per_gate_layout, rewrite_meta,
                      write_checkpoint_oracle)
@@ -78,6 +78,25 @@ def pipeline(workdir):
                "--ref", str(d / "dev.tgt"), "--out", str(d / "dev.bleu")])
     assert rc == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def parserless(pipeline, tmp_path_factory):
+    """A sawr bundle trained from caches alone, so it carries no parser, and
+    the dev-set cache it needs to decode."""
+    d, out = pipeline, tmp_path_factory.mktemp("parserless")
+    rc = main(["extract-sawr", "--parser", str(d / "parser.ckpt"),
+               "--src", str(d / "dev.src"), "--out", str(out / "dev.sawr")])
+    assert rc == 0
+    rc = main(["train-nmt", "--mode", "sawr",
+               "--cache", str(d / "train.sawr"),
+               "--dev_cache", str(out / "dev.sawr"), "--sawr_dim", "8",
+               "--train_src", str(d / "train.src"),
+               "--train_tgt", str(d / "train.tgt"),
+               "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+               "--out", str(out / "cached.ckpt")] + SMALL[:-2] + ["--epochs", "1"])
+    assert rc == 0
+    return out
 
 
 def _manifest(path):
@@ -411,27 +430,78 @@ class TestPipeline:
             assert out.read_bytes() == (pipeline / "dev.hyp").read_bytes()
             assert _manifest(out)["decode"] == _manifest(pipeline / "dev.hyp")["decode"]
 
-    def test_ensemble_feeds_cache_to_parserless_member(self, pipeline, workdir,
+    def test_ensemble_feeds_cache_to_parserless_member(self, pipeline, parserless,
                                                         tmp_path):
-        d = workdir
-        rc = main(["extract-sawr", "--parser", str(pipeline / "parser.ckpt"),
-                   "--src", str(d / "dev.src"), "--out", str(tmp_path / "dev.sawr")])
-        assert rc == 0
-        rc = main(["train-nmt", "--mode", "sawr",
-                   "--cache", str(pipeline / "train.sawr"),
-                   "--dev_cache", str(tmp_path / "dev.sawr"), "--sawr_dim", "8",
-                   "--train_src", str(d / "train.src"),
-                   "--train_tgt", str(d / "train.tgt"),
-                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
-                   "--out", str(tmp_path / "cached.ckpt")] + SMALL[:-2] + ["--epochs", "1"])
-        assert rc == 0
         out = tmp_path / "ens.hyp"
         rc = main(["ensemble-translate", "--models",
-                   f"{tmp_path / 'cached.ckpt'},{pipeline / 'base.ckpt'}",
-                   "--src", str(d / "dev.src"), "--cache", str(tmp_path / "dev.sawr"),
+                   f"{parserless / 'cached.ckpt'},{pipeline / 'base.ckpt'}",
+                   "--src", str(pipeline / "dev.src"),
+                   "--cache", str(parserless / "dev.sawr"),
                    "--beam_size", "2", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 10
+
+    @pytest.mark.parametrize("command, spoiled, spoil", [
+        ("train-nmt", "cache", "rows"), ("train-nmt", "cache", "width"),
+        ("train-nmt", "dev_cache", "rows"), ("train-nmt", "dev_cache", "width"),
+        ("translate", "cache", "rows"), ("translate", "cache", "width"),
+    ])
+    def test_a_cache_that_does_not_fit_its_corpus_exits_2(self, pipeline, parserless,
+                                                          tmp_path, capsys,
+                                                          command, spoiled, spoil):
+        """The record count is right, but the rows belong to other sentences
+        (rows) or are one column too wide (width): the read names the cache,
+        the first bad record and both shapes, before any training."""
+        d = pipeline
+        good = {"cache": d / "train.sawr", "dev_cache": parserless / "dev.sawr"}
+        if command == "translate":
+            good["cache"] = good.pop("dev_cache")
+        encodings, digest = read_sawr_cache(good[spoiled])
+        bad = (encodings[1:] + encodings[:1] if spoil == "rows"
+               else [np.hstack([e, e[:, :1]]) for e in encodings])
+        bad_path = tmp_path / "bad.sawr"
+        write_sawr_cache(bad_path, bad, digest)
+        paths = {**good, spoiled: bad_path}
+        if command == "translate":
+            argv = ["translate", "--model", str(parserless / "cached.ckpt"),
+                    "--src", str(d / "dev.src"), "--cache", str(paths["cache"])]
+        else:
+            argv = ["train-nmt", "--mode", "sawr", "--parser", str(d / "parser.ckpt"),
+                    "--cache", str(paths["cache"]), "--dev_cache", str(paths["dev_cache"]),
+                    "--sawr_dim", "8",
+                    "--train_src", str(d / "train.src"), "--train_tgt", str(d / "train.tgt"),
+                    "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt")] + SMALL
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        i = next(i for i, (a, b) in enumerate(zip(bad, encodings)) if a.shape != b.shape)
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {bad_path} record {i}: shape {bad[i].shape}, "
+            f"expected {encodings[i].shape}"]
+        assert not out.exists()
+
+    def test_a_frozen_parser_encodes_the_dev_set_once(self, pipeline, tmp_path,
+                                                      monkeypatch):
+        """Three epochs' dev decodes and the final one share one encode of the
+        dev set: 10 sentences, 5 a padded batch, so two parser passes, not 8."""
+        calls = []
+        encode = depparse.parser_encode
+
+        def counted(sentences, parser):
+            calls.append(len(sentences))
+            return encode(sentences, parser)
+
+        monkeypatch.setattr(depparse, "parser_encode", counted)
+        monkeypatch.setattr(syntax, "ENCODE_CHUNK", 5)
+        d = pipeline
+        rc = main(["train-nmt", "--mode", "sawr", "--parser", str(d / "parser.ckpt"),
+                   "--cache", str(d / "train.sawr"), "--sawr_dim", "8",
+                   "--train_src", str(d / "train.src"), "--train_tgt", str(d / "train.tgt"),
+                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                   "--out", str(tmp_path / "sawr.ckpt")] + SMALL)
+        assert rc == 0
+        assert len(_manifest(tmp_path / "sawr.ckpt")["epochs"]) == 3
+        assert calls == [5, 5]
 
     def _bundle_copy(self, pipeline, dst):
         for suffix in ("", ".src.vocab", ".tgt.vocab", ".bpe"):
@@ -559,6 +629,27 @@ class TestPipeline:
                    "--src", str(d / "dev.src"), "--trees", str(d / "dev.trees"),
                    "--beam_size", "1", "--out", str(tmp_path / "t.hyp")])
         assert rc == 0
+
+    def test_a_deep_tree_past_the_length_limit_is_dropped(self, workdir, tmp_path):
+        """A 1,200-token chain, one tree level per token, is linearized before
+        max_src_len drops its pair; the walk takes no recursion."""
+        d, n = workdir, 1200
+        long = " ".join(f"w{i}" for i in range(n)) + "\n"
+        for name in ("train.src", "train.tgt"):
+            (tmp_path / name).write_text((d / name).read_text(encoding="utf-8") + long,
+                                         encoding="utf-8")
+        chain = "".join(f"{i + 1}\tw{i}\t{i}\t{'dep' if i else 'root'}\n" for i in range(n))
+        (tmp_path / "train.trees").write_text(
+            (d / "train.trees").read_text(encoding="utf-8") + chain + "\n", encoding="utf-8")
+        rc = main(["train-nmt", "--mode", "tree-linearized",
+                   "--trees", str(tmp_path / "train.trees"),
+                   "--dev_trees", str(d / "dev.trees"),
+                   "--train_src", str(tmp_path / "train.src"),
+                   "--train_tgt", str(tmp_path / "train.tgt"),
+                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                   "--out", str(tmp_path / "lin.ckpt")] + SMALL[:-2] + ["--epochs", "1"])
+        assert rc == 0
+        assert _manifest(tmp_path / "lin.ckpt")["data"]["pairs"] == 31
 
     def test_misaligned_tree_file_exits_2(self, workdir, tmp_path):
         d = workdir

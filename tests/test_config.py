@@ -185,6 +185,12 @@ class TestCrossFieldChecks:
         with pytest.raises(ConfigError, match="cache"):
             validate_config({"mode": "sawr-tuned", "parser": "p", "cache": "c"})
 
+    def test_sawr_tuned_rejects_dev_cache(self):
+        # the dev set is re-encoded with the tuned parser, so a cache would be ignored
+        with pytest.raises(ConfigError, match="sawr-tuned.*'dev_cache'"):
+            validate_config({"mode": "sawr-tuned", "parser": "p", "dev_cache": "c"})
+        assert validate_config({"mode": "sawr", "parser": "p", "dev_cache": "c"}).dev_cache
+
     def test_config_object_exposes_every_field(self):
         cfg = validate_config({})
         assert isinstance(cfg, ExperimentConfig)

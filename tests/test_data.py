@@ -242,6 +242,22 @@ class TestLinearize:
             back_tokens, back_tree = delinearize_tree(linearize_tree(tokens, tree))
             assert back_tokens == tokens and back_tree == tree
 
+    @pytest.mark.parametrize("rightward", [True, False])
+    def test_a_1200_token_chain_round_trips(self, rightward):
+        # one tree level per token, beyond Python's default recursion limit
+        n = 1200
+        tokens = [f"w{i}" for i in range(n)]
+        heads = list(range(n)) if rightward else list(range(2, n + 1)) + [0]
+        tree = DependencyTree(heads, ["root" if h == 0 else "dep" for h in heads])
+        symbols = linearize_tree(tokens, tree)
+        if rightward:
+            assert symbols == (["(root", "w0"] + [s for w in tokens[1:] for s in ("(dep", w)]
+                               + [")"] * n)
+        else:
+            assert symbols == (["(root"] + ["(dep"] * (n - 1)
+                               + [s for w in tokens for s in (w, ")")])
+        assert delinearize_tree(symbols) == (tokens, tree)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             linearize_tree(["a", "b"], DependencyTree([0], ["root"]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synmt import depparse
+from synmt import depparse, syntax
 from synmt import tensor as T
 from synmt.checkpoint import load_checkpoint
 from synmt.depparse import (DependencyTree, ParserModel, decode_projective, evaluate_las,
@@ -322,15 +322,20 @@ class TestParserModel:
         for name in names:
             assert T.grad_check(loss, model.table[name]) < 1e-4, name
 
-    def test_corpus_states_follow_corpus_order_across_chunks(self, monkeypatch):
+    def test_extract_sawr_follows_corpus_order_across_chunks(self, monkeypatch):
         model = ParserModel({"<unk>": 0, "a": 1, "b": 2}, ["x", "y"], embed_dim=4,
                             hidden_dim=3, mlp_dim=3, layers=2, seed=5)
         rng = T.make_rng(6)
         sents = [[("a", "b", "zzz")[int(k)] for k in rng.integers(0, 3, size=n)]
-                 for n in (4, 1, 6, 2, 4, 3, 1)]
-        monkeypatch.setattr(depparse, "ENCODE_CHUNK", 3)
-        for toks, enc in zip(sents, depparse.corpus_states(sents, model)):
-            assert np.abs(enc.data - encode_one(toks, model).data).max() <= 1e-12
+                 for n in (4, 1, 6, 0, 2, 4, 3, 1, 0)]
+        monkeypatch.setattr(syntax, "ENCODE_CHUNK", 3)
+        encs = syntax.extract_sawr(model, sents)
+        assert len(encs) == len(sents)
+        for toks, enc in zip(sents, encs):
+            if not toks:
+                assert enc is None
+                continue
+            assert np.abs(enc - encode_one(toks, model).data).max() <= 1e-12
             assert parse_sentence(toks, model, enc) == parse_sentence(toks, model)
 
     @pytest.mark.parametrize("meta", BAD_METAS)
@@ -481,7 +486,7 @@ class TestBatchedScorer:
         assert tree.heads == decode_projective(scores[0].data[0]).heads
         best = label_scores(scores, [tree.heads], model).data.argmax(axis=1)
         assert tree.labels == [self.LABELS[k] for k in best]
-        assert parse_sentence(toks, model, enc) == tree
+        assert parse_sentence(toks, model, enc.data) == tree
 
 
 class TestTraining:

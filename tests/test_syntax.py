@@ -225,7 +225,7 @@ class TestLiveParserBatch:
 
         monkeypatch.setattr(depparse, "parser_encode", counted)
         sents = TOKENS + [[]] + TOKENS
-        assert len(sents) <= depparse.ENCODE_CHUNK
+        assert len(sents) <= syntax.ENCODE_CHUNK
         lines, stats = cli._decode_corpus(
             [self.model()], [Vocabulary(list("abcdefg"))], Vocabulary(list("vwxyz")),
             sents, 2, 5, trees=None, encodings=[None])
@@ -343,6 +343,12 @@ class TestBatchByLevel:
         # bottom-up starts at the leaf (position 4), top-down at the root
         assert sched["up"][0] == [(0, 4), (1, 4)]
         assert sched["down"][0] == [(0, 1), (1, 1)]
+
+    def test_a_1200_token_chain_takes_one_level_per_node(self):
+        n = 1200  # beyond Python's default recursion limit
+        sched = syntax.batch_by_level([DependencyTree(list(range(n)))])
+        assert sched["up"] == [[(0, n - v)] for v in range(n)]
+        assert sched["down"] == [[(0, v + 1)] for v in range(n)]
 
     def test_single_node_trees_take_one_level(self):
         sched = syntax.batch_by_level([DependencyTree([0])] * 3)
