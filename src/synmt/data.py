@@ -262,12 +262,9 @@ def filter_and_batch(pairs, max_src_len, max_tgt_len, batch_size, seed,
 def linearize_tree(tokens, tree):
     if len(tokens) != tree.n:
         raise ValueError(f"{len(tokens)} tokens for a {tree.n}-node tree")
-    tree.validate()
+    kids, _ = tree.validate()
     if not tree.is_projective():
         raise ValueError("cannot linearize a non-projective tree")
-    kids = [[] for _ in range(tree.n + 1)]
-    for d, h in enumerate(tree.heads, 1):
-        kids[h].append(d)
     out = []
     # an explicit stack, so depth costs no recursion: a node (an int) opens
     # its bracket and pushes the rest of its span; a symbol (a str) is emitted

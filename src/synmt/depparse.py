@@ -34,29 +34,31 @@ class DependencyTree:
     def __repr__(self):
         return f"DependencyTree(heads={self.heads}, labels={self.labels})"
 
-    def root_count(self):
-        return self.heads.count(0)
-
     def validate(self, single_root=True):
-        """Raise DataError on range errors, self-loops, cycles, or root count."""
+        """The one walk over a tree: raise DataError on range errors,
+        self-loops, cycles, or root count; else return (kids, order).
+
+        kids[h] lists h's dependents in ascending order (kids[0] the roots);
+        order holds every token once, each after its head.
+        """
         n = self.n
         if n == 0:
             raise DataError("empty tree")
-        for i, h in enumerate(self.heads):
+        kids = [[] for _ in range(n + 1)]
+        for d, h in enumerate(self.heads, 1):
             if not 0 <= h <= n:
-                raise DataError(f"token {i + 1}: head {h} outside 0..{n}")
-            if h == i + 1:
-                raise DataError(f"token {i + 1} is its own head")
-        for start in range(1, n + 1):
-            seen = set()
-            node = start
-            while node != 0:
-                if node in seen:
-                    raise DataError(f"cycle through token {start}")
-                seen.add(node)
-                node = self.heads[node - 1]
-        if single_root and self.root_count() != 1:
-            raise DataError(f"expected exactly one root, found {self.root_count()}")
+                raise DataError(f"token {d}: head {h} outside 0..{n}")
+            if h == d:
+                raise DataError(f"token {d} is its own head")
+            kids[h].append(d)
+        order = list(kids[0])  # grows as it is read
+        for v in order:
+            order += kids[v]
+        if len(order) < n:  # the tokens left out sit on or under a cycle
+            raise DataError(f"cycle through token {min(set(range(1, n + 1)) - set(order))}")
+        if single_root and len(kids[0]) != 1:
+            raise DataError(f"expected exactly one root, found {len(kids[0])}")
+        return kids, order
 
     def is_ancestor(self, anc, node):
         while node != 0:
@@ -66,17 +68,18 @@ class DependencyTree:
         return anc == 0 and node == 0
 
     def is_projective(self):
-        """Every token strictly between an arc's endpoints descends from the head."""
-        for d in range(1, self.n + 1):
-            h = self.heads[d - 1]
-            lo, hi = min(h, d), max(h, d)
-            for k in range(lo + 1, hi):
-                if not self.is_ancestor(h, k):
-                    return False
+        """Every subtree covers a contiguous run of tokens; equivalently, every
+        token strictly between an arc's endpoints descends from its head.
+        A malformed tree raises validate's DataError."""
+        _, order = self.validate(single_root=False)
+        lo, hi = list(range(self.n + 1)), list(range(self.n + 1))  # each subtree's span
+        size = [1] * (self.n + 1)
+        for v in reversed(order):  # each token after all of its descendants
+            if hi[v] - lo[v] + 1 != size[v]:
+                return False
+            h = self.heads[v - 1]
+            lo[h], hi[h], size[h] = min(lo[h], lo[v]), max(hi[h], hi[v]), size[h] + size[v]
         return True
-
-    def children(self, head):
-        return [d for d in range(1, self.n + 1) if self.heads[d - 1] == head]
 
 
 def normalize_root(tree):

@@ -10,6 +10,8 @@ Three strategies feed the translator:
 """
 
 import struct
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,22 +84,19 @@ class TreeGruParams:
 def batch_by_level(trees):
     """Evaluation schedule grouping nodes by computation depth.
 
-    Returns {"up": levels, "down": levels}; each level is a list of
-    (tree_index, position) pairs whose states can be computed together once
-    all earlier levels are done. Every node appears exactly once per direction.
+    Returns {"up": levels, "down": levels, "kids": each tree's validate()
+    child lists}; each level is a list of (tree_index, position) pairs whose
+    states can be computed together once all earlier levels are done. Every
+    node appears exactly once per direction.
     """
-    up_levels, down_levels = [], []
+    up_levels, down_levels, all_kids = [], [], []
     for ti, tree in enumerate(trees):
-        tree.validate()
-        kids = [[] for _ in range(tree.n + 1)]
-        for d, h in enumerate(tree.heads, 1):
-            kids[h].append(d)
+        kids, order = tree.validate()
+        all_kids.append(kids)
         down = [0] * (tree.n + 1)  # arcs from the root
-        order = list(kids[0])  # grows as it is read: every node after its head
         for v in order:
             for k in kids[v]:
                 down[k] = down[v] + 1
-            order += kids[v]
         up = [0] * (tree.n + 1)  # arcs down to the deepest leaf
         for v in reversed(order):
             up[v] = 1 + max((up[k] for k in kids[v]), default=-1)
@@ -108,7 +107,7 @@ def batch_by_level(trees):
                 down_levels.append([])
             up_levels[up[v]].append((ti, v))
             down_levels[down[v]].append((ti, v))
-    return {"up": up_levels, "down": down_levels}
+    return {"up": up_levels, "down": down_levels, "kids": all_kids}
 
 
 def tree_gru_encode_batch(emb, trees, p):
@@ -118,58 +117,51 @@ def tree_gru_encode_batch(emb, trees, p):
     sentence in the order of trees (N is the trees' total node count).
     Returns [N, 2*hidden] rows in the same order (bottom-up state + top-down
     state). One GRU step runs per level, not per node, on the rows of one
-    input projection per direction; child states are summed through a
-    constant 0/1 aggregation matrix.
+    input projection per direction, and reads only the rows it needs: a
+    top-down level its heads' rows in the level just before, a bottom-up
+    level its children's rows, summed through a [level, children] 0/1
+    matrix. The work is linear in the depth.
     """
     offsets = np.cumsum([0] + [t.n for t in trees])
     if emb.shape[0] != offsets[-1]:
         raise ValueError(f"{emb.shape[0]} embedding rows for trees of {offsets[-1]} nodes")
     schedule = batch_by_level(trees)
+    kids = schedule["kids"]
 
-    def run(levels, recurrent_rows):
-        """recurrent_rows(level_nodes, row_of) -> [L, hidden] recurrent input."""
-        row_of = {}
-        chunks = []
+    def run(levels, cell, recurrent_rows):
+        """recurrent_rows(level, where, outs) -> [L, hidden] recurrent input;
+        where maps a finished node to (its level, its row in outs[level])."""
+        where, outs, done_ids = {}, [], []
         xw = T.matmul(emb, cell.W)
-        for level in levels:
+        for li, level in enumerate(levels):
             ids = [offsets[ti] + v - 1 for ti, v in level]
-            h_prev = recurrent_rows(level, row_of, chunks)
-            new = T.gru_cell(T.take_rows(xw, np.asarray(ids)), h_prev, cell.U, cell.b)
-            base = len(row_of)
-            for k, node in enumerate(level):
-                row_of[node] = base + k
-            chunks.append(new)
-        return (T.concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]), row_of
+            h_prev = recurrent_rows(level, where, outs)
+            outs.append(T.gru_cell(T.take_rows(xw, np.asarray(ids)), h_prev, cell.U, cell.b))
+            where.update((node, (li, r)) for r, node in enumerate(level))
+            done_ids += ids
+        return T.take_rows(T.concat(outs, axis=0) if len(outs) > 1 else outs[0],
+                           np.argsort(done_ids))
 
-    cell = p.up
+    def sum_children(level, where, outs):
+        # (child's level, child's row, parent's row), grouped by the child's level
+        links = sorted(where[ti, k] + (r,) for r, (ti, v) in enumerate(level)
+                       for k in kids[ti][v])
+        if not links:  # the leaf level
+            return p.up.zero_state(len(level))
+        agg = np.zeros((len(level), len(links)))
+        agg[[r for _, _, r in links], np.arange(len(links))] = 1.0
+        parts = [T.take_rows(outs[li], np.asarray([row for _, row, _ in group]))
+                 for li, group in groupby(links, key=itemgetter(0))]
+        return T.matmul(T.constant(agg), T.concat(parts, axis=0) if len(parts) > 1 else parts[0])
 
-    def sum_children(level, row_of, chunks):
-        if not row_of:
-            return cell.zero_state(len(level))
-        done = T.concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]
-        agg = np.zeros((len(level), done.shape[0]))
-        for r, (ti, v) in enumerate(level):
-            for kid in trees[ti].children(v):
-                agg[r, row_of[ti, kid]] = 1.0
-        return T.matmul(T.constant(agg), done)
-
-    up_all, up_rows = run(schedule["up"], sum_children)
-
-    cell = p.down
-
-    def head_state(level, row_of, chunks):
-        heads = [trees[ti].heads[v - 1] for ti, v in level]
-        if all(h == 0 for h in heads):  # the root level
+    def head_state(level, where, outs):
+        if not outs:  # the root level
             return T.take_rows(p.root, np.zeros(len(level), dtype=np.int64))
-        done = T.concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]
-        ids = [row_of[ti, trees[ti].heads[v - 1]] for ti, v in level]
-        return T.take_rows(done, np.asarray(ids))
+        ids = [where[ti, trees[ti].heads[v - 1]][1] for ti, v in level]
+        return T.take_rows(outs[-1], np.asarray(ids))
 
-    down_all, down_rows = run(schedule["down"], head_state)
-
-    nodes = [(ti, v) for ti, tree in enumerate(trees) for v in range(1, tree.n + 1)]
-    return T.concat([T.take_rows(up_all, np.asarray([up_rows[k] for k in nodes])),
-                     T.take_rows(down_all, np.asarray([down_rows[k] for k in nodes]))], axis=1)
+    return T.concat([run(schedule["up"], p.up, sum_children),
+                     run(schedule["down"], p.down, head_state)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from synmt import tensor as T
 from synmt.data import BOS, EOS
 from synmt.depparse import DependencyTree, parser_encode
-from synmt.errors import ShapeError
+from synmt.errors import DataError, ShapeError
 from synmt.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from synmt.seq2seq import _encode, attend, decode_step, encode_for_decode
 
@@ -94,6 +94,41 @@ def _projective(heads):
             if not ancestor(h, k):
                 return False
     return True
+
+
+def walk_validate(heads, single_root=True):
+    """Reference for DependencyTree.validate's checks: range errors and
+    self-loops token by token, then a walk to the root from every token, then
+    the root count. Raises DataError with validate's messages; returns None."""
+    n = len(heads)
+    if n == 0:
+        raise DataError("empty tree")
+    for i, h in enumerate(heads):
+        if not 0 <= h <= n:
+            raise DataError(f"token {i + 1}: head {h} outside 0..{n}")
+        if h == i + 1:
+            raise DataError(f"token {i + 1} is its own head")
+    for start in range(1, n + 1):
+        seen = set()
+        node = start
+        while node != 0:
+            if node in seen:
+                raise DataError(f"cycle through token {start}")
+            seen.add(node)
+            node = heads[node - 1]
+    if single_root and heads.count(0) != 1:
+        raise DataError(f"expected exactly one root, found {heads.count(0)}")
+
+
+def random_tree(n, rng):
+    """Random single-root tree over n tokens: tokens join in a random order,
+    each under a uniformly chosen earlier one. Large ones are almost never
+    projective."""
+    join = [int(v) for v in rng.permutation(n) + 1]
+    heads = [0] * n
+    for i, v in enumerate(join[1:], start=1):
+        heads[v - 1] = join[int(rng.integers(0, i))]
+    return DependencyTree(heads)
 
 
 def has_crossing_arcs(tree):
@@ -511,11 +546,15 @@ def tree_gru_encode_naive(emb, tree, p):
     def row(v):
         return T.slice_axis(emb, 0, v - 1, v)
 
+    children = {v: [] for v in range(1, tree.n + 1)}
+    for d, h in enumerate(tree.heads, start=1):
+        if h:
+            children[h].append(d)
     up_state = {}
 
     def up(v):
         if v not in up_state:
-            kids = tree.children(v)
+            kids = children[v]
             if kids:
                 h = up(kids[0])
                 for k in kids[1:]:

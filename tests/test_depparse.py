@@ -1,10 +1,14 @@
 """Dependency parsing: tree invariants, treebank I/O, Eisner decoding, training."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synmt import depparse, syntax
@@ -18,8 +22,11 @@ from synmt.errors import DataError, ShapeError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
                      edit_entries, edit_meta, encode_one, has_crossing_arcs, one_bucket,
-                     per_gate_layout, random_projective_tree, records_on, rewrite_meta, toy_grammar_sentences,
-                     state_dict, tuple_chart_decode)
+                     per_gate_layout, random_projective_tree, random_tree, records_on,
+                     rewrite_meta, toy_grammar_sentences, state_dict, tuple_chart_decode,
+                     walk_validate)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def score_matrix(kind, n, rng, self_arcs):
@@ -38,11 +45,30 @@ def score_matrix(kind, n, rng, self_arcs):
     return m
 
 
+@st.composite
+def head_vectors(draw):
+    """n in 1..30 heads in -1..n+1: either drawn raw, which hits range errors,
+    self-loops, cycles and several roots, or a random tree (tokens join in a
+    random order, each under an earlier one) with up to two heads redrawn,
+    which often passes."""
+    n = draw(st.integers(1, 30))
+    head = st.integers(-1, n + 1)
+    if draw(st.booleans()):
+        return draw(st.lists(head, min_size=n, max_size=n))
+    join = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for i, v in enumerate(join[1:], start=1):
+        heads[v - 1] = join[draw(st.integers(0, i - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        heads[draw(st.integers(0, n - 1))] = draw(head)
+    return heads
+
+
 class TestTreeInvariants:
     def test_minimal_valid(self):
         tree = DependencyTree([2, 0], ["dep", "root"])
-        tree.validate()
-        assert tree.root_count() == 1 and tree.is_projective()
+        kids, order = tree.validate()
+        assert kids == [[2], [], [1]] and order == [2, 1] and tree.is_projective()
 
     @pytest.mark.parametrize("heads,what", [
         ([3, 0], "outside"),          # head beyond n
@@ -70,6 +96,44 @@ class TestTreeInvariants:
             assert tree.is_projective() == (not has_crossing_arcs(tree))
             checked_nonproj += not tree.is_projective()
         assert checked_nonproj > 10  # the sample actually exercised both outcomes
+        long_ones = set()
+        for _ in range(4):
+            n = int(rng.integers(100, 301))
+            for tree in (random_projective_tree(n, rng), random_tree(n, rng)):
+                assert tree.is_projective() == (not has_crossing_arcs(tree))
+                long_ones.add(tree.is_projective())
+        assert long_ones == {True, False}
+
+    def test_projectivity_of_a_cyclic_tree_is_a_data_error(self):
+        # run apart, so that a walk that never ends fails on the timeout
+        code = ("from synmt.depparse import DependencyTree\n"
+                "DependencyTree([4, 3, 2, 0]).is_projective()\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert "DataError: cycle through token 2" in proc.stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(head_vectors(), st.booleans())
+    @example([5, 0, 1], True)   # head outside
+    @example([2, 2, 0], True)   # own head
+    @example([0, 3, 4, 2], True)   # cycle off the root path
+    @example([0, 0, 1], True)   # two roots
+    @example([0, 0, 1], False)
+    def test_validate_matches_the_per_token_walk(self, heads, single_root):
+        try:
+            walk_validate(heads, single_root)
+        except DataError as e:
+            with pytest.raises(DataError) as got:
+                DependencyTree(heads).validate(single_root)
+            assert type(got.value) is DataError and str(got.value) == str(e)
+            return
+        kids, order = DependencyTree(heads).validate(single_root)
+        assert sorted(order) == list(range(1, len(heads) + 1))
+        place = {v: i for i, v in enumerate(order)}
+        assert all(h == 0 or place[h] < place[d] for d, h in enumerate(heads, 1))
+        assert kids == [[d for d, h in enumerate(heads, 1) if h == head]
+                        for head in range(len(heads) + 1)]
 
     def test_normalize_root(self):
         tree = DependencyTree([0, 0, 2], ["root", "root", "dep"])

@@ -16,8 +16,8 @@ from synmt.errors import DataError, ShapeError, StateError
 from synmt.evaluate import read_alignments
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import (edit_meta, encode_one, param_bytes, random_projective_tree, split_rows,
-                     tree_gru_encode_naive)
+from helpers import (edit_meta, encode_one, param_bytes, random_projective_tree, random_tree,
+                     split_rows, tree_gru_encode_naive)
 
 
 def projection(in_dim, out_dim, seed=0):
@@ -28,6 +28,30 @@ def projection(in_dim, out_dim, seed=0):
 def tree_params(input_dim, hidden_dim, seed=0):
     return syntax.TreeGruParams(nn.ParamTable(), "tree", input_dim, hidden_dim,
                                 nn.uniform_init(T.make_rng(seed)))
+
+
+def shaped_tree(shape, n, rng):
+    """A chain, a comb (a spine where every node has one leaf; n even), a star,
+    or a random tree (tokens join in a random order, each under an earlier one)."""
+    if shape == "chain":
+        return DependencyTree(range(n))
+    if shape == "comb":
+        return DependencyTree(list(range(n // 2)) + list(range(1, n // 2 + 1)))
+    if shape == "star":
+        return DependencyTree([0] + [1] * (n - 1))
+    return random_tree(n, rng)
+
+
+def wide_nodes(tree):
+    """Nodes with three or more children whose children sit on several
+    bottom-up levels."""
+    level = {node: li for li, lev in enumerate(syntax.batch_by_level([tree])["up"])
+             for _, node in lev}
+    kids = {}
+    for d, h in enumerate(tree.heads, 1):
+        kids.setdefault(h, []).append(d)
+    return [v for v, ks in kids.items()
+            if v and len(ks) >= 3 and len({level[k] for k in ks}) > 1]
 
 
 def small_parser(seed=2):
@@ -300,6 +324,40 @@ class TestTreeGru:
         together = syntax.tree_gru_encode_batch(T.concat(embs, axis=0), trees, p)
         for e, t, out in zip(embs, trees, split_rows(together.data, trees)):
             assert np.allclose(out, syntax.tree_gru_encode_batch(e, [t], p).data)
+
+    @pytest.mark.parametrize("shape", ["comb", "star", "random"])
+    def test_many_children_over_several_levels_match_naive(self, shape):
+        rng = T.make_rng(29)
+        p = tree_params(3, 4, seed=8)
+        trees = [shaped_tree(shape, int(n), rng) for n in rng.integers(8, 41, size=8)]
+        if shape == "random":  # nodes of three or more children, spread over levels
+            spread = [v for tree in trees for v in wide_nodes(tree)]
+            assert len(spread) >= 4
+        embs = [T.constant(rng.normal(size=(t.n, 3))) for t in trees]
+        together = syntax.tree_gru_encode_batch(T.concat(embs, axis=0), trees, p)
+        for e, t, out in zip(embs, trees, split_rows(together.data, trees)):
+            assert np.abs(out - tree_gru_encode_naive(e, t, p).data).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", ["chain", "comb"])
+    def test_work_is_linear_in_depth(self, shape, monkeypatch):
+        """Elements read by concat and matmul: doubling a chain's or a comb's
+        depth doubles them, where summing over every finished level would
+        quadruple them."""
+        work = [0]
+        for name in ("concat", "matmul"):
+            def counted(*args, _op=getattr(T, name), **kw):
+                for a in args:
+                    work[0] += sum(t.data.size for t in (a if isinstance(a, list) else [a]))
+                return _op(*args, **kw)
+            monkeypatch.setattr(T, name, counted)
+        p = tree_params(8, 8)
+        counts = []
+        for n in (600, 1200):
+            tree = shaped_tree(shape, n, None)
+            work[0] = 0
+            syntax.tree_gru_encode_batch(T.constant(np.ones((n, 8))), [tree], p)
+            counts.append(work[0])
+        assert counts[1] / counts[0] <= 2.2, counts
 
     def test_length_mismatch_rejected(self):
         p = tree_params(3, 4)
