@@ -60,13 +60,6 @@ class DependencyTree:
             raise DataError(f"expected exactly one root, found {len(kids[0])}")
         return kids, order
 
-    def is_ancestor(self, anc, node):
-        while node != 0:
-            node = self.heads[node - 1]
-            if node == anc:
-                return True
-        return anc == 0 and node == 0
-
     def is_projective(self):
         """Every subtree covers a contiguous run of tokens; equivalently, every
         token strictly between an arc's endpoints descends from its head.
@@ -99,22 +92,43 @@ def projectivize(tree):
 
     Shortest arc first, leftmost on ties. Returns a new tree; the input must be
     single-rooted and acyclic.
+
+    An arc h -> d is projective when every token strictly between h and d
+    descends from h. under[k, a] says that a is k or one of k's ancestors.
+    Lifting d from h takes d's subtree out from under h, so only the arcs
+    out of h, and d's own, can change and are checked again.
     """
     out = normalize_root(tree)
-    out.validate()
-    for _ in range(out.n * out.n + 1):
-        bad = []
-        for d in range(1, out.n + 1):
-            h = out.heads[d - 1]
-            lo, hi = min(h, d), max(h, d)
-            if any(not out.is_ancestor(h, k) for k in range(lo + 1, hi)):
-                bad.append((hi - lo, lo, d))
-        if not bad:
-            return out
-        _, _, d = min(bad)
-        h = out.heads[d - 1]
-        out.heads[d - 1] = out.heads[h - 1]
-    raise RuntimeError("projectivize failed to terminate")
+    _, order = out.validate()
+    n, heads = out.n, out.heads
+    under = np.zeros((n + 1, n + 1), dtype=bool)
+    under[0, 0] = True
+    for v in order:  # each token after its head
+        under[v] = under[heads[v - 1]]
+        under[v, v] = True
+
+    def check(d):
+        """Note the arc into d in bad, keyed for the lift order, if it crosses."""
+        h = heads[d - 1]
+        lo, hi = min(h, d), max(h, d)
+        if under[lo + 1:hi, h].all():
+            bad.pop(d, None)
+        else:
+            bad[d] = (hi - lo, lo, d)
+
+    bad = {}
+    for d in range(1, n + 1):
+        check(d)
+    while bad:
+        d = min(bad, key=bad.get)
+        h = heads[d - 1]
+        heads[d - 1] = heads[h - 1]
+        under[under[:, d], h] = False
+        check(d)
+        for e, head in enumerate(heads, 1):
+            if head == h:
+                check(e)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -243,19 +243,19 @@ def ensemble_decode(models, source, beam_size, max_len, trees=None, encodings=No
     if beam_size < 1 or max_len < 1:
         raise ValueError("beam_size and max_len must be at least 1")
 
-    hs, states = [], []
+    memories, states = [], []
     for m, src, tree, enc in zip(models, sources, trees, encodings):
         ids = np.asarray(list(src), dtype=np.int64)
         if ids.size == 0:
             raise ValueError("empty source sentence")
-        h, s0 = encode_for_decode(m, ids, tree=tree, encoding=enc)
-        hs.append(h)
+        memory, s0 = encode_for_decode(m, ids, tree=tree, encoding=enc)
+        memories.append(memory)
         states.append((s0.data, np.zeros((1, m.hidden_dim))))
 
     def step(y_prev, states):
         dists, alphas, new_states = [], [], []
-        for m, h, (s, c) in zip(models, hs, states):
-            dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, m)
+        for m, memory, (s, c) in zip(models, memories, states):
+            dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), memory, m)
             dists.append(dist.data)
             alphas.append(alpha.data)
             new_states.append((s.data, c.data))

@@ -133,19 +133,15 @@ class GruParams(_GatedCell):
         r = sigmoid(x Wr + h Ur + br)
         h̃ = tanh(x Wh + (r * h) Uh + bh)
         h' = (1 - z) * h + z * h̃
+
+    A step is one tensor.gru_cell on x W, which callers form for all
+    positions of a sequence at once.
     """
 
     GATES = ("update", "reset", "cand")
 
     def zero_state(self, batch: int):
         return T.zeros((batch, self.hidden_dim))
-
-    def step(self, x: Tensor, h: Tensor):
-        """h' from x [B, input_dim] and h [B, H]."""
-        if x.shape[1] != self.input_dim or h.shape[1] != self.hidden_dim:
-            raise ShapeError(f"GRU step: x {x.shape}, h {h.shape} do not match "
-                             f"dims ({self.input_dim}, {self.hidden_dim})")
-        return T.gru_cell(T.matmul(x, self.W), h, self.U, self.b)
 
 
 class LstmParams(_GatedCell):
@@ -233,13 +229,45 @@ def dropout(x: Tensor, ratio: float, mode: str, rng) -> Tensor:
     return T.mul(x, T.constant(keep))
 
 
+# Elements a norm term squares at once: a larger term is split as numpy's
+# pairwise sum splits it, so its sum of squares keeps np.sum(blk * blk)'s bits
+# with scratch of about this size.
+NORM_LEAF = 2 ** 17
+
+
+def _sum_squares(rows: np.ndarray, lo: int, hi: int) -> float:
+    """np.sum(x * x) over elements lo..hi-1 of the 2-D rows in row-major order,
+    split at numpy's pairwise points (half, rounded down to a multiple of 8)
+    until a part holds at most NORM_LEAF elements."""
+    n = hi - lo
+    if n > NORM_LEAF:
+        half = n // 2 - (n // 2) % 8
+        return _sum_squares(rows, lo, lo + half) + _sum_squares(rows, lo + half, hi)
+    cols = rows.shape[1]
+    first, last = lo // cols, -(-hi // cols)
+    part = rows[first:last]
+    return np.sum((part * part).reshape(-1)[lo - first * cols:hi - first * cols])
+
+
 def grad_norm(grads: dict[str, np.ndarray], terms) -> float:
-    """Global L2 norm of grads, summed over terms (ParamTable.norm_terms) in order."""
+    """Global L2 norm of grads, summed over terms (ParamTable.norm_terms) in order.
+
+    Each term adds np.sum(blk * blk), to the bit; one of more than NORM_LEAF
+    elements is squared a part at a time, in the order np.sum would read it.
+    """
     total = 0.0
     for name, cols in terms:
         if name in grads:
             blk = grads[name][..., cols]
-            total += float(np.sum(blk * blk))
+            if blk.size <= NORM_LEAF:
+                total += float(np.sum(blk * blk))
+                continue
+            rows = blk.reshape(-1, blk.shape[-1] if blk.ndim > 1 else 1)
+            if rows.strides[0] < rows.strides[1]:
+                # column-major (a gradient that came through a transpose, as
+                # att.W's does): np.sum reads it in memory order
+                rows = rows.T
+            total += float(_sum_squares(rows, 0, rows.size))
     return float(np.sqrt(total))
 
 

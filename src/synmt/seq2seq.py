@@ -4,15 +4,18 @@ The source side is pluggable: plain embeddings, embeddings concatenated with
 projected parser encodings (sawr), Tree-GRU outputs (tree-rnn), or bracketed
 tree symbol sequences through the unmodified pipeline (tree-linearized).
 
-Decoding convention: the decoder consumes e(y_prev) concatenated with the
-previous context vector, its new state queries attention, and the output
-network sees [state, fresh context]. The first step feeds BOS with a zero
-context from a learned transform of the final backward encoder state.
+Decoding convention: the decoder consumes e(y_prev) and the previous context
+vector through one input product, e W[:emb] + c W[emb:], its new state
+queries attention, and the output network sees [state, fresh context]. The
+first step feeds BOS with a zero context from a learned transform of the
+final backward encoder state. Training forms e W[:emb] for every target step
+in one product, as the encoder forms its x W.
 
 Training and decoding share one attention over a [B, n, H] memory of encoder
-states, one [n, H] slab per source. Its queries are [B*Q, H] rows grouped by
-source, rows b*Q .. b*Q+Q-1 against slab b: training has Q=1 over a padded
-batch (padding gets a -1e9 score bias), decoding B=1 and Q=beam rows.
+states, one [n, H] slab per source, and its keys (h W^aᵀ)ᵀ, formed once per
+batch or source. Its queries are [B*Q, H] rows grouped by source, rows
+b*Q .. b*Q+Q-1 against slab b: training has Q=1 over a padded batch (padding
+gets a -1e9 score bias), decoding B=1 and Q=beam rows.
 """
 
 import json
@@ -127,6 +130,12 @@ class TranslationModel:
         bwd = T.slice_axis(T.reshape(h, (B, n * H)), 1, H // 2, H)
         return T.tanh(nn.linear(bwd, self.table["init.W"], self.table["init.b"]))
 
+    def dec_input_weights(self):
+        """dec.W's rows for e(y_prev) and for the previous context, as views:
+        the decoder's input product is e W[:emb] + c W[emb:]."""
+        W, E = self.dec.W, self.emb_dim
+        return T.slice_axis(W, 0, 0, E), T.slice_axis(W, 0, E, W.shape[0])
+
     def output_logits(self, s, c, mode="eval"):
         """Two-layer output network: tanh hidden layer over [s, c], then linear."""
         hid = T.tanh(nn.linear(T.concat([s, c], axis=1),
@@ -179,43 +188,69 @@ class TranslationModel:
         return model
 
 
-def attend(s_prev, h, Wa, bias=None):
+def attention_keys(h, Wa):
+    """The attention keys (h W^aᵀ)ᵀ [B, H, n] of a memory h [B, n, H].
+
+    A query s scores position l as s W^a h_lᵀ = s (h_l W^aᵀ)ᵀ, so the keys
+    are formed once per batch or source (one product over the B*n rows and
+    one transpose), not once per decoder step.
+    """
+    if h.data.ndim != 3:
+        raise ShapeError(f"attention_keys: memory must be [B, n, H], got shape {h.shape}")
+    B, n, H = h.shape
+    if Wa.shape != (H, H):
+        raise ShapeError(f"attention_keys: W^a {Wa.shape}, memory width {H}")
+    rows = T.matmul(T.reshape(h, (B * n, H)), T.transpose(Wa))
+    return T.transpose(T.reshape(rows, (B, n, H)))
+
+
+def attend(s_prev, keys, h, bias=None):
     """Bilinear attention: scores s_prev W^a h_l, softmax rows, weighted sum.
 
-    s_prev [B*Q, H] queries grouped by source against the memory h [B, n, H]:
-    rows b*Q .. b*Q+Q-1 attend over h[b]. bias, when given, is an additive
-    [B, n] numpy array (padding positions carry -1e9 so their weight
-    underflows to zero). Returns (contexts [B*Q, H], weights [B*Q, n]).
+    s_prev [B*Q, H] queries grouped by source against the memory h [B, n, H]
+    and its keys [B, H, n] (attention_keys): rows b*Q .. b*Q+Q-1 attend over
+    h[b]. bias, when given, is an additive [B, n] numpy array (padding
+    positions carry -1e9 so their weight underflows to zero). Returns
+    (contexts [B*Q, H], weights [B*Q, n]).
     """
     if h.data.ndim != 3:
         raise ShapeError(f"attend: memory must be [B, n, H], got shape {h.shape}")
     (B, n, H), rows = h.shape, s_prev.shape[0]
     if rows % B:
         raise ShapeError(f"attend: {rows} query rows are not grouped over {B} sources")
-    if Wa.shape != (H, H) or s_prev.shape[1:] != (H,):
-        raise ShapeError(f"attend: W^a {Wa.shape}, queries {s_prev.shape}, width {H}")
+    if s_prev.shape[1:] != (H,):
+        raise ShapeError(f"attend: queries {s_prev.shape}, memory width {H}")
+    if keys.shape != (B, H, n):
+        raise ShapeError(f"attend: keys {keys.shape}, expected {(B, H, n)} for memory {h.shape}")
     Q = rows // B
-    proj = T.reshape(T.matmul(s_prev, Wa), (B, Q, H))
-    beta = T.matmul(proj, T.transpose(h))
+    beta = T.matmul(T.reshape(s_prev, (B, Q, H)), keys)
     if bias is not None:
         beta = T.add(beta, T.constant(np.repeat(bias[:, None, :], Q, axis=1)))
     alpha = T.softmax(beta, axis=2)
     return T.reshape(T.matmul(alpha, h), (rows, H)), T.reshape(alpha, (rows, n))
 
 
-def decode_step(y_prev, c_prev, s_prev, h, model):
+def _decoder_state(ew, c_prev, s_prev, Wc, model):
+    """The decoder GRU's next state: its input product is ew = e(y_prev) W[:emb]
+    plus c_prev W[emb:] (Wc, the context rows of dec.W)."""
+    return T.gru_cell(T.add(ew, T.matmul(c_prev, Wc)), s_prev, model.dec.U, model.dec.b)
+
+
+def decode_step(y_prev, c_prev, s_prev, memory, model):
     """One decoder step for a row batch of hypotheses of one source.
 
-    y_prev: previous target id (int) or one id per row; h [1, n, H] memory.
+    y_prev: previous target id (int) or one id per row; memory: the source's
+    (h [1, n, H], keys [1, H, n]) from encode_for_decode.
     Returns (distribution [K, V], new state [K, H], new context [K, H], alpha [K, n]).
     """
     ids = np.atleast_1d(np.asarray(y_prev, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= model.tgt_vocab_size):
         raise ValueError(f"target id out of range for vocab {model.tgt_vocab_size}")
-    e = T.take_rows(model.table["tgt_emb"], ids)
-    x = T.concat([e, c_prev], axis=1)
-    s = model.dec.step(x, s_prev)
-    c, alpha = attend(s, h, model.table["att.W"])
+    h, keys = memory
+    We, Wc = model.dec_input_weights()
+    ew = T.matmul(T.take_rows(model.table["tgt_emb"], ids), We)
+    s = _decoder_state(ew, c_prev, s_prev, Wc, model)
+    c, alpha = attend(s, keys, h)
     dist = T.softmax(model.output_logits(s, c, mode="eval"), axis=1)
     return dist, s, c, alpha
 
@@ -290,18 +325,20 @@ def sequence_loss(batch, model, mode="train"):
                       encodings=batch.encodings, tokens=batch.src_tokens)
     bias = None if mask is None else (mask - 1.0) * 1e9
     s = model.init_state(h)
+    # after init_state: the tape's order sets the order in which h's
+    # gradient adds up its parts, and so the training bits
+    keys = attention_keys(h, model.table["att.W"])
     c = T.constant(np.zeros((batch.size, model.hidden_dim)))
     B, m = batch.tgt.shape
     tgt_mask = (np.arange(m)[None, :] < batch.tgt_lens[:, None]).astype(float)
     # teacher-forced inputs BOS, y_1 .. y_{m-1}: row j*B + b feeds step j of sentence b
     y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
-    e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
-    Wa = model.table["att.W"]
+    We, Wc = model.dec_input_weights()
+    ew = T.matmul(T.take_rows(model.table["tgt_emb"], y_prev.T.ravel()), We)
     states, contexts = [], []
     for j in range(m):  # only the recurrence: the output network feeds nothing back
-        x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
-        s = model.dec.step(x, s)
-        c, _ = attend(s, h, Wa, bias)
+        s = _decoder_state(T.slice_axis(ew, 0, j * B, (j + 1) * B), c, s, Wc, model)
+        c, _ = attend(s, keys, h, bias)
         states.append(s)
         contexts.append(c)
     # the output network once over all steps, rows j*B + b as the inputs
@@ -423,12 +460,13 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
 
 
 def encode_for_decode(model, ids, tree=None, encoding=None):
-    """Encoder pass for one source sentence: (memory [1, n, H], initial state [1, H])."""
+    """Encoder pass for one source sentence: (memory, initial state [1, H]),
+    where the memory pairs h [1, n, H] with its attention keys [1, H, n]."""
     ids = np.asarray(ids, dtype=np.int64)
     h, _ = _encode(model, ids[None, :], np.array([ids.size]),
                    trees=[tree] if tree is not None else None,
                    encodings=[encoding] if encoding is not None else None)
-    return h, model.init_state(h)
+    return (h, attention_keys(h, model.table["att.W"])), model.init_state(h)
 
 
 def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
@@ -445,11 +483,11 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
     ids = np.asarray(list(source), dtype=np.int64)
     if ids.size == 0:
         raise ValueError("empty source sentence")
-    h, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding)
+    memory, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding)
 
     def step(y_prev, states):
         [(s, c)] = states
-        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), h, model)
+        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), memory, model)
         with np.errstate(divide="ignore"):
             lp = np.log(dist.data)
         return lp, [(s.data, c.data)], alpha.data

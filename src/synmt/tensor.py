@@ -511,7 +511,9 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
         gh = g * (1.0 - z) + grh * r + ga[:, :2 * H] @ U_zr.T
         if carry is not None:
             gh += carry
-        gU = np.concatenate([hd.T @ ga[:, :2 * H], rh.T @ ga[:, 2 * H:]], axis=1)
+        gU = np.empty((H, 3 * H))  # the two products written side by side
+        np.matmul(hd.T, ga[:, :2 * H], out=gU[:, :2 * H])
+        np.matmul(rh.T, ga[:, 2 * H:], out=gU[:, 2 * H:])
         return ga, Owned(gh), Owned(gU), ga.sum(axis=0, keepdims=True)
 
     return _record(out, (xw, h, U, b), bwd)

@@ -2,9 +2,11 @@
 
 The references (exhaustive projective enumeration, the loop-per-split Eisner
 chart, the per-node Tree-GRU recursion, the full-length beam loop, the
-step-by-step argmax chain, the per-gate GRU and LSTM steps, the
-one-entry-per-gate parameter layout and its gradient norm, the whole-array
-Adam update, the dense backward sweep) are deliberately independent of the
+step-by-step argmax chain, the per-gate GRU and LSTM steps, the GRU cell's
+backward with a concatenated weight gradient, the one-entry-per-gate
+parameter layout and its gradient norm, the one-expression gradient norm,
+the whole-array Adam update, the dense backward sweep, the rescanning
+projectivize) are deliberately independent of the
 package's code, so tests compare two implementations, not one
 implementation with itself. The per-step sequence loss shares the
 translator's layers and differs only in where its output network runs.
@@ -25,10 +27,11 @@ import numpy as np
 
 from synmt import tensor as T
 from synmt.data import BOS, EOS
-from synmt.depparse import DependencyTree, parser_encode
+from synmt.depparse import DependencyTree, normalize_root, parser_encode
 from synmt.errors import DataError, ShapeError
 from synmt.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from synmt.seq2seq import _encode, attend, decode_step, encode_for_decode
+from synmt.seq2seq import (_decoder_state, _encode, attend, attention_keys, decode_step,
+                           encode_for_decode)
 
 
 def random_projective_tree(n, rng, labels=("det", "amod", "nsubj", "obj", "root")):
@@ -129,6 +132,36 @@ def random_tree(n, rng):
     for i, v in enumerate(join[1:], start=1):
         heads[v - 1] = join[int(rng.integers(0, i))]
     return DependencyTree(heads)
+
+
+def lift_projectivize(tree):
+    """depparse.projectivize as it first ran: after every lift, rescan every
+    arc and every token it spans with a walk to the root. The reference for
+    the lift order, shortest arc first, leftmost on ties."""
+    out = normalize_root(tree)
+    out.validate()
+    heads = out.heads
+
+    def ancestor(anc, node):
+        while node != 0:
+            node = heads[node - 1]
+            if node == anc:
+                return True
+        return anc == 0 and node == 0
+
+    for _ in range(out.n * out.n + 1):
+        bad = []
+        for d in range(1, out.n + 1):
+            h = heads[d - 1]
+            lo, hi = min(h, d), max(h, d)
+            if any(not ancestor(h, k) for k in range(lo + 1, hi)):
+                bad.append((hi - lo, lo, d))
+        if not bad:
+            return out
+        _, _, d = min(bad)
+        h = heads[d - 1]
+        heads[d - 1] = heads[h - 1]
+    raise RuntimeError("lift_projectivize failed to terminate")
 
 
 def has_crossing_arcs(tree):
@@ -349,6 +382,34 @@ def gate_columns(t, k, width):
     return T.slice_axis(t, 1, k * width, (k + 1) * width)
 
 
+def gru_step(cell, x, h):
+    """One GRU step of an nn.GruParams cell, as the package runs it: h' from
+    x [B, input_dim] and h [B, H], one product and one fused cell."""
+    return T.gru_cell(T.matmul(x, cell.W), h, cell.U, cell.b)
+
+
+def gru_cell_grads_oracle(xw, h, U, b, g):
+    """The gradients (xw, h, U, b) of tensor.gru_cell without a keep column,
+    under the output gradient g, in the form the cell had before it wrote
+    U's gradient into one array: the two products of U's blocks are made on
+    their own and then concatenated."""
+    xd, hd, Ud, bd = xw.data, h.data, U.data, b.data
+    H = hd.shape[1]
+    U_zr, U_c = Ud[:, :2 * H], Ud[:, 2 * H:]
+    zr = T._sigmoid_data((xd[:, :2 * H] + hd @ U_zr) + bd[:, :2 * H])
+    z, r = zr[:, :H], zr[:, H:]
+    rh = r * hd
+    cand = np.tanh((xd[:, 2 * H:] + rh @ U_c) + bd[:, 2 * H:])
+    ga = np.empty((len(hd), 3 * H))
+    ga[:, 2 * H:] = g * z * (1.0 - cand * cand)
+    grh = ga[:, 2 * H:] @ U_c.T
+    ga[:, :H] = g * (cand - hd) * z * (1.0 - z)
+    ga[:, H:2 * H] = grh * hd * r * (1.0 - r)
+    gh = g * (1.0 - z) + grh * r + ga[:, :2 * H] @ U_zr.T
+    gU = np.concatenate([hd.T @ ga[:, :2 * H], rh.T @ ga[:, 2 * H:]], axis=1)
+    return ga, gh, gU, ga.sum(axis=0, keepdims=True)
+
+
 def gru_step_oracle(x, h, cell):
     """One GRU step gate by gate, two products and two adds per gate, on
     column blocks of the cell's W, U and b: the reference for the fused
@@ -488,6 +549,17 @@ def per_gate_layout(state):
     state.update(split)
 
 
+def reference_grad_norm(grads, terms):
+    """nn.grad_norm as one expression per term: np.sum(blk * blk) over a
+    squared copy of the whole term, the terms added in order."""
+    total = 0.0
+    for name, cols in terms:
+        if name in grads:
+            blk = grads[name][..., cols]
+            total += float(np.sum(blk * blk))
+    return float(np.sqrt(total))
+
+
 def per_gate_norm(grads):
     """The global gradient norm with one term per gate and per label, each
     term's squares summed alone and the terms added in table order."""
@@ -561,7 +633,7 @@ def tree_gru_encode_naive(emb, tree, p):
                     h = T.add(h, up(k))
             else:
                 h = p.up.zero_state(1)
-            up_state[v] = p.up.step(row(v), h)
+            up_state[v] = gru_step(p.up, row(v), h)
         return up_state[v]
 
     down_state = {}
@@ -570,7 +642,7 @@ def tree_gru_encode_naive(emb, tree, p):
         if v not in down_state:
             h = tree.heads[v - 1]
             prev = p.root if h == 0 else down(h)
-            down_state[v] = p.down.step(row(v), prev)
+            down_state[v] = gru_step(p.down, row(v), prev)
         return down_state[v]
 
     rows = [T.concat([up(v), down(v)], axis=1) for v in range(1, tree.n + 1)]
@@ -830,16 +902,17 @@ def per_step_sequence_loss(batch, model, mode="train"):
                       encodings=batch.encodings, tokens=batch.src_tokens)
     bias = None if mask is None else (mask - 1.0) * 1e9
     s = model.init_state(h)
+    keys = attention_keys(h, model.table["att.W"])
     c = T.constant(np.zeros((batch.size, model.hidden_dim)))
     B, m = batch.tgt.shape
     tgt_mask = (np.arange(m)[None, :] < batch.tgt_lens[:, None]).astype(float)
     y_prev = np.concatenate([np.full((B, 1), BOS, dtype=np.int64), batch.tgt[:, :-1]], axis=1)
-    e = T.take_rows(model.table["tgt_emb"], y_prev.T.ravel())
+    We, Wc = model.dec_input_weights()
+    ew = T.matmul(T.take_rows(model.table["tgt_emb"], y_prev.T.ravel()), We)
     total = None
     for j in range(m):
-        x = T.concat([T.slice_axis(e, 0, j * B, (j + 1) * B), c], axis=1)
-        s = model.dec.step(x, s)
-        c, _ = attend(s, h, model.table["att.W"], bias)
+        s = _decoder_state(T.slice_axis(ew, 0, j * B, (j + 1) * B), c, s, Wc, model)
+        c, _ = attend(s, keys, h, bias)
         lp = log_softmax(model.output_logits(s, c, mode=mode), axis=1)
         term = T.mul(pick(lp, batch.tgt[:, j]), T.constant(tgt_mask[:, j:j + 1]))
         total = term if total is None else T.add(total, term)

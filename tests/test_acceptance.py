@@ -33,11 +33,11 @@ from synmt.depparse import (ParserModel, decode_projective, evaluate_las,
                             normalize_root, parse_sentence, read_treebank,
                             score_arcs, train_parser, tree_log_loss)
 from synmt.evaluate import bleu, bootstrap_significance
-from synmt.seq2seq import (TranslationModel, attend, beam_search, decode_step,
+from synmt.seq2seq import (TranslationModel, attend, attention_keys, beam_search, decode_step,
                            encode_for_decode, sequence_loss, train_step)
 
-from helpers import (argmax_chain, brute_force_decode, encode_one, enumerate_best, log,
-                     one_bucket, param_bytes, pick, random_projective_tree, split_rows,
+from helpers import (argmax_chain, brute_force_decode, encode_one, enumerate_best, gru_step,
+                     log, one_bucket, param_bytes, pick, random_projective_tree, split_rows,
                      tree_gru_encode_naive)
 
 FX = Path(__file__).parent / "fixtures"
@@ -71,7 +71,7 @@ def _grad_gru(i):
     h = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
 
     def loss(_):
-        return T.sum_all(T.tanh(cell.step(x, h)))
+        return T.sum_all(T.tanh(gru_step(cell, x, h)))
 
     targets = [x, h] + [t for _, t in table.items()]
     return T.grad_check(loss, targets[i % len(targets)])
@@ -109,6 +109,8 @@ def _grad_birnn(i):
 
 
 def _grad_attend(i):
+    """attend over attention_keys: the queries, the memory (through the keys
+    and the weighted sum) and W^a (through the keys)."""
     rng = T.make_rng(9300 + i)
     n, k = 1 + i % 4, 1 + i % 2
     h = T.Tensor(rng.normal(size=(1, n, 3)), requires_grad=True)
@@ -116,7 +118,7 @@ def _grad_attend(i):
     Wa = T.Tensor(0.5 * rng.normal(size=(3, 3)), requires_grad=True)
 
     def loss(_):
-        c, alpha = attend(s, h, Wa)
+        c, alpha = attend(s, attention_keys(h, Wa), h)
         # touches both outputs so softmax gradients are exercised directly
         return T.add(T.sum_all(T.tanh(c)), T.sum_all(T.mul(alpha, alpha)))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synmt import depparse, syntax
@@ -21,8 +21,8 @@ from synmt.depparse import (DependencyTree, ParserModel, decode_projective, eval
 from synmt.errors import DataError, ShapeError
 
 from helpers import (BAD_METAS, all_projective_head_vectors, brute_force_decode,
-                     edit_entries, edit_meta, encode_one, has_crossing_arcs, one_bucket,
-                     per_gate_layout, random_projective_tree, random_tree, records_on,
+                     edit_entries, edit_meta, encode_one, has_crossing_arcs, lift_projectivize,
+                     one_bucket, per_gate_layout, random_projective_tree, random_tree, records_on,
                      rewrite_meta, toy_grammar_sentences, state_dict, tuple_chart_decode,
                      walk_validate)
 
@@ -169,6 +169,27 @@ class TestTreeInvariants:
         for _ in range(40):
             tree = random_projective_tree(int(rng.integers(1, 10)), rng)
             assert projectivize(tree).heads == tree.heads
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 10_000), extra_root=st.booleans())
+    def test_projectivize_lifts_as_the_rescanning_reference(self, n, seed, extra_root):
+        # the same lifts in the same order: shortest arc first, leftmost on ties
+        rng = T.make_rng(seed)
+        tree = random_tree(n, rng)
+        tree.labels = [f"l{int(v)}" for v in rng.integers(0, 5, size=n)]
+        if extra_root:  # a second root, which normalize_root reattaches first
+            tree.heads[int(rng.integers(0, n))] = 0
+        assume(not normalize_root(tree).is_projective())
+        heads = list(tree.heads)
+        fixed = projectivize(tree)
+        assert fixed == lift_projectivize(tree)
+        assert fixed.is_projective()
+        assert tree.heads == heads  # input untouched
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_projectivize_long_trees_as_the_reference(self, n):
+        tree = random_tree(n, T.make_rng(n))
+        assert projectivize(tree) == lift_projectivize(tree)
 
 
 class TestTreebankIO:

@@ -26,9 +26,10 @@ from synmt.depparse import (DependencyTree, ParserModel, parser_encode, score_ar
 from synmt.errors import DataError, ShapeError
 from synmt.seq2seq import TranslationModel, sequence_loss
 
-from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, dense_backward, gru_step_oracle,
-                     lstm_step_oracle, masked_carry_oracle, per_gate_draws, per_gate_norm,
-                     per_gate_parser_state, per_gate_translator_state, random_projective_tree,
+from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, dense_backward,
+                     gru_cell_grads_oracle, gru_step, gru_step_oracle, lstm_step_oracle,
+                     masked_carry_oracle, per_gate_draws, per_gate_norm, per_gate_parser_state,
+                     per_gate_translator_state, random_projective_tree, reference_grad_norm,
                      split_per_gate, state_dict, watch_outputs, write_checkpoint_oracle,
                      write_f32_checkpoint)
 
@@ -116,20 +117,20 @@ class TestGruStep:
         table, cell = make_gru(3, 4)
         zero_params(table)
         h_prev = T.Tensor(np.arange(1.0, 5.0).reshape(1, 4))
-        out = cell.step(T.Tensor(np.ones((1, 3))), h_prev)
+        out = gru_step(cell, T.Tensor(np.ones((1, 3))), h_prev)
         # z = r = 0.5, candidate = 0, so the new state is half the old one
         assert np.allclose(out.data, 0.5 * h_prev.data)
 
     def test_all_zero_inputs(self):
         table, cell = make_gru(2, 2)
         zero_params(table)
-        out = cell.step(T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 2))))
+        out = gru_step(cell, T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 2))))
         assert np.all(out.data == 0.0)
 
     def test_dim_mismatch(self):
         _, cell = make_gru(3, 4)
         with pytest.raises(ShapeError):
-            cell.step(T.Tensor(np.zeros((1, 5))), T.Tensor(np.zeros((1, 4))))
+            gru_step(cell, T.Tensor(np.zeros((1, 5))), T.Tensor(np.zeros((1, 4))))
 
     def test_gradients(self):
         rng = T.make_rng(5)
@@ -138,7 +139,7 @@ class TestGruStep:
         h = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
 
         def loss(_):
-            return T.sum_all(T.tanh(cell.step(x, h)))
+            return T.sum_all(T.tanh(gru_step(cell, x, h)))
 
         for target in [x, h] + [t for _, t in table.items()]:
             assert T.grad_check(loss, target) < 1e-4
@@ -207,6 +208,75 @@ class TestFusedStepsMatchOracles:
             assert np.abs(g - r).max() <= 1e-10
 
 
+class TestGruCellBackward:
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 8), H=st.integers(1, 48), seed=st.integers(0, 10_000))
+    def test_keeps_the_bits_of_the_concatenated_weight_gradient(self, B, H, seed):
+        # U's gradient is written into one [H, 3H] array; the values are the
+        # two products that the oracle concatenates, to the bit
+        rng = T.make_rng(seed)
+        xw, h, U, b = (T.Tensor(rng.normal(size=shape), requires_grad=True)
+                       for shape in ((B, 3 * H), (B, H), (H, 3 * H), (1, 3 * H)))
+        g = rng.normal(size=(B, H))
+        with T.Tape():
+            out = T.gru_cell(xw, h, U, b)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))))  # out's gradient is g
+        want = gru_cell_grads_oracle(xw, h, U, b, g)
+        for t, w in zip((xw, h, U, b), want):
+            assert t.grad.shape == w.shape
+            assert t.grad.tobytes() == w.tobytes()
+
+
+@st.composite
+def norm_terms(draw):
+    """(grads, terms) as a ParamTable lays them out: whole entries and
+    side-by-side column blocks of fewer than, exactly and more than
+    NORM_LEAF elements, [1, G] bias rows among them, some column-major (as
+    a gradient that came through a transpose is)."""
+    leaf = nn.NORM_LEAF
+    rng = T.make_rng(draw(st.integers(0, 10_000)))
+    grads, terms = {}, []
+    for i in range(draw(st.integers(1, 3))):
+        size = draw(st.sampled_from(["below", "at", "above"]))
+        rows = 1 if draw(st.booleans()) else draw(st.sampled_from([2, 3, 64, 333, 512]))
+        if size == "at" and leaf % rows:
+            rows = 64
+        width = {"below": lambda: draw(st.integers(1, max(1, (leaf - 1) // rows))),
+                 "at": lambda: leaf // rows,
+                 "above": lambda: draw(st.integers(leaf // rows + 1, 3 * leaf // rows))}[size]()
+        blocks = draw(st.integers(1, 3))
+        shape = (rows, blocks * width)
+        g = rng.normal(size=shape) * 10.0 ** int(rng.integers(-4, 5))
+        if draw(st.booleans()):
+            g = np.ascontiguousarray(g.T).T
+        grads[f"p{i}"] = g
+        terms += [(f"p{i}", slice(None))] if blocks == 1 else [
+            (f"p{i}", slice(k * width, (k + 1) * width)) for k in range(blocks)]
+    return grads, terms
+
+
+class TestGradNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(case=norm_terms())
+    def test_equals_the_one_expression_norm_to_the_bit(self, case):
+        grads, terms = case
+        assert nn.grad_norm(grads, terms) == reference_grad_norm(grads, terms)
+
+    @pytest.mark.parametrize("cols", [slice(None), slice(96, 4000)])
+    def test_a_large_term_is_squared_a_part_at_a_time(self, cols):
+        # 4M elements: the one expression would square a 32 MiB copy
+        grads = {"w": T.make_rng(3).normal(size=(1024, 4096))}
+        terms = [("w", cols)]
+        tracemalloc.start()
+        try:
+            norm = nn.grad_norm(grads, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nn.NORM_LEAF * 8 + 2 ** 20, peak
+        assert norm == reference_grad_norm(grads, terms)
+
+
 def op_counts(records):
     """Tape records per primitive, keyed by the op's function name."""
     counts = {}
@@ -234,8 +304,8 @@ class TestBirnn:
         _, bwd = make_gru(2, 3, seed=2)
         x = T.Tensor(T.make_rng(3).normal(size=(1, 2)))
         out = nn.birnn_encode(T.reshape(x, (1, 1, 2)), [(fwd, bwd)])
-        f = fwd.step(x, fwd.zero_state(1))
-        b = bwd.step(x, bwd.zero_state(1))
+        f = gru_step(fwd, x, fwd.zero_state(1))
+        b = gru_step(bwd, x, bwd.zero_state(1))
         assert np.allclose(out.data[:, 0], np.concatenate([f.data, b.data], axis=1))
 
     def test_length_preserved_and_dim(self):
@@ -352,7 +422,7 @@ class TestBirnn:
         x = T.Tensor(np.ones((2, 3)), requires_grad=True)
         _, gru = make_gru(3, 4)
         with T.Tape() as tape:
-            gru.step(x, gru.zero_state(2))
+            gru_step(gru, x, gru.zero_state(2))
             assert op_counts(tape.records) == {"matmul": 1, "gru_cell": 1}
 
     def test_arrays_no_backward_reads_die_before_the_sweep(self, monkeypatch):

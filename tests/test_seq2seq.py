@@ -17,13 +17,13 @@ from synmt.data import BOS, EOS, Batch, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel
 from synmt.errors import DataError, ShapeError
 from synmt.evaluate import ensemble_decode
-from synmt.seq2seq import (TranslationModel, _top_k, attend, beam_search, decode_step,
-                           encode_for_decode, sequence_loss, train_step)
+from synmt.seq2seq import (TranslationModel, _top_k, attend, attention_keys, beam_search,
+                           decode_step, encode_for_decode, sequence_loss, train_step)
 
 from helpers import argmax_chain, enumerate_best  # shared with the acceptance suite
-from helpers import (BAD_METAS, dense_backward, edit_entries, edit_meta, full_length_beam, log,
-                     per_gate_layout, per_step_sequence_loss, pick, records_on, rewrite_meta,
-                     state_dict, watch_outputs)
+from helpers import (BAD_METAS, dense_backward, edit_entries, edit_meta, full_length_beam,
+                     gru_step, log, per_gate_layout, per_step_sequence_loss, pick, records_on,
+                     rewrite_meta, state_dict, watch_outputs)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -103,12 +103,17 @@ class TestEncodeSource:
                              [(m.enc_fwd, m.enc_bwd)]).data
         f = m.enc_fwd.zero_state(1)
         for i, x in enumerate(xs):
-            f = m.enc_fwd.step(x, f)
+            f = gru_step(m.enc_fwd, x, f)
             assert np.allclose(hs[:, i, :4], f.data)
         b = m.enc_bwd.zero_state(1)
         for i in reversed(range(3)):
-            b = m.enc_bwd.step(xs[i], b)
+            b = gru_step(m.enc_bwd, xs[i], b)
             assert np.allclose(hs[:, i, 4:], b.data)
+
+
+def keyed_attend(s, h, Wa, bias=None):
+    """attend over the keys of h under W^a, formed on the spot."""
+    return attend(s, attention_keys(h, Wa), h, bias)
 
 
 class TestAttend:
@@ -116,14 +121,14 @@ class TestAttend:
         rng = T.make_rng(3)
         h = T.constant(rng.normal(size=(1, 5, 4)))
         s = T.constant(rng.normal(size=(2, 4)))
-        c, a = attend(s, h, T.zeros((4, 4)))
+        c, a = keyed_attend(s, h, T.zeros((4, 4)))
         assert np.allclose(a.data, 0.2)
         assert np.allclose(c.data, np.tile(h.data[0].mean(axis=0), (2, 1)))
 
     def test_single_state_gets_all_weight(self):
         h = T.constant([[[1.0, 2.0, 3.0]]])
         s = T.constant([[0.5, 0.5, 0.5]])
-        c, a = attend(s, h, T.constant(np.eye(3)))
+        c, a = keyed_attend(s, h, T.constant(np.eye(3)))
         assert np.allclose(a.data, [[1.0]])
         assert np.allclose(c.data, h.data[0])
 
@@ -131,7 +136,7 @@ class TestAttend:
         # scores [ln 1, ln 3] --> softmax [0.25, 0.75]
         h = T.constant([[[0.0, 2.0], [np.log(3.0), -1.0]]])
         s = T.constant([[1.0, 0.0]])
-        c, a = attend(s, h, T.constant(np.eye(2)))
+        c, a = keyed_attend(s, h, T.constant(np.eye(2)))
         assert np.allclose(a.data, [[0.25, 0.75]])
         assert np.allclose(c.data, 0.25 * h.data[0, 0] + 0.75 * h.data[0, 1])
 
@@ -141,25 +146,47 @@ class TestAttend:
             k, n, d = rng.integers(1, 5), rng.integers(1, 7), rng.integers(1, 6)
             h = T.constant(rng.normal(size=(1, n, d)))
             s = T.constant(rng.normal(size=(k, d)))
-            _, a = attend(s, h, T.constant(rng.normal(size=(d, d))))
+            _, a = keyed_attend(s, h, T.constant(rng.normal(size=(d, d))))
             assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-6)
             assert (a.data >= 0).all() and (a.data <= 1).all()
 
+    def test_scores_are_the_bilinear_form(self):
+        # s (h_l W^aᵀ)ᵀ is s W^a h_lᵀ, up to the order of the additions
+        rng = T.make_rng(12)
+        B, Q, n, d = 2, 3, 4, 5
+        h = T.constant(rng.normal(size=(B, n, d)))
+        s = T.constant(rng.normal(size=(B * Q, d)))
+        Wa = T.constant(rng.normal(size=(d, d)))
+        _, a = keyed_attend(s, h, Wa)
+        for b in range(B):
+            beta = s.data[b * Q:(b + 1) * Q] @ Wa.data @ h.data[b].T
+            e = np.exp(beta - beta.max(axis=1, keepdims=True))
+            assert np.allclose(a.data[b * Q:(b + 1) * Q], e / e.sum(axis=1, keepdims=True),
+                               rtol=1e-12, atol=1e-14)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            attend(T.zeros((1, 3)), T.zeros((1, 4, 2)), T.zeros((3, 3)))
+            attend(T.zeros((1, 3)), T.zeros((1, 2, 4)), T.zeros((1, 4, 2)))
 
     def test_memory_must_be_three_dimensional(self):
         with pytest.raises(ShapeError, match="memory"):
-            attend(T.zeros((1, 3)), T.zeros((4, 3)), T.zeros((3, 3)))
+            attend(T.zeros((1, 3)), T.zeros((1, 3, 4)), T.zeros((4, 3)))
+        with pytest.raises(ShapeError, match="memory"):
+            attention_keys(T.zeros((4, 3)), T.zeros((3, 3)))
 
     def test_query_rows_must_group_over_the_sources(self):
         with pytest.raises(ShapeError, match="grouped"):
-            attend(T.zeros((3, 3)), T.zeros((2, 4, 3)), T.zeros((3, 3)))
+            attend(T.zeros((3, 3)), T.zeros((2, 3, 4)), T.zeros((2, 4, 3)))
 
     def test_weight_matrix_must_match_the_memory_width(self):
         with pytest.raises(ShapeError, match="W\\^a"):
-            attend(T.zeros((2, 3)), T.zeros((2, 4, 3)), T.zeros((3, 2)))
+            attention_keys(T.zeros((2, 4, 3)), T.zeros((3, 2)))
+
+    def test_keys_must_match_the_memory(self):
+        h = T.zeros((2, 4, 3))
+        for keys in (T.zeros((2, 4, 3)), T.zeros((1, 3, 4)), T.zeros((2, 3, 5))):
+            with pytest.raises(ShapeError, match="keys"):
+                attend(T.zeros((2, 3)), keys, h)
 
     def test_grouped_queries_match_one_source_at_a_time(self):
         # rows b*Q .. b*Q+Q-1 attend over slab b only; a -1e9 bias hides
@@ -171,11 +198,11 @@ class TestAttend:
         Wa = T.constant(rng.normal(size=(d, d)))
         lens = np.array([5, 2, 4])
         mask = nn.length_mask(lens, n)
-        c, a = attend(s, h, Wa, (mask - 1.0) * 1e9)
+        c, a = keyed_attend(s, h, Wa, (mask - 1.0) * 1e9)
         for b in range(B):
             rows = slice(b * Q, (b + 1) * Q)
             slab = T.constant(h.data[b:b + 1, :lens[b]])
-            c1, a1 = attend(T.constant(s.data[rows]), slab, Wa)
+            c1, a1 = keyed_attend(T.constant(s.data[rows]), slab, Wa)
             assert np.allclose(c.data[rows], c1.data, rtol=1e-12, atol=1e-14)
             assert np.allclose(a.data[rows, :lens[b]], a1.data, rtol=1e-12, atol=1e-14)
             assert (a.data[rows, lens[b]:] == 0.0).all()
@@ -188,7 +215,7 @@ class TestAttend:
         bias = (nn.length_mask([3, 2], 3) - 1.0) * 1e9
 
         def loss(_):
-            c, alpha = attend(s, h, Wa, bias)
+            c, alpha = keyed_attend(s, h, Wa, bias)
             return T.add(T.sum_all(T.tanh(c)), T.sum_all(T.mul(alpha, alpha)))
 
         for x in (s, h, Wa):
@@ -589,11 +616,16 @@ class TestTapeMemory:
                 assert all(t() is None and a() is None for t, a in feeds_bias)
                 for name, refs in seen.items():
                     assert all(t() is None for t, _ in refs), name
-                # one slice of h is the input that init_state's product reads;
-                # the per-step embedding reads (and the parser's) are gone
+                # live: one slice of h, the input that init_state's product
+                # reads, and the two row blocks of dec.W whose products
+                # (e W[:emb] once per batch, c W[emb:] per step) read them in
+                # backward, both views of the parameter; the per-step reads
+                # of e W[:emb] (and the parser's) are gone
                 slices = seen["slice_axis"]
                 assert len(slices) > batch.tgt.shape[1]
-                assert sum(a() is not None for _, a in slices) == 1
+                live = [a() for _, a in slices if a() is not None]
+                views = [a for a in live if a.base is m.table["dec.W"].data]
+                assert len(views) == 2 and len(live) == 3
                 reference = dense_backward(loss)
                 T.backward(loss)
         finally:

@@ -16,8 +16,8 @@ from synmt.errors import DataError, ShapeError, StateError
 from synmt.evaluate import read_alignments
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
-from helpers import (edit_meta, encode_one, param_bytes, random_projective_tree, random_tree,
-                     split_rows, tree_gru_encode_naive)
+from helpers import (edit_meta, encode_one, gru_step, param_bytes, random_projective_tree,
+                     random_tree, split_rows, tree_gru_encode_naive)
 
 
 def projection(in_dim, out_dim, seed=0):
@@ -282,8 +282,8 @@ class TestTreeGru:
         p = tree_params(4, 3)
         e = T.constant(T.make_rng(1).normal(size=(1, 4)))
         out = syntax.tree_gru_encode_batch(e, [DependencyTree([0], ["root"])], p)
-        up = p.up.step(e, p.up.zero_state(1))
-        down = p.down.step(e, p.root)
+        up = gru_step(p.up, e, p.up.zero_state(1))
+        down = gru_step(p.down, e, p.root)
         assert np.allclose(out.data[:, :3], up.data)
         assert np.allclose(out.data[:, 3:], down.data)
 
@@ -300,9 +300,9 @@ class TestTreeGru:
         tree = DependencyTree([0, 1, 1, 1, 1, 1])
         e = T.constant(T.make_rng(3).normal(size=(6, 3)))
         out = syntax.tree_gru_encode_batch(e, [tree], p)
-        head_down = p.down.step(T.slice_axis(e, 0, 0, 1), p.root)
+        head_down = gru_step(p.down, T.slice_axis(e, 0, 0, 1), p.root)
         for child in range(1, 6):
-            expect = p.down.step(T.slice_axis(e, 0, child, child + 1), head_down)
+            expect = gru_step(p.down, T.slice_axis(e, 0, child, child + 1), head_down)
             assert np.allclose(out.data[child, 4:], expect.data[0])
 
     def test_random_trees_match_naive(self):

@@ -1,0 +1,81 @@
+"""What a training step holds beyond its start, at the bench's train-wide
+shape, and how much of the memory it copies per target step.
+
+Traced bytes and call counts only, no timings: they repeat on any machine.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from synmt import nn
+from synmt import tensor as T
+from synmt.data import EOS, Batch
+from synmt.seq2seq import TranslationModel, sequence_loss, train_step
+
+MiB = 2 ** 20
+
+
+def copy_batch(rng, vocab, lens):
+    """A copy-task batch: each target is its source plus EOS."""
+    src = [[int(v) for v in rng.integers(4, vocab, n)] for n in lens]
+    return Batch(src, [s + [EOS] for s in src])
+
+
+def test_a_wide_training_step_peaks_at_its_gradients():
+    # V 4,100 on both sides, emb 256, hidden 512, 20 sentences of 7-11
+    # tokens, so 12 target steps. After a warm-up step Adam holds its
+    # moments, and a step's peak over its start is the gradients it makes
+    # (one per parameter) plus what the sweep and the update hold besides.
+    model = TranslationModel(4100, 4100, emb_dim=256, hidden_dim=512, dropout=0.0, seed=3)
+    opt = nn.Adam(model.table, lr=0.003, clip=5.0)
+    batch = copy_batch(np.random.default_rng(1), 4100, [7 + i % 5 for i in range(20)])
+    assert batch.tgt.shape == (20, 12)
+    train_step(batch, model, opt)
+    grad_bytes = sum(t.data.nbytes for _, t in model.table.items())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_step(batch, model, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    over = (peak - start - grad_bytes) / MiB
+    assert over <= 4.0, f"peak is the gradients + {over:.1f} MiB"
+
+
+def test_the_memory_is_transposed_once_per_batch(monkeypatch):
+    # the attention keys are formed once per batch, so the number of
+    # transposes does not grow with the number of target steps
+    transpose, calls = T.transpose, []
+
+    def counted(x):
+        calls.append(x.shape)
+        return transpose(x)
+
+    monkeypatch.setattr(T, "transpose", counted)
+    model = TranslationModel(30, 30, emb_dim=6, hidden_dim=8, dropout=0.0, seed=2)
+    counts = []
+    for tgt_len in (2, 5, 11):
+        calls.clear()
+        batch = copy_batch(np.random.default_rng(tgt_len), 30, [tgt_len - 1, 1])
+        assert batch.tgt.shape[1] == tgt_len
+        with T.Tape():
+            sequence_loss(batch, model)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+@pytest.mark.parametrize("tgt_len", [2, 7])
+def test_attention_and_decoder_weights_are_read_once_per_batch(tgt_len):
+    # att.W feeds one product, the keys; dec.W is read as two row blocks,
+    # one for all target embeddings and one for the per-step contexts
+    from helpers import records_on
+
+    model = TranslationModel(30, 30, emb_dim=6, hidden_dim=8, dropout=0.0, seed=2)
+    batch = copy_batch(np.random.default_rng(4), 30, [tgt_len - 1, 2])
+    with T.Tape() as tape:
+        sequence_loss(batch, model)
+        counts = [records_on(tape, model.table[name]) for name in ("att.W", "dec.W")]
+    assert counts == [1, 2]
