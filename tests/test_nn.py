@@ -128,9 +128,16 @@ class TestGruStep:
         assert np.all(out.data == 0.0)
 
     def test_dim_mismatch(self):
+        # the fused cell checks a pre-projected input and a state against U
         _, cell = make_gru(3, 4)
-        with pytest.raises(ShapeError):
-            gru_step(cell, T.Tensor(np.zeros((1, 5))), T.Tensor(np.zeros((1, 4))))
+        h, xw = T.Tensor(np.zeros((1, 4))), T.Tensor(np.zeros((1, 12)))
+        for bad_xw, bad_h in ((T.Tensor(np.zeros((1, 13))), h),
+                              (T.Tensor(np.zeros((1, 9))), h),
+                              (xw, T.Tensor(np.zeros((1, 5)))),
+                              (xw, T.Tensor(np.zeros((2, 4))))):
+            with pytest.raises(ShapeError):
+                T.gru_cell(bad_xw, bad_h, cell.U, cell.b)
+        assert T.gru_cell(xw, h, cell.U, cell.b).data.shape == (1, 4)
 
     def test_gradients(self):
         rng = T.make_rng(5)
@@ -849,7 +856,8 @@ class TestGatesSideBySide:
                 blocks = list(split_per_gate(grads).values())
                 assert len(summed) == len(blocks)
                 for got, g in zip(summed, blocks):
-                    assert got.tobytes() == (g * g).tobytes()
+                    # the squares in memory order, the order np.sum reads them
+                    assert got.tobytes() == (g * g).ravel(order="K").tobytes()
 
 
 class TestCheckpoint:
