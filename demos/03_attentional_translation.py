@@ -60,9 +60,9 @@ for epoch in range(1, 51):
 
 # ---------------------------------------------------------------------------
 # Decode an unseen sentence. beam_search returns the best Hypothesis with
-# its token ids, total log-probability and per-step attention rows. With
-# beam_size=1 it is greedy decoding: at each step it keeps the argmax token,
-# as the step-by-step loop below does by hand.
+# its token ids and total log-probability. With beam_size=1 it is greedy
+# decoding: at each step it keeps the argmax token, as the step-by-step loop
+# below does by hand.
 
 sentence = list("cafebead")
 ids = src_vocab.ids(sentence)
@@ -86,10 +86,14 @@ print("beam (k=5)    ", " ".join(tgt_vocab.tokens(beam.ids)),
       f" logp {beam.logp:.3f}")
 print("expected      ", " ".join(reversed(sentence)))
 
-# Each decode step keeps its attention distribution over source positions.
-# For the reversal task the mass should walk backwards across the source.
+# Feeding the beam's ids back through decode_step gives the attention each
+# step put on the source positions. For the reversal task the mass should
+# walk backwards across the source.
 print("\nattention (rows = output steps, columns = source positions)")
-for step, row in enumerate(beam.alphas):
-    cells = " ".join(f"{v:4.2f}" for v in np.asarray(row).ravel())
-    peak = int(np.argmax(np.asarray(row).ravel()))
-    print(f"  step {step}: {cells}   peak -> source[{peak}]")
+h, s = encode_for_decode(model, ids)
+c = T.zeros((1, model.hidden_dim))
+for step, y in enumerate([BOS] + beam.ids[:-1]):
+    _, s, c, alpha = decode_step(y, c, s, h, model)
+    row = alpha.data[0]
+    cells = " ".join(f"{v:4.2f}" for v in row)
+    print(f"  step {step}: {cells}   peak -> source[{int(np.argmax(row))}]")

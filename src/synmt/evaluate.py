@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import open_new, read_lines
+from .data import BOS
 from .seq2seq import _run_beam, beam_search, decode_step, encode_for_decode
 
 MAX_ORDER = 4
@@ -185,6 +186,8 @@ def dump_alignments(model, sources, src_vocab, tgt_vocab, max_len=100,
     """Greedy-decode each source; one AlignmentRecord per non-empty sentence.
 
     tgt keeps every emitted token (EOS included) so len(tgt) == len(attn).
+    The attention rows come from feeding the greedy output back through the
+    decoder: the same batch-1 steps the search ran, so the same rows.
     """
     records = []
     for i, sentence in enumerate(sources):
@@ -192,11 +195,18 @@ def dump_alignments(model, sources, src_vocab, tgt_vocab, max_len=100,
         if not tokens:
             warnings.warn(f"sentence {i} is empty, skipping its alignment")
             continue
-        hyp = beam_search(src_vocab.ids(tokens), model, 1, max_len,
-                          tree=trees[i] if trees is not None else None,
-                          encoding=encodings[i] if encodings is not None else None)
+        ids = src_vocab.ids(tokens)
+        tree = trees[i] if trees is not None else None
+        encoding = encodings[i] if encodings is not None else None
+        hyp = beam_search(ids, model, 1, max_len, tree=tree, encoding=encoding)
+        memory, s = encode_for_decode(model, ids, tree=tree, encoding=encoding)
+        c = T.zeros((1, model.hidden_dim))
+        attn = []
+        for y in [BOS] + hyp.ids[:-1]:
+            _, s, c, alpha = decode_step(y, c, s, memory, model)
+            attn.append(alpha.data[0])
         records.append(AlignmentRecord(
-            i, tokens, tgt_vocab.tokens(hyp.ids, strip_reserved=False), hyp.alphas))
+            i, tokens, tgt_vocab.tokens(hyp.ids, strip_reserved=False), attn))
     return records
 
 
@@ -236,35 +246,5 @@ def ensemble_decode(models, source, beam_size, max_len, trees=None, encodings=No
     k = len(models)
     shared = len(source) > 0 and np.ndim(source[0]) == 0
     sources = [source] * k if shared else list(source)
-    if len(sources) != k:
-        raise ValueError(f"{len(sources)} source sequences for {k} models")
-    trees = trees or [None] * k
-    encodings = encodings or [None] * k
-    if beam_size < 1 or max_len < 1:
-        raise ValueError("beam_size and max_len must be at least 1")
-
-    memories, states = [], []
-    for m, src, tree, enc in zip(models, sources, trees, encodings):
-        ids = np.asarray(list(src), dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("empty source sentence")
-        memory, s0 = encode_for_decode(m, ids, tree=tree, encoding=enc)
-        memories.append(memory)
-        states.append((s0.data, np.zeros((1, m.hidden_dim))))
-
-    def step(y_prev, states):
-        dists, alphas, new_states = [], [], []
-        for m, memory, (s, c) in zip(models, memories, states):
-            dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), memory, m)
-            dists.append(dist.data)
-            alphas.append(alpha.data)
-            new_states.append((s.data, c.data))
-        mean = sum(dists) / k
-        with np.errstate(divide="ignore"):
-            lp = np.log(mean)
-        widths = {a.shape[1] for a in alphas}
-        alpha = (sum(alphas) / k if len(widths) == 1
-                 else alphas[0])  # sources differ per model; report the first
-        return lp, new_states, alpha
-
-    return _run_beam(step, states, beam_size, max_len, models[0].tgt_vocab_size)
+    return _run_beam(models, sources, trees or [None] * k, encodings or [None] * k,
+                     beam_size, max_len)

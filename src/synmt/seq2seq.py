@@ -373,18 +373,15 @@ def train_step(batch, model, optimizer):
 
 
 class Hypothesis:
-    """A (partial) translation: ids, score, per-step log-probs and attention.
+    """A (partial) translation: its ids and their summed log-probability.
 
     steps counts the decoder steps the search ran; stopped_early is True when
     it ended before max_len while hypotheses were still live.
     """
 
-    def __init__(self, ids, logp, alphas, step_logps, completed, steps=0,
-                 stopped_early=False):
-        self.ids = list(ids)
+    def __init__(self, ids, logp, completed, steps=0, stopped_early=False):
+        self.ids = [int(v) for v in ids]
         self.logp = float(logp)
-        self.alphas = list(alphas)
-        self.step_logps = list(step_logps)
         self.completed = completed
         self.steps = steps
         self.stopped_early = stopped_early
@@ -405,11 +402,13 @@ def _top_k(flat, k):
     return top[np.argsort(neg[top], kind="stable")[:k]]
 
 
-def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
-    """Shared beam loop for one model or an ensemble.
+def _run_beam(models, sources, trees, encodings, beam_size, max_len):
+    """The beam search, for one model or an ensemble (a model is a
+    one-member ensemble).
 
-    states holds one row-aligned (s [K, H], c [K, H]) array pair per member;
-    step_fn(y_prev ids [K], states) -> (logp [K, V], new states, alpha [K, n]).
+    Member i decodes sources[i] with trees[i] and encodings[i]; each step
+    scores with the log of the members' mean distribution. The live
+    hypotheses are a [K, t] id array and their score vector, best first.
     Scores are raw log-prob sums. Hypotheses that emit EOS enter the
     completed pool; the best completed wins, else the best among the
     max_len-length partials.
@@ -419,45 +418,47 @@ def _run_beam(step_fn, states, beam_size, max_len, vocab_size):
     beat it (a tie keeps the earlier one), and the search stops with the
     result a run to max_len would return.
     """
-    active = [{"ids": (), "logp": 0.0, "step_logps": (), "alphas": ()}]
-    completed = []
-    best_done = -np.inf
-    steps, early = 0, False
-    while steps < max_len:
-        y_prev = np.array([hyp["ids"][-1] if hyp["ids"] else BOS for hyp in active],
-                          dtype=np.int64)
-        logp, states, alpha = step_fn(y_prev, states)
-        steps += 1
-        scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
-        if np.isnan(scores).any():
+    if beam_size < 1 or max_len < 1:
+        raise ValueError("beam_size and max_len must be at least 1")
+    if not len(sources) == len(trees) == len(encodings) == len(models):
+        raise ValueError(f"{len(models)} models need as many sources, trees and encodings")
+    states = []  # per member: (memory, s [K, H], c [K, H])
+    for m, src, tree, enc in zip(models, sources, trees, encodings):
+        src = np.asarray(list(src), dtype=np.int64)
+        if src.size == 0:
+            raise ValueError("empty source sentence")
+        memory, s0 = encode_for_decode(m, src, tree=tree, encoding=enc)
+        states.append((memory, s0.data, np.zeros((1, m.hidden_dim))))
+    ids, scores = np.empty((1, 0), dtype=np.int64), np.zeros(1)
+    best = None  # (ids, score) of the best completed hypothesis
+    for steps in range(1, max_len + 1):
+        y_prev = ids[:, -1] if steps > 1 else np.full(1, BOS, dtype=np.int64)
+        dists, stepped = [], []
+        for m, (memory, s, c) in zip(models, states):
+            dist, s, c, _ = decode_step(y_prev, T.constant(c), T.constant(s), memory, m)
+            dists.append(dist.data)
+            stepped.append((memory, s.data, c.data))
+        with np.errstate(divide="ignore"):
+            flat = (scores[:, None] + np.log(sum(dists) / len(models))).ravel()
+        if np.isnan(flat).any():
             raise FloatingPointError(f"decoder step {steps}: NaN in the hypothesis scores")
-        flat = scores.ravel()
         order = _top_k(flat, min(beam_size, flat.size))
-        new_active, rows = [], []
-        for fi in order:
-            pk, v = divmod(int(fi), vocab_size)
-            parent = active[pk]
-            hyp = {"ids": parent["ids"] + (int(v),),
-                   "logp": float(flat[fi]),
-                   "step_logps": parent["step_logps"] + (float(logp[pk, v]),),
-                   "alphas": parent["alphas"] + (alpha[pk].copy(),)}
-            if v == EOS:
-                completed.append(hyp)
-                best_done = max(best_done, hyp["logp"])
-            else:
-                new_active.append(hyp)
-                rows.append(pk)
-        if not new_active:
+        rows, tokens = np.divmod(order, models[0].tgt_vocab_size)
+        grown = np.concatenate([ids[rows], tokens[:, None]], axis=1)
+        done = tokens == EOS
+        # a step's first completion is its best; a tie keeps the earlier one
+        if done.any() and (best is None or flat[order[done][0]] > best[1]):
+            best = (grown[done][0], flat[order[done][0]])
+        if done.all():
             break
-        active = new_active
-        states = [(s[rows], c[rows]) for s, c in states]
-        if completed and best_done >= active[0]["logp"]:  # live scores descend
-            early = steps < max_len
+        ids, scores, rows = grown[~done], flat[order[~done]], rows[~done]
+        states = [(memory, s[rows], c[rows]) for memory, s, c in stepped]
+        if best is not None and best[1] >= scores[0]:  # live scores descend
             break
 
-    best = max(completed or active, key=lambda hyp: hyp["logp"])
-    return Hypothesis(best["ids"], best["logp"], best["alphas"], best["step_logps"],
-                      bool(completed), steps, early)
+    if best is None:
+        return Hypothesis(ids[0], scores[0], False, steps)
+    return Hypothesis(best[0], best[1], True, steps, bool(steps < max_len and not done.all()))
 
 
 def encode_for_decode(model, ids, tree=None, encoding=None):
@@ -477,21 +478,4 @@ def beam_search(source, model, beam_size, max_len, tree=None, encoding=None):
     including EOS; a hypothesis cut at max_len is returned only when nothing
     completed.
     """
-    if beam_size < 1:
-        raise ValueError("beam_size must be at least 1")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    ids = np.asarray(list(source), dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("empty source sentence")
-    memory, s0 = encode_for_decode(model, ids, tree=tree, encoding=encoding)
-
-    def step(y_prev, states):
-        [(s, c)] = states
-        dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), memory, model)
-        with np.errstate(divide="ignore"):
-            lp = np.log(dist.data)
-        return lp, [(s.data, c.data)], alpha.data
-
-    states = [(s0.data, np.zeros((1, model.hidden_dim)))]
-    return _run_beam(step, states, beam_size, max_len, model.tgt_vocab_size)
+    return _run_beam([model], [source], [tree], [encoding], beam_size, max_len)

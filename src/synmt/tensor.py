@@ -246,9 +246,11 @@ def _reduce_rows(g, which, side):
 def add(a: Tensor, b: Tensor) -> Tensor:
     which = _binary_shapes(a, b, "add")
     out = Tensor(a.data + b.data)
+    need_a, need_b = a.requires_grad, b.requires_grad  # a constant gets None
 
     def bwd(g):
-        return _reduce_rows(g, which, "a"), _reduce_rows(g, which, "b")
+        return (_reduce_rows(g, which, "a") if need_a else None,
+                _reduce_rows(g, which, "b") if need_b else None)
 
     return _record(out, (a, b), bwd)
 
@@ -257,9 +259,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     which = _binary_shapes(a, b, "mul")
     ad, bd = a.data, b.data
     out = Tensor(ad * bd)
+    need_a, need_b = a.requires_grad, b.requires_grad  # a constant gets None
 
     def bwd(g):
-        return _reduce_rows(g * bd, which, "a"), _reduce_rows(g * ad, which, "b")
+        return (_reduce_rows(g * bd, which, "a") if need_a else None,
+                _reduce_rows(g * ad, which, "b") if need_b else None)
 
     return _record(out, (a, b), bwd)
 
@@ -289,9 +293,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ShapeError(f"matmul: batch axes {ad.shape[0]} and {bd.shape[0]} differ")
     out = Tensor(ad @ bd)
+    need_a, need_b = a.requires_grad, b.requires_grad  # a constant gets None
 
     def bwd(g):
-        return Owned(g @ bd.swapaxes(-1, -2)), Owned(ad.swapaxes(-1, -2) @ g)
+        return (Owned(g @ bd.swapaxes(-1, -2)) if need_a else None,
+                Owned(ad.swapaxes(-1, -2) @ g) if need_b else None)
 
     return _record(out, (a, b), bwd)
 
@@ -353,13 +359,14 @@ def concat(parts, axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
+    needs = [p.requires_grad for p in parts]  # a constant part gets None
 
     def bwd(g):
         sl = [slice(None)] * g.ndim
         grads = []
-        for i in range(len(sizes)):
+        for i, need in enumerate(needs):
             sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
+            grads.append(g[tuple(sl)] if need else None)
         return grads
 
     return _record(out, tuple(parts), bwd)
@@ -485,6 +492,7 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
     candidate); U [H, 3H] and b [1, 3H] hold the recurrent weights and biases
     in the same order. Every pre-activation adds (x W + h U) + b. keep, when
     given, is a [B, 1] 0/1 array: rows with 0 carry h through unchanged.
+    A constant h (a zero first state) gets no gradient.
     """
     H = _cell_shapes("gru_cell", xw, h, U, b, 3, 1)
     xd, hd, Ud, bd = xw.data, h.data, U.data, b.data
@@ -498,6 +506,7 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
         keep, inv = _keep_column(keep, hd.shape[0])
         new = new * keep + hd * inv
     out = Tensor(new)
+    need_h = h.requires_grad
 
     def bwd(g):
         carry = None
@@ -508,13 +517,13 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor, b: Tensor, keep=None) -> Tensor:
         grh = ga[:, 2 * H:] @ U_c.T
         ga[:, :H] = g * (cand - hd) * z * (1.0 - z)
         ga[:, H:2 * H] = grh * hd * r * (1.0 - r)
-        gh = g * (1.0 - z) + grh * r + ga[:, :2 * H] @ U_zr.T
-        if carry is not None:
+        gh = (g * (1.0 - z) + grh * r + ga[:, :2 * H] @ U_zr.T) if need_h else None
+        if need_h and carry is not None:
             gh += carry
         gU = np.empty((H, 3 * H))  # the two products written side by side
         np.matmul(hd.T, ga[:, :2 * H], out=gU[:, :2 * H])
         np.matmul(rh.T, ga[:, 2 * H:], out=gU[:, 2 * H:])
-        return ga, Owned(gh), Owned(gU), ga.sum(axis=0, keepdims=True)
+        return ga, Owned(gh) if need_h else None, Owned(gU), ga.sum(axis=0, keepdims=True)
 
     return _record(out, (xw, h, U, b), bwd)
 
@@ -526,7 +535,7 @@ def lstm_cell(xw: Tensor, state: Tensor, U: Tensor, b: Tensor, keep=None) -> Ten
     the gates' W side by side (input | forget | output | cell); U [H, 4H]
     and b [1, 4H] follow the same order. Every pre-activation adds
     (x W + h U) + b. keep, when given, is a [B, 1] 0/1 array: rows with 0
-    carry the state through unchanged.
+    carry the state through unchanged. A constant state gets no gradient.
     """
     H = _cell_shapes("lstm_cell", xw, state, U, b, 4, 2)
     sd, Ud = state.data, U.data
@@ -543,6 +552,7 @@ def lstm_cell(xw: Tensor, state: Tensor, U: Tensor, b: Tensor, keep=None) -> Ten
         keep, inv = _keep_column(keep, sd.shape[0])
         new = new * keep + sd * inv
     out = Tensor(new)
+    need_state = state.requires_grad
 
     def bwd(g):
         carry = None
@@ -555,10 +565,11 @@ def lstm_cell(xw: Tensor, state: Tensor, U: Tensor, b: Tensor, keep=None) -> Ten
         ga[:, H:2 * H] = gc * cd * f * (1.0 - f)
         ga[:, 2 * H:3 * H] = gh * tc * o * (1.0 - o)
         ga[:, 3 * H:] = gc * i * (1.0 - gg * gg)
-        gs = np.concatenate([ga @ Ud.T, gc * f], axis=1)
-        if carry is not None:
+        gs = np.concatenate([ga @ Ud.T, gc * f], axis=1) if need_state else None
+        if need_state and carry is not None:
             gs += carry
-        return ga, Owned(gs), Owned(hd.T @ ga), ga.sum(axis=0, keepdims=True)
+        return (ga, Owned(gs) if need_state else None, Owned(hd.T @ ga),
+                ga.sum(axis=0, keepdims=True))
 
     return _record(out, (xw, state, U, b), bwd)
 

@@ -772,19 +772,36 @@ def argmax_chain(model, source, max_len):
     return ids, logp
 
 
-def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
+def full_length_run_beam(models, sources, trees, encodings, beam_size, max_len):
     """The beam loop without early stop: it runs to max_len, or until no
     hypothesis is live. Same contract as seq2seq._run_beam, kept as the
-    reference that the stopping rule must reproduce exactly.
+    reference that the stopping rule must reproduce exactly. Its hypotheses
+    are dicts of tuples that also carry the chosen token's log-prob at each
+    step (step_logps) and each step's attention row (alphas: the members'
+    mean, or the first member's when their source lengths differ); the
+    returned Hypothesis has both as extra attributes.
     """
     from synmt.seq2seq import Hypothesis
 
+    states = []
+    for m, src, tree, enc in zip(models, sources, trees, encodings):
+        memory, s0 = encode_for_decode(m, list(src), tree=tree, encoding=enc)
+        states.append((memory, s0.data, np.zeros((1, m.hidden_dim))))
+    vocab_size, k = models[0].tgt_vocab_size, len(models)
     active = [{"ids": (), "logp": 0.0, "step_logps": (), "alphas": ()}]
     completed = []
     for _ in range(max_len):
         y_prev = np.array([hyp["ids"][-1] if hyp["ids"] else BOS for hyp in active],
                           dtype=np.int64)
-        logp, states, alpha = step_fn(y_prev, states)
+        dists, alphas, stepped = [], [], []
+        for m, (memory, s, c) in zip(models, states):
+            dist, s, c, alpha = decode_step(y_prev, T.constant(c), T.constant(s), memory, m)
+            dists.append(dist.data)
+            alphas.append(alpha.data)
+            stepped.append((memory, s.data, c.data))
+        with np.errstate(divide="ignore"):
+            logp = np.log(sum(dists) / k)
+        alpha = sum(alphas) / k if len({a.shape[1] for a in alphas}) == 1 else alphas[0]
         scores = np.array([hyp["logp"] for hyp in active])[:, None] + logp
         flat = scores.ravel()
         order = np.argsort(-flat, kind="stable")[:min(beam_size, flat.size)]
@@ -805,15 +822,27 @@ def full_length_run_beam(step_fn, states, beam_size, max_len, vocab_size):
             active = []
             break
         active = new_active
-        states = [(s[rows], c[rows]) for s, c in states]
+        states = [(memory, s[rows], c[rows]) for memory, s, c in stepped]
 
     def build(hyp, done):
-        return Hypothesis(hyp["ids"], hyp["logp"], hyp["alphas"], hyp["step_logps"], done)
+        out = Hypothesis(hyp["ids"], hyp["logp"], done)
+        out.step_logps, out.alphas = list(hyp["step_logps"]), list(hyp["alphas"])
+        return out
 
     if completed:
         return build(max(completed, key=lambda hyp: hyp["logp"]), True)
-    k = max(range(len(active)), key=lambda i: active[i]["logp"])
-    return build(active[k], False)
+    return build(max(active, key=lambda hyp: hyp["logp"]), False)
+
+
+def sharpen(model, gain, eos_bias=0.0):
+    """Scale every weight of an untrained translator by gain and add eos_bias
+    to EOS's output bias. Sharper distributions tie each step to the decoded
+    prefix, so hypotheses of an untrained model differ in length and a later
+    completion can beat an earlier one."""
+    for _, param in model.table.items():
+        param.data *= gain
+    model.table["out.logits.b"].data[0, EOS] += eos_bias
+    return model
 
 
 @contextmanager

@@ -16,6 +16,7 @@ from synmt.seq2seq import TranslationModel, beam_search, decode_step, \
     encode_for_decode, train_step
 
 from bleu_reference import reference_bleu
+from helpers import full_length_beam, sharpen
 
 FIX_HYPS = ["the cat sat on the mat", "a dog barks", "green ideas sleep furiously here"]
 FIX_REFS = ["the cat sat on a mat", "a dog barks", "colorless green ideas sleep furiously"]
@@ -230,6 +231,39 @@ class TestDumpAlignments:
             assert a.attn == b.attn
 
 
+class TestAlignmentsMatchTheSearch:
+    """dump_alignments replays the greedy output through the decoder; its
+    ids and rows equal, to the bit, those that the full-length reference
+    loop carries at beam 1."""
+
+    @pytest.mark.parametrize("mode", ["none", "tree-rnn", "sawr"])
+    def test_records_equal_the_reference_at_beam_one(self, mode):
+        src_vocab, tgt_vocab = word_vocabs()
+        rng = np.random.default_rng(5)
+        lens = [1, 2, 3, 4, 5, 6, 3, 2]
+        sources = [" ".join(f"s{k}" for k in rng.integers(0, 9, n)) for n in lens]
+        trees = [DependencyTree([0] + list(range(1, n))) for n in lens]  # chains
+        encodings = [rng.normal(size=(n, 5)) for n in lens]
+        kw = {"none": {}, "tree-rnn": {"trees": trees}, "sawr": {"encodings": encodings}}[mode]
+        ended, cut = 0, 0
+        for seed in range(4):
+            model = sharpen(TranslationModel(13, 9, mode=mode, emb_dim=6, hidden_dim=8,
+                                             sawr_dim=4, sawr_in_dim=5, dropout=0.0,
+                                             seed=seed), 15.0, eos_bias=1.0)
+            records = dump_alignments(model, sources, src_vocab, tgt_vocab, max_len=7, **kw)
+            assert len(records) == len(sources)
+            for i, rec in enumerate(records):
+                with full_length_beam():
+                    ref = beam_search(src_vocab.ids(rec.src), model, 1, 7,
+                                      tree=trees[i] if "trees" in kw else None,
+                                      encoding=encodings[i] if "encodings" in kw else None)
+                assert rec.tgt == tgt_vocab.tokens(ref.ids, strip_reserved=False)
+                assert np.array(rec.attn).tobytes() == np.array(ref.alphas).tobytes()
+                ended += ref.completed
+                cut += not ref.completed and len(ref.ids) == 7
+        assert ended and cut  # hypotheses that end in EOS and ones cut at max_len
+
+
 class TestEnsembleDecode:
     def test_single_model_reduces_exactly_to_beam_search(self):
         m = tiny_model(seed=6)
@@ -268,13 +302,26 @@ class TestEnsembleDecode:
             dists.append(dist.data[0])
         mean = (dists[0] + dists[1]) / 2
         hyp = ensemble_decode([ma, mb], [4, 5, 6], 1, 1)
-        assert hyp.step_logps[0] == pytest.approx(np.log(mean[hyp.ids[0]]), abs=1e-12)
+        with full_length_beam():
+            ref = ensemble_decode([ma, mb], [4, 5, 6], 1, 1)
+        assert (ref.ids, ref.logp) == (hyp.ids, hyp.logp)
+        assert ref.step_logps[0] == pytest.approx(np.log(mean[hyp.ids[0]]), abs=1e-12)
 
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
             ensemble_decode([tiny_model(tgt=9), tiny_model(tgt=10)], [4, 5], 2, 4)
         with pytest.raises(ValueError, match="at least one"):
             ensemble_decode([], [4, 5], 2, 4)
+
+    def test_per_model_lists_must_cover_every_member(self):
+        # a short list used to drop members silently while the mean still
+        # divided by every model
+        models = [tiny_model(seed=1), tiny_model(seed=2)]
+        for kw in ({"trees": [None]}, {"encodings": [None] * 3}):
+            with pytest.raises(ValueError, match="2 models need as many"):
+                ensemble_decode(models, [4, 5, 6], 1, 3, **kw)
+        with pytest.raises(ValueError, match="2 models need as many"):
+            ensemble_decode(models, [[4, 5, 6]], 1, 3)
 
     def test_hybrid_syntax_modes_in_one_call(self):
         tree = DependencyTree([2, 0, 2], ["det", "root", "obj"])
@@ -287,21 +334,31 @@ class TestEnsembleDecode:
         lin_m = TranslationModel(25, 9, mode="tree-linearized", emb_dim=6,
                                  hidden_dim=8, dropout=0.0, seed=11)
         lin_ids = [7, 8, 9, 10, 11, 12, 13, 14, 15]  # 3n bracketed symbols
-        hyp = ensemble_decode(
-            [plain, tree_m, sawr_m, lin_m],
-            [[4, 5, 6], [4, 5, 6], [4, 5, 6], lin_ids],
-            beam_size=2, max_len=6,
-            trees=[None, tree, None, None],
-            encodings=[None, None, encoding, None])
+
+        def decode():
+            return ensemble_decode(
+                [plain, tree_m, sawr_m, lin_m],
+                [[4, 5, 6], [4, 5, 6], [4, 5, 6], lin_ids],
+                beam_size=2, max_len=6,
+                trees=[None, tree, None, None],
+                encodings=[None, None, encoding, None])
+
+        hyp = decode()
+        with full_length_beam():
+            ref = decode()
         assert len(hyp.ids) >= 1
-        assert abs(hyp.logp - sum(hyp.step_logps)) < 1e-12
-        for row in hyp.alphas:
+        assert (ref.ids, ref.logp) == (hyp.ids, hyp.logp)
+        assert abs(ref.logp - sum(ref.step_logps)) < 1e-12
+        for row in ref.alphas:
             assert abs(row.sum() - 1.0) < 1e-6
 
     def test_combined_distribution_sums_to_one_each_step(self):
         models = [tiny_model(seed=s) for s in (12, 13)]
         hyp = ensemble_decode(models, [4, 5, 6], 3, 6)
+        with full_length_beam():
+            ref = ensemble_decode(models, [4, 5, 6], 3, 6)
+        assert (ref.ids, ref.logp) == (hyp.ids, hyp.logp)
         # per-step chosen log-probs must come from a normalized distribution;
         # exp of any logp must be a valid probability
-        for lp in hyp.step_logps:
+        for lp in ref.step_logps:
             assert 0.0 < np.exp(lp) <= 1.0

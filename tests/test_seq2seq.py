@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synmt import nn
+from synmt import nn, seq2seq
 from synmt import tensor as T
 from synmt.checkpoint import load_checkpoint
 from synmt.data import BOS, EOS, Batch, filter_and_batch
@@ -23,7 +23,7 @@ from synmt.seq2seq import (TranslationModel, _top_k, attend, attention_keys, bea
 from helpers import argmax_chain, enumerate_best  # shared with the acceptance suite
 from helpers import (BAD_METAS, dense_backward, edit_entries, edit_meta, full_length_beam,
                      gru_step, log, per_gate_layout, per_step_sequence_loss, pick, records_on,
-                     rewrite_meta, state_dict, watch_outputs)
+                     rewrite_meta, sharpen, state_dict, watch_outputs)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -415,11 +415,16 @@ class TestBeamSearch:
         assert kept >= 5  # the comparison must actually trigger on most models
 
     def test_score_is_sum_of_step_logprobs(self):
+        # the full-length reference carries each step's log-prob and
+        # attention row, and returns the search's own hypothesis
         m = tiny_model(seed=10)
         hyp = beam_search([4, 5, 6], m, 4, 10)
-        assert abs(hyp.logp - sum(hyp.step_logps)) < 1e-12
-        assert len(hyp.alphas) == len(hyp.ids) == len(hyp.step_logps)
-        for row in hyp.alphas:
+        with full_length_beam():
+            ref = beam_search([4, 5, 6], m, 4, 10)
+        assert (ref.ids, ref.logp) == (hyp.ids, hyp.logp)
+        assert abs(ref.logp - sum(ref.step_logps)) < 1e-12
+        assert len(ref.alphas) == len(ref.ids) == len(ref.step_logps)
+        for row in ref.alphas:
             assert abs(row.sum() - 1.0) < 1e-6
 
     def test_unreachable_eos_returns_full_length_partial(self):
@@ -471,11 +476,8 @@ class TestEarlyStop:
         # Untrained models. Scaling every weight sharpens the distributions
         # and ties them to the decoded prefix, so a later completion can beat
         # an earlier one; the EOS bias varies how soon hypotheses finish.
-        models = [tiny_model(seed=seed + k, tgt=tgt) for k in range(members)]
-        for m in models:
-            for _, param in m.table.items():
-                param.data *= gain
-            m.table["out.logits.b"].data[0, EOS] += eos_bias
+        models = [sharpen(tiny_model(seed=seed + k, tgt=tgt), gain, eos_bias)
+                  for k in range(members)]
 
         def search():
             if members == 1:
@@ -488,10 +490,8 @@ class TestEarlyStop:
         assert hyp.ids == ref.ids
         assert hyp.logp == ref.logp
         assert hyp.completed == ref.completed
-        assert hyp.step_logps == ref.step_logps
-        assert all(lp <= 0.0 for lp in hyp.step_logps)
-        assert len(hyp.alphas) == len(ref.alphas)
-        assert all(map(np.array_equal, hyp.alphas, ref.alphas))
+        assert all(lp <= 0.0 for lp in ref.step_logps)
+        assert len(ref.step_logps) == len(ref.alphas) == len(hyp.ids)
         assert len(hyp.ids) <= hyp.steps <= max_len
         if hyp.stopped_early:
             assert hyp.completed and hyp.steps < max_len
@@ -507,6 +507,35 @@ class TestEarlyStop:
             hyp = beam_search([4, 5, 6], tiny_model(seed=seed), 1, 12)
             assert hyp.steps == len(hyp.ids)
             assert not hyp.stopped_early
+
+
+class TestDecoderStepCount:
+    """The bench's decoder_steps_per_sent is decode_step calls over members:
+    one search step calls every member's decode_step once."""
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    def test_calls_are_members_times_steps(self, monkeypatch, members):
+        calls, real_step = [0], seq2seq.decode_step
+
+        def counting_step(*args, **kwargs):
+            calls[0] += 1
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, "decode_step", counting_step)
+        early = {1: set(), 5: set()}
+        for seed in range(4):
+            models = [sharpen(tiny_model(seed=seed + k), 15.0, eos_bias=seed % 2)
+                      for k in range(members)]
+            for source in ([4, 5, 6], [7, 8], [9, 10, 11, 12, 4], [6]):
+                for beam in (1, 5):
+                    before = calls[0]
+                    if members == 1:
+                        hyp = beam_search(source, models[0], beam, 6)
+                    else:
+                        hyp = ensemble_decode(models, source, beam, 6)
+                    assert calls[0] - before == members * hyp.steps
+                    early[beam].add(hyp.stopped_early)
+        assert early == {1: {False}, 5: {False, True}}
 
 
 class TestOneGatherPerTable:
@@ -633,6 +662,39 @@ class TestTapeMemory:
         grads = m.table.gradients()
         assert len(grads) == len(reference)
         for name, g in grads.items():
+            assert g.tobytes() == reference[id(m.table[name])].tobytes(), name
+
+    def test_constant_leaves_get_no_gradient(self, monkeypatch):
+        # sawr with cached rows and dropout: the dropout masks, the zero
+        # first context and encoder state, the cached parser rows, the
+        # padding bias and the target mask are constants, and no backward
+        # computes an array for one; the gradients keep their bits
+        rng = np.random.default_rng(3)
+        lens = [5, 3, 4]
+        m = tiny_model(mode="sawr", seed=3, dropout=0.2, sawr_dim=4, sawr_in_dim=6)
+        batch = Batch([list(rng.integers(4, 13, n)) for n in lens],
+                      [list(rng.integers(4, 9, n - 1)) + [EOS] for n in lens],
+                      encodings=[rng.normal(size=(n, 6)) for n in lens])
+        constants, given = [], []
+        pass_on = T._pass_on
+
+        def spy(grads, inputs, input_grads):
+            for spec, ig in zip(inputs, input_grads):
+                if type(spec) is not tuple and not spec.requires_grad:
+                    constants.append(spec.shape)
+                    given.append(ig)
+            return pass_on(grads, inputs, input_grads)
+
+        monkeypatch.setattr(T, "_pass_on", spy)
+        with T.Tape():
+            loss = sequence_loss(batch, m)
+            reference = dense_backward(loss)
+            T.backward(loss)
+        # padding bias, zero encoder states, zero context, target mask,
+        # cached rows and dropout mask (5 target steps, 3 sentences)
+        assert sorted(set(constants)) == [(3, 1, 5), (3, 4), (3, 8), (15, 1), (15, 6), (15, 8)]
+        assert all(ig is None for ig in given)
+        for name, g in m.table.gradients().items():
             assert g.tobytes() == reference[id(m.table[name])].tobytes(), name
 
     def test_live_bytes_at_backward_start_stay_bounded(self):

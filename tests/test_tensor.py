@@ -450,6 +450,56 @@ class TestFusedCells:
             op(*operands, np.ones((3, 1)))
 
 
+# op, operand shapes, and which operands may be constants: a fused cell's
+# weights and input product always need a gradient where it is recorded
+CONSTANT_CASES = {
+    "add": (T.add, [(3, 4), (3, 4)], (0, 1)),
+    "add-bias-row": (T.add, [(3, 4), (1, 4)], (0, 1)),
+    "mul": (T.mul, [(3, 4), (3, 4)], (0, 1)),
+    "mul-bias-row": (T.mul, [(1, 4), (3, 4)], (0, 1)),
+    "matmul": (T.matmul, [(3, 4), (4, 2)], (0, 1)),
+    "matmul-stack": (T.matmul, [(2, 3, 4), (2, 4, 5)], (0, 1)),
+    "concat": (lambda *xs: T.concat(xs, axis=0), [(2, 4), (1, 4), (3, 4)], (0, 1, 2)),
+    "gru_cell": (T.gru_cell, [(2, 9), (2, 3), (3, 9), (1, 9)], (1,)),
+    "lstm_cell": (T.lstm_cell, [(2, 12), (2, 6), (3, 12), (1, 12)], (1,)),
+}
+
+
+class TestConstantInputs:
+    """A backward computes no gradient for an input that needs none: it
+    returns None there, and the other inputs' gradients keep their bits."""
+
+    @pytest.mark.parametrize("name", list(CONSTANT_CASES))
+    def test_a_constant_input_gets_none(self, monkeypatch, name):
+        op, shapes, may_be_constant = CONSTANT_CASES[name]
+        rng = T.make_rng(41)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        given, pass_on = [], T._pass_on
+
+        def spy(grads, inputs, input_grads):
+            input_grads = list(input_grads)
+            given.extend(ig for spec, ig in zip(inputs, input_grads)
+                         if type(spec) is not tuple and not spec.requires_grad)
+            return pass_on(grads, inputs, input_grads)
+
+        monkeypatch.setattr(T, "_pass_on", spy)
+
+        def grads(constant):
+            xs = [leaf(a, rg=i != constant) for i, a in enumerate(arrays)]
+            with T.Tape():
+                T.backward(T.sum_all(T.tanh(op(*xs))))
+            return [x.grad for x in xs]
+
+        full = grads(None)
+        for constant in may_be_constant:
+            got = grads(constant)
+            assert got[constant] is None
+            assert all(g.tobytes() == f.tobytes()
+                       for i, (g, f) in enumerate(zip(got, full)) if i != constant)
+        assert len(given) == len(may_be_constant)
+        assert all(ig is None for ig in given)
+
+
 class TestSliceGradientBuffer:
     def test_matches_the_dense_reference_when_add_shares_its_gradient(self):
         # add hands one array to both of its inputs. Records made before the
