@@ -35,6 +35,7 @@ from .errors import DataError
 MAGIC = b"SAWRCKPT"
 VERSION = 1
 _PREC_BY_TAG = {0: "<f8", 1: "<f4", 2: "<u1"}
+_NATIVE_BY_TAG = {0: np.float64, 1: np.float32, 2: np.uint8}
 _BYTES_TAG = 2
 
 
@@ -60,22 +61,33 @@ def save_checkpoint(path, state: dict[str, np.ndarray]):
             f.write(arr.data)
 
 
-class BlobReader:
-    """Cursor over a file's bytes that checks every length against what is left.
+class FileReader:
+    """Cursor over an open binary file that checks every length against what
+    is left of it.
 
     A read past the end raises DataError naming the path and the byte offset.
     """
 
-    def __init__(self, path, blob, off=0):
-        self.path, self.blob, self.off = path, blob, off
+    def __init__(self, path, f, off=0):
+        self.path, self.f, self.off = path, f, off
+        self.size = os.fstat(f.fileno()).st_size
+        f.seek(off)
 
-    def take(self, n):
-        left = len(self.blob) - self.off
+    def claim(self, n):
+        """Move past the next n bytes, which must be there."""
+        left = self.size - self.off
         if n > left:
             raise DataError(f"{self.path}: truncated at byte {self.off} "
                             f"({n} bytes needed, {left} left)")
         self.off += n
-        return self.blob[self.off - n:self.off]
+
+    def take(self, n) -> bytes:
+        self.claim(n)
+        return self.f.read(n)
+
+    def fill(self, arr: np.ndarray):
+        """Read arr's bytes, claimed already, straight into a fresh arr."""
+        self.f.readinto(arr.reshape(-1).view(np.uint8))
 
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -89,42 +101,40 @@ class BlobReader:
                             f"{start + exc.start}") from None
 
     def finish(self):
-        if self.off != len(self.blob):
-            raise DataError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
+        if self.off != self.size:
+            raise DataError(f"{self.path}: {self.size - self.off} trailing bytes")
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Every entry of a checkpoint, by name, each copied once out of the file's
-    bytes; a malformed file, a repeated name included, is a DataError."""
+    """Every entry of a checkpoint, by name, each read from the file straight
+    into its own array, so loading holds the entries once and no copy of the
+    file; a malformed file, a repeated name included, is a DataError."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic)")
-    r = BlobReader(path, memoryview(blob), 8)  # its slices are views, not copies
-    version, count = r.unpack("<II")
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.text(name_len)
-        if name in state:
-            raise DataError(f"{path}: entry {name!r} appears twice")
-        tag, ndim = r.unpack("<BB")
-        if tag not in _PREC_BY_TAG:
-            raise DataError(f"{path}: unknown precision tag {tag} for {name}")
-        shape = r.unpack(f"<{ndim}I")
-        dtype = np.dtype(_PREC_BY_TAG[tag])
-        raw = r.take(math.prod(shape) * dtype.itemsize)
-        try:  # an empty entry can still name more axes, or elements, than numpy allows
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-        except ValueError as exc:
-            raise DataError(f"{path}: entry {name!r} has an unusable shape ({exc})") from None
-        if tag == _BYTES_TAG:
-            state[name] = arr.copy()
-        else:
-            state[name] = arr.astype(np.float64) if tag == 0 else arr.astype(np.float32)
-    r.finish()
+        if f.read(8) != MAGIC:
+            raise DataError(f"{path}: not a checkpoint (bad magic)")
+        r = FileReader(path, f, 8)
+        version, count = r.unpack("<II")
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        state: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = r.unpack("<H")
+            name = r.text(name_len)
+            if name in state:
+                raise DataError(f"{path}: entry {name!r} appears twice")
+            tag, ndim = r.unpack("<BB")
+            if tag not in _PREC_BY_TAG:
+                raise DataError(f"{path}: unknown precision tag {tag} for {name}")
+            shape = r.unpack(f"<{ndim}I")
+            dtype = np.dtype(_PREC_BY_TAG[tag])
+            r.claim(math.prod(shape) * dtype.itemsize)
+            try:  # an empty entry can still name more axes, or elements, than numpy allows
+                arr = np.empty(shape, dtype=dtype)
+            except ValueError as exc:
+                raise DataError(f"{path}: entry {name!r} has an unusable shape ({exc})") from None
+            r.fill(arr)
+            state[name] = arr.astype(_NATIVE_BY_TAG[tag], copy=False)  # a no-op on little-endian
+        r.finish()
     return state
 
 

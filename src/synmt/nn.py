@@ -7,6 +7,8 @@ subtrees be frozen by prefix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -74,8 +76,10 @@ class ParamTable:
                 n += 1
         return n
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Accumulated gradients of the trainable parameters that received one."""
+    def gradients(self) -> dict[str, "np.ndarray | T.RowGrad"]:
+        """Accumulated gradients of the trainable parameters that received
+        one: a T.RowGrad for a table that take_rows read by rows only (see
+        tensor.take_rows), else an ndarray."""
         return {name: t.grad for name, t in self._params.items()
                 if t.requires_grad and t.grad is not None}
 
@@ -235,10 +239,14 @@ def dropout(x: Tensor, ratio: float, mode: str, rng) -> Tensor:
 NORM_LEAF = 2 ** 17
 
 
-def _sum_squares(rows: np.ndarray, lo: int, hi: int) -> float:
+def _sum_squares(rows, lo: int, hi: int) -> float:
     """np.sum(x * x) over elements lo..hi-1 of the 2-D rows in row-major order,
     split at numpy's pairwise points (half, rounded down to a multiple of 8)
     until a part holds at most NORM_LEAF elements.
+
+    rows may be a T.RowGrad: a part is then made dense only when it holds a
+    stored row, and a part without one adds exactly the 0.0 that np.sum of
+    its zeros gives.
 
     The bits match np.sum's only while numpy sums a contiguous array in one
     unbuffered pairwise pass with that split, as numpy 2.4 does (the
@@ -251,26 +259,40 @@ def _sum_squares(rows: np.ndarray, lo: int, hi: int) -> float:
         return _sum_squares(rows, lo, lo + half) + _sum_squares(rows, lo + half, hi)
     cols = rows.shape[1]
     first, last = lo // cols, -(-hi // cols)
-    part = rows[first:last]
+    if type(rows) is T.RowGrad:
+        a, b = np.searchsorted(rows.rows, (first, last))
+        if a == b:
+            return 0.0
+        part = np.zeros((last - first, cols))
+        part[rows.rows[a:b] - first] = rows.values[a:b]
+    else:
+        part = rows[first:last]
     return np.sum((part * part).reshape(-1)[lo - first * cols:hi - first * cols])
 
 
-def grad_norm(grads: dict[str, np.ndarray], terms) -> float:
-    """Global L2 norm of grads, summed over terms (ParamTable.norm_terms) in order.
+def grad_norm(grads: dict, terms) -> float:
+    """Global L2 norm of grads (ndarrays or T.RowGrads), summed over terms
+    (ParamTable.norm_terms) in order.
 
-    Each term adds np.sum(blk * blk), to the bit (see _sum_squares), squared
-    at most NORM_LEAF elements at a time, in the order np.sum would read it.
+    Each term adds np.sum(blk * blk) of its dense block, to the bit (see
+    _sum_squares), squared at most NORM_LEAF elements at a time, in the order
+    np.sum would read it.
     """
     total = 0.0
     for name, cols in terms:
         if name in grads:
-            blk = grads[name][..., cols]
-            rows = blk.reshape(-1, blk.shape[-1] if blk.ndim > 1 else 1)
-            if rows.strides[0] < rows.strides[1]:
-                # column-major (a gradient that came through a transpose, as
-                # att.W's does): np.sum reads it in memory order
-                rows = rows.T
-            total += float(_sum_squares(rows, 0, rows.size))
+            g = grads[name]
+            if type(g) is T.RowGrad:
+                values = g.values[:, cols]
+                rows = T.RowGrad(g.rows, values, (g.shape[0], values.shape[1]))
+            else:
+                blk = g[..., cols]
+                rows = blk.reshape(-1, blk.shape[-1] if blk.ndim > 1 else 1)
+                if rows.strides[0] < rows.strides[1]:
+                    # column-major (a gradient that came through a transpose, as
+                    # att.W's does): np.sum reads it in memory order
+                    rows = rows.T
+            total += float(_sum_squares(rows, 0, math.prod(rows.shape)))
     return float(np.sqrt(total))
 
 
@@ -287,6 +309,15 @@ class Adam:
     """Bias-corrected Adam under a global gradient-norm clip, on a ParamTable.
 
     m and v map a parameter name to its moment arrays and t counts steps.
+    A parameter whose gradients are T.RowGrads has moments only for the rows
+    some gradient of it has held: rows maps its name to those rows, sorted,
+    and its m and v are [len(rows), cols], row i for parameter row rows[i].
+    Any other row has g = m = v = 0, for which the update leaves m, v and
+    the parameter exactly as they are, so it is skipped. Once the rows cover
+    half the table (the compact form then saves at most half), or a dense
+    gradient arrives, the name leaves rows and its m and v take the
+    parameter's shape, zero in the rows not held; the update of every row
+    is then exact as well.
     owned maps a name to the array that update copied into place and updates
     in place; the update never writes into an array it did not allocate.
     """
@@ -302,6 +333,7 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.rows: dict[str, np.ndarray] = {}
         self.owned: dict[str, np.ndarray] = {}
 
     def step(self) -> float:
@@ -321,15 +353,18 @@ class Adam:
         self.table.zero_grad()
         return norm
 
-    def update(self, grads: dict[str, np.ndarray], factor: float | None = None):
-        """One Adam update from grads, each scaled by factor when given, in
-        place on the parameter tensors; grads themselves are never written.
+    def update(self, grads: dict, factor: float | None = None):
+        """One Adam update from grads (ndarrays or T.RowGrads), each scaled
+        by factor when given, in place on the parameter tensors; grads
+        themselves are never written.
 
         Per element, in this order: g = g·factor, m += (g - m)·(1-β1),
         v += (g·g - v)·(1-β2), p -= lr·(m/c1) / (sqrt(v/c2) + ε). It runs about
         ADAM_BLOCK elements at a time (whole rows of the last axis; one row
         when a row is longer) through three scratch blocks, so it allocates
-        nothing parameter-sized after the first step. A parameter's array is
+        nothing parameter-sized after the first step. A RowGrad's block is
+        written into scratch, zero off its rows; a row-tracked parameter's
+        block of rows is gathered and written back. A parameter's array is
         copied on its first update, and again whenever something has rebound
         .data since, so arrays handed in from outside (a constructor's input,
         a loaded state) never change.
@@ -345,23 +380,30 @@ class Adam:
                                  f"shape {p.data.shape} for {name}")
             if self.owned.get(name) is not p.data:
                 p.data = self.owned[name] = p.data.copy()
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p.data)
-            v = self.v.get(name)
-            if v is None:
-                v = self.v[name] = np.zeros_like(p.data)
+            rows, at = self._moments(name, g, p.data.shape)
             # blocks of whole rows, which read a column slice of a wider
             # array (one a backward may hand over) without a copy
-            cols = g.shape[-1] if g.ndim > 1 else 1
-            g2, m2, v2, p2 = (a.reshape(-1, cols) for a in (g, m, v, p.data))
+            cols = g.shape[-1] if len(g.shape) > 1 else 1
+            m2, v2, p2 = (a.reshape(-1, cols) for a in (self.m[name], self.v[name], p.data))
+            if at is None:
+                g2 = g.reshape(-1, cols)
             k = max(1, ADAM_BLOCK // cols)  # rows per block
-            s, d, u = (np.empty((min(k, len(g2)), cols)) for _ in range(3))
-            for lo in range(0, len(g2), k):
-                gb, mb, vb, pb = g2[lo:lo + k], m2[lo:lo + k], v2[lo:lo + k], p2[lo:lo + k]
-                sb, db = s[:len(gb)], d[:len(gb)]
-                if factor is not None:
-                    gb = np.multiply(gb, factor, out=u[:len(gb)])
+            s, d, u = (np.empty((min(k, len(m2)), cols)) for _ in range(3))
+            for lo in range(0, len(m2), k):
+                mb, vb = m2[lo:lo + k], v2[lo:lo + k]
+                sb, db, ub = s[:len(mb)], d[:len(mb)], u[:len(mb)]
+                if at is None:
+                    gb = g2[lo:lo + k]
+                    if factor is not None:
+                        gb = np.multiply(gb, factor, out=ub)
+                else:
+                    a, z = np.searchsorted(at, (lo, lo + k))
+                    gb = ub
+                    gb.fill(0.0)
+                    gb[at[a:z] - lo] = g.values[a:z]
+                    if factor is not None:
+                        gb *= factor
+                pb = p2[lo:lo + k] if rows is None else p2[rows[lo:lo + k]]
                 np.subtract(gb, mb, out=sb)
                 sb *= 1.0 - b1
                 mb += sb
@@ -376,3 +418,42 @@ class Adam:
                 db += ADAM_EPS
                 sb /= db
                 pb -= sb
+                if rows is not None:
+                    p2[rows[lo:lo + k]] = pb
+
+    def _moments(self, name: str, g, shape):
+        """Make or grow name's m and v for gradient g. Returns the parameter
+        rows they hold (None: every row, in order) and where g's stored rows
+        sit in them (None for a dense g)."""
+        sparse = type(g) is T.RowGrad
+        full_at = g.rows if sparse else None  # where g's rows sit in dense moments
+        rows = self.rows.get(name)
+        if name not in self.m:
+            if not sparse:
+                self.m[name], self.v[name] = np.zeros(shape), np.zeros(shape)
+                return None, None
+            rows = g.rows[:0]
+            self.m[name], self.v[name] = np.zeros((0, shape[1])), np.zeros((0, shape[1]))
+        if rows is None:
+            return None, full_at
+        if sparse:
+            at = np.searchsorted(rows, g.rows)
+            if len(at) and (at[-1] == len(rows) or not np.array_equal(rows[at], g.rows)):
+                grown = np.union1d(rows, g.rows)
+                self._place(name, np.searchsorted(grown, rows), (len(grown), shape[1]))
+                rows, at = grown, np.searchsorted(grown, g.rows)
+            if 2 * len(rows) < shape[0]:
+                self.rows[name] = rows
+                return rows, at
+        # a dense gradient, or rows that cover half the table: m and v take
+        # the parameter's shape from here on, zero in the rows not held
+        self._place(name, rows, shape)
+        self.rows.pop(name, None)
+        return None, full_at
+
+    def _place(self, name: str, at, shape):
+        """Move name's m and v into rows at of new zero arrays of shape."""
+        for moments in (self.m, self.v):
+            grown = np.zeros(shape)
+            grown[at] = moments[name]
+            moments[name] = grown

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import depparse, nn
 from . import tensor as T
-from .checkpoint import BlobReader, open_new
+from .checkpoint import FileReader, open_new
 from .errors import DataError, ShapeError, StateError
 
 
@@ -217,25 +217,25 @@ def write_sawr_cache(path, encodings, parser_hash):
 def read_sawr_cache(path, parser_hash=None):
     """Load cached encodings; refuses a cache from a different parser."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != CACHE_MAGIC:
-        raise DataError(f"{path}: not a SAWR cache (bad magic)")
-    r = BlobReader(path, blob, 8)
-    version, hash_len = r.unpack("<IH")
-    if version != CACHE_VERSION:
-        raise DataError(f"{path}: unsupported cache version {version}")
-    stored_hash = r.text(hash_len, "ascii")
-    if parser_hash is not None and stored_hash != parser_hash:
-        raise DataError(
-            f"{path}: cache was built from parser checkpoint {stored_hash[:12]}..., "
-            f"expected {parser_hash[:12]}...; re-run the extraction")
-    (count,) = r.unpack("<I")
-    encodings = []
-    for k in range(count):
-        idx, n, dim = r.unpack("<III")
-        if idx != k:
-            raise DataError(f"{path}: record {k} carries index {idx}")
-        encodings.append(np.frombuffer(r.take(n * dim * 8), dtype="<f8")
-                         .reshape(n, dim).copy())
-    r.finish()
+        if f.read(8) != CACHE_MAGIC:
+            raise DataError(f"{path}: not a SAWR cache (bad magic)")
+        r = FileReader(path, f, 8)
+        version, hash_len = r.unpack("<IH")
+        if version != CACHE_VERSION:
+            raise DataError(f"{path}: unsupported cache version {version}")
+        stored_hash = r.text(hash_len, "ascii")
+        if parser_hash is not None and stored_hash != parser_hash:
+            raise DataError(
+                f"{path}: cache was built from parser checkpoint {stored_hash[:12]}..., "
+                f"expected {parser_hash[:12]}...; re-run the extraction")
+        (count,) = r.unpack("<I")
+        encodings = []
+        for k in range(count):
+            idx, n, dim = r.unpack("<III")
+            if idx != k:
+                raise DataError(f"{path}: record {k} carries index {idx}")
+            r.claim(n * dim * 8)
+            encodings.append(np.empty((n, dim), dtype="<f8"))
+            r.fill(encodings[-1])
+        r.finish()
     return encodings, stored_hash

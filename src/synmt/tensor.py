@@ -14,7 +14,9 @@ drops whatever the sweep did not reach::
 A record keeps node ids for the tensors its tape produced and the tensors
 themselves only for leaves, so an op's arrays live while its backward needs
 them (or the caller holds them), not until the sweep. ``slice_axis`` returns
-a view of its input's array.
+a view of its input's array. A leaf that only ``take_rows`` reads, each
+time with fewer ids than half its rows (a wide embedding table), gets a
+``RowGrad``, which holds the rows read and no others.
 
 All randomness in the package flows through numpy's PCG64 generator via
 ``make_rng`` so that every run is reproducible from explicit seeds.
@@ -83,7 +85,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None  # ndarray of self.shape once backward has run
+        self.grad = None  # ndarray or RowGrad of self.shape once backward has run
         self.tape = None  # tape that recorded the op producing this tensor
         self.node = None  # this tensor's node id on that tape
 
@@ -138,6 +140,51 @@ class SliceGrad:
         self.value = value
 
 
+class RowGrad:
+    """Gradient of a matrix that is zero outside some rows: rows (sorted,
+    unique int64), values [len(rows), cols] holding those rows in order, and
+    the matrix's shape.
+
+    ``take_rows``' backward returns one for a leaf read with few ids (a
+    wide embedding table). ``backward`` merges the reads of one leaf by row,
+    and writes them into a dense buffer once the leaf also gets a dense
+    gradient. Every stored value is a sum that starts from +0.0, so
+    never -0.0: adding a zero leaves it as it is, and a row-wise sum has the
+    dense sum's bits.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows, values, shape):
+        self.rows = rows
+        self.values = values
+        self.shape = tuple(shape)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+
+def add_grads(a, b):
+    """a + b, in a new array, for gradients each an ndarray or a RowGrad;
+    two RowGrads give a RowGrad over the union of their rows."""
+    if type(a) is not RowGrad and type(b) is not RowGrad:
+        return a + b
+    if type(a) is not RowGrad or type(b) is not RowGrad:
+        dense, sparse = (b, a) if type(a) is RowGrad else (a, b)
+        out = dense.copy()
+        out[sparse.rows] += sparse.values
+        return out
+    if np.array_equal(a.rows, b.rows):
+        return RowGrad(a.rows, a.values + b.values, a.shape)
+    rows = np.union1d(a.rows, b.rows)
+    values = np.zeros((len(rows), a.values.shape[1]))
+    values[np.searchsorted(rows, a.rows)] += a.values
+    values[np.searchsorted(rows, b.rows)] += b.values
+    return RowGrad(rows, values, a.shape)
+
+
 class Owned:
     """An input gradient that its backward allocated for that input alone
     (a product, say) and keeps no other reference to: ``backward`` may add
@@ -165,6 +212,10 @@ def backward(loss: Tensor):
     an op handed over as ``Owned``: an op may hand one gradient array to
     several inputs (``add`` does), so any other array an op returned is
     never written to.
+
+    A leaf whose every read is a ``take_rows`` that returns a RowGrad gets
+    a RowGrad of the rows read; any other gradient is an ndarray of its
+    tensor's shape.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -183,7 +234,7 @@ def backward(loss: Tensor):
         if entry is not None:  # else not on a path to the loss
             _pass_on(grads, inputs, backward_fn(entry[0]))
     for t, (g, _) in grads.items():  # every node's entry was popped: leaves only
-        t.grad = g if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else add_grads(t.grad, g)
 
 
 def _pass_on(grads, inputs, input_grads):
@@ -203,12 +254,22 @@ def _pass_on(grads, inputs, input_grads):
         if owned:
             ig = ig.value
         prev = grads.get(key)
-        if isinstance(ig, SliceGrad):
+        kind = type(ig)
+        if kind is RowGrad and (prev is None or type(prev[0]) is RowGrad):
+            # a leaf that only take_rows reads keeps the rows read
+            grads[key] = [ig if prev is None else add_grads(prev[0], ig), False]
+            continue
+        if prev is not None and type(prev[0]) is RowGrad:  # it meets a dense gradient
+            prev[:] = [prev[0].dense(), True]
+        if kind is SliceGrad or kind is RowGrad:  # written into one buffer
             if prev is None:
                 prev = grads[key] = [np.zeros(shape), True]
             elif not prev[1]:
                 prev[:] = [prev[0].copy(), True]
-            prev[0][ig.index] += ig.value
+            if kind is SliceGrad:
+                prev[0][ig.index] += ig.value
+            else:
+                prev[0][ig.rows] += ig.values
         elif prev is None:
             grads[key] = [ig, owned]
         elif prev[1]:
@@ -416,7 +477,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
-    """Gather rows of a matrix (embedding lookup); backward scatter-adds."""
+    """Gather rows of a matrix (embedding lookup); backward scatter-adds,
+    each row's terms in the order of ids.
+
+    A leaf read with fewer ids than half its rows (a wide embedding table)
+    gets a RowGrad of the rows read. Any other read gets a dense array: a
+    tensor the active tape recorded has a dense gradient anyway, and a read
+    that may cover half the table saves little by rows and costs a sort.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     td = table.data
     if td.ndim != 2 or ids.ndim != 1:
@@ -425,11 +493,18 @@ def take_rows(table: Tensor, ids) -> Tensor:
         raise ValueError("take_rows: row id out of range")
     out = Tensor(td[ids])
     shape = td.shape
+    # a leaf (as _record tells leaves apart) read with few ids
+    by_rows = table.tape is not Tape.active() and 2 * ids.size < shape[0]
 
     def bwd(g):
-        z = np.zeros(shape)
-        np.add.at(z, ids, g)
-        return (z,)
+        if not by_rows:
+            z = np.zeros(shape)
+            np.add.at(z, ids, g)
+            return (Owned(z),)
+        rows, inverse = np.unique(ids, return_inverse=True)
+        values = np.zeros((len(rows), shape[1]))
+        np.add.at(values, inverse, g)
+        return (RowGrad(rows, values, shape),)
 
     return _record(out, (table,), bwd)
 
@@ -591,7 +666,10 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
         if y.data.size != 1:
             raise ValueError("grad_check needs a scalar-valued f")
         backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    if x.grad is None:
+        analytic = np.zeros_like(x.data)
+    else:
+        analytic = x.grad.dense() if type(x.grad) is RowGrad else x.grad.copy()
     x.grad = saved_grad
 
     flat = x.data.reshape(-1)

@@ -5,7 +5,8 @@ chart, the per-node Tree-GRU recursion, the full-length beam loop, the
 step-by-step argmax chain, the per-gate GRU and LSTM steps, the GRU cell's
 backward with a concatenated weight gradient, the one-entry-per-gate
 parameter layout and its gradient norm, the one-expression gradient norm,
-the whole-array Adam update, the dense backward sweep, the rescanning
+the whole-array Adam update, the dense backward sweep, the dense
+take_rows scatter, the rescanning
 projectivize) are deliberately independent of the
 package's code, so tests compare two implementations, not one
 implementation with itself. The per-step sequence loss shares the
@@ -555,7 +556,7 @@ def reference_grad_norm(grads, terms):
     total = 0.0
     for name, cols in terms:
         if name in grads:
-            blk = grads[name][..., cols]
+            blk = dense_grad(grads[name])[..., cols]
             total += float(np.sum(blk * blk))
     return float(np.sqrt(total))
 
@@ -564,7 +565,7 @@ def per_gate_norm(grads):
     """The global gradient norm with one term per gate and per label, each
     term's squares summed alone and the terms added in table order."""
     total = 0.0
-    for g in split_per_gate(grads).values():
+    for g in split_per_gate(dense_grads(grads)).values():
         total += float(np.sum(g * g))
     return float(np.sqrt(total))
 
@@ -575,12 +576,36 @@ def masked_carry_oracle(new, old, keep):
     return T.add(scale_rows(new, T.constant(keep)), scale_rows(old, inv))
 
 
+def dense_grad(g):
+    """A gradient as an ndarray: a T.RowGrad scattered into zeros of its
+    shape, any other gradient as it is."""
+    if type(g) is not T.RowGrad:
+        return g
+    out = np.zeros(g.shape)
+    out[g.rows] = g.values
+    return out
+
+
+def dense_grads(grads):
+    """dense_grad of every entry of a name -> gradient map."""
+    return {name: dense_grad(g) for name, g in grads.items()}
+
+
+def take_rows_scatter(shape, ids, g):
+    """take_rows' gradient as one dense scatter: zeros of the table's shape,
+    each row of g added at its id in order (np.add.at)."""
+    out = np.zeros(shape)
+    np.add.at(out, np.asarray(ids, dtype=np.int64), g)
+    return out
+
+
 def dense_backward(loss):
     """Leaf gradients of loss, {id(tensor): array}, by the plain reverse sweep:
-    every slice read's gradient becomes a zero array of its whole input, and
-    every sum is taken out of place. The reference for tensor.backward's
-    shared slice buffer and in-place sums; it walks the node-keyed records
-    without popping them, and .grad is left untouched."""
+    every slice read's and row read's gradient becomes a zero array of its
+    whole input, and every sum is taken out of place. The reference for
+    tensor.backward's shared slice buffer, row merges and in-place sums; it
+    walks the node-keyed records without popping them, and .grad is left
+    untouched."""
     grads = {loss.node: np.ones_like(loss.data)}  # node id, or leaf Tensor -> gradient
     for node, inputs, backward_fn in reversed(loss.tape.records):
         g = grads.pop(node, None)
@@ -601,6 +626,7 @@ def dense_backward(loss):
                 dense = np.zeros(shape)
                 dense[ig.index] = ig.value
                 ig = dense
+            ig = dense_grad(ig)
             prev = grads.get(key)
             grads[key] = ig if prev is None else prev + ig
     return {id(t): g for t, g in grads.items()}
@@ -735,11 +761,13 @@ def state_dict(table):
 
 def adam_step_oracle(opt, grads, factor=None):
     """nn.Adam.update in whole-array form, with its signature, so that a test
-    can patch it in. When the step clips, factor is clip / norm and every
-    gradient is first scaled into a new array, g * factor; then each
-    parameter is rebound to a new array, and every temporary is
-    parameter-sized."""
+    can patch it in. A T.RowGrad is first scattered into a dense gradient,
+    and m and v always have the parameter's shape. When the step clips,
+    factor is clip / norm and every gradient is first scaled into a new
+    array, g * factor; then each parameter is rebound to a new array, and
+    every temporary is parameter-sized."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    grads = dense_grads(grads)
     if factor is not None:
         grads = {name: g * factor for name, g in grads.items()}
     opt.t += 1

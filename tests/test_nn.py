@@ -24,14 +24,15 @@ from synmt.data import Batch
 from synmt.depparse import (DependencyTree, ParserModel, parser_encode, score_arcs,
                             tree_log_loss)
 from synmt.errors import DataError, ShapeError
+from synmt.nn import ADAM_BLOCK
 from synmt.seq2seq import TranslationModel, sequence_loss
 
 from helpers import (GRU_GATES, LSTM_GATES, adam_step_oracle, dense_backward,
-                     gru_cell_grads_oracle, gru_step, gru_step_oracle, lstm_step_oracle,
-                     masked_carry_oracle, per_gate_draws, per_gate_norm, per_gate_parser_state,
-                     per_gate_translator_state, random_projective_tree, reference_grad_norm,
-                     split_per_gate, state_dict, watch_outputs, write_checkpoint_oracle,
-                     write_f32_checkpoint)
+                     dense_grads, gru_cell_grads_oracle, gru_step, gru_step_oracle,
+                     lstm_step_oracle, masked_carry_oracle, per_gate_draws, per_gate_norm,
+                     per_gate_parser_state, per_gate_translator_state, random_projective_tree,
+                     reference_grad_norm, split_per_gate, state_dict, watch_outputs,
+                     write_checkpoint_oracle, write_f32_checkpoint)
 
 
 def make_gru(input_dim, hidden_dim, seed=0, prefix="g"):
@@ -284,6 +285,43 @@ class TestGradNorm:
         assert norm == reference_grad_norm(grads, terms)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(tables=st.lists(st.tuples(st.integers(1, 1400), st.sampled_from([1, 7, 256, 300]),
+                                     st.integers(0, 12), st.booleans()),
+                           min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 16))
+    def test_row_gradients_keep_the_dense_norm_bits(self, tables, seed):
+        # tables up to 420,000 elements, above NORM_LEAF, whose few stored
+        # rows leave most of the norm's parts empty; one dense term besides
+        rng = T.make_rng(seed)
+        grads, terms = {"d": rng.normal(size=(3, 5))}, [("d", slice(None))]
+        for i, (V, cols, n, clustered) in enumerate(tables):
+            n = min(n, V)
+            start = int(rng.integers(0, V - n + 1))
+            rows = (np.arange(start, start + n) if clustered
+                    else np.sort(rng.choice(V, size=n, replace=False)))
+            values = rng.normal(size=(n, cols)) * 10.0 ** int(rng.integers(-4, 5))
+            grads[f"e{i}"] = T.RowGrad(rows, values, (V, cols))
+            terms.append((f"e{i}", slice(None)))
+        dense = dense_grads(grads)
+        norm = nn.grad_norm(grads, terms)
+        assert norm == nn.grad_norm(dense, terms) == reference_grad_norm(dense, terms)
+
+    def test_a_row_gradient_is_made_dense_a_part_at_a_time(self):
+        # 7.7M elements with three stored rows: only the parts holding
+        # them are made dense
+        g = T.RowGrad(np.array([0, 17, 29_999]), T.make_rng(7).normal(size=(3, 256)),
+                      (30_000, 256))
+        tracemalloc.start()
+        try:
+            norm = nn.grad_norm({"e": g}, [("e", slice(None))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nn.NORM_LEAF * 8 + 2 ** 20, peak
+        assert norm == float(np.sqrt(np.sum(g.dense() ** 2)))
+
+
 def op_counts(records):
     """Tape records per primitive, keyed by the op's function name."""
     counts = {}
@@ -515,6 +553,17 @@ def step_with(opt, grads):
     return opt.step()
 
 
+def dense_moment(opt, which, name):
+    """opt's m or v of name at the parameter's shape: a row-tracked
+    parameter's compact rows scattered into zeros."""
+    arr, rows = getattr(opt, which)[name], opt.rows.get(name)
+    if rows is None:
+        return arr
+    out = np.zeros(opt.table[name].data.shape)
+    out[rows] = arr
+    return out
+
+
 class TestClip:
     """The global clip, seen through a step's first moment: after one step
     m = 0.1 * g, where g is the gradient the update used."""
@@ -657,6 +706,68 @@ class TestAdam:
         for grads, copies in zip(steps, kept):  # gradients are never written
             for name in grads:
                 assert grads[name].tobytes() == copies[name].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @example(V=30, cols=700, plan=[[0, 2, 2], [], [5, 0], "dense", [8], "all"], clipped=True,
+             seed=2)
+    @example(V=30, cols=3, plan=[[1, 1], [4], [], [1, 4], list(range(15)), [3]],
+             clipped=False, seed=3)
+    @example(V=3, cols=ADAM_BLOCK + 1, plan=[[2], [], [2, 0]], clipped=True, seed=4)
+    @example(V=60, cols=700, plan=[list(range(0, 40, 3)), list(range(1, 60, 4)), [], [0, 59]],
+             clipped=True, seed=5)  # 29 compact rows: two blocks of 23 rows
+    @given(V=st.integers(1, 60), cols=st.sampled_from([3, 700, ADAM_BLOCK + 1]),
+           plan=st.lists(st.one_of(st.lists(st.integers(0, 59), max_size=12),
+                                   st.sampled_from(["all", "dense"])), min_size=3, max_size=6),
+           clipped=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_row_gradients_match_the_whole_array_update_bit_for_bit(self, V, cols, plan,
+                                                                    clipped, seed):
+        # Each step reads some rows of "emb" (ids), all of them, or hands
+        # it a dense gradient; "w" always gets a dense one. Rows read, left
+        # unread and read again keep their moments decaying exactly as the
+        # whole-array update's; once half the table has been read, or a
+        # dense gradient came, its moments are dense.
+        if cols > ADAM_BLOCK:
+            V = min(V, 3)
+        rng = T.make_rng(seed)
+        init = {"emb": rng.normal(size=(V, cols)), "w": rng.normal(size=(2, 3))}
+        steps = []
+        for ids in plan:
+            if ids == "dense":
+                emb = rng.normal(size=(V, cols))
+            else:
+                rows = np.arange(V) if ids == "all" else np.unique(np.array(ids, int) % V)
+                emb = T.RowGrad(rows, rng.normal(size=(len(rows), cols)), (V, cols))
+            steps.append({"emb": emb, "w": rng.normal(size=(2, 3))})
+        clip = None
+        if clipped:  # a clip every step exceeds
+            clip = min(nn.grad_norm(dense_grads(g), [("emb", slice(None)), ("w", slice(None))])
+                       for g in steps) / 2
+        opts = []
+        for _ in range(2):
+            table = nn.ParamTable()
+            for name, arr in init.items():
+                table.add(name, T.Tensor(arr.copy(), requires_grad=True))
+            opts.append(nn.Adam(table, 1e-2, clip))
+        rows_opt, whole = opts
+        held = set()
+        for grads in steps:
+            step_with(rows_opt, grads)
+            with mock.patch.object(nn.Adam, "update", adam_step_oracle):
+                step_with(whole, dense_grads(grads))
+            g = grads["emb"]
+            if type(g) is T.RowGrad:
+                held |= set(g.rows.tolist())
+            tracked = rows_opt.rows.get("emb")
+            if 2 * len(held) >= V or type(g) is np.ndarray:
+                assert tracked is None  # dense moments from here on
+                held = set(range(V))
+            else:
+                assert tracked.tolist() == sorted(held)
+            for name in init:
+                for got, want in ((rows_opt.table[name].data, whole.table[name].data),
+                                  (dense_moment(rows_opt, "m", name), whole.m[name]),
+                                  (dense_moment(rows_opt, "v", name), whole.v[name])):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("factor", [None, 0.5])
     @pytest.mark.parametrize("column_slice", [False, True])
@@ -853,7 +964,7 @@ class TestGatesSideBySide:
                 with mock.patch.object(np, "sum", spy):
                     norm = opt.step()
                 assert norm == want > opt.clip
-                blocks = list(split_per_gate(grads).values())
+                blocks = list(split_per_gate(dense_grads(grads)).values())
                 assert len(summed) == len(blocks)
                 for got, g in zip(summed, blocks):
                     # the squares in memory order, the order np.sum reads them
@@ -877,6 +988,26 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded["w"].dtype == np.float32
         assert np.allclose(loaded["w"], state["w"], atol=1e-6)
+
+    def test_loading_holds_each_entry_once(self, tmp_path):
+        # 4M float64 elements in three entries and a byte entry: each is read
+        # straight into its own array, with no copy of the file's bytes
+        rng = T.make_rng(6)
+        state = {"a": rng.normal(size=(1024, 2048)), "b": rng.normal(size=2 ** 21),
+                 "c": rng.normal(size=(3, 5)), "meta": np.frombuffer(b"{}", dtype=np.uint8)}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, state)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * size, f"load peaks at {peak / size:.2f} times the file"
+        for name, arr in state.items():
+            assert loaded[name].dtype == arr.dtype and loaded[name].flags.writeable
+            assert loaded[name].tobytes() == arr.tobytes(), name
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

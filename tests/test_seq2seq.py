@@ -21,9 +21,9 @@ from synmt.seq2seq import (TranslationModel, _top_k, attend, attention_keys, bea
                            decode_step, encode_for_decode, sequence_loss, train_step)
 
 from helpers import argmax_chain, enumerate_best  # shared with the acceptance suite
-from helpers import (BAD_METAS, dense_backward, edit_entries, edit_meta, full_length_beam,
-                     gru_step, log, per_gate_layout, per_step_sequence_loss, pick, records_on,
-                     rewrite_meta, sharpen, state_dict, watch_outputs)
+from helpers import (BAD_METAS, dense_backward, dense_grad, edit_entries, edit_meta,
+                     full_length_beam, gru_step, log, per_gate_layout, per_step_sequence_loss,
+                     pick, records_on, rewrite_meta, sharpen, state_dict, watch_outputs)
 
 
 def tiny_model(seed=1, src=13, tgt=9, emb=6, hidden=8, dropout=0.0, **kw):
@@ -508,6 +508,22 @@ class TestEarlyStop:
             assert hyp.steps == len(hyp.ids)
             assert not hyp.stopped_early
 
+    def test_a_tie_between_completions_keeps_the_earlier(self):
+        # The logits are the output bias alone: token 4 has probability
+        # exactly 1.0 (log 0.0) and EOS about e^-40, so every completion,
+        # [EOS], [4, EOS], [4, 4, EOS] ..., scores exactly log p(EOS)
+        m = tiny_model(seed=4)
+        m.table["out.logits.W"].data[:] = 0.0
+        bias = m.table["out.logits.b"].data
+        bias[:] = -60.0
+        bias[0, 4], bias[0, EOS] = 0.0, -40.0
+        hyp = beam_search([4, 5, 6], m, 2, 6)
+        with full_length_beam():
+            ref = beam_search([4, 5, 6], m, 2, 6)
+        assert hyp.ids == ref.ids == [EOS]
+        assert hyp.logp == ref.logp == float(np.log(np.exp(-40.0)))
+        assert hyp.completed and hyp.steps == 6
+
 
 class TestDecoderStepCount:
     """The bench's decoder_steps_per_sent is decode_step calls over members:
@@ -611,8 +627,8 @@ class TestOutputNetworkOncePerBatch:
         assert abs(loss - want) <= 1e-12 * abs(want)
         assert sorted(grads) == sorted(want_grads)
         for name, g in grads.items():
-            ref = want_grads[name]
-            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+            ref = dense_grad(want_grads[name])
+            assert np.abs(dense_grad(g) - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 class TestTapeMemory:
@@ -662,7 +678,7 @@ class TestTapeMemory:
         grads = m.table.gradients()
         assert len(grads) == len(reference)
         for name, g in grads.items():
-            assert g.tobytes() == reference[id(m.table[name])].tobytes(), name
+            assert dense_grad(g).tobytes() == reference[id(m.table[name])].tobytes(), name
 
     def test_constant_leaves_get_no_gradient(self, monkeypatch):
         # sawr with cached rows and dropout: the dropout masks, the zero
@@ -695,7 +711,7 @@ class TestTapeMemory:
         assert sorted(set(constants)) == [(3, 1, 5), (3, 4), (3, 8), (15, 1), (15, 6), (15, 8)]
         assert all(ig is None for ig in given)
         for name, g in m.table.gradients().items():
-            assert g.tobytes() == reference[id(m.table[name])].tobytes(), name
+            assert dense_grad(g).tobytes() == reference[id(m.table[name])].tobytes(), name
 
     def test_live_bytes_at_backward_start_stay_bounded(self):
         # eight padded sentences through a three-layer BiLSTM parser that the

@@ -6,13 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synmt import tensor as T
 from synmt.errors import ShapeError
 
-from helpers import dense_backward, log_softmax, pick, scale_rows, sigmoid, sub
+from helpers import (dense_backward, dense_grad, log_softmax, pick, scale_rows, sigmoid, sub,
+                     take_rows_scatter)
 
 
 def leaf(data, rg=True):
@@ -569,6 +570,98 @@ class TestSliceGradientBuffer:
         assert len(arrived) == 1 and arrived[0] is x.grad
         assert np.array_equal(x.grad, np.ones_like(x.data))
         assert peak < 2 * x.data.nbytes
+
+
+class TestRowGradients:
+    """take_rows' backward holds the rows it read, and its bits are the
+    dense scatter's (helpers.take_rows_scatter), however reads combine."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(V=30, cols=3, reads=[[3, 3, 7, 29], [7, 1, 3]], where="leaf", seed=1)
+    @example(V=30, cols=2, reads=[[3, 3, 7], [7, 1], [0]], where="tapes", seed=2)
+    @example(V=30, cols=2, reads=[[3, 3, 7], [7, 1]], where="dense too", seed=3)
+    @given(V=st.integers(1, 30), cols=st.integers(1, 4),
+           reads=st.lists(st.lists(st.integers(0, 29), max_size=12), min_size=1, max_size=3),
+           where=st.sampled_from(["leaf", "tapes", "node", "dense too"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_the_dense_scatter_to_the_bit(self, V, cols, reads, where, seed):
+        # leaf: every read on one tape, merged by row; tapes: one read per
+        # tape, summed in .grad; node: reads of a recorded tensor, each a
+        # dense scatter; dense too: a dense read of the leaf besides. A read
+        # of half as many ids as rows or more is a dense scatter too.
+        rng = T.make_rng(seed)
+        table = leaf(rng.normal(size=(V, cols)))
+        reads = [[i % V for i in ids] for ids in reads]
+        weights = [rng.normal(size=(len(ids), cols)) for ids in reads]
+        for w in weights:  # a -0.0 reaches the scatter as is
+            w[rng.random(w.shape) < 0.2] = -0.0
+        dense_w = rng.normal(size=(V, cols))
+
+        def term(src, ids, w):
+            return T.sum_all(T.mul(T.take_rows(src, ids), T.constant(w)))
+
+        if where == "tapes":
+            for ids, w in zip(reads, weights):
+                with T.Tape():
+                    T.backward(term(table, ids, w))
+            order = range(len(reads))
+        else:
+            with T.Tape():
+                src = table
+                if where == "node":
+                    src = T._record(T.Tensor(table.data.copy()), (table,), lambda g: (g,))
+                loss = T.sum_all(T.mul(table, T.constant(dense_w))) if where == "dense too" \
+                    else None
+                for ids, w in zip(reads, weights):
+                    t = term(src, ids, w)
+                    loss = t if loss is None else T.add(loss, t)
+                T.backward(loss)
+            order = range(len(reads) - 1, -1, -1)  # the sweep meets the last read first
+        want = None
+        for k in order:
+            z = take_rows_scatter((V, cols), reads[k], weights[k])
+            want = z if want is None else want + z
+        if where == "dense too":
+            want = want + dense_w
+        got = table.grad
+        if where in ("leaf", "tapes") and all(2 * len(ids) < V for ids in reads):
+            assert type(got) is T.RowGrad
+            assert got.rows.tolist() == sorted({i for ids in reads for i in ids})
+            assert got.values.shape == (len(got.rows), cols)
+        else:
+            assert type(got) is np.ndarray
+        assert got.shape == (V, cols)
+        assert dense_grad(got).tobytes() == want.tobytes()
+        if type(got) is T.RowGrad:
+            assert got.dense().tobytes() == want.tobytes()
+
+    def test_a_recorded_tensor_read_by_rows_gets_a_dense_gradient(self):
+        x = leaf(T.make_rng(44).normal(size=(5, 3)))
+        arrived = []
+
+        def pass_through(g):
+            arrived.append(g)
+            return (g,)
+
+        with T.Tape():
+            node = T._record(T.Tensor(x.data.copy()), (x,), pass_through)
+            T.backward(T.add(T.sum_all(T.take_rows(node, [1, 3, 1])),
+                             T.sum_all(T.take_rows(x, [4]))))
+        [g] = arrived
+        assert type(g) is np.ndarray and g.tolist() == [[0.0] * 3, [2.0] * 3, [0.0] * 3,
+                                                        [1.0] * 3, [0.0] * 3]
+        want = g.copy()
+        want[4] += 1.0
+        assert type(x.grad) is np.ndarray and x.grad.tobytes() == want.tobytes()
+
+    def test_grad_check_reads_a_row_gradient(self):
+        table = leaf(T.make_rng(45).normal(size=(10, 3)))
+        with T.Tape():
+            T.backward(T.sum_all(T.take_rows(table, [5, 0, 5])))
+        assert type(table.grad) is T.RowGrad
+        table.grad = None
+        assert T.grad_check(lambda t: T.sum_all(T.tanh(T.take_rows(t, [5, 0, 5]))), table) < 1e-6
+        assert table.grad is None
 
 
 class TestOwnedGradients:

@@ -11,7 +11,7 @@ import pytest
 
 from synmt import nn
 from synmt import tensor as T
-from synmt.data import EOS, Batch
+from synmt.data import BOS, EOS, Batch
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
 
 MiB = 2 ** 20
@@ -43,6 +43,38 @@ def test_a_wide_training_step_peaks_at_its_gradients():
         tracemalloc.stop()
     over = (peak - start - grad_bytes) / MiB
     assert over <= 4.0, f"peak is the gradients + {over:.1f} MiB"
+
+
+def test_embedding_gradients_and_moments_hold_only_the_rows_read():
+    # the same shape: a batch reads about 150 of each table's 4,100 rows,
+    # and its gradient holds those rows and their ids; Adam's moments hold
+    # every row read so far, and no other
+    model = TranslationModel(4100, 4100, emb_dim=256, hidden_dim=512, dropout=0.0, seed=3)
+    names = ("src_emb", "tgt_emb")
+    held = {name: [] for name in names}
+
+    class Spy(nn.Adam):
+        def step(self):
+            for name in names:
+                g = model.table[name].grad
+                held[name].append((len(g.rows), g.values.nbytes + g.rows.nbytes))
+            return super().step()
+
+    opt = Spy(model.table, lr=0.003, clip=5.0)
+    rng = np.random.default_rng(1)
+    read = {name: set() for name in names}
+    for k in range(3):
+        batch = copy_batch(rng, 4100, [7 + (i + k) % 5 for i in range(20)])
+        batch_rows = {"src_emb": set(batch.src.ravel().tolist()),
+                      "tgt_emb": {BOS} | set(batch.tgt[:, :-1].ravel().tolist())}
+        train_step(batch, model, opt)
+        for name in names:
+            rows, nbytes = held[name][-1]
+            assert rows == len(batch_rows[name]) < 200
+            assert nbytes <= rows * 256 * 8 + rows * 8
+            read[name] |= batch_rows[name]
+            moments = opt.m[name].nbytes + opt.v[name].nbytes
+            assert moments == 2 * 8 * 256 * len(read[name]) < 2 * 8 * 256 * 4100 // 4
 
 
 def test_the_memory_is_transposed_once_per_batch(monkeypatch):
