@@ -42,7 +42,7 @@ print("untaped forward leaves the gradient empty:", w.grad is None)
 
 # grad_check perturbs every element of a tensor twice (central differences)
 # and returns the worst relative error against backward(). The function under
-# test has to be deterministic, so dropout must run in eval mode.
+# test has to be deterministic, so it must draw no dropout mask.
 # Parameters are drawn through nn.uniform_init: U[-scale, scale), off one
 # generator in call order.
 probe = T.Tensor(nn.uniform_init(T.make_rng(7), 1.0)((3, 4)), requires_grad=True)

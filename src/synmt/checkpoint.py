@@ -8,7 +8,7 @@ Layout, all integers little-endian:
     entry * count:
         name_len  uint16
         name      utf-8 bytes
-        precision uint8     0 = float64, 1 = float32, 2 = raw bytes (uint8)
+        precision uint8     0 = float64, 2 = raw bytes (uint8)
         ndim      uint8
         dims      ndim * uint32
         data      raw little-endian floats, C order
@@ -34,14 +34,14 @@ from .errors import DataError
 
 MAGIC = b"SAWRCKPT"
 VERSION = 1
-_PREC_BY_TAG = {0: "<f8", 1: "<f4", 2: "<u1"}
-_NATIVE_BY_TAG = {0: np.float64, 1: np.float32, 2: np.uint8}
+_PREC_BY_TAG = {0: "<f8", 2: "<u1"}
+_NATIVE_BY_TAG = {0: np.float64, 2: np.uint8}
 _BYTES_TAG = 2
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]):
     """Write float arrays as float64 (tag 0) and uint8 arrays as raw bytes
-    (tag 2); load_checkpoint also reads float32 (tag 1) entries.
+    (tag 2), the two tags load_checkpoint reads.
 
     A C-contiguous little-endian float64 (or uint8) array is written from its
     own buffer; any other array is converted into one copy first."""
@@ -108,7 +108,8 @@ class FileReader:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Every entry of a checkpoint, by name, each read from the file straight
     into its own array, so loading holds the entries once and no copy of the
-    file; a malformed file, a repeated name included, is a DataError."""
+    file; a malformed file, a repeated name or a precision tag other than 0
+    and 2 included, is a DataError."""
     with open(path, "rb") as f:
         if f.read(8) != MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")

@@ -59,7 +59,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        tokens = [line for line in read_lines(path) if line]
+        """The vocabulary save wrote: line k holds the token of id k + 3."""
+        tokens = read_lines(path)
+        if "" in tokens:
+            raise DataError(f"{path} line {tokens.index('') + 1}: blank line, "
+                            "expected one token")
         try:
             return cls(tokens)
         except ValueError as exc:  # a duplicate or reserved token

@@ -186,17 +186,12 @@ def read_treebank(path):
     return sents
 
 
-def write_treebank(path, sents, columns=4):
-    if columns not in (4, 10):
-        raise ValueError("columns must be 4 or 10")
+def write_treebank(path, sents):
+    """Write (tokens, tree) pairs in the 4-column form, a blank line after each."""
     with open_new(path) as f:
         for tokens, tree in sents:
             for i, tok in enumerate(tokens):
-                h, lab = tree.heads[i], tree.labels[i]
-                if columns == 4:
-                    f.write(f"{i + 1}\t{tok}\t{h}\t{lab}\n")
-                else:
-                    f.write(f"{i + 1}\t{tok}\t_\t_\t_\t_\t{h}\t{lab}\t_\t_\n")
+                f.write(f"{i + 1}\t{tok}\t{tree.heads[i]}\t{tree.labels[i]}\n")
             f.write("\n")
 
 

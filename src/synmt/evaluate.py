@@ -228,15 +228,14 @@ def read_alignments(path):
 # Ensemble decoding
 
 
-def ensemble_decode(models, source, beam_size, max_len, trees=None, encodings=None):
+def ensemble_decode(models, sources, beam_size, max_len, trees=None, encodings=None):
     """Beam search over the arithmetic mean of the models' distributions.
 
-    source may be one id sequence shared by every model, or a per-model list
-    when vocabularies differ across modes (tree-linearized inputs). trees
-    and encodings are per-model lists when given; a sawr model reads its
-    parser's states or cached SAWR rows from encodings. The mean over a
-    single model is that model's distribution, so one member decodes exactly
-    as beam_search does.
+    sources holds one id sequence per model, since vocabularies may differ
+    across modes (tree-linearized inputs). trees and encodings are
+    per-model lists when given; a sawr model reads its parser's states or
+    cached SAWR rows from encodings. The mean over a single model is that
+    model's distribution, so one member decodes exactly as beam_search does.
     """
     if not models:
         raise ValueError("ensemble needs at least one model")
@@ -244,7 +243,5 @@ def ensemble_decode(models, source, beam_size, max_len, trees=None, encodings=No
     if len(sizes) != 1:
         raise ValueError(f"models disagree on target vocabulary size: {sorted(sizes)}")
     k = len(models)
-    shared = len(source) > 0 and np.ndim(source[0]) == 0
-    sources = [source] * k if shared else list(source)
     return _run_beam(models, sources, trees or [None] * k, encodings or [None] * k,
                      beam_size, max_len)

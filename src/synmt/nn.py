@@ -78,7 +78,7 @@ class ParamTable:
 
     def gradients(self) -> dict[str, "np.ndarray | T.RowGrad"]:
         """Accumulated gradients of the trainable parameters that received
-        one: a T.RowGrad for a table that take_rows read by rows only (see
+        one: a T.RowGrad for a table that one take_rows read by rows (see
         tensor.take_rows), else an ndarray."""
         return {name: t.grad for name, t in self._params.items()
                 if t.requires_grad and t.grad is not None}
@@ -214,20 +214,17 @@ def birnn_encode(x: Tensor, layers, mask: np.ndarray | None = None) -> Tensor:
     return T.reshape(rows, (B, n, rows.shape[1]))
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    out = T.matmul(x, W)
-    return T.add(out, b) if b is not None else out
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    return T.add(T.matmul(x, W), b)
 
 
-def dropout(x: Tensor, ratio: float, mode: str, rng) -> Tensor:
-    """Inverted dropout: train mode zeroes each element with probability ratio,
-    drawn from rng, and scales survivors by 1/(1-ratio); eval mode is exactly
-    the identity."""
+def dropout(x: Tensor, ratio: float, rng) -> Tensor:
+    """Inverted dropout, for training only: zeroes each element with
+    probability ratio, drawn from rng, and scales survivors by 1/(1-ratio);
+    ratio 0 is exactly the identity."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or ratio == 0.0:
+    if ratio == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= ratio) / (1.0 - ratio)
     return T.mul(x, T.constant(keep))
@@ -313,8 +310,7 @@ class Adam:
     some gradient of it has held: rows maps its name to those rows, sorted,
     and its m and v are [len(rows), cols], row i for parameter row rows[i].
     Any other row has g = m = v = 0, for which the update leaves m, v and
-    the parameter exactly as they are, so it is skipped. Once the rows cover
-    half the table (the compact form then saves at most half), or a dense
+    the parameter exactly as they are, so it is skipped. Once a dense
     gradient arrives, the name leaves rows and its m and v take the
     parameter's shape, zero in the rows not held; the update of every row
     is then exact as well.
@@ -426,7 +422,6 @@ class Adam:
         rows they hold (None: every row, in order) and where g's stored rows
         sit in them (None for a dense g)."""
         sparse = type(g) is T.RowGrad
-        full_at = g.rows if sparse else None  # where g's rows sit in dense moments
         rows = self.rows.get(name)
         if name not in self.m:
             if not sparse:
@@ -435,21 +430,18 @@ class Adam:
             rows = g.rows[:0]
             self.m[name], self.v[name] = np.zeros((0, shape[1])), np.zeros((0, shape[1]))
         if rows is None:
-            return None, full_at
-        if sparse:
-            at = np.searchsorted(rows, g.rows)
-            if len(at) and (at[-1] == len(rows) or not np.array_equal(rows[at], g.rows)):
-                grown = np.union1d(rows, g.rows)
-                self._place(name, np.searchsorted(grown, rows), (len(grown), shape[1]))
-                rows, at = grown, np.searchsorted(grown, g.rows)
-            if 2 * len(rows) < shape[0]:
-                self.rows[name] = rows
-                return rows, at
-        # a dense gradient, or rows that cover half the table: m and v take
-        # the parameter's shape from here on, zero in the rows not held
-        self._place(name, rows, shape)
-        self.rows.pop(name, None)
-        return None, full_at
+            return None, g.rows if sparse else None  # g's rows in dense moments
+        if not sparse:  # m and v take the parameter's shape from here on
+            self._place(name, rows, shape)
+            del self.rows[name]
+            return None, None
+        at = np.searchsorted(rows, g.rows)
+        if len(at) and (at[-1] == len(rows) or not np.array_equal(rows[at], g.rows)):
+            grown = np.union1d(rows, g.rows)
+            self._place(name, np.searchsorted(grown, rows), (len(grown), shape[1]))
+            rows, at = grown, np.searchsorted(grown, g.rows)
+        self.rows[name] = rows
+        return rows, at
 
     def _place(self, name: str, at, shape):
         """Move name's m and v into rows at of new zero arrays of shape."""

@@ -141,7 +141,7 @@ class TranslationModel:
         hid = T.tanh(nn.linear(T.concat([s, c], axis=1),
                                self.table["out.hidden.W"], self.table["out.hidden.b"]))
         if mode == "train" and self.dropout > 0.0:
-            hid = nn.dropout(hid, self.dropout, "train", rng=self.drop_rng)
+            hid = nn.dropout(hid, self.dropout, self.drop_rng)
         return nn.linear(hid, self.table["out.logits.W"], self.table["out.logits.b"])
 
     def save(self, path):

@@ -14,9 +14,9 @@ drops whatever the sweep did not reach::
 A record keeps node ids for the tensors its tape produced and the tensors
 themselves only for leaves, so an op's arrays live while its backward needs
 them (or the caller holds them), not until the sweep. ``slice_axis`` returns
-a view of its input's array. A leaf that only ``take_rows`` reads, each
-time with fewer ids than half its rows (a wide embedding table), gets a
-``RowGrad``, which holds the rows read and no others.
+a view of its input's array. A leaf whose one gradient on its tape is a
+``take_rows`` read of fewer ids than half its rows (a wide embedding table)
+gets a ``RowGrad``, which holds the rows read and no others.
 
 All randomness in the package flows through numpy's PCG64 generator via
 ``make_rng`` so that every run is reproducible from explicit seeds.
@@ -146,11 +146,11 @@ class RowGrad:
     the matrix's shape.
 
     ``take_rows``' backward returns one for a leaf read with few ids (a
-    wide embedding table). ``backward`` merges the reads of one leaf by row,
-    and writes them into a dense buffer once the leaf also gets a dense
-    gradient. Every stored value is a sum that starts from +0.0, so
-    never -0.0: adding a zero leaves it as it is, and a row-wise sum has the
-    dense sum's bits.
+    wide embedding table). It stays the leaf's gradient only while it is
+    the leaf's one gradient on the tape: ``backward`` writes it into a dense
+    buffer once another gradient of the leaf arrives. Every stored value is
+    a sum that starts from +0.0, so never -0.0: adding a zero leaves it as
+    it is, and the dense sum keeps the bits of a row-wise one.
     """
 
     __slots__ = ("rows", "values", "shape")
@@ -160,29 +160,15 @@ class RowGrad:
         self.values = values
         self.shape = tuple(shape)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows] = self.values
-        return out
 
-
-def add_grads(a, b):
-    """a + b, in a new array, for gradients each an ndarray or a RowGrad;
-    two RowGrads give a RowGrad over the union of their rows."""
-    if type(a) is not RowGrad and type(b) is not RowGrad:
-        return a + b
-    if type(a) is not RowGrad or type(b) is not RowGrad:
-        dense, sparse = (b, a) if type(a) is RowGrad else (a, b)
-        out = dense.copy()
-        out[sparse.rows] += sparse.values
-        return out
-    if np.array_equal(a.rows, b.rows):
-        return RowGrad(a.rows, a.values + b.values, a.shape)
-    rows = np.union1d(a.rows, b.rows)
-    values = np.zeros((len(rows), a.values.shape[1]))
-    values[np.searchsorted(rows, a.rows)] += a.values
-    values[np.searchsorted(rows, b.rows)] += b.values
-    return RowGrad(rows, values, a.shape)
+def dense(g) -> np.ndarray:
+    """A gradient as an ndarray: an ndarray as it is, a RowGrad scattered
+    into zeros of its shape."""
+    if type(g) is not RowGrad:
+        return g
+    out = np.zeros(g.shape)
+    out[g.rows] = g.values
+    return out
 
 
 class Owned:
@@ -213,9 +199,9 @@ def backward(loss: Tensor):
     several inputs (``add`` does), so any other array an op returned is
     never written to.
 
-    A leaf whose every read is a ``take_rows`` that returns a RowGrad gets
-    a RowGrad of the rows read; any other gradient is an ndarray of its
-    tensor's shape.
+    A leaf whose one gradient on the tape is a ``take_rows`` RowGrad, and
+    whose .grad was None, gets that RowGrad; any other gradient, a sum into
+    an earlier .grad included, is an ndarray of its tensor's shape.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -234,7 +220,7 @@ def backward(loss: Tensor):
         if entry is not None:  # else not on a path to the loss
             _pass_on(grads, inputs, backward_fn(entry[0]))
     for t, (g, _) in grads.items():  # every node's entry was popped: leaves only
-        t.grad = g if t.grad is None else add_grads(t.grad, g)
+        t.grad = g if t.grad is None else dense(t.grad) + dense(g)
 
 
 def _pass_on(grads, inputs, input_grads):
@@ -255,12 +241,11 @@ def _pass_on(grads, inputs, input_grads):
             ig = ig.value
         prev = grads.get(key)
         kind = type(ig)
-        if kind is RowGrad and (prev is None or type(prev[0]) is RowGrad):
-            # a leaf that only take_rows reads keeps the rows read
-            grads[key] = [ig if prev is None else add_grads(prev[0], ig), False]
+        if kind is RowGrad and prev is None:  # the leaf's one gradient so far
+            grads[key] = [ig, False]
             continue
-        if prev is not None and type(prev[0]) is RowGrad:  # it meets a dense gradient
-            prev[:] = [prev[0].dense(), True]
+        if prev is not None and type(prev[0]) is RowGrad:  # a later one arrives
+            prev[:] = [dense(prev[0]), True]
         if kind is SliceGrad or kind is RowGrad:  # written into one buffer
             if prev is None:
                 prev = grads[key] = [np.zeros(shape), True]
@@ -481,7 +466,8 @@ def take_rows(table: Tensor, ids) -> Tensor:
     each row's terms in the order of ids.
 
     A leaf read with fewer ids than half its rows (a wide embedding table)
-    gets a RowGrad of the rows read. Any other read gets a dense array: a
+    gets a RowGrad of the rows read, which backward keeps while it is the
+    leaf's one gradient on the tape. Any other read gets a dense array: a
     tensor the active tape recorded has a dense gradient anyway, and a read
     that may cover half the table saves little by rows and costs a sort.
     """
@@ -666,10 +652,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
         if y.data.size != 1:
             raise ValueError("grad_check needs a scalar-valued f")
         backward(y)
-    if x.grad is None:
-        analytic = np.zeros_like(x.data)
-    else:
-        analytic = x.grad.dense() if type(x.grad) is RowGrad else x.grad.copy()
+    analytic = np.zeros_like(x.data) if x.grad is None else dense(x.grad)
     x.grad = saved_grad
 
     flat = x.data.reshape(-1)

@@ -603,7 +603,7 @@ def dense_backward(loss):
     """Leaf gradients of loss, {id(tensor): array}, by the plain reverse sweep:
     every slice read's and row read's gradient becomes a zero array of its
     whole input, and every sum is taken out of place. The reference for
-    tensor.backward's shared slice buffer, row merges and in-place sums; it
+    tensor.backward's shared slice buffer, row gradients and in-place sums; it
     walks the node-keyed records without popping them, and .grad is left
     untouched."""
     grads = {loss.node: np.ones_like(loss.data)}  # node id, or leaf Tensor -> gradient
@@ -750,7 +750,7 @@ def write_checkpoint_oracle(path, entries, float_tag=0):
 
 def write_f32_checkpoint(path, state):
     """A checkpoint whose entries are all float32 (precision tag 1); the
-    package itself writes only tags 0 and 2."""
+    package writes and reads only tags 0 and 2."""
     write_checkpoint_oracle(path, list(state.items()), float_tag=1)
 
 

@@ -758,6 +758,9 @@ MALFORMED_TEXT = {
     "reserved vocabulary token": (
         ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
         lambda blob: b"<unk>\n" + blob, 2, "data error"),
+    "blank vocabulary line": (
+        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
+        lambda blob: blob.replace(b"\n", b"\n\n", 1), 2, "data error"),
     "vocabulary not UTF-8": (
         ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.tgt.vocab",
         _not_utf8, 2, "data error"),

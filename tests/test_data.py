@@ -1,5 +1,7 @@
 """Vocabulary, BPE, batching, and tree linearization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,13 @@ class TestVocabulary:
         # file format: one token per line, line number = id - 4
         lines = p.read_text(encoding="utf-8").splitlines()
         assert all(v.id(tok) == i + 4 for i, tok in enumerate(lines))
+
+    def test_a_blank_line_is_a_data_error(self, tmp_path):
+        # skipping it would give "b" id 5, where its line says 6
+        p = tmp_path / "vocab.txt"
+        p.write_text("a\n\nb\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^" + re.escape(f"{p} line 2: blank line")):
+            Vocabulary.load(p)
 
     def test_round_trip_ids_tokens(self):
         v = build_vocab([["x", "y", "z"]], max_size=100)

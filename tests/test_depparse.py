@@ -244,8 +244,7 @@ class TestTreebankIO:
                 f"{p} line 2: token index 3, expected 2")):
             read_treebank(p)
 
-    @pytest.mark.parametrize("columns", [4, 10])
-    def test_round_trip(self, tmp_path, columns):
+    def test_round_trip(self, tmp_path):
         rng = T.make_rng(3)
         sents = []
         for i in range(50):
@@ -253,7 +252,7 @@ class TestTreebankIO:
             tree = random_projective_tree(n, rng)
             sents.append(([f"w{rng.integers(0, 20)}" for _ in range(n)], tree))
         p = tmp_path / "out.conll"
-        write_treebank(p, sents, columns=columns)
+        write_treebank(p, sents)
         back = read_treebank(p)
         assert len(back) == 50
         for (tok_a, tree_a), (tok_b, tree_b) in zip(sents, back):

@@ -268,14 +268,14 @@ class TestEnsembleDecode:
     def test_single_model_reduces_exactly_to_beam_search(self):
         m = tiny_model(seed=6)
         solo = beam_search([4, 5, 6], m, 3, 8)
-        ens = ensemble_decode([m], [4, 5, 6], 3, 8)
+        ens = ensemble_decode([m], [[4, 5, 6]], 3, 8)
         assert solo.ids == ens.ids
         assert solo.logp == ens.logp
 
     def test_identical_models_match_single_model_output(self):
         models = [tiny_model(seed=7) for _ in range(3)]
         solo = beam_search([4, 5, 6], models[0], 4, 10)
-        ens = ensemble_decode(models, [4, 5, 6], 4, 10)
+        ens = ensemble_decode(models, [[4, 5, 6]] * len(models), 4, 10)
         assert ens.ids == solo.ids
         assert ens.logp == pytest.approx(solo.logp, abs=1e-9)
 
@@ -290,7 +290,7 @@ class TestEnsembleDecode:
         assert np.argmax(dists[0]) != np.argmax(dists[1])
         mean = (dists[0] + dists[1]) / 2
         assert abs(mean.sum() - 1.0) < 1e-6
-        hyp = ensemble_decode([ma, mb], [4, 5, 6], 1, 1)
+        hyp = ensemble_decode([ma, mb], [[4, 5, 6]] * 2, 1, 1)
         assert hyp.ids[0] == int(np.argmax(mean))
 
     def test_first_step_logp_equals_log_mean(self):
@@ -301,17 +301,17 @@ class TestEnsembleDecode:
             dist, *_ = decode_step(2, T.zeros((1, 8)), s0, h, m)
             dists.append(dist.data[0])
         mean = (dists[0] + dists[1]) / 2
-        hyp = ensemble_decode([ma, mb], [4, 5, 6], 1, 1)
+        hyp = ensemble_decode([ma, mb], [[4, 5, 6]] * 2, 1, 1)
         with full_length_beam():
-            ref = ensemble_decode([ma, mb], [4, 5, 6], 1, 1)
+            ref = ensemble_decode([ma, mb], [[4, 5, 6]] * 2, 1, 1)
         assert (ref.ids, ref.logp) == (hyp.ids, hyp.logp)
         assert ref.step_logps[0] == pytest.approx(np.log(mean[hyp.ids[0]]), abs=1e-12)
 
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
-            ensemble_decode([tiny_model(tgt=9), tiny_model(tgt=10)], [4, 5], 2, 4)
+            ensemble_decode([tiny_model(tgt=9), tiny_model(tgt=10)], [[4, 5]] * 2, 2, 4)
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_decode([], [4, 5], 2, 4)
+            ensemble_decode([], [], 2, 4)
 
     def test_per_model_lists_must_cover_every_member(self):
         # a short list used to drop members silently while the mean still
@@ -319,7 +319,7 @@ class TestEnsembleDecode:
         models = [tiny_model(seed=1), tiny_model(seed=2)]
         for kw in ({"trees": [None]}, {"encodings": [None] * 3}):
             with pytest.raises(ValueError, match="2 models need as many"):
-                ensemble_decode(models, [4, 5, 6], 1, 3, **kw)
+                ensemble_decode(models, [[4, 5, 6]] * 2, 1, 3, **kw)
         with pytest.raises(ValueError, match="2 models need as many"):
             ensemble_decode(models, [[4, 5, 6]], 1, 3)
 
@@ -354,9 +354,9 @@ class TestEnsembleDecode:
 
     def test_combined_distribution_sums_to_one_each_step(self):
         models = [tiny_model(seed=s) for s in (12, 13)]
-        hyp = ensemble_decode(models, [4, 5, 6], 3, 6)
+        hyp = ensemble_decode(models, [[4, 5, 6]] * len(models), 3, 6)
         with full_length_beam():
-            ref = ensemble_decode(models, [4, 5, 6], 3, 6)
+            ref = ensemble_decode(models, [[4, 5, 6]] * len(models), 3, 6)
         assert (ref.ids, ref.logp) == (hyp.ids, hyp.logp)
         # per-step chosen log-probs must come from a normalized distribution;
         # exp of any logp must be a valid probability

@@ -482,7 +482,7 @@ class TestEarlyStop:
         def search():
             if members == 1:
                 return beam_search([4, 5, 6], models[0], beam, max_len)
-            return ensemble_decode(models, [4, 5, 6], beam, max_len)
+            return ensemble_decode(models, [[4, 5, 6]] * members, beam, max_len)
 
         hyp = search()
         with full_length_beam():
@@ -548,7 +548,7 @@ class TestDecoderStepCount:
                     if members == 1:
                         hyp = beam_search(source, models[0], beam, 6)
                     else:
-                        hyp = ensemble_decode(models, source, beam, 6)
+                        hyp = ensemble_decode(models, [source] * members, beam, 6)
                     assert calls[0] - before == members * hyp.steps
                     early[beam].add(hyp.stopped_early)
         assert early == {1: {False}, 5: {False, True}}

@@ -573,10 +573,12 @@ class TestSliceGradientBuffer:
 
 
 class TestRowGradients:
-    """take_rows' backward holds the rows it read, and its bits are the
-    dense scatter's (helpers.take_rows_scatter), however reads combine."""
+    """take_rows' backward holds the rows it read while it is the leaf's one
+    gradient, and the bits are the dense scatter's (helpers.take_rows_scatter),
+    however reads combine."""
 
     @settings(max_examples=80, deadline=None)
+    @example(V=30, cols=3, reads=[[3, 3, 7, 29]], where="leaf", seed=4)
     @example(V=30, cols=3, reads=[[3, 3, 7, 29], [7, 1, 3]], where="leaf", seed=1)
     @example(V=30, cols=2, reads=[[3, 3, 7], [7, 1], [0]], where="tapes", seed=2)
     @example(V=30, cols=2, reads=[[3, 3, 7], [7, 1]], where="dense too", seed=3)
@@ -585,10 +587,11 @@ class TestRowGradients:
            where=st.sampled_from(["leaf", "tapes", "node", "dense too"]),
            seed=st.integers(0, 2 ** 16))
     def test_matches_the_dense_scatter_to_the_bit(self, V, cols, reads, where, seed):
-        # leaf: every read on one tape, merged by row; tapes: one read per
-        # tape, summed in .grad; node: reads of a recorded tensor, each a
-        # dense scatter; dense too: a dense read of the leaf besides. A read
-        # of half as many ids as rows or more is a dense scatter too.
+        # leaf: every read on one tape; tapes: one read per tape, summed in
+        # .grad; node: reads of a recorded tensor, each a dense scatter;
+        # dense too: a dense read of the leaf besides. Only a leaf's single
+        # read of fewer ids than half its rows keeps a RowGrad: a second
+        # read, on its tape or another, makes the gradient dense.
         rng = T.make_rng(seed)
         table = leaf(rng.normal(size=(V, cols)))
         reads = [[i % V for i in ids] for ids in reads]
@@ -624,16 +627,15 @@ class TestRowGradients:
         if where == "dense too":
             want = want + dense_w
         got = table.grad
-        if where in ("leaf", "tapes") and all(2 * len(ids) < V for ids in reads):
+        if where in ("leaf", "tapes") and len(reads) == 1 and 2 * len(reads[0]) < V:
             assert type(got) is T.RowGrad
-            assert got.rows.tolist() == sorted({i for ids in reads for i in ids})
+            assert got.rows.tolist() == sorted(set(reads[0]))
             assert got.values.shape == (len(got.rows), cols)
         else:
             assert type(got) is np.ndarray
         assert got.shape == (V, cols)
         assert dense_grad(got).tobytes() == want.tobytes()
-        if type(got) is T.RowGrad:
-            assert got.dense().tobytes() == want.tobytes()
+        assert T.dense(got).tobytes() == want.tobytes()
 
     def test_a_recorded_tensor_read_by_rows_gets_a_dense_gradient(self):
         x = leaf(T.make_rng(44).normal(size=(5, 3)))

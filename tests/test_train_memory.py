@@ -11,8 +11,11 @@ import pytest
 
 from synmt import nn
 from synmt import tensor as T
-from synmt.data import BOS, EOS, Batch
+from synmt.data import BOS, EOS, Batch, Vocabulary, linearize_tree
+from synmt.depparse import ParserModel
 from synmt.seq2seq import TranslationModel, sequence_loss, train_step
+
+from helpers import random_projective_tree
 
 MiB = 2 ** 20
 
@@ -75,6 +78,61 @@ def test_embedding_gradients_and_moments_hold_only_the_rows_read():
             read[name] |= batch_rows[name]
             moments = opt.m[name].nbytes + opt.v[name].nbytes
             assert moments == 2 * 8 * 256 * len(read[name]) < 2 * 8 * 256 * 4100 // 4
+
+
+@pytest.mark.parametrize("mode", ["baseline", "sawr-cached", "sawr-tuned", "tree-rnn",
+                                  "tree-linearized"])
+def test_every_mode_reads_each_embedding_table_once_by_rows(mode):
+    # train_step's taped pass over tables more than twice as wide as a
+    # batch's reads: a table read twice on the tape would get a dense
+    # gradient, with the same bits and the whole table's memory
+    V, words, rng = 400, [f"w{i}" for i in range(300)], np.random.default_rng(5)
+    lens = [3, 5, 4]
+    tokens = [[str(w) for w in rng.choice(words, n)] for n in lens]
+    trees = [random_projective_tree(n, rng) for n in lens]
+    tgt = [[int(v) for v in rng.integers(4, V, n)] + [EOS] for n in lens]
+    kw = {"emb_dim": 6, "hidden_dim": 8, "dropout": 0.0, "seed": 2}
+    parser = encodings = None
+    if mode == "sawr-tuned":
+        parser = ParserModel({"<unk>": 0, **{w: i + 1 for i, w in enumerate(words)}}, ["dep"],
+                             embed_dim=4, hidden_dim=3, mlp_dim=3, layers=1)
+        kw.update(mode="sawr", parser=parser, parser_trainable=True)
+    elif mode == "sawr-cached":
+        encodings = [rng.normal(size=(n, 5)) for n in lens]
+        kw.update(mode="sawr", sawr_in_dim=5)
+    elif mode != "baseline":
+        kw.update(mode=mode)
+    units = ([linearize_tree(t, tree) for t, tree in zip(tokens, trees)]
+             if mode == "tree-linearized" else tokens)
+    vocab = Vocabulary(words + sorted({u for s in units for u in s} - set(words)))
+    src = [vocab.ids(u) for u in units]
+    batch = Batch(src, tgt, trees=trees if mode == "tree-rnn" else None,
+                  encodings=encodings, src_tokens=tokens)
+    model = TranslationModel(V, V, **kw)
+
+    read = {"src_emb": ({i for s in src for i in s} if mode == "tree-rnn"
+                        else set(batch.src.ravel().tolist())),
+            "tgt_emb": {BOS} | set(batch.tgt[:, :-1].ravel().tolist())}
+    if parser is not None:
+        ids = np.zeros(batch.src.shape, dtype=np.int64)
+        for b, toks in enumerate(tokens):
+            ids[b, :len(toks)] = parser.word_ids(toks)
+        read["parser.emb"] = set(ids.ravel().tolist())
+    reads = {"src_emb": batch.src.size, "tgt_emb": batch.tgt.size,
+             "parser.emb": batch.src.size}
+    for name in read:
+        assert 2 * reads[name] < model.table[name].shape[0], name
+
+    class Snapshot:
+        def step(self):
+            self.grads = model.table.gradients()
+            return 0.0
+
+    opt = Snapshot()
+    train_step(batch, model, opt)
+    assert {name for name, g in opt.grads.items() if type(g) is T.RowGrad} == set(read)
+    for name, rows in read.items():
+        assert opt.grads[name].rows.tolist() == sorted(rows), name
 
 
 def test_the_memory_is_transposed_once_per_batch(monkeypatch):
