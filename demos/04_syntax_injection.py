@@ -62,8 +62,9 @@ encodings = extract_sawr(parser, sources)
 print("extracted encodings:", len(encodings), "arrays, first two shapes",
       encodings[0].shape, encodings[1].shape)
 
-# Extraction is the expensive half, so there is a binary cache format. The
-# cache remembers which parser produced it and refuses to load for another.
+# Extraction is the expensive half, so its output can be cached, as a
+# checkpoint of one entry per sentence. The cache remembers which parser
+# produced it and refuses to load for another.
 with tempfile.TemporaryDirectory() as tmp:
     cache = os.path.join(tmp, "demo.sawr")
     write_sawr_cache(cache, encodings, parser_hash="c0ffee")

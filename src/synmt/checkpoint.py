@@ -1,4 +1,7 @@
-"""Versioned binary parameter container.
+"""Versioned binary container of named arrays, the package's one binary format.
+
+It holds model checkpoints and SAWR caches alike; each carries a JSON object
+in a uint8 "__meta__" entry, which pack_meta encodes and pop_meta decodes.
 
 Layout, all integers little-endian:
 
@@ -13,8 +16,8 @@ Layout, all integers little-endian:
         dims      ndim * uint32
         data      raw little-endian floats, C order
 
-open_new, below, is the one way the package writes a file, and read_text
-the one way it reads a text file.
+open_new, below, is the one way the package writes a file, open_input the
+one way it opens an input, and read_text the one way it reads a text file.
 """
 
 from __future__ import annotations
@@ -92,12 +95,12 @@ class FileReader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def text(self, n, encoding="utf-8"):
+    def text(self, n):
         start = self.off
         try:
-            return str(self.take(n), encoding)
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
-            raise DataError(f"{self.path}: invalid {encoding} text at byte "
+            raise DataError(f"{self.path}: invalid utf-8 text at byte "
                             f"{start + exc.start}") from None
 
     def finish(self):
@@ -110,7 +113,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     into its own array, so loading holds the entries once and no copy of the
     file; a malformed file, a repeated name or a precision tag other than 0
     and 2 included, is a DataError."""
-    with open(path, "rb") as f:
+    with open_input(path) as f:
         if f.read(8) != MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
         r = FileReader(path, f, 8)
@@ -139,10 +142,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return state
 
 
+def pack_meta(meta: dict) -> np.ndarray:
+    """The "__meta__" entry that stores the JSON object meta; pop_meta reads it."""
+    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+
 def pop_meta(state, path) -> dict:
-    """Remove and parse the JSON object a model stores under "__meta__"."""
+    """Remove and parse the JSON object pack_meta stored under "__meta__"."""
     if "__meta__" not in state:
-        raise DataError(f"{path}: no __meta__ entry; not a model checkpoint")
+        raise DataError(f"{path}: no __meta__ entry")
     try:
         meta = json.loads(bytes(state.pop("__meta__")).decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
@@ -217,8 +225,8 @@ def open_new(path, mode="w"):
 
 def read_text(path, error=DataError) -> str:
     """The text of a UTF-8 file; bytes that are not UTF-8 raise error naming
-    the file and the line."""
-    with open(path, "rb") as f:
+    the file and the line; a file that cannot be opened is a DataError."""
+    with open_input(path) as f:
         raw = f.read()
     try:
         return raw.decode("utf-8")
@@ -233,13 +241,22 @@ def read_lines(path) -> list[str]:
     return [line.rstrip("\n") for line in io.StringIO(read_text(path), newline=None)]
 
 
+def open_input(path):
+    """path opened for binary reading; an OSError (a missing file, a
+    directory, no permission) is a DataError naming path."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
 def _cannot_write(path, exc):
     return DataError(f"{path}: cannot write ({exc.strerror or exc})")
 
 
 def file_sha256(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as f:
+    with open_input(path) as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()

@@ -5,15 +5,14 @@ states are tapped by the syntax module. Decoding is projective only (Eisner
 first-order DP); non-projective gold trees are projectivized by lifting.
 """
 
-import json
 from collections import Counter
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .checkpoint import (load_checkpoint, meta_errors, open_new, pop_meta, read_lines,
-                         save_checkpoint)
+from .checkpoint import (load_checkpoint, meta_errors, open_new, pack_meta, pop_meta,
+                         read_lines, save_checkpoint)
 from .errors import DataError, ShapeError
 
 
@@ -358,7 +357,7 @@ class ParserModel:
             "embed_dim": self.embed_dim, "hidden_dim": self.hidden_dim,
             "mlp_dim": self.mlp_dim, "layers": self.layers,
         }
-        state["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        state["__meta__"] = pack_meta(meta)
         save_checkpoint(path, state)
 
     @classmethod

@@ -18,14 +18,12 @@ b*Q .. b*Q+Q-1 against slab b: training has Q=1 over a padded batch (padding
 gets a -1e9 score bias), decoding B=1 and Q=beam rows.
 """
 
-import json
-
 import numpy as np
 
 from . import nn
 from . import syntax
 from . import tensor as T
-from .checkpoint import load_checkpoint, meta_errors, pop_meta, save_checkpoint
+from .checkpoint import load_checkpoint, meta_errors, pack_meta, pop_meta, save_checkpoint
 from .data import BOS, EOS
 from .errors import ShapeError, StateError
 
@@ -159,8 +157,7 @@ class TranslationModel:
                               "mlp_dim": p.mlp_dim, "layers": p.layers,
                               "trainable": self.parser_trainable}
         arrays = {name: t.data for name, t in self.table.items()}
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
-                                           dtype=np.uint8).copy()
+        arrays["__meta__"] = pack_meta(meta)
         save_checkpoint(path, arrays)
 
     @classmethod

@@ -7,9 +7,13 @@ Three strategies feed the translator:
     whose per-token outputs replace the plain embeddings as encoder inputs;
   - tree-linearized: no new encoder at all, the bracketed symbol sequences from
     data.linearize_tree go through the baseline model with a larger vocabulary.
+
+A SAWR cache holds a corpus's parser encoder states, written once by
+extract-sawr so that training need not run the parser. It is a checkpoint
+(synmt.checkpoint): record i is entry "i", and __meta__ binds the cache to
+the parser checkpoint's sha256.
 """
 
-import struct
 from itertools import groupby
 from operator import itemgetter
 
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import depparse, nn
 from . import tensor as T
-from .checkpoint import FileReader, open_new
+from .checkpoint import load_checkpoint, pack_meta, pop_meta, save_checkpoint
 from .errors import DataError, ShapeError, StateError
 
 
@@ -167,14 +171,6 @@ def tree_gru_encode_batch(emb, trees, p):
 # ---------------------------------------------------------------------------
 # SAWR cache: parser encoder outputs computed once, bound to the producing
 # checkpoint so stale caches cannot be loaded silently.
-#
-# Layout (little-endian): magic b"SAWRCACH", version u32, hash_len u16,
-# hash (ascii hex), count u32, then per record: index u32, n u32, dim u32,
-# n*dim float64 values, row-major.
-
-CACHE_MAGIC = b"SAWRCACH"
-CACHE_VERSION = 1
-
 
 # Sentences per padded batch when a whole corpus is encoded.
 ENCODE_CHUNK = 32
@@ -200,42 +196,32 @@ def extract_sawr(parser, corpus):
 
 
 def write_sawr_cache(path, encodings, parser_hash):
-    digest = parser_hash.encode("ascii")
-    with open_new(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IH", CACHE_VERSION, len(digest)))
-        f.write(digest)
-        f.write(struct.pack("<I", len(encodings)))
-        for i, arr in enumerate(encodings):
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            if arr.ndim != 2:
-                raise ValueError(f"record {i}: expected [n, dim] array, got {arr.shape}")
-            f.write(struct.pack("<III", i, arr.shape[0], arr.shape[1]))
-            f.write(arr.tobytes())
+    """Store encodings as a checkpoint: record i as entry "i", a float64
+    [n_i, dim] array, and parser_hash as __meta__'s "parser_sha256"."""
+    state = {}
+    for i, arr in enumerate(encodings):
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"record {i}: expected [n, dim] array, got {arr.shape}")
+        state[str(i)] = arr
+    state["__meta__"] = pack_meta({"parser_sha256": parser_hash})
+    save_checkpoint(path, state)
 
 
 def read_sawr_cache(path, parser_hash=None):
-    """Load cached encodings; refuses a cache from a different parser."""
-    with open(path, "rb") as f:
-        if f.read(8) != CACHE_MAGIC:
-            raise DataError(f"{path}: not a SAWR cache (bad magic)")
-        r = FileReader(path, f, 8)
-        version, hash_len = r.unpack("<IH")
-        if version != CACHE_VERSION:
-            raise DataError(f"{path}: unsupported cache version {version}")
-        stored_hash = r.text(hash_len, "ascii")
-        if parser_hash is not None and stored_hash != parser_hash:
-            raise DataError(
-                f"{path}: cache was built from parser checkpoint {stored_hash[:12]}..., "
-                f"expected {parser_hash[:12]}...; re-run the extraction")
-        (count,) = r.unpack("<I")
-        encodings = []
-        for k in range(count):
-            idx, n, dim = r.unpack("<III")
-            if idx != k:
-                raise DataError(f"{path}: record {k} carries index {idx}")
-            r.claim(n * dim * 8)
-            encodings.append(np.empty((n, dim), dtype="<f8"))
-            r.fill(encodings[-1])
-        r.finish()
-    return encodings, stored_hash
+    """(encodings, stored parser hash) of a cache; refuses a cache from a
+    different parser, and any entries but the 2-D float64 records "0".."n-1"."""
+    state = load_checkpoint(path)
+    stored_hash = pop_meta(state, path).get("parser_sha256")
+    if not isinstance(stored_hash, str):
+        raise DataError(f"{path}: no parser_sha256 in __meta__; not a SAWR cache")
+    if parser_hash is not None and stored_hash != parser_hash:
+        raise DataError(
+            f"{path}: cache was built from parser checkpoint {stored_hash[:12]}..., "
+            f"expected {parser_hash[:12]}...; re-run the extraction")
+    for k, (name, arr) in enumerate(state.items()):
+        if name != str(k):
+            raise DataError(f"{path}: entry {name!r} where record {k} belongs")
+        if arr.dtype != np.float64 or arr.ndim != 2:
+            raise DataError(f"{path}: entry {name!r} is not a 2-D float64 array")
+    return list(state.values()), stored_hash

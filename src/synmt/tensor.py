@@ -269,47 +269,33 @@ def _pass_on(grads, inputs, input_grads):
 # ---------------------------------------------------------------------------
 # primitives
 
-def _binary_shapes(a: Tensor, b: Tensor, opname: str):
-    """Equal shapes, or a [1,n] bias row against an [m,n] matrix (either side)."""
-    if a.data.shape == b.data.shape:
-        return None  # no reduction needed
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) == 2 and len(sb) == 2 and sa[1] == sb[1]:
-        if sb[0] == 1:
-            return "b"  # reduce gradient of b over rows
-        if sa[0] == 1:
-            return "a"
-    raise ShapeError(f"{opname}: shapes {sa} and {sb} are not broadcastable "
-                     "(only a [1,n] bias row against [m,n] is allowed)")
-
-
-def _reduce_rows(g, which, side):
-    if which == side:
-        return g.sum(axis=0, keepdims=True)
-    return g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    which = _binary_shapes(a, b, "add")
+    """a + b for equal shapes, or for an [m,n] matrix a and a [1,n] bias row b."""
+    sa, sb = a.data.shape, b.data.shape
+    row = sa != sb
+    if row and not (len(sa) == 2 and sb == (1, sa[1])):
+        raise ShapeError(f"add: shapes {sa} and {sb} are not broadcastable "
+                         "(only an [m,n] matrix plus a [1,n] bias row is allowed)")
     out = Tensor(a.data + b.data)
     need_a, need_b = a.requires_grad, b.requires_grad  # a constant gets None
 
     def bwd(g):
-        return (_reduce_rows(g, which, "a") if need_a else None,
-                _reduce_rows(g, which, "b") if need_b else None)
+        return (g if need_a else None,
+                (g.sum(axis=0, keepdims=True) if row else g) if need_b else None)
 
     return _record(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    which = _binary_shapes(a, b, "mul")
+    """Elementwise a * b of two equal shapes."""
     ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"mul: shapes {ad.shape} and {bd.shape} differ")
     out = Tensor(ad * bd)
     need_a, need_b = a.requires_grad, b.requires_grad  # a constant gets None
 
     def bwd(g):
-        return (_reduce_rows(g * bd, which, "a") if need_a else None,
-                _reduce_rows(g * ad, which, "b") if need_b else None)
+        return (g * bd if need_a else None, g * ad if need_b else None)
 
     return _record(out, (a, b), bwd)
 

@@ -153,6 +153,19 @@ class TestValidationFailures:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--hyp", "DIR", "--ref", str(FX / "copy.tgt")],
+        ["translate", "--model", "DIR", "--src", str(FX / "copy.dev.src")],
+        ["evaluate", "--config", "DIR"],
+    ], ids=["evaluate --hyp", "translate --model", "--config"])
+    def test_an_input_that_cannot_be_opened_exits_2(self, tmp_path, capsys, argv):
+        d = tmp_path / "a-directory"
+        d.mkdir()
+        rc = main([str(d) if a == "DIR" else a for a in argv] + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {d}: "), err
+
     def test_corrupt_cache_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.sawr"
         junk.write_bytes(b"not a cache at all")
@@ -488,6 +501,19 @@ class TestPipeline:
             f"data error: {bad_path} record {i}: shape {bad[i].shape}, "
             f"expected {encodings[i].shape}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("ckpt", ["base.ckpt", "parser.ckpt"])
+    def test_a_checkpoint_given_as_cache_exits_2(self, pipeline, tmp_path, capsys, ckpt):
+        d = pipeline
+        capsys.readouterr()
+        rc = main(["train-nmt", "--mode", "sawr", "--sawr_dim", "8",
+                   "--cache", str(d / ckpt), "--dev_cache", str(d / ckpt),
+                   "--train_src", str(d / "train.src"), "--train_tgt", str(d / "train.tgt"),
+                   "--dev_src", str(d / "dev.src"), "--dev_tgt", str(d / "dev.tgt"),
+                   "--out", str(tmp_path / "out")] + SMALL)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {d / ckpt}: no parser_sha256 in __meta__; not a SAWR cache"]
 
     def test_a_frozen_parser_encodes_the_dev_set_once(self, pipeline, tmp_path,
                                                       monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from synmt import cli, depparse, nn, syntax
 from synmt import tensor as T
-from synmt.checkpoint import load_checkpoint
+from synmt.checkpoint import load_checkpoint, pack_meta, save_checkpoint
 from synmt.data import Batch, BpeModel, Vocabulary, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel, parser_encode
 from synmt.errors import DataError, ShapeError, StateError
@@ -481,12 +481,37 @@ class TestSawrCache:
         path = str(tmp_path / "c.sawr")
         syntax.write_sawr_cache(path, [np.ones((2, 3))], "e" * 64)
         blob = bytearray(open(path, "rb").read())
-        blob[14] = 0xFF  # first byte of the parser hash
+        blob[blob.index(b"e" * 64)] = 0xFF  # first byte of the hash in __meta__
         with open(path, "wb") as f:
             f.write(blob)
-        with pytest.raises(DataError, match=re.escape(f"{path}: invalid ascii "
-                                                      f"text at byte 14")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: unreadable __meta__ entry")):
             syntax.read_sawr_cache(path)
+
+    @pytest.mark.parametrize("meta", [{}, {"parser_sha256": 7}])
+    def test_meta_without_a_hash_is_not_a_cache(self, tmp_path, meta):
+        path = str(tmp_path / "c.sawr")
+        save_checkpoint(path, {"0": np.ones((2, 3)), "__meta__": pack_meta(meta)})
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*not a SAWR cache"):
+            syntax.read_sawr_cache(path)
+
+    @pytest.mark.parametrize("entries, bad", [
+        ({"1": np.ones((2, 3)), "0": np.ones((1, 3))}, "'1'"),
+        ({"0": np.ones((2, 3)), "x": np.ones((1, 3))}, "'x'"),
+        ({"0": np.ones((2, 3)), "01": np.ones((1, 3))}, "'01'"),
+        ({"0": np.ones((2, 3)), "1": np.ones(3)}, "'1'"),
+        ({"0": np.ones((2, 3, 1))}, "'0'"),
+        ({"0": np.ones((2, 3), dtype=np.uint8)}, "'0'"),
+    ], ids=["out of order", "misnamed", "zero-padded", "1-D record", "3-D record",
+            "raw bytes"])
+    def test_entries_other_than_the_records_are_data_errors(self, tmp_path, entries, bad):
+        path = str(tmp_path / "c.sawr")
+        save_checkpoint(path, {**entries, "__meta__": pack_meta({"parser_sha256": "e" * 64})})
+        with pytest.raises(DataError, match=re.escape(f"{path}: entry {bad}")):
+            syntax.read_sawr_cache(path)
+
+    def test_a_record_that_is_not_2d_is_refused_at_write(self, tmp_path):
+        with pytest.raises(ValueError, match="record 1"):
+            syntax.write_sawr_cache(tmp_path / "c.sawr", [np.ones((2, 3)), np.ones(3)], "e")
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = str(tmp_path / "c.sawr")

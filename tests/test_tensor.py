@@ -457,7 +457,6 @@ CONSTANT_CASES = {
     "add": (T.add, [(3, 4), (3, 4)], (0, 1)),
     "add-bias-row": (T.add, [(3, 4), (1, 4)], (0, 1)),
     "mul": (T.mul, [(3, 4), (3, 4)], (0, 1)),
-    "mul-bias-row": (T.mul, [(1, 4), (3, 4)], (0, 1)),
     "matmul": (T.matmul, [(3, 4), (4, 2)], (0, 1)),
     "matmul-stack": (T.matmul, [(2, 3, 4), (2, 4, 5)], (0, 1)),
     "concat": (lambda *xs: T.concat(xs, axis=0), [(2, 4), (1, 4), (3, 4)], (0, 1, 2)),
