@@ -61,8 +61,8 @@ run("train-parser", "--treebank", FIXTURES / "copy.parser.trees",
 run("extract-sawr", "--parser", work / "parser.ckpt",
     "--src", FIXTURES / "copy.src", "--out", work / "sawr.cache")
 
-# 3. Train the baseline translator. The checkpoint lands next to its
-# vocabulary and BPE sidecars, so it is self-contained for decoding.
+# 3. Train the baseline translator. The checkpoint carries its vocabularies,
+# so it is self-contained for decoding.
 run("train-nmt", "--config", cfg, "--mode", "baseline", "--epochs", 45,
     "--train_src", FIXTURES / "copy.src", "--train_tgt", FIXTURES / "copy.tgt",
     "--dev_src", FIXTURES / "copy.dev.src", "--dev_tgt", FIXTURES / "copy.dev.tgt",

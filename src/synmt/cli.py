@@ -28,8 +28,8 @@ except ImportError:  # not on every platform; the manifest then omits peak_rss_m
 from . import nn
 from .checkpoint import file_sha256, open_new, read_lines
 from .config import SCHEMA, read_config, validate_config
-from .data import (EOS, BpeModel, Vocabulary, apply_bpe, build_vocab, decode_bpe,
-                   filter_and_batch, learn_bpe, linearize_tree, read_corpus)
+from .data import (EOS, apply_bpe, build_vocab, decode_bpe, filter_and_batch, learn_bpe,
+                   linearize_tree, read_corpus)
 from .depparse import (ParserModel, evaluate_las, normalize_root, parse_sentence,
                        projectivize, read_treebank, train_parser)
 from .errors import ConfigError, DataError
@@ -193,13 +193,14 @@ def _read_cache(path, sents, parser_hash=None, widths=(), keep=None):
 
 
 @np.errstate(over="raise", invalid="raise")
-def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
-                   trees, encodings):
+def _decode_corpus(models, sents, beam_size, max_len, trees, encodings):
     """Translate token lists back into detokenized text lines.
 
     One model decodes with beam_search, several with ensemble_decode over
     the mean of their distributions. Each model gets the tree and the
-    encoding of a sentence and reads what its mode needs.
+    encoding of a sentence and reads what its mode needs, in the ids of its
+    own source vocabulary; the first model's target vocabulary, which every
+    member shares, spells the output.
     trees (or None) align with sents; encodings holds one such list (or
     None) per model, completed by _parser_encodings. Empty source lines come
     back as empty output lines so file alignment survives.
@@ -211,6 +212,7 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     non-finite values.
     """
     encodings = _parser_encodings(models, sents, encodings)
+    tgt_vocab = models[0].vocabs[1]
     out = []
     stats = {"sentences": 0, "decoder_steps": 0, "emitted_tokens": 0, "stopped_early": 0}
     for i, toks in enumerate(sents):
@@ -218,8 +220,7 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
             out.append("")
             continue
         tree = trees[i] if trees is not None else None
-        sources = [sv.ids(_source_units(m.mode, toks, tree))
-                   for m, sv in zip(models, src_vocabs)]
+        sources = [m.vocabs[0].ids(_source_units(m.mode, toks, tree)) for m in models]
         encs = [e[i] if e is not None else None for e in encodings]
         if len(models) == 1:
             hyp = beam_search(sources[0], models[0], beam_size, max_len,
@@ -235,25 +236,12 @@ def _decode_corpus(models, src_vocabs, tgt_vocab, sents, beam_size, max_len,
     return out, stats
 
 
-def _bundle_paths(path):
-    return [path, path + ".src.vocab", path + ".tgt.vocab", path + ".bpe"]
-
-
-def _save_bundle(path, model, src_vocab, tgt_vocab, bpe):
-    """A checkpoint plus the vocabularies and BPE merges needed to use it."""
-    model.save(path)
-    src_vocab.save(path + ".src.vocab")
-    tgt_vocab.save(path + ".tgt.vocab")
-    bpe.save(path + ".bpe")
-    return _bundle_paths(path)
-
-
-def _load_bundle(path):
+def _load_translator(path):
+    """The translation model at path, with the vocabularies it decodes with."""
     model = TranslationModel.load(path)
-    src_vocab = Vocabulary.load(path + ".src.vocab")
-    tgt_vocab = Vocabulary.load(path + ".tgt.vocab")
-    bpe = BpeModel.load(path + ".bpe")
-    return model, src_vocab, tgt_vocab, bpe
+    if model.vocabs is None:
+        raise DataError(f"{path}: no vocabularies in __meta__")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +317,8 @@ def _prepare_nmt_data(cfg, man):
     tgt_sents = [tgt_sents[i] for i in keep]
 
     dev_sents = read_corpus(cfg.dev_src)
+    if not dev_sents:
+        raise DataError(f"{cfg.dev_src}: no dev sentences to score")
     dev_refs = read_lines(cfg.dev_tgt)
     if len(dev_sents) != len(dev_refs):
         raise DataError(f"{len(dev_sents)} dev source vs {len(dev_refs)} references")
@@ -376,27 +366,24 @@ def _prepare_nmt_data(cfg, man):
     return {"pairs": pairs, "src_sents": src_sents, "trees": trees,
             "encodings": encodings, "dev_sents": dev_sents, "dev_refs": dev_refs,
             "dev_trees": dev_trees, "dev_encodings": dev_encodings,
-            "src_vocab": src_vocab, "tgt_vocab": tgt_vocab, "bpe": bpe,
-            "parser": parser}
+            "vocabs": (src_vocab, tgt_vocab), "parser": parser}
 
 
 def _cmd_train_nmt(cfg, man):
     _require(cfg, "train-nmt", "train_src", "train_tgt", "dev_src", "dev_tgt", "out")
     d = _prepare_nmt_data(cfg, man)
-    src_vocab, tgt_vocab = d["src_vocab"], d["tgt_vocab"]
     # the training model and its optimizer live only inside _train_epochs,
     # so they are freed before the best checkpoint is loaded back
     best_epoch, best_bleu = _train_epochs(cfg, man, d)
     man.note("best", {"epoch": best_epoch, "dev_bleu": best_bleu})
     best_model = TranslationModel.load(cfg.out)
     final_hyps, decode = _decode_corpus(
-        [best_model], [src_vocab], tgt_vocab, d["dev_sents"], cfg.beam_size,
-        cfg.decode_max_len, trees=d["dev_trees"], encodings=[d["dev_encodings"]])
+        [best_model], d["dev_sents"], cfg.beam_size, cfg.decode_max_len,
+        trees=d["dev_trees"], encodings=[d["dev_encodings"]])
     final = bleu(final_hyps, d["dev_refs"], case_sensitive=cfg.case_sensitive)
     man.note("final", {"beam_size": cfg.beam_size, "dev_bleu": final.score,
                        "decode": decode})
-    for path in _bundle_paths(cfg.out):
-        man.add_artifact(path)
+    man.add_artifact(cfg.out)
     print(f"best epoch {best_epoch} (greedy dev BLEU {best_bleu:.2f}); "
           f"beam {cfg.beam_size} dev BLEU {final.score:.2f}")
     print(f"saved model to {cfg.out}")
@@ -404,11 +391,11 @@ def _cmd_train_nmt(cfg, man):
 
 def _train_epochs(cfg, man, d):
     """Train a new model on _prepare_nmt_data's d for cfg.epochs, decoding
-    the dev set greedily after each epoch and saving the bundle at cfg.out
+    the dev set greedily after each epoch and saving the model at cfg.out
     whenever its BLEU beats every earlier epoch's; returns (best epoch, its
     BLEU)."""
     mode = cfg.mode
-    src_vocab, tgt_vocab = d["src_vocab"], d["tgt_vocab"]
+    src_vocab, tgt_vocab = d["vocabs"]
     sawr_in = None
     if mode == "sawr" and d["parser"] is None:
         sawr_in = int(d["encodings"][0].shape[1])
@@ -418,7 +405,7 @@ def _train_epochs(cfg, man, d):
         sawr_in_dim=sawr_in, tree_hidden=cfg.tree_hidden or None,
         dropout=cfg.dropout,
         parser=d["parser"] if MODEL_MODE[mode] == "sawr" else None,
-        parser_trainable=(mode == "sawr-tuned"), seed=cfg.seed)
+        parser_trainable=(mode == "sawr-tuned"), seed=cfg.seed, vocabs=d["vocabs"])
     opt = nn.Adam(model.table, lr=cfg.learning_rate, clip=cfg.clip_norm)
 
     best_bleu, best_epoch = -1.0, 0
@@ -441,8 +428,8 @@ def _train_epochs(cfg, man, d):
         t1 = time.perf_counter()
 
         try:
-            hyps, decode = _decode_corpus([model], [src_vocab], tgt_vocab, d["dev_sents"], 1,
-                                          cfg.decode_max_len, trees=d["dev_trees"],
+            hyps, decode = _decode_corpus([model], d["dev_sents"], 1, cfg.decode_max_len,
+                                          trees=d["dev_trees"],
                                           encodings=[d["dev_encodings"]])
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch} dev decode: {exc}") from None
@@ -451,7 +438,7 @@ def _train_epochs(cfg, man, d):
         marker = ""
         if dev_bleu > best_bleu:
             best_bleu, best_epoch = dev_bleu, epoch
-            _save_bundle(cfg.out, model, src_vocab, tgt_vocab, d["bpe"])
+            model.save(cfg.out)
             marker = " *"
         t3 = time.perf_counter()
         seconds = round(t2 - t0, 3)
@@ -486,19 +473,16 @@ def _translate_resources(cfg, models, src_sents):
 
 
 def _translate_with(cfg, man, paths):
-    """Decode cfg.src with the bundles at paths; returns the output lines."""
-    bundles = [_load_bundle(p) for p in paths]
-    tgt_vocab = bundles[0][2]
-    for path, (_, _, tv, _) in zip(paths[1:], bundles[1:]):
-        if tv.tokens(range(len(tv)), strip_reserved=False) != \
-                tgt_vocab.tokens(range(len(tgt_vocab)), strip_reserved=False):
+    """Decode cfg.src with the models at paths; returns the output lines."""
+    models = [_load_translator(p) for p in paths]
+    spell = [m.vocabs[1].tokens(range(len(m.vocabs[1]))) for m in models]
+    for path, tokens in zip(paths[1:], spell[1:]):
+        if tokens != spell[0]:
             raise DataError(f"{path}: target vocabulary differs from {paths[0]}; "
                             f"ensemble members must share one")
-    models = [b[0] for b in bundles]
     src_sents = read_corpus(cfg.src)
     trees, encodings = _translate_resources(cfg, models, src_sents)
-    hyps, decode = _decode_corpus(models, [b[1] for b in bundles], tgt_vocab,
-                                  src_sents, cfg.beam_size, cfg.decode_max_len,
+    hyps, decode = _decode_corpus(models, src_sents, cfg.beam_size, cfg.decode_max_len,
                                   trees=trees, encodings=encodings)
     _write_lines(cfg.out, hyps)
     man.add_artifact(cfg.out)
@@ -548,13 +532,13 @@ def _cmd_significance(cfg, man):
 
 def _cmd_align_dump(cfg, man):
     _require(cfg, "align-dump", "model", "src", "out")
-    model, src_vocab, tgt_vocab, _ = _load_bundle(cfg.model)
+    model = _load_translator(cfg.model)
     src_sents = read_corpus(cfg.src)
     trees, encodings = _translate_resources(cfg, [model], src_sents)
     [encodings] = _parser_encodings([model], src_sents, encodings)
     sources = [_source_units(model.mode, toks, trees[i] if trees is not None else None)
                if toks else [] for i, toks in enumerate(src_sents)]
-    records = dump_alignments(model, sources, src_vocab, tgt_vocab,
+    records = dump_alignments(model, sources, *model.vocabs,
                               max_len=cfg.decode_max_len, trees=trees,
                               encodings=encodings)
     write_alignments(records, cfg.out)

@@ -1,9 +1,8 @@
 """Corpus plumbing: vocabularies, BPE subwords, batching, tree linearization.
 
 File conventions: parallel corpora are two aligned UTF-8 text files, one
-whitespace-tokenized sentence per line. A vocabulary file lists one token per
-line, line number = id - 4 (ids 0..3 are reserved). A BPE model file holds one
-merge pair per line, space-separated.
+whitespace-tokenized sentence per line. Vocabularies are not files of their
+own: a translation checkpoint stores its two in its __meta__ entry.
 """
 
 from collections import Counter
@@ -11,7 +10,7 @@ from collections import Counter
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import open_new, read_lines
+from .checkpoint import read_lines
 from .depparse import DependencyTree
 from .errors import DataError
 
@@ -20,12 +19,15 @@ RESERVED = ["<pad>", "<unk>", "<s>", "</s>"]
 
 
 class Vocabulary:
-    """Token ids, with 0..3 reserved for PAD, UNK, BOS, EOS."""
+    """Token ids, with 0..3 reserved for PAD, UNK, BOS, EOS; tokens, the
+    non-empty strings that get ids 4, 5, ..."""
 
     def __init__(self, tokens):
         self._tokens = list(RESERVED)
         self._ids = {tok: i for i, tok in enumerate(RESERVED)}
         for tok in tokens:
+            if not isinstance(tok, str) or not tok:
+                raise ValueError(f"token {tok!r} is not a non-empty string")
             if tok in self._ids:
                 raise ValueError(f"duplicate or reserved token {tok!r}")
             self._ids[tok] = len(self._tokens)
@@ -51,23 +53,6 @@ class Vocabulary:
         if strip_reserved:
             out = [t for t in out if t not in RESERVED]
         return out
-
-    def save(self, path):
-        with open_new(path) as f:
-            for tok in self._tokens[4:]:
-                f.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path):
-        """The vocabulary save wrote: line k holds the token of id k + 3."""
-        tokens = read_lines(path)
-        if "" in tokens:
-            raise DataError(f"{path} line {tokens.index('') + 1}: blank line, "
-                            "expected one token")
-        try:
-            return cls(tokens)
-        except ValueError as exc:  # a duplicate or reserved token
-            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpus, max_size):
@@ -104,21 +89,6 @@ MARKER = "@@"
 class BpeModel:
     def __init__(self, merges):
         self.merges = [tuple(m) for m in merges]
-
-    def save(self, path):
-        with open_new(path) as f:
-            for a, b in self.merges:
-                f.write(f"{a} {b}\n")
-
-    @classmethod
-    def load(cls, path):
-        merges = []
-        for line_no, line in enumerate(read_lines(path), start=1):
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise DataError(f"{path} line {line_no}: expected two units")
-            merges.append(tuple(parts))
-        return cls(merges)
 
 
 def learn_bpe(word_freqs, num_merges):

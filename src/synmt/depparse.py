@@ -350,14 +350,24 @@ class ParserModel:
         x = T.take_rows(self.table["emb"], id_matrix.ravel())  # row b*n + i: token i of b
         return nn.birnn_encode(T.reshape(x, (B, n, self.embed_dim)), self.cells, mask)
 
+    def meta(self):
+        """The fields from_meta rebuilds this model's shape from."""
+        return {"vocab": self.vocab, "labels": self.label_names,
+                "embed_dim": self.embed_dim, "hidden_dim": self.hidden_dim,
+                "mlp_dim": self.mlp_dim, "layers": self.layers}
+
+    @classmethod
+    def from_meta(cls, meta):
+        """A model of meta's shape whose parameters are left for a checkpoint
+        to set; a missing or unusable field raises KeyError, TypeError or
+        ValueError, which checkpoint.meta_errors turns into a DataError."""
+        return cls(meta["vocab"], meta["labels"], embed_dim=meta["embed_dim"],
+                   hidden_dim=meta["hidden_dim"], mlp_dim=meta["mlp_dim"],
+                   layers=meta["layers"], init=np.empty)
+
     def save(self, path):
         state = {name: t.data for name, t in self.table.items()}
-        meta = {
-            "vocab": self.vocab, "labels": self.label_names,
-            "embed_dim": self.embed_dim, "hidden_dim": self.hidden_dim,
-            "mlp_dim": self.mlp_dim, "layers": self.layers,
-        }
-        state["__meta__"] = pack_meta(meta)
+        state["__meta__"] = pack_meta(self.meta())
         save_checkpoint(path, state)
 
     @classmethod
@@ -365,9 +375,7 @@ class ParserModel:
         state = load_checkpoint(path)
         meta = pop_meta(state, path)
         with meta_errors(path):
-            model = cls(meta["vocab"], meta["labels"], embed_dim=meta["embed_dim"],
-                        hidden_dim=meta["hidden_dim"], mlp_dim=meta["mlp_dim"],
-                        layers=meta["layers"], init=np.empty)
+            model = cls.from_meta(meta)
         model.table.load_state(state, path)
         return model
 
@@ -500,7 +508,7 @@ def train_parser(sents, *, embed_dim=64, hidden_dim=100, mlp_dim=100, layers=3,
             fixed = projectivize(fixed)
         prepared.append((tokens, fixed))
     if not prepared:
-        raise ValueError("no usable sentences after the non-projective policy")
+        raise DataError("no usable sentences after the non-projective policy")
 
     labels = sorted({lab for _, tree in prepared for lab in tree.labels})
     vocab = build_parser_vocab(prepared)

@@ -24,7 +24,7 @@ from . import nn
 from . import syntax
 from . import tensor as T
 from .checkpoint import load_checkpoint, meta_errors, pack_meta, pop_meta, save_checkpoint
-from .data import BOS, EOS
+from .data import BOS, EOS, Vocabulary
 from .errors import ShapeError, StateError
 
 MODES = ("none", "sawr", "tree-rnn", "tree-linearized")
@@ -39,12 +39,14 @@ class TranslationModel:
     decoder state, attention space and output hidden layer share hidden_dim.
     Parameters are drawn from U[-0.1, 0.1) off seed, or made by init(shape)
     when init is given (load passes np.empty and then sets every value).
+    vocabs, when given, is the (source, target) Vocabulary pair the model
+    reads and writes ids of; save stores it with the parameters.
     """
 
     def __init__(self, src_vocab_size, tgt_vocab_size, *, mode="none",
                  emb_dim=512, hidden_dim=1024, sawr_dim=512, sawr_in_dim=None,
                  tree_hidden=None, dropout=0.5, parser=None,
-                 parser_trainable=False, seed=1, init=None):
+                 parser_trainable=False, seed=1, init=None, vocabs=None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         optional = {"sawr_in_dim": sawr_in_dim, "tree_hidden": tree_hidden}
@@ -57,6 +59,11 @@ class TranslationModel:
             raise ValueError("target vocabulary must include the reserved ids")
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout ratio {dropout} outside [0, 1)")
+        if vocabs is not None and [len(v) for v in vocabs] != [src_vocab_size,
+                                                               tgt_vocab_size]:
+            raise ValueError(f"vocabularies of {[len(v) for v in vocabs]} ids for "
+                             f"tables of {[src_vocab_size, tgt_vocab_size]} rows")
+        self.vocabs = vocabs
         self.src_vocab_size = src_vocab_size
         self.tgt_vocab_size = tgt_vocab_size
         self.mode = mode
@@ -149,38 +156,42 @@ class TranslationModel:
                 "hidden_dim": self.hidden_dim, "sawr_dim": self.sawr_dim,
                 "sawr_in_dim": self.sawr.in_dim if self.sawr else None,
                 "tree_hidden": self.tree_hidden,
-                "dropout": self.dropout, "seed": self.seed}
+                "dropout": self.dropout, "seed": self.seed,
+                "vocabs": None if self.vocabs is None
+                else [v.tokens(range(len(v))) for v in self.vocabs]}
         if self.parser is not None:
-            p = self.parser
-            meta["parser"] = {"vocab": p.vocab, "label_names": p.label_names,
-                              "embed_dim": p.embed_dim, "hidden_dim": p.hidden_dim,
-                              "mlp_dim": p.mlp_dim, "layers": p.layers,
-                              "trainable": self.parser_trainable}
+            meta["parser"] = {**self.parser.meta(), "trainable": self.parser_trainable}
         arrays = {name: t.data for name, t in self.table.items()}
         arrays["__meta__"] = pack_meta(meta)
         save_checkpoint(path, arrays)
 
     @classmethod
     def load(cls, path):
+        """The model save wrote. Its vocabularies, when stored, must be a
+        [source, target] pair of token lists whose sizes match the tables;
+        anything else in __meta__ that does not fit is a DataError."""
         arrays = load_checkpoint(path)
         meta = pop_meta(arrays, path)
         parser = None
         trainable = False
         with meta_errors(path):
+            vocabs = meta["vocabs"]
+            if vocabs is not None:
+                if not (isinstance(vocabs, list) and len(vocabs) == 2
+                        and all(isinstance(v, list) for v in vocabs)):
+                    raise ValueError("vocabs is not a [source, target] pair of token lists")
+                vocabs = tuple(Vocabulary(v) for v in vocabs)
             pm = meta.pop("parser", None)
             if pm is not None:
                 from .depparse import ParserModel
                 trainable = pm["trainable"]
-                parser = ParserModel(pm["vocab"], pm["label_names"],
-                                     embed_dim=pm["embed_dim"], hidden_dim=pm["hidden_dim"],
-                                     mlp_dim=pm["mlp_dim"], layers=pm["layers"],
-                                     init=np.empty)
+                parser = ParserModel.from_meta(pm)
             model = cls(meta["src_vocab_size"], meta["tgt_vocab_size"], mode=meta["mode"],
                         emb_dim=meta["emb_dim"], hidden_dim=meta["hidden_dim"],
                         sawr_dim=meta["sawr_dim"], sawr_in_dim=meta["sawr_in_dim"],
                         tree_hidden=meta["tree_hidden"], dropout=meta["dropout"],
                         parser=parser, parser_trainable=trainable, seed=meta["seed"],
-                        init=np.empty)
+                        init=np.empty, vocabs=vocabs)
         model.table.load_state(arrays, path)
         return model
 

@@ -26,9 +26,8 @@ import pytest
 from synmt import nn, seq2seq, syntax
 from synmt import tensor as T
 from synmt.cli import main
-from synmt.data import (Vocabulary, apply_bpe, decode_bpe, delinearize_tree,
-                        filter_and_batch, learn_bpe, linearize_tree,
-                        read_corpus)
+from synmt.data import (apply_bpe, decode_bpe, delinearize_tree, filter_and_batch,
+                        learn_bpe, linearize_tree, read_corpus)
 from synmt.depparse import (ParserModel, decode_projective, evaluate_las,
                             normalize_root, parse_sentence, read_treebank,
                             score_arcs, train_parser, tree_log_loss)
@@ -569,7 +568,7 @@ def test_beam_steps_follow_output_length(overfit, monkeypatch):
     token, because the search stops once no live hypothesis can win."""
     ck = str(overfit["dir"] / "baseline.ckpt")
     model = TranslationModel.load(ck)
-    src_vocab = Vocabulary.load(ck + ".src.vocab")
+    src_vocab = model.vocabs[0]
     calls = [0]
     real_step = seq2seq.decode_step
 

@@ -218,6 +218,42 @@ class TestValidationFailures:
         assert all(p in err[0] for p in paths)
         assert not out.exists()
 
+    def test_an_empty_dev_file_exits_2_before_training(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "dev.txt"
+        empty.write_bytes(b"")
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        rc = main(["train-nmt", "--train_src", str(workdir / "train.src"),
+                   "--train_tgt", str(workdir / "train.tgt"), "--dev_src", str(empty),
+                   "--dev_tgt", str(empty), "--out", str(out)] + SMALL)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {empty}: "), err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()  # no epoch was logged
+
+    def test_a_dev_file_of_blank_lines_still_trains(self, workdir, tmp_path):
+        blank = tmp_path / "dev.txt"
+        blank.write_text("\n\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert main(["train-nmt", "--train_src", str(workdir / "train.src"),
+                     "--train_tgt", str(workdir / "train.tgt"), "--dev_src", str(blank),
+                     "--dev_tgt", str(blank), "--out", str(out)]
+                    + SMALL + ["--epochs", "1"]) == 0
+        assert _manifest(out)["final"]["decode"]["sentences"] == 0
+
+    def test_a_skip_policy_that_leaves_no_tree_exits_2(self, tmp_path, capsys):
+        bank = tmp_path / "one.trees"  # the arc 4 -> 2 spans the root 3
+        bank.write_text("1\ta\t3\tdet\n2\tb\t4\tobj\n3\tc\t0\troot\n"
+                        "4\td\t3\tobj\n\n", encoding="utf-8")
+        out = tmp_path / "parser.ckpt"
+        capsys.readouterr()
+        assert main(["train-parser", "--treebank", str(bank), "--nonprojective", "skip",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: no usable sentences after the non-projective policy"]
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bootstrap_samples = 99\n", encoding="utf-8")
@@ -367,13 +403,24 @@ class TestPipeline:
         assert traces.index(max(traces)) + 1 == best["epoch"]  # first best wins
         assert "final" in man and man["final"]["beam_size"] == 2
 
-    def test_bundle_artifacts_all_hashed(self, pipeline):
-        man = _manifest(pipeline / "base.ckpt")
+    def test_the_model_file_is_the_one_artifact(self, pipeline):
         base = str(pipeline / "base.ckpt")
-        expected = {base, base + ".src.vocab", base + ".tgt.vocab", base + ".bpe"}
-        assert set(man["artifacts"]) == expected
-        for path, digest in man["artifacts"].items():
-            assert digest == file_sha256(path)
+        assert _manifest(base)["artifacts"] == {base: file_sha256(base)}
+        assert sorted(p.name for p in pipeline.glob("base.ckpt*")) == [
+            "base.ckpt", "base.ckpt.manifest.json"]
+
+    def test_decoding_commands_read_the_model_file_alone(self, pipeline, tmp_path):
+        model = tmp_path / "m.ckpt"
+        model.write_bytes((pipeline / "base.ckpt").read_bytes())
+        runs = {"beam.hyp": ["translate", "--model", str(model)],
+                "ensemble.hyp": ["ensemble-translate", "--models", f"{model},{model}"],
+                "align.jsonl": ["align-dump", "--model", str(model)]}
+        for out, argv in runs.items():
+            assert main(argv + ["--src", str(pipeline / "dev.src"), "--beam_size", "2",
+                                "--out", str(tmp_path / out)]) == 0
+        for out in ("beam.hyp", "ensemble.hyp"):
+            assert (tmp_path / out).read_bytes() == (pipeline / "dev.hyp").read_bytes()
+        assert len(read_alignments(tmp_path / "align.jsonl")) == 10
 
     def test_translate_keeps_line_alignment(self, pipeline):
         hyps = (pipeline / "dev.hyp").read_text(encoding="utf-8").splitlines()
@@ -538,10 +585,8 @@ class TestPipeline:
         assert len(_manifest(tmp_path / "sawr.ckpt")["epochs"]) == 3
         assert calls == [5, 5]
 
-    def _bundle_copy(self, pipeline, dst):
-        for suffix in ("", ".src.vocab", ".tgt.vocab", ".bpe"):
-            (dst.parent / (dst.name + suffix)).write_bytes(
-                (pipeline / ("base.ckpt" + suffix)).read_bytes())
+    def _model_copy(self, pipeline, dst):
+        dst.write_bytes((pipeline / "base.ckpt").read_bytes())
 
     def _translate_error(self, pipeline, model, capsys):
         capsys.readouterr()
@@ -555,13 +600,13 @@ class TestPipeline:
 
     def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
-        self._bundle_copy(pipeline, cut)
+        self._model_copy(pipeline, cut)
         cut.write_bytes(cut.read_bytes()[:-100])
         assert "truncated" in self._translate_error(pipeline, cut, capsys)
 
     def test_malformed_metadata_exits_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
-        self._bundle_copy(pipeline, bad)
+        self._model_copy(pipeline, bad)
         rewrite_meta(bad, b"{bad")
         assert "__meta__" in self._translate_error(pipeline, bad, capsys)
 
@@ -573,14 +618,14 @@ class TestPipeline:
     def test_checkpoint_entries_must_match_the_model(self, pipeline, tmp_path, capsys,
                                                      edit, message):
         bad = tmp_path / "bad.ckpt"
-        self._bundle_copy(pipeline, bad)
+        self._model_copy(pipeline, bad)
         edit_entries(bad, edit)
         assert f"{bad}: {message}" in self._translate_error(pipeline, bad, capsys)
 
     def test_a_repeated_entry_exits_2(self, pipeline, tmp_path, capsys):
         # the second att.W has the first's shape, so it would load in its place
         bad = tmp_path / "bad.ckpt"
-        self._bundle_copy(pipeline, bad)
+        self._model_copy(pipeline, bad)
         entries = list(load_checkpoint(bad).items())
         att = dict(entries)["att.W"]
         write_checkpoint_oracle(bad, entries + [("att.W", np.zeros_like(att))])
@@ -589,17 +634,48 @@ class TestPipeline:
 
     def test_metadata_without_a_field_exits_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
-        self._bundle_copy(pipeline, bad)
+        self._model_copy(pipeline, bad)
         edit_meta(bad, lambda meta: meta.pop("mode"))
         assert f"{bad}: __meta__ lacks 'mode'" in self._translate_error(pipeline, bad, capsys)
 
     def test_translator_dimension_of_the_wrong_type_exits_2(self, pipeline, tmp_path,
                                                               capsys):
         bad = tmp_path / "bad.ckpt"
-        self._bundle_copy(pipeline, bad)
+        self._model_copy(pipeline, bad)
         edit_meta(bad, lambda meta: meta.update(hidden_dim="3"))
         err = self._translate_error(pipeline, bad, capsys)
         assert "hidden_dim" in err and "shape" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("vocabs"), "__meta__ lacks 'vocabs'"),
+        (lambda meta: meta.update(vocabs=None), "no vocabularies in __meta__"),
+        (lambda meta: meta["vocabs"][0].append(meta["vocabs"][0][0]), "duplicate or reserved"),
+        (lambda meta: meta["vocabs"][0].insert(0, "<unk>"),
+         "duplicate or reserved token '<unk>'"),
+        (lambda meta: meta["vocabs"][1].insert(1, ""), "'' is not a non-empty string"),
+        (lambda meta: meta["vocabs"][1].append(7), "7 is not a non-empty string"),
+        (lambda meta: meta.update(vocabs=meta["vocabs"][:1]), "pair of token lists"),
+        (lambda meta: meta.update(vocabs={"src": meta["vocabs"][0]}), "pair of token lists"),
+        (lambda meta: meta["vocabs"][0].pop(), "vocabularies of"),
+    ], ids=["missing", "null", "duplicate", "reserved", "empty token", "not a string",
+            "one list", "not a list", "short"])
+    def test_stored_vocabularies_must_fit_the_model(self, pipeline, tmp_path, capsys,
+                                                    edit, message):
+        bad = tmp_path / "bad.ckpt"
+        self._model_copy(pipeline, bad)
+        edit_meta(bad, edit)
+        err = self._translate_error(pipeline, bad, capsys)
+        assert err.startswith(f"data error: {bad}: ") and message in err
+
+    def test_vocabularies_larger_than_the_tables_exit_2_not_3(self, pipeline, tmp_path,
+                                                             capsys):
+        """Vocabularies with more ids than the tables have rows are refused
+        when the model loads, before any id can reach take_rows."""
+        bad = tmp_path / "bad.ckpt"
+        self._model_copy(pipeline, bad)
+        edit_meta(bad, lambda meta: [v.extend(["zz1", "zz2"]) for v in meta["vocabs"]])
+        err = self._translate_error(pipeline, bad, capsys)
+        assert err.startswith(f"data error: {bad}: invalid __meta__ (vocabularies of ")
 
     def test_parser_dimension_of_the_wrong_type_exits_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "parser.ckpt"
@@ -778,21 +854,6 @@ def _not_utf8(blob):
 
 # (command line, the file it reads and how it is spoiled, exit code, prefix)
 MALFORMED_TEXT = {
-    "duplicate vocabulary token": (
-        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
-        lambda blob: blob + blob.split(b"\n")[0] + b"\n", 2, "data error"),
-    "reserved vocabulary token": (
-        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
-        lambda blob: b"<unk>\n" + blob, 2, "data error"),
-    "blank vocabulary line": (
-        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.src.vocab",
-        lambda blob: blob.replace(b"\n", b"\n\n", 1), 2, "data error"),
-    "vocabulary not UTF-8": (
-        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.tgt.vocab",
-        _not_utf8, 2, "data error"),
-    "BPE merges not UTF-8": (
-        ["translate", "--model", "m.ckpt", "--src", "dev.src"], "m.ckpt.bpe",
-        _not_utf8, 2, "data error"),
     "source corpus not UTF-8": (
         ["translate", "--model", "m.ckpt", "--src", "dev.src"], "dev.src",
         _not_utf8, 2, "data error"),
@@ -817,9 +878,7 @@ MALFORMED_TEXT = {
 def test_malformed_text_input_ends_in_one_line_naming_the_file(pipeline, tmp_path,
                                                                capsys, case):
     argv, spoiled, edit, code, prefix = MALFORMED_TEXT[case]
-    for suffix in ("", ".src.vocab", ".tgt.vocab", ".bpe"):
-        (tmp_path / f"m.ckpt{suffix}").write_bytes(
-            (pipeline / f"base.ckpt{suffix}").read_bytes())
+    (tmp_path / "m.ckpt").write_bytes((pipeline / "base.ckpt").read_bytes())
     for name in ("dev.src", "dev.trees", "train.trees"):
         (tmp_path / name).write_bytes((pipeline / name).read_bytes())
     (tmp_path / "exp.cfg").write_bytes(b"")

@@ -1,7 +1,5 @@
 """Vocabulary, BPE, batching, and tree linearization."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,15 @@ from hypothesis import strategies as st
 
 from synmt import tensor as T
 from synmt.config import read_config, validate_config
-from synmt.data import (BOS, EOS, PAD, UNK, BpeModel, Vocabulary, apply_bpe,
-                        build_vocab, decode_bpe, delinearize_tree, filter_and_batch,
-                        learn_bpe, linearize_tree, read_corpus)
+from synmt.checkpoint import load_checkpoint, pop_meta
+from synmt.data import (BOS, EOS, PAD, UNK, Vocabulary, apply_bpe, build_vocab,
+                        decode_bpe, delinearize_tree, filter_and_batch, learn_bpe,
+                        linearize_tree, read_corpus)
 from synmt.depparse import DependencyTree, read_treebank
 from synmt.errors import ConfigError, DataError
+from synmt.seq2seq import TranslationModel
 
-from helpers import random_projective_tree
+from helpers import edit_meta, random_projective_tree
 
 
 class TestVocabulary:
@@ -48,23 +48,24 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             build_vocab([["a"]], max_size=4)
 
-    def test_ids_stable_across_save_load(self, tmp_path):
+    def test_ids_stable_across_model_save_load(self, tmp_path):
         v = build_vocab([["the", "cat", "sat", "the"]], max_size=100)
-        p = tmp_path / "vocab.txt"
-        v.save(p)
-        w = Vocabulary.load(p)
+        t = build_vocab([["le", "chat"]], max_size=100)
+        p = tmp_path / "model.ckpt"
+        TranslationModel(len(v), len(t), emb_dim=2, hidden_dim=2, vocabs=(v, t)).save(p)
+        w, u = TranslationModel.load(p).vocabs
         for tok in ["the", "cat", "sat", "<pad>", "unknown-token"]:
             assert v.id(tok) == w.id(tok)
-        # file format: one token per line, line number = id - 4
-        lines = p.read_text(encoding="utf-8").splitlines()
-        assert all(v.id(tok) == i + 4 for i, tok in enumerate(lines))
+        assert u.tokens(range(len(u))) == ["le", "chat"]
+        # stored format: each vocabulary's tokens in id order, from id 4 on
+        src_tokens = pop_meta(load_checkpoint(p), p)["vocabs"][0]
+        assert [v.id(tok) for tok in src_tokens] == list(range(4, len(v)))
 
-    def test_a_blank_line_is_a_data_error(self, tmp_path):
-        # skipping it would give "b" id 5, where its line says 6
-        p = tmp_path / "vocab.txt"
-        p.write_text("a\n\nb\n", encoding="utf-8")
-        with pytest.raises(DataError, match="^" + re.escape(f"{p} line 2: blank line")):
-            Vocabulary.load(p)
+    @pytest.mark.parametrize("tokens", [["a", "", "b"], ["a", 5], ["a", None]])
+    def test_a_token_must_be_a_non_empty_string(self, tokens):
+        # an empty token would take an id no text can ever map to
+        with pytest.raises(ValueError, match="not a non-empty string"):
+            Vocabulary(tokens)
 
     def test_round_trip_ids_tokens(self):
         v = build_vocab([["x", "y", "z"]], max_size=100)
@@ -94,12 +95,6 @@ class TestLearnBpe:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             learn_bpe({"a": 1}, -1)
-
-    def test_save_load(self, tmp_path):
-        model = learn_bpe({"low": 5, "lower": 2, "newest": 6, "widest": 3}, 8)
-        p = tmp_path / "bpe.txt"
-        model.save(p)
-        assert BpeModel.load(p).merges == model.merges
 
 
 class TestApplyBpe:
@@ -300,8 +295,6 @@ class TestReadCorpus:
 TEXT_READERS = {
     "read_treebank": ("1\ta\t2\tdet\n2\tb\t0\troot\n\n# note\n"
                       "1\tc\t_\t_\t_\t_\t0\troot\t_\t_\n", read_treebank, DataError),
-    "BpeModel.load": ("a b\nab c\nabc d\n", BpeModel.load, DataError),
-    "Vocabulary.load": ("a\nb\nab\n", Vocabulary.load, DataError),
     "read_config": ("# run\nbeam_size = 3\nlearning_rate = 0.01\nmode = tree-rnn\n"
                     "length_edges = 5, 10\ncase_sensitive = yes\n",
                     lambda path: validate_config(read_config(path)), ConfigError),
@@ -346,3 +339,45 @@ class TestTextReadersOnAnyInput:
             read(path)
         except error:
             pass
+
+
+# Any JSON value, and token lists near the valid ones: known tokens, reserved
+# and empty ones, and JSON values that are no token at all.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=10)
+TOKEN = st.sampled_from(["x", "y", "z", "<unk>", "</s>", ""]) | JSON
+VOCAB_FIELD = JSON | st.lists(st.lists(TOKEN, max_size=4), max_size=3)
+
+
+@pytest.fixture(scope="module")
+def model_blob(tmp_path_factory):
+    """A translation checkpoint of 2 source and 3 target tokens, as bytes."""
+    path = tmp_path_factory.mktemp("vocab-meta") / "model.ckpt"
+    vocabs = (Vocabulary(["x", "y"]), Vocabulary(["x", "y", "z"]))
+    TranslationModel(6, 7, emb_dim=2, hidden_dim=2, vocabs=vocabs).save(path)
+    return path.read_bytes()
+
+
+class TestVocabulariesInMetaOnAnyValue:
+    """A checkpoint's stored vocabularies either load, as exactly the token
+    lists stored, or raise DataError naming the checkpoint."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=VOCAB_FIELD)
+    def test_loads_or_raises_a_data_error(self, fuzz_dir, model_blob, value):
+        path = fuzz_dir / "model.ckpt"
+        path.write_bytes(model_blob)
+        edit_meta(path, lambda meta: meta.update(vocabs=value))
+        try:
+            vocabs = TranslationModel.load(path).vocabs
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        if value is None:
+            assert vocabs is None
+        else:
+            assert [v.tokens(range(len(v))) for v in vocabs] == value

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from synmt import cli, depparse, nn, syntax
 from synmt import tensor as T
 from synmt.checkpoint import load_checkpoint, pack_meta, save_checkpoint
-from synmt.data import Batch, BpeModel, Vocabulary, filter_and_batch
+from synmt.data import Batch, Vocabulary, filter_and_batch
 from synmt.depparse import DependencyTree, ParserModel, parser_encode
 from synmt.errors import DataError, ShapeError, StateError
 from synmt.evaluate import read_alignments
@@ -67,6 +67,7 @@ def sawr_model(parser=None, trainable=False, seed=3, **kw):
 
 
 TOKENS = [["a", "b", "c"], ["b", "c"], ["a", "c", "d"]]
+VOCABS = (Vocabulary(list("abcdefg")), Vocabulary(list("vwxyz")))  # sawr_model's 11 and 9
 PAIRS = [([4, 5, 6], [4, 5, 3]), ([5, 6], [6, 3]), ([4, 6, 7], [5, 3])]
 
 
@@ -199,11 +200,11 @@ class TestLiveParserBatch:
         return Batch([s for s, _ in PAIRS], [t for _, t in PAIRS], src_tokens=TOKENS)
 
     @staticmethod
-    def model():
+    def model(**kw):
         parser = ParserModel({"<unk>": 0, "a": 1, "b": 2, "c": 3, "d": 4},
                              ["det", "root", "obj"], embed_dim=3, hidden_dim=2,
                              mlp_dim=2, layers=2, seed=4)
-        return sawr_model(parser=parser, trainable=True)
+        return sawr_model(parser=parser, trainable=True, **kw)
 
     def test_rows_match_one_sentence_encodes(self):
         parser = self.model().parser
@@ -250,16 +251,14 @@ class TestLiveParserBatch:
         monkeypatch.setattr(depparse, "parser_encode", counted)
         sents = TOKENS + [[]] + TOKENS
         assert len(sents) <= syntax.ENCODE_CHUNK
-        lines, stats = cli._decode_corpus(
-            [self.model()], [Vocabulary(list("abcdefg"))], Vocabulary(list("vwxyz")),
-            sents, 2, 5, trees=None, encodings=[None])
+        lines, stats = cli._decode_corpus([self.model(vocabs=VOCABS)], sents, 2, 5,
+                                          trees=None, encodings=[None])
         assert calls == [6]  # one batch-1 pass per sentence would be [1] * 6
         assert stats["sentences"] == 6 and lines[3] == ""
 
     def test_align_dump_encodes_the_corpus_in_one_parser_pass(self, monkeypatch, tmp_path):
         ckpt, src, out = (str(tmp_path / name) for name in ("m.ckpt", "src.txt", "a.jsonl"))
-        cli._save_bundle(ckpt, self.model(), Vocabulary(list("abcdefg")),
-                         Vocabulary(list("vwxyz")), BpeModel([]))
+        self.model(vocabs=VOCABS).save(ckpt)
         with open(src, "w", encoding="utf-8") as f:
             f.write("".join(" ".join(t) + "\n" for t in TOKENS + [[]] + TOKENS))
         calls = []
